@@ -18,9 +18,9 @@ from .harness import (
     ConfigError,
     HarnessError,
     RunConfig,
+    _sweep_values,
     loglog_slope,
     run,
-    sweep,
     verify_run,
 )
 from .scenarios import SCENARIOS, ScenarioSpec
@@ -75,18 +75,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config, args)
-    if not config.horizons or len(config.horizons) < 3:
-        raise ConfigError("sweeps need at least 3 horizons (use --horizons)")
-    records = sweep(config)
-    values = []
-    for rec in records:
-        if args.metric == "ccv":
-            values.append(rec.summary["final_ccv"])
-        else:
-            name = args.comparator or next(
-                k[len("regret__"):] for k in sorted(rec.summary)
-                if k.startswith("regret__"))
-            values.append(rec.summary[f"regret__{name}"])
+    records, values = _sweep_values(config, args.metric, args.comparator)
     slope = loglog_slope(config.horizons, values)
     out = {
         "metric": args.metric,

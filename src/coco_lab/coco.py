@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budgets import coco2_ccv_rhs, coco2_gamma, coco2_regret_rhs, ensemble_rhs, num_experts
 from .core import (
     ConstraintOracle,
     CostOracle,
@@ -28,7 +29,7 @@ from .core import (
     g_plus,
 )
 from .geometry import GeometricSet, dist, dist_subgradient
-from .subroutines import AhagState, ahag_constant, ahag_round, num_experts
+from .subroutines import AhagState, ahag_round
 
 
 def auxiliary_value(cost: CostOracle, feasible_set: GeometricSet, g_lip: float, x) -> float:
@@ -68,7 +69,6 @@ class Coco1State:
     subroutine: AhagState
     lipschitz_bound: float
     q: float = 0.0
-    surrogate_grad_sq: float = 0.0
     t: int = 0
 
     @classmethod
@@ -78,24 +78,30 @@ class Coco1State:
         return cls(subroutine=AhagState.create(decision_set, horizon), lipschitz_bound=g_lip)
 
 
-def coco1_round(state: Coco1State, cost: CostOracle, constraint: ConstraintOracle):
-    """Play the subroutine's point, record the revealed values, update the
-    violation total, and advance the subroutine on the surrogate gradient."""
+def _round(state: Coco1State | Coco2State, cost: CostOracle, constraint: ConstraintOracle,
+           surrogate_subgradient):
+    """Play the subroutine's point, record the revealed values, fold the
+    fresh violation into ``Q(t)``, then advance the subroutine on
+    ``surrogate_subgradient``, which is evaluated at the subroutine's play."""
     x = state.subroutine.combined_point
     f_val = float(cost.value(x))
     g_val = float(constraint.value(x))
     state.q = ccv_update(state.q, g_val)
     state.t += 1
     before = state.subroutine.grad_sq_sum
-    surrogate = _GradOnly(lambda pt: coco1_surrogate_subgradient(cost, constraint, pt))
-    _, played = ahag_round(state.subroutine, surrogate)
+    _, played = ahag_round(state.subroutine, _GradOnly(surrogate_subgradient))
     norm_sq = state.subroutine.grad_sq_sum - before
-    state.surrogate_grad_sq += norm_sq
     row = RoundRow(
         t=state.t, x=played, f=f_val, g=g_val, gplus=g_plus(g_val),
         q=state.q, surrogate_grad_norm=math.sqrt(max(norm_sq, 0.0)),
     )
     return state, played, row
+
+
+def coco1_round(state: Coco1State, cost: CostOracle, constraint: ConstraintOracle):
+    """One full-feedback round: the ensemble steps on the penalized surrogate."""
+    return _round(state, cost, constraint,
+                  lambda pt: coco1_surrogate_subgradient(cost, constraint, pt))
 
 
 @dataclass
@@ -106,7 +112,6 @@ class Coco2State:
     v_param: float
     lipschitz_bound: float
     q: float = 0.0
-    surrogate_grad_sq: float = 0.0
     t: int = 0
 
     @classmethod
@@ -133,29 +138,10 @@ def coco2_surrogate_subgradient(state: Coco2State, cost: CostOracle,
 
 
 def coco2_round(state: Coco2State, cost: CostOracle, constraint: ConstraintOracle):
-    """Play, fold the fresh violation into ``Q(t)``, then advance the
-    subroutine on the violation-weighted surrogate gradient."""
-    x = state.subroutine.combined_point
-    f_val = float(cost.value(x))
-    g_val = float(constraint.value(x))
-    state.q = ccv_update(state.q, g_val)
-    state.t += 1
-    before = state.subroutine.grad_sq_sum
-    surrogate = _GradOnly(lambda pt: coco2_surrogate_subgradient(state, cost, constraint, pt))
-    _, played = ahag_round(state.subroutine, surrogate)
-    norm_sq = state.subroutine.grad_sq_sum - before
-    state.surrogate_grad_sq += norm_sq
-    row = RoundRow(
-        t=state.t, x=played, f=f_val, g=g_val, gplus=g_plus(g_val),
-        q=state.q, surrogate_grad_norm=math.sqrt(max(norm_sq, 0.0)),
-    )
-    return state, played, row
-
-
-def coco2_gamma(g_lip: float, diameter: float, n_experts: int) -> float:
-    """Ensemble constant folded with the Lipschitz bound, as used by the
-    first-order variant's closed-form budgets."""
-    return math.sqrt(2.0) * g_lip * ahag_constant(diameter, n_experts)
+    """One first-order round: the ensemble steps on the violation-weighted
+    surrogate, whose ``Q(t)`` already includes this round."""
+    return _round(state, cost, constraint,
+                  lambda pt: coco2_surrogate_subgradient(state, cost, constraint, pt))
 
 
 def coco2_default_v(g_lip: float, diameter: float, horizon: int) -> float:
@@ -176,8 +162,7 @@ def coco1_bound_rhs(run, path_length: float, g_lip: float, diameter: float) -> f
     if path_length < 0:
         raise ValueError("path length must be nonnegative")
     n = num_experts(diameter, horizon)
-    c = ahag_constant(diameter, n)
-    return c * math.sqrt(1.0 + path_length) * math.sqrt(run.surrogate_grad_sq_sum())
+    return ensemble_rhs(diameter, n, path_length, run.surrogate_grad_sq_sum())
 
 
 def coco2_bound_rhs(run, path_length: float, v: float, g_lip: float,
@@ -197,12 +182,5 @@ def coco2_bound_rhs(run, path_length: float, v: float, g_lip: float,
         raise ValueError("V must be positive")
     n = num_experts(diameter, horizon)
     gamma = coco2_gamma(g_lip, diameter, n)
-    one_p = 1.0 + path_length
-    regret_rhs = (gamma ** 2 * one_p * horizon + gamma * math.sqrt(one_p) * v * math.sqrt(horizon)) / v
-    root_tp = math.sqrt(horizon * one_p)
-    ccv_rhs = (
-        2.0 * gamma * root_tp
-        + 0.5 * math.sqrt(4.0 * gamma * v * root_tp)
-        + 0.5 * math.sqrt(4.0 * v * g_lip * diameter * horizon)
-    )
-    return regret_rhs, ccv_rhs
+    return (coco2_regret_rhs(gamma, v, path_length, horizon),
+            coco2_ccv_rhs(gamma, v, g_lip, diameter, path_length, horizon))

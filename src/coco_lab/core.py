@@ -116,11 +116,17 @@ class RoundRow:
 
 @dataclass
 class RunRecord:
-    """Full trajectory of a run plus the summary filled in by the harness."""
+    """Full trajectory of a run plus the summary filled in by the harness.
+
+    The harness also keeps the comparators it scored (name ->
+    ``ComparatorSequence``) and each one's per-round cost (name -> list).
+    """
 
     dimension: int
     rows: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    comparators: dict = field(default_factory=dict)
+    comparator_costs: dict = field(default_factory=dict)
 
     @property
     def horizon(self) -> int:

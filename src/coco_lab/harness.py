@@ -20,19 +20,12 @@ import os
 import tempfile
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coco import (
-    Coco1State,
-    Coco2State,
-    coco1_bound_rhs,
-    coco1_round,
-    coco2_bound_rhs,
-    coco2_round,
-)
+from . import budgets
+from .coco import Coco1State, Coco2State, coco1_round, coco2_round
 from .core import RoundRow, RunRecord, ccv_update, g_plus
 from .geometry import membership
 from .scenarios import Scenario, ScenarioSpec, build_scenario, with_horizon
@@ -41,9 +34,7 @@ from .subroutines import (
     PATH_FREE,
     AdaGradState,
     AhagState,
-    adagrad_bound_rhs,
     adagrad_step,
-    ahag_bound_rhs,
     ahag_round,
 )
 
@@ -104,13 +95,17 @@ def _resolve_comparators(config: RunConfig, scenario: Scenario) -> dict:
     return {n: available[n] for n in names}
 
 
+def _build_scenario(spec: ScenarioSpec) -> Scenario:
+    try:
+        return build_scenario(spec)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"bad scenario: {exc}") from exc
+
+
 def run(config: RunConfig, horizon: int | None = None) -> RunRecord:
     """Execute one run and return its record; persists when out_dir is set."""
     spec = config.scenario if horizon is None else with_horizon(config.scenario, horizon)
-    try:
-        scenario = build_scenario(spec)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad scenario: {exc}") from exc
+    scenario = _build_scenario(spec)
     comparators = _resolve_comparators(config, scenario)
     for name, comp in comparators.items():
         if comp.points.shape != (scenario.horizon, scenario.dimension):
@@ -119,7 +114,8 @@ def run(config: RunConfig, horizon: int | None = None) -> RunRecord:
             raise ConfigError(f"comparator {name!r} leaves the decision set")
 
     t0 = time.perf_counter()
-    record = RunRecord(dimension=scenario.dimension)
+    record = RunRecord(dimension=scenario.dimension, comparators=comparators,
+                       comparator_costs={name: [] for name in comparators})
     comp_cost = {name: 0.0 for name in comparators}
     sum_cost = 0.0
     bookkeeping_q = 0.0
@@ -132,7 +128,9 @@ def run(config: RunConfig, horizon: int | None = None) -> RunRecord:
             bookkeeping_q = row.q
             for name, comp in comparators.items():
                 u = comp.points[t - 1]
-                comp_cost[name] += float(cost.value(u))
+                c = float(cost.value(u))
+                record.comparator_costs[name].append(c)
+                comp_cost[name] += c
                 if comp.feasible and float(constraint.value(u)) > FEASIBILITY_TOL:
                     raise HarnessError(
                         f"comparator {name!r} marked feasible violates round {t}")
@@ -143,7 +141,7 @@ def run(config: RunConfig, horizon: int | None = None) -> RunRecord:
         sum_cost += row.f
         record.append(row)
 
-    summary = _summarize(config, scenario, state, record, comparators, comp_cost, sum_cost)
+    summary = _summarize(config, scenario, state, record, comp_cost, sum_cost)
     summary["wall_clock_sec"] = time.perf_counter() - t0
     record.summary = summary
     if config.out_dir is not None:
@@ -170,32 +168,30 @@ def _init_state(config: RunConfig, scenario: Scenario):
 def _advance(algorithm: str, state, cost, constraint, t: int, prev_q: float) -> RoundRow:
     """One round of the selected algorithm; returns the trajectory row.
 
-    The plain OCO subroutines ignore the constraint for their update but the
-    violation they incur is still recorded.
+    Every branch plays, records the revealed values, then steps. The plain
+    OCO subroutines ignore the constraint for their update but the violation
+    they incur is still recorded.
     """
     if algorithm == "coco1":
-        _, _, row = coco1_round(state, cost, constraint)
-        return row
+        return coco1_round(state, cost, constraint)[2]
     if algorithm == "coco2":
-        _, _, row = coco2_round(state, cost, constraint)
-        return row
-    if algorithm == "adagrad":
-        x = state.point
-        grad = np.asarray(cost.subgradient(x), dtype=float)
-        grad_norm = float(np.linalg.norm(grad))
-        adagrad_step(state, grad)
-    else:
-        before = state.grad_sq_sum
-        _, x = ahag_round(state, cost)
-        grad_norm = math.sqrt(max(state.grad_sq_sum - before, 0.0))
+        return coco2_round(state, cost, constraint)[2]
+    x = state.point if algorithm == "adagrad" else state.combined_point
     f_val = float(cost.value(x))
     g_val = float(constraint.value(x))
-    q = ccv_update(prev_q, g_val)
-    return RoundRow(t=t, x=x, f=f_val, g=g_val, gplus=g_plus(g_val), q=q,
-                    surrogate_grad_norm=grad_norm)
+    if algorithm == "adagrad":
+        grad = np.asarray(cost.subgradient(x), dtype=float)
+        adagrad_step(state, grad)
+        grad_norm = float(np.linalg.norm(grad))
+    else:
+        before = state.grad_sq_sum
+        ahag_round(state, cost)
+        grad_norm = math.sqrt(max(state.grad_sq_sum - before, 0.0))
+    return RoundRow(t=t, x=x, f=f_val, g=g_val, gplus=g_plus(g_val),
+                    q=ccv_update(prev_q, g_val), surrogate_grad_norm=grad_norm)
 
 
-def _summarize(config, scenario, state, record, comparators, comp_cost, sum_cost) -> dict:
+def _summarize(config, scenario, state, record, comp_cost, sum_cost) -> dict:
     algo = config.algorithm
     ds = scenario.decision_set
     summary = {
@@ -216,22 +212,39 @@ def _summarize(config, scenario, state, record, comparators, comp_cost, sum_cost
             summary["path_estimate"] = state.path_estimate
     if algo == "coco2":
         summary["v"] = state.v_param
+    meta = algo in ("coco1", "coco2")
+    # the plain engines are budgeted on their own accumulator, the
+    # meta-algorithms on the recorded surrogate gradient norms
+    grad_sq = summary["surrogate_grad_sq_sum"] if meta else state.grad_sq_sum
 
     flags = []
-    for name, comp in comparators.items():
+    for name, comp in record.comparators.items():
         regret = sum_cost - comp_cost[name]
         summary[f"path_length__{name}"] = comp.path_length
         summary[f"feasible__{name}"] = comp.feasible
         summary[f"regret__{name}"] = regret
-        rhs, applicable = _regret_budget(algo, state, record, scenario, comp)
-        if applicable:
+        # the meta-algorithms' analysis covers feasible comparators; known-path
+        # descent covers comparators whose path fits its estimate
+        if meta:
+            applies = comp.feasible
+        elif algo == "adagrad" and state.mode == KNOWN_PATH:
+            applies = comp.path_length <= state.path_estimate + 1e-12
+        else:
+            applies = True
+        if applies:
+            rhs = _budget(summary, comp.path_length, record.horizon, grad_sq)
             summary[f"bound_rhs__{name}"] = rhs
             ok = regret <= rhs * (1.0 + 1e-12) + 1e-12
             summary[f"bound_ok__{name}"] = bool(ok)
             flags.append(bool(ok))
 
-    ccv_rhs, ccv_path = _ccv_budget(algo, state, record, scenario)
-    if ccv_rhs is not None:
+    ccv_path = None
+    if algo == "coco1":
+        ccv_path = scenario.minimizer_path_length()
+    elif algo == "coco2":
+        ccv_path = scenario.feasible_path_length()
+    if ccv_path is not None:
+        ccv_rhs = _budget(summary, ccv_path, record.horizon, grad_sq, ccv=True)
         summary["ccv_bound_path"] = ccv_path
         summary["ccv_bound_rhs"] = ccv_rhs
         ok = record.final_ccv() <= ccv_rhs * (1.0 + 1e-12) + 1e-12
@@ -242,42 +255,27 @@ def _summarize(config, scenario, state, record, comparators, comp_cost, sum_cost
     return summary
 
 
-def _regret_budget(algo, state, record, scenario, comp):
-    """Budget RHS for the regret against one comparator, plus applicability."""
+def _budget(summary: dict, path: float, t: int, grad_sq_sum: float, ccv: bool = False) -> float:
+    """Regret budget RHS (CCV budget RHS with ``ccv``) after ``t`` rounds
+    against a path of length ``path``, for the run ``summary`` describes.
+
+    ``grad_sq_sum`` is the squared gradient norm accumulated over those
+    rounds. The run summary, the plot trajectories and verification all
+    evaluate budgets here, each from its own inputs.
+    """
+    algo = summary["algorithm"]
+    diam = summary["diameter"]
     if algo == "adagrad":
-        if state.mode == KNOWN_PATH:
-            # the analysis covers comparators whose path fits the budget
-            if comp.path_length > state.path_estimate + 1e-12:
-                return None, False
-            return adagrad_bound_rhs(state, state.path_estimate), True
-        return adagrad_bound_rhs(state, comp.path_length), True
-    if algo == "ahag":
-        return ahag_bound_rhs(state, comp.path_length), True
-    if not comp.feasible:
-        return None, False
-    if algo == "coco1":
-        return coco1_bound_rhs(record, comp.path_length, scenario.g_lip,
-                               scenario.decision_set.diameter), True
-    regret_rhs, _ = coco2_bound_rhs(record, comp.path_length, state.v_param,
-                                    scenario.g_lip, scenario.decision_set.diameter)
-    return regret_rhs, True
-
-
-def _ccv_budget(algo, state, record, scenario):
-    if algo == "coco1":
-        p_star = scenario.minimizer_path_length()
-        if p_star is None:
-            return None, None
-        return coco1_bound_rhs(record, p_star, scenario.g_lip,
-                               scenario.decision_set.diameter), p_star
-    if algo == "coco2":
-        p_feas = scenario.feasible_path_length()
-        if p_feas is None:
-            return None, None
-        _, ccv_rhs = coco2_bound_rhs(record, p_feas, state.v_param,
-                                     scenario.g_lip, scenario.decision_set.diameter)
-        return ccv_rhs, p_feas
-    return None, None
+        if summary["mode"] == KNOWN_PATH:
+            return budgets.adagrad_known_path_rhs(diam, summary["path_estimate"], grad_sq_sum)
+        return budgets.adagrad_path_free_rhs(diam, path, grad_sq_sum)
+    n = budgets.num_experts(diam, summary["horizon"])
+    if algo in ("ahag", "coco1"):
+        return budgets.ensemble_rhs(diam, n, path, grad_sq_sum)
+    gamma = budgets.coco2_gamma(summary["g_lip"], diam, n)
+    if ccv:
+        return budgets.coco2_ccv_rhs(gamma, summary["v"], summary["g_lip"], diam, path, t)
+    return budgets.coco2_regret_rhs(gamma, summary["v"], path, t)
 
 
 # ---------------------------------------------------------------------------
@@ -312,52 +310,24 @@ def rounds_csv_text(record: RunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prefix_budget(summary, prefix_t, prefix_path, prefix_grad_sq):
-    """Regret budget evaluated on a run prefix, for plot trajectories."""
-    from .subroutines import ahag_constant, num_experts
-
-    algo = summary["algorithm"]
-    diam = summary["diameter"]
-    root_s = math.sqrt(prefix_grad_sq)
-    if algo == "adagrad":
-        p = summary.get("path_estimate", prefix_path)
-        if summary["mode"] == KNOWN_PATH:
-            return (diam + 1.0) * math.sqrt(2.0 * (1.0 + p)) * root_s
-        return math.sqrt(2.0) * (diam + 1.0) * (1.0 + prefix_path) * root_s
-    n = num_experts(diam, int(summary["horizon"]))
-    if algo in ("ahag", "coco1"):
-        return ahag_constant(diam, n) * math.sqrt(1.0 + prefix_path) * root_s
-    from .coco import coco2_gamma
-    gamma = coco2_gamma(summary["g_lip"], diam, n)
-    v = summary["v"]
-    one_p = 1.0 + prefix_path
-    return (gamma ** 2 * one_p * prefix_t
-            + gamma * math.sqrt(one_p) * v * math.sqrt(prefix_t)) / v
-
-
-def plotdata_csv_text(record: RunRecord, config: RunConfig) -> str:
+def plotdata_csv_text(record: RunRecord) -> str:
     """Long-format trajectories: running CCV, running regret per comparator,
     and the matching budget RHS evaluated on each prefix."""
-    scenario = build_scenario(ScenarioSpec(
-        name=config.scenario.name, horizon=record.horizon,
-        seed=config.scenario.seed, params=config.scenario.params))
-    comparators = _resolve_comparators(config, scenario)
     lines = ["series,t,value"]
     for r in record.rows:
         lines.append(f"ccv,{r.t},{_fmt(r.q)}")
     grad_sq_prefix = np.cumsum([r.surrogate_grad_norm ** 2 for r in record.rows])
-    for name, comp in comparators.items():
+    for name, comp in record.comparators.items():
+        costs = record.comparator_costs[name]
         regret = 0.0
         path_prefix = 0.0
         for i, r in enumerate(record.rows):
-            cost, _ = scenario.generate(r.t)
-            regret += r.f - float(cost.value(comp.points[i]))
+            regret += r.f - costs[i]
             if i > 0:
                 path_prefix += float(np.linalg.norm(comp.points[i] - comp.points[i - 1]))
             lines.append(f"regret__{name},{r.t},{_fmt(regret)}")
             if f"bound_rhs__{name}" in record.summary:
-                rhs = _prefix_budget(record.summary, r.t, path_prefix,
-                                     float(grad_sq_prefix[i]))
+                rhs = _budget(record.summary, path_prefix, r.t, float(grad_sq_prefix[i]))
                 lines.append(f"bound_rhs__{name},{r.t},{_fmt(rhs)}")
     return "\n".join(lines) + "\n"
 
@@ -381,7 +351,7 @@ def persist(record: RunRecord, config: RunConfig, out_dir: str):
                   json.dumps(cfg, sort_keys=True, indent=2) + "\n")
     if config.emit_plotdata:
         _atomic_write(os.path.join(out_dir, "plotdata.csv"),
-                      plotdata_csv_text(record, config))
+                      plotdata_csv_text(record))
 
 
 # ---------------------------------------------------------------------------
@@ -402,31 +372,41 @@ def loglog_slope(horizons, values) -> float:
 def _metric_value(record: RunRecord, metric: str, comparator: str | None) -> float:
     if metric == "ccv":
         return record.summary["final_ccv"]
-    if metric == "regret":
-        name = comparator
-        if name is None:
-            name = next(k[len("regret__"):] for k in sorted(record.summary)
-                        if k.startswith("regret__"))
-        return record.summary[f"regret__{name}"]
-    raise ConfigError(f"unknown metric {metric!r}; choose 'ccv' or 'regret'")
+    name = comparator
+    if name is None:
+        name = next(k[len("regret__"):] for k in sorted(record.summary)
+                    if k.startswith("regret__"))
+    return record.summary[f"regret__{name}"]
+
+
+def _sweep_values(config: RunConfig, metric: str, comparator: str | None = None):
+    """Run every configured horizon; returns the records and the metric's
+    value on each. The metric and comparator are checked before any run."""
+    if not config.horizons or len(config.horizons) < 3:
+        raise ConfigError("sweeps need at least 3 horizons (set horizons, or --horizons)")
+    if metric not in ("ccv", "regret"):
+        raise ConfigError(f"unknown metric {metric!r}; choose 'ccv' or 'regret'")
+    if comparator is not None:
+        scenario = _build_scenario(with_horizon(config.scenario, config.horizons[0]))
+        names = _resolve_comparators(config, scenario)
+        if comparator not in names:
+            raise ConfigError(f"unknown comparator {comparator!r}; runs record {list(names)}")
+    records = sweep(config)
+    return records, [_metric_value(r, metric, comparator) for r in records]
 
 
 def sweep_slope(config: RunConfig, metric: str, comparator: str | None = None) -> float:
     """Run every configured horizon and fit the sublinearity slope of the metric."""
-    if not config.horizons or len(config.horizons) < 3:
-        raise ConfigError("sweeps need at least 3 horizons")
-    records = sweep(config)
-    values = [_metric_value(r, metric, comparator) for r in records]
+    _, values = _sweep_values(config, metric, comparator)
     return loglog_slope(config.horizons, values)
 
 
 def sweep(config: RunConfig) -> list:
-    """Run all configured horizons (optionally in parallel) and return records."""
+    """Run all configured horizons in turn and return their records."""
     if not config.horizons:
         raise ConfigError("sweep requires a horizons list")
-    threads = int(os.environ.get("COCO_LAB_THREADS", "1"))
-
-    def _one(T: int) -> RunRecord:
+    records = []
+    for T in config.horizons:
         sub = RunConfig(
             scenario=config.scenario, algorithm=config.algorithm,
             comparators=config.comparators, v=config.v, g_lip=None,
@@ -435,12 +415,8 @@ def sweep(config: RunConfig) -> list:
             else os.path.join(config.out_dir, f"T{T}"),
             emit_plotdata=config.emit_plotdata,
         )
-        return run(sub, horizon=T)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_one, config.horizons))
-    return [_one(T) for T in config.horizons]
+        records.append(run(sub, horizon=T))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -516,55 +492,11 @@ def verify_run(out_dir: str) -> list:
             problems.append(f"path_length__{n} mismatch")
         rhs_key = f"bound_rhs__{n}"
         if rhs_key in summary:
-            rhs_re = _recompute_regret_rhs(summary, scenario, comparators[n], s_re)
-            if rhs_re is not None and not _rel_close(rhs_re, summary[rhs_key]):
+            rhs_re = _budget(summary, comparators[n].path_length, scenario.horizon, s_re)
+            if not _rel_close(rhs_re, summary[rhs_key]):
                 problems.append(f"bound_rhs__{n} mismatch")
     if "ccv_bound_rhs" in summary:
-        rhs_re = _recompute_ccv_rhs(summary, scenario, s_re)
-        if rhs_re is not None and not _rel_close(rhs_re, summary["ccv_bound_rhs"]):
+        rhs_re = _budget(summary, summary["ccv_bound_path"], scenario.horizon, s_re, ccv=True)
+        if not _rel_close(rhs_re, summary["ccv_bound_rhs"]):
             problems.append("ccv_bound_rhs mismatch")
     return problems
-
-
-def _recompute_regret_rhs(summary, scenario, comp, grad_sq_sum):
-    from .subroutines import ahag_constant, num_experts
-
-    algo = summary["algorithm"]
-    diam = summary["diameter"]
-    root_s = math.sqrt(grad_sq_sum)
-    if algo == "adagrad":
-        if summary["mode"] == KNOWN_PATH:
-            p = summary["path_estimate"]
-            return (diam + 1.0) * math.sqrt(2.0 * (1.0 + p)) * root_s
-        return math.sqrt(2.0) * (diam + 1.0) * (1.0 + comp.path_length) * root_s
-    n = num_experts(diam, int(summary["horizon"]))
-    if algo in ("ahag", "coco1"):
-        return ahag_constant(diam, n) * math.sqrt(1.0 + comp.path_length) * root_s
-    if algo == "coco2":
-        from .coco import coco2_gamma
-        gamma = coco2_gamma(summary["g_lip"], diam, n)
-        T = summary["horizon"]
-        one_p = 1.0 + comp.path_length
-        return (gamma ** 2 * one_p * T + gamma * math.sqrt(one_p)
-                * summary["v"] * math.sqrt(T)) / summary["v"]
-    return None
-
-
-def _recompute_ccv_rhs(summary, scenario, grad_sq_sum):
-    from .subroutines import ahag_constant, num_experts
-
-    algo = summary["algorithm"]
-    diam = summary["diameter"]
-    path = summary["ccv_bound_path"]
-    n = num_experts(diam, int(summary["horizon"]))
-    if algo == "coco1":
-        return ahag_constant(diam, n) * math.sqrt(1.0 + path) * math.sqrt(grad_sq_sum)
-    if algo == "coco2":
-        from .coco import coco2_gamma
-        gamma = coco2_gamma(summary["g_lip"], diam, n)
-        T = summary["horizon"]
-        v = summary["v"]
-        root_tp = math.sqrt(T * (1.0 + path))
-        return (2.0 * gamma * root_tp + 0.5 * math.sqrt(4.0 * gamma * v * root_tp)
-                + 0.5 * math.sqrt(4.0 * v * summary["g_lip"] * diam * T))
-    return None

@@ -19,8 +19,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .budgets import (
+    adagrad_known_path_rhs,
+    adagrad_path_free_rhs,
+    ahag_constant,  # noqa: F401  re-exported
+    ensemble_rhs,
+    num_experts,
+)
 from .core import DecisionSet
 
 KNOWN_PATH = "known_path"
@@ -88,18 +94,8 @@ def adagrad_bound_rhs(state: AdaGradState, path_length: float) -> float:
     """
     if path_length < 0:
         raise ValueError("path length must be nonnegative")
-    d1 = state.diameter + 1.0
-    root_s = math.sqrt(state.grad_sq_sum)
-    if state.mode == KNOWN_PATH:
-        return d1 * math.sqrt(2.0 * (1.0 + path_length)) * root_s
-    return math.sqrt(2.0) * d1 * (1.0 + path_length) * root_s
-
-
-def num_experts(diameter: float, horizon: int) -> int:
-    """Number of doubling path-length guesses needed to cover [0, D*T]."""
-    if diameter <= 0 or horizon < 1:
-        raise ValueError("need positive diameter and horizon >= 1")
-    return int(math.ceil(0.5 * math.log2(1.0 + diameter * horizon))) + 1
+    rhs = adagrad_known_path_rhs if state.mode == KNOWN_PATH else adagrad_path_free_rhs
+    return rhs(state.diameter, path_length, state.grad_sq_sum)
 
 
 @dataclass
@@ -136,6 +132,19 @@ def _hedge_weights(cum_losses: np.ndarray, cum_mix_gap: float) -> np.ndarray:
     return u / u.sum()
 
 
+def _log_sum_exp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` with the largest entries split out of the sum,
+    for ``a`` with at least one finite entry. Reproduces
+    ``scipy.special.logsumexp`` bit for bit (the numpy ``log1p``, not
+    ``math.log1p``, is needed for that)."""
+    a_max = a.max()
+    top = a == a_max
+    m = top.sum(dtype=float)
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+    s = s / m if s != 0.0 else s
+    return np.log1p(s) + np.log(m) + a_max
+
+
 def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
     """Consume one loss vector: accrue the mixability gap, then reweight.
 
@@ -159,7 +168,7 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
             log_w = np.log(w)
         a = log_w - eta * losses
         a[w <= 0.0] = -np.inf  # zero-weight experts contribute nothing
-        mix = float(-logsumexp(a) / eta)
+        mix = float(-_log_sum_exp(a) / eta)
     # Jensen guarantees expected >= mix; clamp float dust so the gap stays monotone.
     gap = max(0.0, expected - mix)
     state.cum_mix_gap += gap
@@ -231,16 +240,9 @@ def ahag_round(state: AhagState, cost) -> tuple[AhagState, np.ndarray]:
     return state, x
 
 
-def ahag_constant(diameter: float, n_experts: int) -> float:
-    """Leading constant of the ensemble regret bound: expert term plus hedge term."""
-    return 2.0 * math.sqrt(2.0) * (diameter + 1.0) + 2.0 * diameter * math.sqrt(
-        4.0 + math.log(n_experts)
-    )
-
-
 def ahag_bound_rhs(state: AhagState, path_length: float) -> float:
     """Universal regret budget against any comparator of the given path length."""
     if path_length < 0:
         raise ValueError("path length must be nonnegative")
-    c = ahag_constant(state.decision_set.diameter, state.num_experts)
-    return c * math.sqrt(1.0 + path_length) * math.sqrt(state.grad_sq_sum)
+    return ensemble_rhs(state.decision_set.diameter, state.num_experts, path_length,
+                        state.grad_sq_sum)

@@ -1,11 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import coco_lab
 from coco_lab.cli import main
 from coco_lab.harness import (
+    ALGORITHMS,
+    VERIFY_REL_TOL,
     ConfigError,
     RunConfig,
     loglog_slope,
@@ -14,7 +19,7 @@ from coco_lab.harness import (
     sweep_slope,
     verify_run,
 )
-from coco_lab.scenarios import ScenarioSpec
+from coco_lab.scenarios import SCENARIOS, ScenarioSpec
 
 
 def cfg(name="static", T=50, seed=0, algorithm="coco2", **kw):
@@ -58,6 +63,37 @@ def test_verify_reproduces_summary(tmp_path, algorithm):
     out = str(tmp_path / algorithm)
     run(cfg("tracking-ball", T=50, seed=3, algorithm=algorithm, out_dir=out))
     assert verify_run(out) == []
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_verify_catches_scaled_budget(tmp_path, algorithm):
+    out = str(tmp_path / algorithm)
+    run(cfg("tracking-ball", T=50, seed=3, algorithm=algorithm, out_dir=out))
+    path = os.path.join(out, "summary.json")
+    summary = json.loads(open(path).read())
+    keys = [k for k in summary if k.startswith("bound_rhs__") or k == "ccv_bound_rhs"]
+    assert len(keys) == (3 if algorithm.startswith("coco") else 2)
+    for key in keys:
+        with open(path, "w") as f:
+            json.dump({**summary, key: summary[key] * (1.0 + 1e-4)}, f)
+        assert verify_run(out) == [f"{key} mismatch"]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_plotdata_final_rows_match_summary(tmp_path, algorithm, scenario):
+    out = str(tmp_path / "p")
+    rec = run(cfg(scenario, T=40, seed=1, algorithm=algorithm, out_dir=out,
+                  emit_plotdata=True))
+    final = {}
+    for line in open(os.path.join(out, "plotdata.csv")).read().splitlines()[1:]:
+        series, _, value = line.split(",")
+        final[series] = float(value)  # each series is written in round order
+    keys = [k for k in rec.summary if k.startswith(("regret__", "bound_rhs__"))]
+    assert any(k.startswith("bound_rhs__") for k in keys)
+    for key in keys:
+        a, b = final[key], rec.summary[key]
+        assert abs(a - b) <= VERIFY_REL_TOL * max(1.0, abs(a), abs(b)), key
 
 
 def test_verify_catches_tampering(tmp_path):
@@ -109,8 +145,7 @@ def test_sweep_requires_three_horizons():
         sweep_slope(cfg(horizons=[10, 20]), "ccv")
 
 
-def test_sweep_runs_each_horizon_and_respects_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("COCO_LAB_THREADS", "2")
+def test_sweep_runs_each_horizon_and_respects_thread_cap(tmp_path):
     config = cfg("static", algorithm="coco2", horizons=[20, 40, 80],
                  out_dir=str(tmp_path / "sweep"))
     records = sweep(config)
@@ -188,6 +223,29 @@ def test_cli_sweep(tmp_path, capsys):
     assert payload["horizons"] == [20, 40, 80]
     assert "slope" in payload
     capsys.readouterr()
+
+
+def test_cli_sweep_unknown_comparator_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, horizons=[20, 40, 80])
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", config, "--out", str(out), "--metric", "regret",
+                 "--comparator", "nope"]) == 2
+    assert "unknown comparator" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any run started
+
+
+def test_package_imports_and_runs_without_scipy():
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import coco_lab, coco_lab.cli\n"
+            "from coco_lab.harness import RunConfig, run\n"
+            "from coco_lab.scenarios import ScenarioSpec\n"
+            "run(RunConfig(scenario=ScenarioSpec('static', horizon=20), algorithm='coco2'))\n")
+    src = os.path.dirname(os.path.dirname(coco_lab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_list_scenarios(capsys):

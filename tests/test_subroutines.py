@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from coco_lab.core import DecisionSet
 from coco_lab.geometry import Box, membership
@@ -20,6 +22,7 @@ from coco_lab.subroutines import (
     ahag_round,
     num_experts,
 )
+from coco_lab.subroutines import _log_sum_exp
 
 
 def unit_interval_set():
@@ -182,6 +185,15 @@ def test_adahedge_rejects_nan():
     st = HedgeState.uniform(2)
     with pytest.raises(ValueError, match="NaN"):
         adahedge_step(st, np.array([0.0, float("nan")]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(hst.lists(hst.one_of(hst.floats(-1e3, 1e3), hst.sampled_from([-np.inf, 0.0, -2.5])),
+                 min_size=1, max_size=16).filter(lambda v: any(np.isfinite(v))))
+def test_log_sum_exp_matches_scipy_bitwise(values):
+    special = pytest.importorskip("scipy.special")
+    a = np.array(values)
+    assert float(_log_sum_exp(a)).hex() == float(special.logsumexp(a)).hex()
 
 
 def test_adahedge_survives_tiny_gap_and_underflowed_weights():
