@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .harness import (
     ConfigError,
     HarnessError,
     RunConfig,
+    _atomic_write,
     _sweep_values,
     loglog_slope,
     run,
@@ -86,16 +88,12 @@ def _cmd_sweep(args) -> int:
     }
     print(json.dumps(out, sort_keys=True, indent=2))
     if config.out_dir is not None:
-        import os
-
-        from .harness import _atomic_write
         _atomic_write(os.path.join(config.out_dir, "sweep.json"),
                       json.dumps(out, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if out["all_bounds_satisfied"] else EXIT_BOUND_VIOLATION
 
 
 def _cmd_report(args) -> int:
-    import os
     path = os.path.join(args.run_dir, "summary.json")
     try:
         with open(path) as f:

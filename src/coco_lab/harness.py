@@ -26,7 +26,7 @@ import numpy as np
 
 from . import budgets
 from .coco import Coco1State, Coco2State, coco1_round, coco2_round
-from .core import RoundRow, RunRecord, ccv_update, g_plus
+from .core import FEASIBILITY_TOL, RoundRow, RunRecord, ccv_update, g_plus
 from .geometry import membership
 from .scenarios import Scenario, ScenarioSpec, build_scenario, with_horizon
 from .subroutines import (
@@ -40,7 +40,6 @@ from .subroutines import (
 
 ALGORITHMS = ("adagrad", "ahag", "coco1", "coco2")
 VERIFY_REL_TOL = 1e-6
-FEASIBILITY_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -126,9 +125,13 @@ def run(config: RunConfig, horizon: int | None = None) -> RunRecord:
             cost, constraint = scenario.generate(t)
             row = _advance(config.algorithm, state, cost, constraint, t, bookkeeping_q)
             bookkeeping_q = row.q
+            if not math.isfinite(row.f):
+                raise ValueError(f"non-finite cost f(x_t) = {row.f}")
             for name, comp in comparators.items():
                 u = comp.points[t - 1]
                 c = float(cost.value(u))
+                if not math.isfinite(c):
+                    raise ValueError(f"non-finite cost {c} at comparator {name!r}")
                 record.comparator_costs[name].append(c)
                 comp_cost[name] += c
                 if comp.feasible and float(constraint.value(u)) > FEASIBILITY_TOL:

@@ -42,19 +42,20 @@ class AdaGradState:
     running sum of squared gradient norms; ``path_free`` mode drops the
     path factor. Until the first nonzero gradient arrives the iterate stays
     put (the step size is undefined at ``S_t = 0`` and no movement is
-    needed).
+    needed). ``point`` may be a batch ``(N, d)`` of iterates stepping on one
+    gradient, with a ``path_estimate`` column ``(N, 1)``.
     """
 
     decision_set: DecisionSet
     mode: str = PATH_FREE
-    path_estimate: float = 0.0
+    path_estimate: float | np.ndarray = 0.0
     point: np.ndarray = None
     grad_sq_sum: float = 0.0
 
     def __post_init__(self):
         if self.mode not in (KNOWN_PATH, PATH_FREE):
             raise ValueError(f"unknown step-size mode {self.mode!r}")
-        if self.path_estimate < 0:
+        if np.any(np.asarray(self.path_estimate) < 0):
             raise ValueError("path estimate must be nonnegative")
         if self.point is None:
             self.point = np.zeros(self.decision_set.dim)
@@ -65,22 +66,25 @@ class AdaGradState:
     def diameter(self) -> float:
         return self.decision_set.diameter
 
-    def step_size(self) -> float:
-        """Current step size; requires a positive gradient accumulator."""
-        scale = math.sqrt(1.0 + self.path_estimate) if self.mode == KNOWN_PATH else 1.0
+    def step_size(self):
+        """Current step size (a column for a batch); requires a positive gradient accumulator."""
+        scale = np.sqrt(1.0 + self.path_estimate) if self.mode == KNOWN_PATH else 1.0
         return (self.diameter + 1.0) * scale / math.sqrt(2.0 * self.grad_sq_sum)
 
 
 def adagrad_step(state: AdaGradState, gradient) -> tuple[AdaGradState, np.ndarray]:
     """Advance one round: accumulate the squared gradient norm, take the
-    projected step, and return the state together with the next iterate."""
+    projected step, and return the state together with the next iterate.
+    A NaN, infinite or overflowing gradient raises before the state changes."""
     g = np.asarray(gradient, dtype=float)
-    if g.shape != state.point.shape:
+    if g.shape != state.point.shape[-1:]:
         raise ValueError(f"gradient dimension {g.shape} != point dimension {state.point.shape}")
-    state.grad_sq_sum += float(g @ g)
-    if state.grad_sq_sum > 0.0:
-        eta = state.step_size()
-        state.point = state.decision_set.project(state.point - eta * g)
+    s = state.grad_sq_sum + float(g @ g)
+    if not math.isfinite(s):
+        raise ValueError(f"non-finite gradient {g}: squared-norm sum {s}")
+    state.grad_sq_sum = s
+    if s > 0.0:
+        state.point = state.decision_set.project(state.point - state.step_size() * g)
     return state, state.point
 
 
@@ -155,8 +159,8 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
     losses = np.asarray(loss_vector, dtype=float)
     if losses.shape != state.cum_losses.shape:
         raise ValueError("loss vector length does not match the number of experts")
-    if np.any(np.isnan(losses)):
-        raise ValueError("NaN loss")
+    if not np.all(np.isfinite(losses)):
+        raise ValueError(f"NaN or infinite loss in {losses}")
     w = state.weights
     expected = float(w @ losses)
     n = state.num_experts
@@ -181,34 +185,26 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
 class AhagState:
     """Hedge-over-gradient-descent ensemble.
 
-    Expert ``i`` guesses that ``sqrt(1 + P_T)`` is about ``2**(i-1)`` and
-    runs path-aware gradient descent accordingly; the experts algorithm
-    tracks them through the linearized per-round losses
-    ``l_t[i] = <grad_t, x_t^i>`` evaluated at the experts' pre-update
-    points, with the single gradient taken at the combined play. All
-    experts therefore share one gradient-norm accumulator trajectory.
+    Expert ``i`` guesses that ``sqrt(1 + P_T)`` is about ``2**i`` and runs
+    path-aware gradient descent accordingly; the experts algorithm tracks
+    them through the linearized per-round losses ``l_t[i] = <grad_t, x_t^i>``
+    evaluated at the experts' pre-update points, with the single gradient
+    taken at the combined play, so the experts are the rows of one batched
+    ``AdaGradState`` sharing one gradient-norm accumulator.
     """
 
-    decision_set: DecisionSet
-    experts: list
+    experts: AdaGradState
     hedge: HedgeState
     combined_point: np.ndarray
-    grad_sq_sum: float = 0.0
 
     @classmethod
     def create(cls, decision_set: DecisionSet, horizon: int) -> "AhagState":
         n = num_experts(decision_set.diameter, horizon)
-        experts = [
-            AdaGradState(
-                decision_set=decision_set,
-                mode=KNOWN_PATH,
-                # guess rho = 2**i for sqrt(1+P), i.e. a path estimate of rho**2 - 1
-                path_estimate=float(4.0 ** i - 1.0),
-            )
-            for i in range(n)
-        ]
+        # guess rho = 2**i for sqrt(1+P), i.e. a path estimate of rho**2 - 1
+        experts = AdaGradState(decision_set, KNOWN_PATH,
+                               path_estimate=4.0 ** np.arange(n, dtype=float)[:, None] - 1.0,
+                               point=np.zeros((n, decision_set.dim)))
         return cls(
-            decision_set=decision_set,
             experts=experts,
             hedge=HedgeState.uniform(n),
             combined_point=np.zeros(decision_set.dim),
@@ -216,10 +212,14 @@ class AhagState:
 
     @property
     def num_experts(self) -> int:
-        return len(self.experts)
+        return self.experts.point.shape[0]
+
+    @property
+    def grad_sq_sum(self) -> float:
+        return self.experts.grad_sq_sum
 
     def expert_points(self) -> np.ndarray:
-        return np.array([e.point for e in self.experts])
+        return self.experts.point
 
 
 def ahag_round(state: AhagState, cost) -> tuple[AhagState, np.ndarray]:
@@ -231,12 +231,10 @@ def ahag_round(state: AhagState, cost) -> tuple[AhagState, np.ndarray]:
     """
     x = state.combined_point
     grad = np.asarray(cost.subgradient(x), dtype=float)
-    losses = state.expert_points() @ grad
-    state.grad_sq_sum += float(grad @ grad)
-    for expert in state.experts:
-        adagrad_step(expert, grad)
+    losses = state.experts.point @ grad
+    adagrad_step(state.experts, grad)
     adahedge_step(state.hedge, losses)
-    state.combined_point = state.hedge.weights @ state.expert_points()
+    state.combined_point = state.hedge.weights @ state.experts.point
     return state, x
 
 
@@ -244,5 +242,5 @@ def ahag_bound_rhs(state: AhagState, path_length: float) -> float:
     """Universal regret budget against any comparator of the given path length."""
     if path_length < 0:
         raise ValueError("path length must be nonnegative")
-    return ensemble_rhs(state.decision_set.diameter, state.num_experts, path_length,
+    return ensemble_rhs(state.experts.diameter, state.num_experts, path_length,
                         state.grad_sq_sum)

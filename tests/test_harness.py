@@ -4,14 +4,17 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import coco_lab
 from coco_lab.cli import main
+from coco_lab.core import CostOracle
 from coco_lab.harness import (
     ALGORITHMS,
     VERIFY_REL_TOL,
     ConfigError,
+    HarnessError,
     RunConfig,
     loglog_slope,
     run,
@@ -19,7 +22,7 @@ from coco_lab.harness import (
     sweep_slope,
     verify_run,
 )
-from coco_lab.scenarios import SCENARIOS, ScenarioSpec
+from coco_lab.scenarios import SCENARIOS, ScenarioSpec, StaticScenario
 
 
 def cfg(name="static", T=50, seed=0, algorithm="coco2", **kw):
@@ -165,6 +168,37 @@ def test_plotdata_emission(tmp_path):
     assert any(s.startswith("bound_rhs__") for s in series)
 
 
+class _BrokenStatic(StaticScenario):
+    """static, but from round 3 on the cost's value is NaN wherever
+    ``bad_value(x)`` holds and its subgradient is ``bad_grad``, if set."""
+
+    bad_value = staticmethod(lambda x: False)
+    bad_grad = None
+
+    def generate(self, t):
+        cost, constraint = super().generate(t)
+        if t < 3:
+            return cost, constraint
+        good = cost.value
+        grad = cost.subgradient if self.bad_grad is None \
+            else (lambda x: np.array(self.bad_grad))
+        return CostOracle(value=lambda x: np.nan if self.bad_value(x) else good(x),
+                          subgradient=grad, lipschitz_bound=cost.lipschitz_bound), constraint
+
+
+@pytest.mark.parametrize("algorithm,bad_value,what", [
+    ("coco2", lambda x: True, r"f\(x_t\)"),
+    # adagrad plays 0, 3, 3, ... on static, so only the comparator at 1 hits NaN
+    ("adagrad", lambda x: float(x[0]) == 1.0, "comparator 'minimizer-path'"),
+], ids=["played", "comparator"])
+def test_run_rejects_non_finite_cost_with_round(monkeypatch, algorithm, bad_value, what):
+    # a NaN cost is a numerical failure, not a NaN regret read as a budget violation
+    monkeypatch.setattr(_BrokenStatic, "bad_value", staticmethod(bad_value))
+    monkeypatch.setitem(SCENARIOS, "broken-static", _BrokenStatic)
+    with pytest.raises(HarnessError, match=f"round 3: non-finite cost.*{what}"):
+        run(cfg("broken-static", T=10, algorithm=algorithm))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -232,6 +266,16 @@ def test_cli_sweep_unknown_comparator_is_config_error(tmp_path, capsys):
                  "--comparator", "nope"]) == 2
     assert "unknown comparator" in capsys.readouterr().err
     assert not out.exists()  # rejected before any run started
+
+
+def test_cli_non_finite_gradient_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # plain descent must not freeze on a NaN gradient and report a budget verdict
+    monkeypatch.setattr(_BrokenStatic, "bad_grad", [float("nan")])
+    monkeypatch.setitem(SCENARIOS, "broken-static", _BrokenStatic)
+    config = write_config(tmp_path, algorithm="adagrad",
+                          scenario={"name": "broken-static", "horizon": 10})
+    assert main(["run", "--config", config]) == 3
+    assert "round 3" in capsys.readouterr().err
 
 
 def test_package_imports_and_runs_without_scipy():

@@ -62,6 +62,21 @@ def test_adagrad_dimension_mismatch():
         adagrad_step(st, np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [[float("nan"), 0.0], [float("inf"), 0.0], [1e200, 0.0]],
+                         ids=["nan", "inf", "overflow"])
+def test_adagrad_rejects_non_finite_gradient_without_moving(bad):
+    # NaN would freeze the iterate, inf move it to [nan, ...] and 1e200
+    # overflow g @ g to inf; each must raise and leave the state as it was
+    ds = DecisionSet(Box([-1.0, -1.0], [1.0, 1.0]), 2.0 * math.sqrt(2.0))
+    st = AdaGradState(decision_set=ds, mode=KNOWN_PATH, path_estimate=3.0)
+    adagrad_step(st, np.array([0.3, -0.4]))
+    point, s = st.point.copy(), st.grad_sq_sum
+    with pytest.raises(ValueError, match="non-finite"):
+        adagrad_step(st, np.array(bad))
+    assert np.array_equal(st.point, point)
+    assert st.grad_sq_sum == s
+
+
 def test_adagrad_step_sizes_non_increasing_and_iterates_feasible():
     rng = np.random.default_rng(7)
     ds = DecisionSet(Box([-1.0, -1.0], [1.0, 1.0]), 2.0 * math.sqrt(2.0))
@@ -187,6 +202,14 @@ def test_adahedge_rejects_nan():
         adahedge_step(st, np.array([0.0, float("nan")]))
 
 
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf")])
+def test_adahedge_rejects_infinite_loss(bad):
+    st = HedgeState.uniform(2)
+    with pytest.raises(ValueError, match="infinite"):
+        adahedge_step(st, np.array([0.0, bad]))
+    assert np.array_equal(st.weights, np.full(2, 0.5))
+
+
 @settings(max_examples=500, deadline=None)
 @given(hst.lists(hst.one_of(hst.floats(-1e3, 1e3), hst.sampled_from([-np.inf, 0.0, -2.5])),
                  min_size=1, max_size=16).filter(lambda v: any(np.isfinite(v))))
@@ -229,8 +252,8 @@ def test_ahag_single_expert_matches_plain_descent():
     ds = unit_interval_set()  # D*T small enough for one expert: N = 2? use T=1
     # force a single-expert ensemble by hand
     ensemble = AhagState(
-        decision_set=ds,
-        experts=[AdaGradState(decision_set=ds, mode=KNOWN_PATH, path_estimate=0.0)],
+        experts=AdaGradState(decision_set=ds, mode=KNOWN_PATH, path_estimate=0.0,
+                             point=np.zeros((1, 1))),
         hedge=HedgeState.uniform(1),
         combined_point=np.zeros(1),
     )
@@ -249,8 +272,7 @@ def test_ahag_degenerate_convex_combination():
     ds = DecisionSet(Box([-1.0], [1.0]), 2.0)
     st = AhagState.create(ds, horizon=8)
     shared = np.array([0.25])
-    for e in st.experts:
-        e.point = shared.copy()
+    st.experts.point[:] = shared
     st.hedge.weights = np.array([0.7, 0.2, 0.1][: st.num_experts] +
                                 [0.0] * max(0, st.num_experts - 3))
     st.hedge.weights /= st.hedge.weights.sum()
@@ -308,6 +330,25 @@ def test_ahag_trajectory_matches_reference_loop():
     assert st.combined_point[0] == pytest.approx(combined, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["tracking-ball", "static"])
+def test_ahag_batched_experts_match_independent_descents_bitwise(name):
+    # the batched step must reproduce N separate single-iterate learners fed
+    # the ensemble's gradient, to the last bit, on every row and every round
+    T = 300
+    sc = make_scenario(name, T, seed=3)
+    st = AhagState.create(sc.decision_set, T)
+    solos = [AdaGradState(decision_set=sc.decision_set, mode=KNOWN_PATH,
+                          path_estimate=4.0 ** i - 1.0) for i in range(st.num_experts)]
+    for t in range(1, T + 1):
+        cost, _ = sc.generate(t)
+        grad = np.asarray(cost.subgradient(st.combined_point), dtype=float)
+        ahag_round(st, cost)
+        for i, solo in enumerate(solos):
+            adagrad_step(solo, grad)
+            assert np.array_equal(st.expert_points()[i], solo.point)
+        assert st.grad_sq_sum == solos[0].grad_sq_sum
+
+
 def test_ahag_points_feasible_and_loss_range_capped():
     sc = make_scenario("oco-mix", 200, seed=1)
     st = AhagState.create(sc.decision_set, 200)
@@ -320,25 +361,23 @@ def test_ahag_points_feasible_and_loss_range_capped():
         assert linf <= diam * float(np.linalg.norm(grad)) * (1.0 + 1e-9) + 1e-12
         _, played = ahag_round(st, cost)
         assert membership(played, sc.decision_set.geometry, tol=1e-8)
-        for e in st.experts:
-            assert membership(e.point, sc.decision_set.geometry, tol=1e-8)
+        assert np.all(membership(st.expert_points(), sc.decision_set.geometry, tol=1e-8))
 
 
 def test_ahag_bound_rhs_formula():
     ds = unit_interval_set()
     st = AhagState(
-        decision_set=ds,
-        experts=[AdaGradState(decision_set=ds, mode=KNOWN_PATH)] * 2,
+        experts=AdaGradState(decision_set=ds, mode=KNOWN_PATH, point=np.zeros((2, 1)),
+                             grad_sq_sum=1.0),
         hedge=HedgeState.uniform(2),
         combined_point=np.zeros(1),
-        grad_sq_sum=1.0,
     )
     expect = 2.0 * math.sqrt(2.0) * 2.0 + 2.0 * math.sqrt(4.0 + math.log(2.0))
     assert ahag_bound_rhs(st, 0.0) == pytest.approx(expect)
     assert expect == pytest.approx(9.98959, abs=1e-4)
     # doubling 1+path from 1 to 4 doubles the budget
     assert ahag_bound_rhs(st, 3.0) == pytest.approx(2.0 * ahag_bound_rhs(st, 0.0))
-    st.grad_sq_sum = 0.0
+    st.experts.grad_sq_sum = 0.0
     assert ahag_bound_rhs(st, 2.0) == 0.0
 
 
