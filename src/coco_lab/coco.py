@@ -82,18 +82,18 @@ def _round(state: Coco1State | Coco2State, cost: CostOracle, constraint: Constra
            surrogate_subgradient):
     """Play the subroutine's point, record the revealed values, fold the
     fresh violation into ``Q(t)``, then advance the subroutine on
-    ``surrogate_subgradient``, which is evaluated at the subroutine's play."""
+    ``surrogate_subgradient`` evaluated at the subroutine's play, and record
+    that gradient's norm."""
     x = state.subroutine.combined_point
     f_val = float(cost.value(x))
     g_val = float(constraint.value(x))
     state.q = ccv_update(state.q, g_val)
     state.t += 1
-    before = state.subroutine.grad_sq_sum
-    _, played = ahag_round(state.subroutine, _GradOnly(surrogate_subgradient))
-    norm_sq = state.subroutine.grad_sq_sum - before
+    grad = np.asarray(surrogate_subgradient(x), dtype=float)
+    _, played = ahag_round(state.subroutine, _GradOnly(lambda _x: grad))
     row = RoundRow(
         t=state.t, x=played, f=f_val, g=g_val, gplus=g_plus(g_val),
-        q=state.q, surrogate_grad_norm=math.sqrt(max(norm_sq, 0.0)),
+        q=state.q, surrogate_grad_norm=math.sqrt(grad @ grad),
     )
     return state, played, row
 

@@ -2,8 +2,11 @@
 
 Supported sets are axis-aligned boxes, Euclidean balls, halfspaces, and
 finite intersections of those. Projections onto the primitives are closed
-form; intersections use Dykstra's alternating projection scheme, which
-converges to the exact Euclidean projection for closed convex sets.
+form, and so are projections onto two of them whose intersection has a
+closed form: two balls in any dimension (a lens) and any two primitives in
+one dimension (an interval). Every other intersection uses Dykstra's
+alternating projection scheme, which converges to the exact Euclidean
+projection for closed convex sets.
 
 Every operation accepts a single point of shape ``(d,)`` or a batch of
 shape ``(n, d)`` and returns a result of matching shape.
@@ -11,6 +14,7 @@ shape ``(n, d)`` and returns a result of matching shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +23,7 @@ MEMBERSHIP_TOL = 1e-9
 ZERO_DIST_TOL = 1e-8
 DYKSTRA_MOVE_TOL = 1e-10
 DYKSTRA_MAX_SWEEPS = 10_000
-_DYKSTRA_RESIDUAL_TOL = 1e-8
+_RESIDUAL_TOL = 1e-8
 _EMPTY_PROBE_TOL = 1e-6
 
 
@@ -154,12 +158,16 @@ class Halfspace(GeometricSet):
 
 @dataclass(frozen=True)
 class Intersection(GeometricSet):
-    """Finite intersection of convex sets, projected via Dykstra's scheme.
+    """Finite intersection of convex sets.
 
-    Construction probes for non-emptiness: if no component anchor lies in
-    all components, Dykstra is run from a few deterministic starts and the
-    intersection is rejected when the residual distance to the components
-    stays above 1e-6.
+    Two balls (a lens, in any dimension) and any two of ``Box``, ``Ball``
+    and ``Halfspace`` in one dimension (an interval) are projected in closed
+    form, and are rejected at construction when the balls lie more than
+    1e-6 apart or the interval's ends cross by more than 1e-6. Every other
+    intersection is projected by Dykstra's scheme, and construction probes
+    it for non-emptiness: if no component anchor lies in all components,
+    Dykstra is run from a few deterministic starts and the intersection is
+    rejected when the residual distance to the components stays above 1e-6.
     """
 
     components: tuple
@@ -172,7 +180,10 @@ class Intersection(GeometricSet):
         if len(dims) != 1:
             raise ValueError("intersection components must share a dimension")
         object.__setattr__(self, "components", comps)
-        self._probe_nonempty()
+        # the exact projector of a lens or an interval; None means Dykstra
+        object.__setattr__(self, "_exact", _closed_form(comps))
+        if self._exact is None:
+            self._probe_nonempty()
 
     @property
     def dim(self) -> int:
@@ -201,10 +212,18 @@ class Intersection(GeometricSet):
 
     def project(self, x):
         pts, single = _as_batch(x)
-        out, converged, moved = _dykstra(pts, self.components)
-        residual = self._residual(out)
-        if not converged or residual > _DYKSTRA_RESIDUAL_TOL:
-            raise ProjectionError("projection did not converge", max(residual, moved))
+        if self._exact is None:
+            out, converged, moved = _dykstra(pts, self.components)
+            residual = self._residual(out)
+            if not converged or residual > _RESIDUAL_TOL:
+                raise ProjectionError("projection did not converge", max(residual, moved))
+        else:
+            out = self._exact(pts)
+            # for balls and 1-d sets, membership at the tolerance is the
+            # residual test: the distance to each component is at most it
+            if not np.all(self.contains(out, _RESIDUAL_TOL)):
+                raise ProjectionError("closed-form projection left the set",
+                                      self._residual(out))
         return out[0] if single else out
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
@@ -213,6 +232,81 @@ class Intersection(GeometricSet):
         for c in self.components[1:]:
             result = result & c.contains(a, tol)
         return result
+
+
+def _closed_form(components):
+    """Exact batch projector onto the intersection of two balls, or of two
+    1-d primitives; None for any other intersection. Raises ``ValueError``
+    when such an intersection is empty."""
+    if len(components) != 2:
+        return None
+    if components[0].dim == 1:
+        ends = [_interval(c) for c in components]
+        if None in ends:
+            return None
+        lo, hi = max(e[0] for e in ends), min(e[1] for e in ends)
+        if lo > hi + _EMPTY_PROBE_TOL:
+            raise ValueError(f"empty intersection (lower end {lo - hi:.3e} above upper end)")
+        return lambda pts: np.clip(pts, lo, hi)
+    if all(isinstance(c, Ball) for c in components):
+        return _lens(*components)
+    return None
+
+
+def _interval(s):
+    """``(lo, hi)`` of a 1-d ``Box``, ``Ball`` or ``Halfspace``; None otherwise."""
+    if isinstance(s, Box):
+        return s.lower[0], s.upper[0]
+    if isinstance(s, Ball):
+        return s.center[0] - s.radius, s.center[0] + s.radius
+    if isinstance(s, Halfspace):
+        end = s.offset / s.normal[0]
+        return (-np.inf, end) if s.normal[0] > 0 else (end, np.inf)
+    return None
+
+
+def _lens(b1: Ball, b2: Ball):
+    """Exact batch projector onto ``b1 ∩ b2``.
+
+    A point goes to its projection onto one ball when that lies in the
+    other ball; otherwise both constraints are active and it goes to the
+    nearest point of the rim, the sphere of radius ``h`` around ``mid`` in
+    the hyperplane orthogonal to the axis ``u``.
+    """
+    r1, r2 = b1.radius, b2.radius
+    offset = b2.center - b1.center
+    gap = float(np.linalg.norm(offset))
+    if gap > r1 + r2 + _EMPTY_PROBE_TOL:
+        raise ValueError(f"empty intersection (balls {gap - r1 - r2:.3e} apart)")
+    if gap + r1 <= r2:
+        return b1.project
+    if gap + r2 <= r1:
+        return b2.project
+    u = offset / gap
+    a = (gap * gap + r1 * r1 - r2 * r2) / (2.0 * gap)
+    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+    mid = b1.center + a * u
+
+    def project(pts):
+        out = b1.project(pts)
+        done = b2.contains(out, tol=0.0)
+        if np.all(done):
+            return out
+        other = b2.project(pts)
+        out = np.where(done[:, None], out, other)
+        done |= b1.contains(other, tol=0.0)
+        if np.all(done):
+            return out
+        w = pts - b1.center
+        # a row sum, not ``@``: BLAS orders the sum differently for a batch
+        w -= np.sum(w * u, axis=-1, keepdims=True) * u
+        n = np.linalg.norm(w, axis=-1, keepdims=True)
+        # a point on the axis gets here only when the rim is the single
+        # point ``mid`` (tangent balls) or by rounding, and goes to ``mid``
+        direction = np.divide(w, n, out=np.zeros_like(w), where=n > 0)
+        return np.where(done[:, None], out, mid + h * direction)
+
+    return project
 
 
 def _dykstra(pts, components, max_sweeps=DYKSTRA_MAX_SWEEPS, move_tol=DYKSTRA_MOVE_TOL):
@@ -238,7 +332,7 @@ def _dykstra(pts, components, max_sweeps=DYKSTRA_MAX_SWEEPS, move_tol=DYKSTRA_MO
                 float(np.max(np.linalg.norm(x - c.project(x), axis=-1)))
                 for c in components
             )
-            if residual <= _DYKSTRA_RESIDUAL_TOL:
+            if residual <= _RESIDUAL_TOL:
                 return x, True, moved
     return x, False, moved
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budgets
-from .coco import Coco1State, Coco2State, coco1_round, coco2_round
+from .coco import Coco1State, Coco2State, _GradOnly, coco1_round, coco2_round
 from .core import FEASIBILITY_TOL, RoundRow, RunRecord, ccv_update, g_plus
 from .geometry import membership
 from .scenarios import Scenario, ScenarioSpec, build_scenario, with_horizon
@@ -182,16 +182,14 @@ def _advance(algorithm: str, state, cost, constraint, t: int, prev_q: float) -> 
     x = state.point if algorithm == "adagrad" else state.combined_point
     f_val = float(cost.value(x))
     g_val = float(constraint.value(x))
+    grad = np.asarray(cost.subgradient(x), dtype=float)
     if algorithm == "adagrad":
-        grad = np.asarray(cost.subgradient(x), dtype=float)
         adagrad_step(state, grad)
-        grad_norm = float(np.linalg.norm(grad))
     else:
-        before = state.grad_sq_sum
-        ahag_round(state, cost)
-        grad_norm = math.sqrt(max(state.grad_sq_sum - before, 0.0))
+        ahag_round(state, _GradOnly(lambda _x: grad))
     return RoundRow(t=t, x=x, f=f_val, g=g_val, gplus=g_plus(g_val),
-                    q=ccv_update(prev_q, g_val), surrogate_grad_norm=grad_norm)
+                    q=ccv_update(prev_q, g_val),
+                    surrogate_grad_norm=math.sqrt(grad @ grad))
 
 
 def _summarize(config, scenario, state, record, comp_cost, sum_cost) -> dict:

@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from coco_lab import geometry
 from coco_lab.geometry import (
     Ball,
     Box,
@@ -162,3 +168,120 @@ def test_projection_error_carries_residual():
 def test_non_finite_point_rejected():
     with pytest.raises(ValueError):
         project(np.array([np.nan, 0.0]), Ball(np.zeros(2), 1.0))
+
+
+def test_near_tangent_balls_intersect():
+    # Dykstra's probe stalls 1.4e-5 away here and would call the lens empty
+    Intersection((Ball([5.0, 5.0], 1.0), Ball([6.999, 5.0], 1.0)))
+
+
+def test_near_tangent_lens_projects_onto_its_rim():
+    lens = Intersection((Ball([0.0, 0.0], 1.0), Ball([1.99, 0.0], 1.0)))
+    h = math.sqrt(1.0 - 0.995 ** 2)
+    # Dykstra runs out of sweeps here
+    np.testing.assert_allclose(lens.project([0.995, -5.0]), [0.995, -h], rtol=0, atol=1e-12)
+    # and stops 5e-8 short of the rim here, outside the set at 1e-9
+    p = lens.project([0.995, 3.0])
+    assert membership(p, lens, tol=1e-9)
+    np.testing.assert_allclose(p, [0.995, h], rtol=0, atol=1e-12)
+
+
+# Exact projections onto ball ∩ ball (a lens) and onto 1-d pairs (an
+# interval). Each instance is built around a common point, so it is never
+# empty; ``depth`` is how far it is from tangency, where Dykstra is slow.
+
+coords = st.floats(-3.0, 3.0)
+radii = st.floats(0.1, 2.0)
+
+
+@st.composite
+def lenses(draw):
+    d = draw(st.integers(1, 4))
+    c1 = draw(hnp.arrays(float, d, elements=coords))
+    r1, r2 = draw(radii), draw(radii)
+    axis = draw(hnp.arrays(float, d, elements=st.floats(-1.0, 1.0)).filter(
+        lambda a: np.linalg.norm(a) > 0.1))
+    gap = draw(st.one_of(
+        st.floats(0.0, 1.0).map(lambda s: s * (r1 + r2)),  # overlapping or nested
+        st.sampled_from([0.0, r1 + r2, abs(r1 - r2)])))  # concentric, tangent
+    c2 = c1 + gap * axis / np.linalg.norm(axis)
+    depth = min(r1 + r2 - gap, abs(gap - abs(r1 - r2)))
+    return (Ball(c1, r1), Ball(c2, r2)), depth
+
+
+@st.composite
+def one_d_primitive(draw, z):
+    """A 1-d Box, Ball or Halfspace holding ``z``, and its ends."""
+    kind = draw(st.sampled_from(["box", "ball", "halfspace"]))
+    if kind == "box":
+        lo, hi = z - draw(st.floats(0.0, 3.0)), z + draw(st.floats(0.0, 3.0))
+        return Box([lo], [hi]), (lo, hi)
+    if kind == "ball":
+        r = draw(radii)
+        c = z + draw(st.floats(-1.0, 1.0)) * r
+        return Ball([c], r), (c - r, c + r)
+    a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 2.0))
+    end = z + draw(st.floats(0.0, 3.0)) * (1.0 if a > 0 else -1.0)
+    half = Halfspace([a], a * end)
+    return half, ((-np.inf, end) if a > 0 else (end, np.inf))
+
+
+@st.composite
+def intervals(draw):
+    z = draw(coords)
+    (s1, e1), (s2, e2) = draw(one_d_primitive(z)), draw(one_d_primitive(z))
+    return (s1, s2), min(e1[1], e2[1]) - max(e1[0], e2[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lenses(), intervals()), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_exact_projection_properties(instance, n, seed):
+    (s1, s2), depth = instance
+    region = Intersection((s1, s2))
+    d = region.dim
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-6.0, 6.0, size=(n, d))
+    ps = region.project(xs)
+    assert np.all(membership(ps, region, tol=1e-9))
+    # a batch is its rows projected one by one
+    assert np.array_equal(ps, np.array([region.project(x) for x in xs]))
+    # the projection inequality against members: projections of other
+    # points and uniform samples that fall inside both sets
+    cand = rng.uniform(-6.0, 6.0, size=(400, d))
+    ys = np.vstack([region.project(rng.uniform(-6.0, 6.0, size=(32, d))),
+                    cand[np.asarray(region.contains(cand, tol=0.0))]])
+    for x, p in zip(xs, ps):
+        assert np.max((ys - p) @ (x - p)) <= 1e-9 * (1.0 + np.linalg.norm(x))
+    if depth >= 0.1:
+        ref, converged, _ = geometry._dykstra(xs, region.components)
+        assert converged
+        np.testing.assert_allclose(ps, ref, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lenses(), st.floats(2e-6, 3.0))
+def test_separated_balls_are_empty(instance, extra):
+    (b1, b2), _ = instance
+    axis = b2.center - b1.center
+    n = np.linalg.norm(axis)
+    axis = axis / n if n > 0 else np.eye(b1.dim)[0]
+    far = Ball(b1.center + (b1.radius + b2.radius + extra) * axis, b2.radius)
+    with pytest.raises(ValueError, match="empty intersection"):
+        Intersection((b1, far))
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_d_primitive(0.0), st.sampled_from(["box", "ball", "halfspace"]),
+       st.floats(2e-6, 3.0), st.booleans())
+def test_disjoint_intervals_are_empty(first, kind, extra, above):
+    s1, (lo, hi) = first
+    if not np.isfinite(hi if above else lo):
+        above = not above
+    # the second set starts ``extra`` past one end of the first and points away
+    sign = 1.0 if above else -1.0
+    start = (hi if above else lo) + sign * extra
+    s2 = {"box": Box([min(start, start + sign)], [max(start, start + sign)]),
+          "ball": Ball([start + sign * 0.5], 0.5),
+          "halfspace": Halfspace([-sign], -sign * start)}[kind]
+    with pytest.raises(ValueError, match="empty intersection"):
+        Intersection((s1, s2))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import coco_lab
+from coco_lab import subroutines
 from coco_lab.cli import main
 from coco_lab.core import CostOracle
 from coco_lab.harness import (
@@ -197,6 +198,24 @@ def test_run_rejects_non_finite_cost_with_round(monkeypatch, algorithm, bad_valu
     monkeypatch.setitem(SCENARIOS, "broken-static", _BrokenStatic)
     with pytest.raises(HarnessError, match=f"round 3: non-finite cost.*{what}"):
         run(cfg("broken-static", T=10, algorithm=algorithm))
+
+
+@pytest.mark.parametrize("algorithm", ["coco2", "ahag"])
+def test_recorded_gradient_norm_is_the_stepped_gradients_norm(monkeypatch, algorithm):
+    # a difference of the running squared-norm sum loses digits once the sum
+    # is large (coco2 x static reaches S ~ 5e11 by T=20000)
+    stepped = []
+    original = subroutines.adagrad_step
+
+    def recording_step(state, gradient):
+        stepped.append(float(np.linalg.norm(gradient)))
+        return original(state, gradient)
+
+    monkeypatch.setattr(subroutines, "adagrad_step", recording_step)
+    record = run(cfg("static", T=20000, seed=0, algorithm=algorithm))
+    recorded = np.array([r.surrogate_grad_norm for r in record.rows])
+    assert len(stepped) == len(recorded)
+    np.testing.assert_allclose(recorded, stepped, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
