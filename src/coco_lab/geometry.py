@@ -160,9 +160,10 @@ class Halfspace(GeometricSet):
 class Intersection(GeometricSet):
     """Finite intersection of convex sets.
 
-    Two balls (a lens, in any dimension) and any two of ``Box``, ``Ball``
-    and ``Halfspace`` in one dimension (an interval) are projected in closed
-    form, and are rejected at construction when the balls lie more than
+    Two balls in any dimension and any two of ``Box``, ``Ball`` and
+    ``Halfspace`` in one dimension (an interval) are projected in closed
+    form: nested balls onto the inner ball, overlapping ones onto their
+    lens. They are rejected at construction when the balls lie more than
     1e-6 apart or the interval's ends cross by more than 1e-6. Every other
     intersection is projected by Dykstra's scheme, and construction probes
     it for non-emptiness: if no component anchor lies in all components,
@@ -180,7 +181,8 @@ class Intersection(GeometricSet):
         if len(dims) != 1:
             raise ValueError("intersection components must share a dimension")
         object.__setattr__(self, "components", comps)
-        # the exact projector of a lens or an interval; None means Dykstra
+        # a set equal to this one with a closed-form projection; None
+        # means Dykstra
         object.__setattr__(self, "_exact", _closed_form(comps))
         if self._exact is None:
             self._probe_nonempty()
@@ -218,7 +220,7 @@ class Intersection(GeometricSet):
             if not converged or residual > _RESIDUAL_TOL:
                 raise ProjectionError("projection did not converge", max(residual, moved))
         else:
-            out = self._exact(pts)
+            out = self._exact.project(pts)
             # for balls and 1-d sets, membership at the tolerance is the
             # residual test: the distance to each component is at most it
             if not np.all(self.contains(out, _RESIDUAL_TOL)):
@@ -235,9 +237,10 @@ class Intersection(GeometricSet):
 
 
 def _closed_form(components):
-    """Exact batch projector onto the intersection of two balls, or of two
-    1-d primitives; None for any other intersection. Raises ``ValueError``
-    when such an intersection is empty."""
+    """A set equal to the intersection of two balls, or of two 1-d
+    primitives, whose projection is closed form: the inner one of nested
+    balls, a ``_Lens``, or a 1-d ``Box``. None for any other intersection.
+    Raises ``ValueError`` when such an intersection is empty."""
     if len(components) != 2:
         return None
     if components[0].dim == 1:
@@ -247,10 +250,18 @@ def _closed_form(components):
         lo, hi = max(e[0] for e in ends), min(e[1] for e in ends)
         if lo > hi + _EMPTY_PROBE_TOL:
             raise ValueError(f"empty intersection (lower end {lo - hi:.3e} above upper end)")
-        return lambda pts: np.clip(pts, lo, hi)
-    if all(isinstance(c, Ball) for c in components):
-        return _lens(*components)
-    return None
+        return Box([lo], [max(lo, hi)])
+    if not all(isinstance(c, Ball) for c in components):
+        return None
+    b1, b2 = components
+    gap = float(np.linalg.norm(b2.center - b1.center))
+    if gap > b1.radius + b2.radius + _EMPTY_PROBE_TOL:
+        raise ValueError(f"empty intersection (balls {gap - b1.radius - b2.radius:.3e} apart)")
+    if gap + b1.radius <= b2.radius:
+        return b1
+    if gap + b2.radius <= b1.radius:
+        return b2
+    return _Lens(b1, b2, gap)
 
 
 def _interval(s):
@@ -265,48 +276,42 @@ def _interval(s):
     return None
 
 
-def _lens(b1: Ball, b2: Ball):
-    """Exact batch projector onto ``b1 ∩ b2``.
+class _Lens:
+    """``b1 ∩ b2`` for two overlapping balls ``gap`` apart, neither inside
+    the other.
 
     A point goes to its projection onto one ball when that lies in the
     other ball; otherwise both constraints are active and it goes to the
     nearest point of the rim, the sphere of radius ``h`` around ``mid`` in
     the hyperplane orthogonal to the axis ``u``.
     """
-    r1, r2 = b1.radius, b2.radius
-    offset = b2.center - b1.center
-    gap = float(np.linalg.norm(offset))
-    if gap > r1 + r2 + _EMPTY_PROBE_TOL:
-        raise ValueError(f"empty intersection (balls {gap - r1 - r2:.3e} apart)")
-    if gap + r1 <= r2:
-        return b1.project
-    if gap + r2 <= r1:
-        return b2.project
-    u = offset / gap
-    a = (gap * gap + r1 * r1 - r2 * r2) / (2.0 * gap)
-    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
-    mid = b1.center + a * u
 
-    def project(pts):
-        out = b1.project(pts)
-        done = b2.contains(out, tol=0.0)
+    def __init__(self, b1: Ball, b2: Ball, gap: float):
+        r1, r2 = b1.radius, b2.radius
+        a = (gap * gap + r1 * r1 - r2 * r2) / (2.0 * gap)
+        self.b1, self.b2 = b1, b2
+        self.u = (b2.center - b1.center) / gap
+        self.h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+        self.mid = b1.center + a * self.u
+
+    def project(self, pts):
+        out = self.b1.project(pts)
+        done = self.b2.contains(out, tol=0.0)
         if np.all(done):
             return out
-        other = b2.project(pts)
+        other = self.b2.project(pts)
         out = np.where(done[:, None], out, other)
-        done |= b1.contains(other, tol=0.0)
+        done |= self.b1.contains(other, tol=0.0)
         if np.all(done):
             return out
-        w = pts - b1.center
+        w = pts - self.b1.center
         # a row sum, not ``@``: BLAS orders the sum differently for a batch
-        w -= np.sum(w * u, axis=-1, keepdims=True) * u
+        w -= np.sum(w * self.u, axis=-1, keepdims=True) * self.u
         n = np.linalg.norm(w, axis=-1, keepdims=True)
         # a point on the axis gets here only when the rim is the single
         # point ``mid`` (tangent balls) or by rounding, and goes to ``mid``
         direction = np.divide(w, n, out=np.zeros_like(w), where=n > 0)
-        return np.where(done[:, None], out, mid + h * direction)
-
-    return project
+        return np.where(done[:, None], out, self.mid + self.h * direction)
 
 
 def _dykstra(pts, components, max_sweeps=DYKSTRA_MAX_SWEEPS, move_tol=DYKSTRA_MOVE_TOL):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -285,3 +286,16 @@ def test_disjoint_intervals_are_empty(first, kind, extra, above):
           "halfspace": Halfspace([-sign], -sign * start)}[kind]
     with pytest.raises(ValueError, match="empty intersection"):
         Intersection((s1, s2))
+
+
+@pytest.mark.parametrize("components", [
+    (Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0)),  # lens
+    (Ball([0.0, 0.0], 3.0), Ball([1.5, 0.0], 1.0)),  # nested balls
+    (Box([-1.0], [1.0]), Halfspace([1.0], 0.5)),  # interval
+    (Box([-1.0, -1.0], [1.0, 1.0]), Halfspace([1.0, 1.0], 0.5)),  # Dykstra
+], ids=["lens", "nested", "interval", "dykstra"])
+def test_intersection_pickles(components):
+    region = Intersection(components)
+    copy = pickle.loads(pickle.dumps(region))
+    xs = np.random.default_rng(3).uniform(-4.0, 4.0, size=(20, region.dim))
+    assert np.array_equal(copy.project(xs), region.project(xs))
