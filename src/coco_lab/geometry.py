@@ -35,6 +35,12 @@ class ProjectionError(RuntimeError):
         self.residual = residual
 
 
+def _norm(v, keepdims=False):
+    """``np.linalg.norm(v, axis=-1, keepdims=keepdims)`` for a float array,
+    bit for bit: numpy's own code for that case, without its wrapper."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=keepdims))
+
+
 def _as_batch(x):
     a = np.asarray(x, dtype=float)
     if a.ndim == 1:
@@ -82,7 +88,9 @@ class Box(GeometricSet):
         return self.lower.shape[0]
 
     def project(self, x):
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+        # np.clip's values, without its wrapper; a signed zero tied with a
+        # bound comes out as np.clip gives it for one point, also in a batch
+        return np.minimum(np.maximum(np.asarray(x, dtype=float), self.lower), self.upper)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         a = np.asarray(x, dtype=float)
@@ -113,13 +121,13 @@ class Ball(GeometricSet):
     def project(self, x):
         a = np.asarray(x, dtype=float)
         delta = a - self.center
-        n = np.linalg.norm(delta, axis=-1, keepdims=True)
+        n = _norm(delta, keepdims=True)
         scale = np.where(n > self.radius, self.radius / np.maximum(n, 1e-300), 1.0)
         return self.center + delta * scale
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         a = np.asarray(x, dtype=float)
-        return np.linalg.norm(a - self.center, axis=-1) <= self.radius + tol
+        return _norm(a - self.center) <= self.radius + tol
 
 
 @dataclass(frozen=True)
@@ -142,17 +150,23 @@ class Halfspace(GeometricSet):
     def dim(self) -> int:
         return self.normal.shape[0]
 
+    def _inner(self, a):
+        # one BLAS dot product per row, as ``x @ normal`` takes for one
+        # point; on a batch ``a @ normal`` is a matrix-vector product,
+        # which sums in another order
+        return (a[..., None, :] @ self.normal)[..., 0]
+
     def project(self, x):
         a = np.asarray(x, dtype=float)
         nsq = float(self.normal @ self.normal)
-        viol = (a @ self.normal - self.offset) / nsq
+        viol = (self._inner(a) - self.offset) / nsq
         return a - np.maximum(viol, 0.0)[..., None] * self.normal
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         # tolerance applied to the signed distance so membership is
         # invariant under rescaling of the normal
         a = np.asarray(x, dtype=float)
-        margin = (a @ self.normal - self.offset) / np.linalg.norm(self.normal)
+        margin = (self._inner(a) - self.offset) / math.sqrt(self.normal @ self.normal)
         return margin <= tol
 
 
@@ -254,7 +268,8 @@ def _closed_form(components):
     if not all(isinstance(c, Ball) for c in components):
         return None
     b1, b2 = components
-    gap = float(np.linalg.norm(b2.center - b1.center))
+    v = b2.center - b1.center
+    gap = math.sqrt(v @ v)
     if gap > b1.radius + b2.radius + _EMPTY_PROBE_TOL:
         raise ValueError(f"empty intersection (balls {gap - b1.radius - b2.radius:.3e} apart)")
     if gap + b1.radius <= b2.radius:
@@ -307,7 +322,7 @@ class _Lens:
         w = pts - self.b1.center
         # a row sum, not ``@``: BLAS orders the sum differently for a batch
         w -= np.sum(w * self.u, axis=-1, keepdims=True) * self.u
-        n = np.linalg.norm(w, axis=-1, keepdims=True)
+        n = _norm(w, keepdims=True)
         # a point on the axis gets here only when the rim is the single
         # point ``mid`` (tangent balls) or by rounding, and goes to ``mid``
         direction = np.divide(w, n, out=np.zeros_like(w), where=n > 0)
@@ -317,29 +332,46 @@ class _Lens:
 def _dykstra(pts, components, max_sweeps=DYKSTRA_MAX_SWEEPS, move_tol=DYKSTRA_MOVE_TOL):
     """Cyclic Dykstra iteration over a batch of points.
 
-    Returns ``(points, converged, last_move)``. Convergence requires both a
-    full sweep moving every point less than ``move_tol`` and the iterate
-    lying within the residual tolerance of every component.
+    Returns ``(points, converged, last_move)``. Convergence requires a
+    full sweep that moves every point less than ``move_tol`` and the
+    iterate lying within the residual tolerance of every component. The
+    iterate can stand still at a member of the set that is not the
+    projection while the correction terms keep changing, so the sweep must
+    also change each point's corrections by less than ``move_tol``, or
+    leave the point within ``move_tol`` of its start's projection onto one
+    component (a member of the set nearest to the start within a larger set
+    is the projection, whatever the corrections still do).
     """
-    x = np.array(pts, dtype=float)
+    start = np.array(pts, dtype=float)
+    x = start
     corrections = [np.zeros_like(x) for _ in components]
     moved = np.inf
     for _ in range(max_sweeps):
-        prev = x
+        prev, before = x, list(corrections)
         for i, comp in enumerate(components):
             z = x + corrections[i]
             y = comp.project(z)
             corrections[i] = z - y
             x = y
-        moved = float(np.max(np.linalg.norm(x - prev, axis=-1)))
+        moved = float(np.max(_norm(x - prev)))
         if moved < move_tol:
             residual = max(
-                float(np.max(np.linalg.norm(x - c.project(x), axis=-1)))
-                for c in components
+                float(np.max(_norm(x - c.project(x)))) for c in components
             )
-            if residual <= _RESIDUAL_TOL:
+            if residual <= _RESIDUAL_TOL and _settled(start, x, components, before,
+                                                      corrections, move_tol):
                 return x, True, moved
     return x, False, moved
+
+
+def _settled(start, x, components, before, after, tol) -> bool:
+    """Whether each point's corrections changed by less than ``tol`` in the
+    sweep, or the point lies within ``tol`` of its start projected onto
+    some single component."""
+    ok = np.max([_norm(b - a) for a, b in zip(before, after)], axis=0) < tol
+    for c in components:
+        ok |= _norm(c.project(start) - x) < tol
+    return bool(ok.all())
 
 
 def project(x, s: GeometricSet):
@@ -360,7 +392,7 @@ def dist(x, s: GeometricSet):
     """Minimum Euclidean distance from ``x`` to ``s``; zero for members."""
     a = np.asarray(x, dtype=float)
     p = project(a, s)
-    d = np.linalg.norm(a - p, axis=-1)
+    d = _norm(a - p)
     return float(d) if a.ndim == 1 else d
 
 
@@ -374,6 +406,6 @@ def dist_subgradient(x, s: GeometricSet):
     a = np.asarray(x, dtype=float)
     p = project(a, s)
     delta = a - p
-    n = np.linalg.norm(delta, axis=-1, keepdims=True)
+    n = _norm(delta, keepdims=True)
     out = np.divide(delta, n, out=np.zeros_like(delta), where=n > ZERO_DIST_TOL)
     return out

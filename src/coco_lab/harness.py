@@ -296,40 +296,58 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _fmt_column(values) -> list:
+    """``repr`` of each value as a float: the shortest text that reads back
+    to the same double."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 def rounds_csv_text(record: RunRecord) -> str:
     d = record.dimension
     header = "t," + ",".join(f"x_{i}" for i in range(d)) + ",f,g,gplus,Q,grad_norm_surrogate"
-    lines = [header]
-    for r in record.rows:
-        coords = ",".join(_fmt(c) for c in r.x)
-        lines.append(f"{r.t},{coords},{_fmt(r.f)},{_fmt(r.g)},{_fmt(r.gplus)},"
-                     f"{_fmt(r.q)},{_fmt(r.surrogate_grad_norm)}")
-    return "\n".join(lines) + "\n"
+    rows = record.rows
+    if not rows:
+        return header + "\n"
+    # one (T, d + 5) array, formatted column by column, then joined by row
+    values = np.column_stack([
+        np.array([r.x for r in rows], dtype=float),
+        np.array([(r.f, r.g, r.gplus, r.q, r.surrogate_grad_norm) for r in rows], dtype=float),
+    ])
+    columns = [[str(r.t) for r in rows]] + [_fmt_column(c) for c in values.T]
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
+def _series(name: str, ts: list, values) -> list:
+    return [f"{name},{t},{v}" for t, v in zip(ts, _fmt_column(values))]
 
 
 def plotdata_csv_text(record: RunRecord) -> str:
     """Long-format trajectories: running CCV, running regret per comparator,
     and the matching budget RHS evaluated on each prefix."""
-    lines = ["series,t,value"]
-    for r in record.rows:
-        lines.append(f"ccv,{r.t},{_fmt(r.q)}")
-    grad_sq_prefix = np.cumsum([r.surrogate_grad_norm ** 2 for r in record.rows])
+    rows = record.rows
+    if not rows:
+        return "series,t,value\n"
+    ts = [str(r.t) for r in rows]
+    lines = ["series,t,value", *_series("ccv", ts, [r.q for r in rows])]
+    f = np.array([r.f for r in rows], dtype=float)
+    grad_sq_prefix = np.cumsum([r.surrogate_grad_norm ** 2 for r in rows]).tolist()
     for name, comp in record.comparators.items():
-        costs = record.comparator_costs[name]
-        regret = 0.0
-        path_prefix = 0.0
-        for i, r in enumerate(record.rows):
-            regret += r.f - costs[i]
-            if i > 0:
-                path_prefix += float(np.linalg.norm(comp.points[i] - comp.points[i - 1]))
-            lines.append(f"regret__{name},{r.t},{_fmt(regret)}")
-            if f"bound_rhs__{name}" in record.summary:
-                rhs = _budget(record.summary, path_prefix, r.t, float(grad_sq_prefix[i]))
-                lines.append(f"bound_rhs__{name},{r.t},{_fmt(rhs)}")
+        # cumsum adds in order, as a running ``regret += f - cost`` does
+        regret = _series(f"regret__{name}", ts,
+                         np.cumsum(f - np.asarray(record.comparator_costs[name], dtype=float)))
+        if f"bound_rhs__{name}" not in record.summary:
+            lines += regret
+            continue
+        # each step's norm bit for bit as ``np.linalg.norm(step)``: one BLAS
+        # dot product per row, which a stacked matmul makes and a row sum
+        # does not
+        steps = np.diff(comp.points[:len(rows)], axis=0)
+        norms = np.sqrt((steps[:, None, :] @ steps[:, :, None]).ravel())
+        path_prefix = np.cumsum(np.concatenate(([0.0], norms))).tolist()
+        rhs = _series(f"bound_rhs__{name}", ts, [
+            _budget(record.summary, p, r.t, s)
+            for p, r, s in zip(path_prefix, rows, grad_sq_prefix)])
+        lines += [line for pair in zip(regret, rhs) for line in pair]
     return "\n".join(lines) + "\n"
 
 
@@ -432,10 +450,11 @@ def load_run(out_dir: str):
         summary = json.load(f)
     with open(os.path.join(out_dir, "config.json")) as f:
         cfg = json.load(f)
-    rows = np.genfromtxt(os.path.join(out_dir, "rounds.csv"), delimiter=",",
-                         names=True, dtype=float)
-    rows = np.atleast_1d(rows)
-    return summary, cfg, rows
+    with open(os.path.join(out_dir, "rounds.csv")) as f:
+        names = f.readline().rstrip("\n").split(",")
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
+    # rounds.csv's columns by name
+    return summary, cfg, dict(zip(names, data.T))
 
 
 def verify_run(out_dir: str) -> list:
@@ -448,8 +467,8 @@ def verify_run(out_dir: str) -> list:
     gplus_col, q_col = rows["gplus"], rows["Q"]
     grad_col = rows["grad_norm_surrogate"]
 
-    if len(rows) != summary["horizon"]:
-        problems.append(f"row count {len(rows)} != horizon {summary['horizon']}")
+    if len(f_col) != summary["horizon"]:
+        problems.append(f"row count {len(f_col)} != horizon {summary['horizon']}")
     if np.max(np.abs(gplus_col - np.maximum(g_col, 0.0))) > 1e-12:
         problems.append("gplus column is not max(0, g)")
     q_re = np.cumsum(gplus_col)

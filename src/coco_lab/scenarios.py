@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import ComparatorSequence, ConstraintOracle, CostOracle, DecisionSet, path_length
-from .geometry import Ball, Box, GeometricSet, Halfspace, Intersection
+from .geometry import Ball, Box, GeometricSet, Halfspace, Intersection, _norm
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +30,9 @@ def affine_cost(a, b: float = 0.0, lipschitz_bound: float | None = None) -> Cost
         return np.asarray(x, dtype=float) @ a + b
 
     def subgradient(x):
-        return np.broadcast_to(a, np.shape(x)).copy()
+        g = np.empty(np.shape(x))
+        g[...] = a
+        return g
 
     lip = float(np.linalg.norm(a)) if lipschitz_bound is None else lipschitz_bound
     return CostOracle(value=value, subgradient=subgradient, lipschitz_bound=lip)
@@ -40,11 +42,11 @@ def norm_cost(center, lipschitz_bound: float | None = None) -> CostOracle:
     c = np.atleast_1d(np.asarray(center, dtype=float))
 
     def value(x):
-        return np.linalg.norm(np.asarray(x, dtype=float) - c, axis=-1)
+        return _norm(np.asarray(x, dtype=float) - c)
 
     def subgradient(x):
         delta = np.asarray(x, dtype=float) - c
-        n = np.linalg.norm(delta, axis=-1, keepdims=True)
+        n = _norm(delta, keepdims=True)
         return np.divide(delta, n, out=np.zeros_like(delta), where=n > 1e-12)
 
     lip = 1.0 if lipschitz_bound is None else lipschitz_bound
@@ -59,7 +61,9 @@ def halfspace_constraint(a, b: float, decision_geometry: GeometricSet,
         return np.asarray(x, dtype=float) @ a - b
 
     def subgradient(x):
-        return np.broadcast_to(a, np.shape(x)).copy()
+        g = np.empty(np.shape(x))
+        g[...] = a
+        return g
 
     lip = float(np.linalg.norm(a)) if lipschitz_bound is None else lipschitz_bound
     region = Intersection((decision_geometry, Halfspace(a, b)))
@@ -72,11 +76,11 @@ def ball_constraint(center, radius: float, decision_geometry: GeometricSet,
     c = np.atleast_1d(np.asarray(center, dtype=float))
 
     def value(x):
-        return np.linalg.norm(np.asarray(x, dtype=float) - c, axis=-1) - radius
+        return _norm(np.asarray(x, dtype=float) - c) - radius
 
     def subgradient(x):
         delta = np.asarray(x, dtype=float) - c
-        n = np.linalg.norm(delta, axis=-1, keepdims=True)
+        n = _norm(delta, keepdims=True)
         return np.divide(delta, n, out=np.zeros_like(delta), where=n > 1e-12)
 
     lip = 1.0 if lipschitz_bound is None else lipschitz_bound

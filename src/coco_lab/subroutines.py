@@ -159,7 +159,7 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
     losses = np.asarray(loss_vector, dtype=float)
     if losses.shape != state.cum_losses.shape:
         raise ValueError("loss vector length does not match the number of experts")
-    if not np.all(np.isfinite(losses)):
+    if not np.isfinite(losses).all():
         raise ValueError(f"NaN or infinite loss in {losses}")
     w = state.weights
     expected = float(w @ losses)
@@ -168,9 +168,7 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
     if not math.isfinite(eta) or eta <= 0.0:
         mix = float(losses[w > 0].min())
     else:
-        with np.errstate(divide="ignore"):
-            log_w = np.log(w)
-        a = log_w - eta * losses
+        a = np.log(w, out=np.full(n, -np.inf), where=w > 0.0) - eta * losses
         a[w <= 0.0] = -np.inf  # zero-weight experts contribute nothing
         mix = float(-_log_sum_exp(a) / eta)
     # Jensen guarantees expected >= mix; clamp float dust so the gap stays monotone.

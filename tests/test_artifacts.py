@@ -1,0 +1,102 @@
+"""The column-wise artifact writers and the loader against per-row references.
+
+``reference_rounds_csv_text`` and ``reference_plotdata_csv_text`` are the
+writers as they were before they became column-wise: one row, one
+formatted line, and the running regret and path length added up in a
+Python loop. The shipped writers must give the same text, byte for byte.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from coco_lab.core import RunRecord
+from coco_lab.harness import (
+    ALGORITHMS,
+    RunConfig,
+    _budget,
+    load_run,
+    plotdata_csv_text,
+    rounds_csv_text,
+    run,
+)
+from coco_lab.scenarios import SCENARIOS, ScenarioSpec
+
+
+def _fmt(v):
+    return repr(float(v))
+
+
+def reference_rounds_csv_text(record):
+    d = record.dimension
+    header = "t," + ",".join(f"x_{i}" for i in range(d)) + ",f,g,gplus,Q,grad_norm_surrogate"
+    lines = [header]
+    for r in record.rows:
+        coords = ",".join(_fmt(c) for c in r.x)
+        lines.append(f"{r.t},{coords},{_fmt(r.f)},{_fmt(r.g)},{_fmt(r.gplus)},"
+                     f"{_fmt(r.q)},{_fmt(r.surrogate_grad_norm)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_plotdata_csv_text(record):
+    lines = ["series,t,value"]
+    for r in record.rows:
+        lines.append(f"ccv,{r.t},{_fmt(r.q)}")
+    grad_sq_prefix = np.cumsum([r.surrogate_grad_norm ** 2 for r in record.rows])
+    for name, comp in record.comparators.items():
+        costs = record.comparator_costs[name]
+        regret = 0.0
+        path_prefix = 0.0
+        for i, r in enumerate(record.rows):
+            regret += r.f - costs[i]
+            if i > 0:
+                path_prefix += float(np.linalg.norm(comp.points[i] - comp.points[i - 1]))
+            lines.append(f"regret__{name},{r.t},{_fmt(regret)}")
+            if f"bound_rhs__{name}" in record.summary:
+                rhs = _budget(record.summary, path_prefix, r.t, float(grad_sq_prefix[i]))
+                lines.append(f"bound_rhs__{name},{r.t},{_fmt(rhs)}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(record):
+    assert rounds_csv_text(record) == reference_rounds_csv_text(record)
+    assert plotdata_csv_text(record) == reference_plotdata_csv_text(record)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("horizon", [1, 60])
+def test_writers_match_per_row_reference(algorithm, scenario, horizon):
+    assert_same_text(run(RunConfig(ScenarioSpec(scenario, horizon, seed=3), algorithm)))
+
+
+@pytest.mark.parametrize("scenario", ["oco-mix", "tracking-ball"])
+def test_writers_match_reference_without_some_budgets(scenario):
+    # known-path descent budgets only the comparators whose path fits the
+    # estimate, so some regret series have no bound_rhs series beside them
+    record = run(RunConfig(ScenarioSpec(scenario, 80, seed=5), "adagrad", path_estimate=0.5))
+    assert any(k.startswith("regret__") and f"bound_rhs__{k[8:]}" not in record.summary
+               for k in record.summary)
+    assert_same_text(record)
+
+
+def test_writers_match_reference_on_a_record_with_no_rows():
+    record = RunRecord(dimension=2)
+    assert_same_text(record)
+    assert rounds_csv_text(record) == "t,x_0,x_1,f,g,gplus,Q,grad_norm_surrogate\n"
+    assert plotdata_csv_text(record) == "series,t,value\n"
+
+
+@pytest.mark.parametrize("horizon", [1, 40])
+@pytest.mark.parametrize("scenario", ["static", "tracking-ball"])
+def test_load_run_columns_match_genfromtxt(tmp_path, scenario, horizon):
+    out = str(tmp_path / "run")
+    run(RunConfig(ScenarioSpec(scenario, horizon, seed=2), "coco1", out_dir=out))
+    _, _, columns = load_run(out)
+    reference = np.atleast_1d(np.genfromtxt(os.path.join(out, "rounds.csv"), delimiter=",",
+                                            names=True, dtype=float))
+    assert list(columns) == list(reference.dtype.names)
+    for name in reference.dtype.names:
+        assert columns[name].shape == (horizon,)
+        assert np.array_equal(columns[name], reference[name]), name

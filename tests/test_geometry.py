@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -299,3 +299,133 @@ def test_intersection_pickles(components):
     copy = pickle.loads(pickle.dumps(region))
     xs = np.random.default_rng(3).uniform(-4.0, 4.0, size=(20, region.dim))
     assert np.array_equal(copy.project(xs), region.project(xs))
+
+
+def bits(a):
+    """The bit patterns of a float array (tells -0.0 from 0.0)."""
+    return np.asarray(a, dtype=float).reshape(-1).view(np.uint64)
+
+
+def same_bits(a, b):
+    return np.shape(a) == np.shape(b) and np.array_equal(bits(a), bits(b))
+
+
+@st.composite
+def points(draw, d, elements=st.floats(-1e3, 1e3)):
+    """A point of shape ``(d,)`` or a batch ``(n, d)``."""
+    shape = draw(st.one_of(st.just((d,)), st.integers(1, 8).map(lambda n: (n, d))))
+    return draw(hnp.arrays(float, shape, elements=elements))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(points), st.booleans())
+def test_norm_helper_is_linalg_norm_bitwise(v, keepdims):
+    assert same_bits(geometry._norm(v, keepdims=keepdims),
+                     np.linalg.norm(v, axis=-1, keepdims=keepdims))
+
+
+signed = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 1.0]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    hnp.arrays(float, d, elements=signed), hnp.arrays(float, d, elements=signed),
+    points(d, elements=signed))))
+def test_box_project_is_clip_bitwise(instance):
+    a, b, x = instance
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    box = Box(lo, hi)
+    p = box.project(x)
+    # np.clip of each row, signed zeros included. np.clip of a whole (n, 1)
+    # batch breaks ties with a bound the other way (it returns the point's
+    # zero, where np.clip of a row returns the bound's), so against it only
+    # the values are compared
+    rows = np.clip(x, lo, hi) if x.ndim == 1 else np.array([np.clip(r, lo, hi) for r in x])
+    assert same_bits(p, rows)
+    assert np.array_equal(p, np.clip(x, lo, hi))
+
+
+@st.composite
+def halfspace_batches(draw):
+    d = draw(st.integers(1, 5))
+    normal = draw(hnp.arrays(float, d, elements=st.floats(-2.0, 2.0)).filter(
+        lambda a: np.linalg.norm(a) > 0.1))
+    xs = draw(hnp.arrays(float, (draw(st.integers(1, 8)), d), elements=st.floats(-5.0, 5.0)))
+    return normal, draw(st.floats(-2.0, 2.0)), xs
+
+
+@settings(max_examples=300, deadline=None)
+@given(halfspace_batches())
+def test_halfspace_batch_matches_rows(instance):
+    normal, offset, xs = instance
+    half = Halfspace(normal, offset)
+    ps = half.project(xs)
+    assert same_bits(ps, np.array([half.project(x) for x in xs]))
+    assert np.array_equal(half.contains(xs), [half.contains(x) for x in xs])
+    # a single point gets the bits it got from ``x @ normal``
+    nsq = float(normal @ normal)
+    for x, p in zip(xs, ps):
+        assert same_bits(p, x - max((x @ normal - offset) / nsq, 0.0) * normal)
+
+
+def test_dykstra_waits_for_its_corrections_to_settle():
+    # the iterate stood still at [0.9906, 0.9596] while the corrections kept
+    # changing; the projection is the vertex where the halfspace cuts y = 1
+    normal, offset = np.array([0.2265042905300834, 0.9740101674887504]), 1.159074751207022
+    region = Intersection((Box([-1.0, -1.0], [1.0, 1.0]), Halfspace(normal, offset)))
+    p = region.project([1.4640170270421287, 5.4799021948254465])
+    np.testing.assert_allclose(p, [(offset - normal[1]) / normal[0], 1.0], rtol=0, atol=1e-8)
+
+
+def test_dykstra_stops_at_a_point_nearest_in_one_component():
+    # the ends -1 and -0.99999 lie 1e-5 apart, so the corrections shift by
+    # 1e-5 a sweep for 1.9e5 sweeps; the iterate is the projection onto the
+    # ball from the first sweep on, which settles it
+    components = (Box([-1.0], [0.0]), Ball([1e-5], 1.0))
+    x, converged, _ = geometry._dykstra(np.array([[-2.86]]), components)
+    assert converged
+    np.testing.assert_allclose(x, [[-0.99999]], rtol=0, atol=1e-12)
+
+
+def clip_square(normal, offset):
+    """Vertices, in order, of the square [-1, 1]^2 cut by normal . y <= offset."""
+    square = [np.array(v, dtype=float) for v in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+    poly = []
+    for p, q in zip(square, square[1:] + square[:1]):
+        fp, fq = p @ normal - offset, q @ normal - offset
+        if fp <= 0.0:
+            poly.append(p)
+        if min(fp, fq) < 0.0 < max(fp, fq):
+            poly.append(p + fp / (fp - fq) * (q - p))
+    return poly
+
+
+def nearest_on_polygon(poly, x):
+    """The point of the polygon's boundary nearest to ``x``."""
+    best = None
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        e = q - p
+        s = min(1.0, max(0.0, (x - p) @ e / (e @ e))) if e @ e > 0.0 else 0.0
+        y = p + s * e
+        if best is None or np.linalg.norm(x - y) < np.linalg.norm(x - best):
+            best = y
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 2.0 * math.pi), st.floats(1e-3, 1.9),
+       hnp.arrays(float, 2, elements=st.floats(-5.0, 5.0)))
+def test_box_halfspace_projection_is_exact(angle, depth, x):
+    # the halfspace cuts ``depth`` into the square, measured along its normal
+    normal = np.array([math.cos(angle), math.sin(angle)])
+    offset = float(np.abs(normal).sum()) - depth
+    region = Intersection((Box([-1.0, -1.0], [1.0, 1.0]), Halfspace(normal, offset)))
+    try:
+        p = region.project(x)
+    except ProjectionError:
+        # Dykstra may run out of sweeps where the cut passes close to a
+        # corner; it must say so, and must not do so often
+        reject()
+    inside = np.all(np.abs(x) <= 1.0) and x @ normal <= offset
+    ref = x if inside else nearest_on_polygon(clip_square(normal, offset), x)
+    np.testing.assert_allclose(p, ref, rtol=0, atol=1e-7)

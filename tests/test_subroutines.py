@@ -22,7 +22,7 @@ from coco_lab.subroutines import (
     ahag_round,
     num_experts,
 )
-from coco_lab.subroutines import _log_sum_exp
+from coco_lab.subroutines import _hedge_weights, _log_sum_exp
 
 
 def unit_interval_set():
@@ -228,6 +228,73 @@ def test_adahedge_survives_tiny_gap_and_underflowed_weights():
     assert np.all(np.isfinite(st.weights))
     assert float(np.sum(st.weights)) == pytest.approx(1.0)
     assert np.isfinite(st.cum_mix_gap) and st.cum_mix_gap >= 0.0
+
+
+def reference_adahedge_step(state, loss_vector):
+    """``adahedge_step`` as it was written with ``np.errstate`` around
+    ``np.log`` and ``np.all(np.isfinite(...))``."""
+    losses = np.asarray(loss_vector, dtype=float)
+    if not np.all(np.isfinite(losses)):
+        raise ValueError(f"NaN or infinite loss in {losses}")
+    w = state.weights
+    expected = float(w @ losses)
+    n = state.num_experts
+    eta = math.log(n) / state.cum_mix_gap if state.cum_mix_gap > 0.0 else math.inf
+    if not math.isfinite(eta) or eta <= 0.0:
+        mix = float(losses[w > 0].min())
+    else:
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)
+        a = log_w - eta * losses
+        a[w <= 0.0] = -np.inf
+        mix = float(-_log_sum_exp(a) / eta)
+    gap = max(0.0, expected - mix)
+    state.cum_mix_gap += gap
+    state.cum_losses = state.cum_losses + losses
+    state.weights = _hedge_weights(state.cum_losses, state.cum_mix_gap)
+    return state
+
+
+def same_hedge_state(a, b):
+    return (float(a.cum_mix_gap).hex() == float(b.cum_mix_gap).hex()
+            and np.array_equal(a.cum_losses.view(np.uint64), b.cum_losses.view(np.uint64))
+            and np.array_equal(a.weights.view(np.uint64), b.weights.view(np.uint64)))
+
+
+def hedge_states(n, spread, gap, seed):
+    """Two equal states; a wide spread of cumulative losses at a small gap
+    underflows the weights of the worse experts to exactly zero."""
+    cum = np.random.default_rng(seed).uniform(0.0, spread, n)
+    return [HedgeState(cum_losses=cum.copy(), cum_mix_gap=gap, weights=_hedge_weights(cum, gap))
+            for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(1, 11), hst.sampled_from([0.0, 1.0, 1e3, 1e6]),
+       hst.sampled_from([0.0, 1e-3, 1.0, 1e3]), hst.integers(1, 40),
+       hst.sampled_from([1e-3, 1.0, 1e3]), hst.integers(0, 2 ** 32 - 1))
+def test_adahedge_step_matches_reference_bitwise(n, spread, gap, rounds, scale, seed):
+    new, old = hedge_states(n, spread, gap, seed)
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(rounds):
+        losses = rng.uniform(-scale, scale, n) * rng.integers(0, 2, n)
+        adahedge_step(new, losses)
+        reference_adahedge_step(old, losses)
+        assert same_hedge_state(new, old)
+
+
+def test_adahedge_step_matches_reference_with_underflowed_weights():
+    new, old = hedge_states(9, 1e3, 1.0, seed=4)
+    rng = np.random.default_rng(5)
+    zero_weight_rounds = 0
+    for _ in range(50):
+        # the learning rate is finite and some weights are exactly zero
+        zero_weight_rounds += int(new.cum_mix_gap > 0.0 and np.any(new.weights == 0.0))
+        losses = rng.uniform(-1.0, 1.0, 9)
+        adahedge_step(new, losses)
+        reference_adahedge_step(old, losses)
+        assert same_hedge_state(new, old)
+    assert zero_weight_rounds == 50
 
 
 def test_adahedge_static_regret_bound_on_streams():
