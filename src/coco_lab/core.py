@@ -119,7 +119,7 @@ class RunRecord:
     """Full trajectory of a run plus the summary filled in by the harness.
 
     The harness also keeps the comparators it scored (name ->
-    ``ComparatorSequence``) and each one's per-round cost (name -> list).
+    ``ComparatorSequence``) and each one's per-round cost (name -> array).
     """
 
     dimension: int
@@ -141,7 +141,14 @@ class RunRecord:
         return self.rows[-1].q if self.rows else 0.0
 
     def surrogate_grad_sq_sum(self) -> float:
-        return float(sum(r.surrogate_grad_norm ** 2 for r in self.rows))
+        """Sum of the squared surrogate gradient norms, added left to right
+        as ``plotdata.csv``'s ``np.cumsum`` prefixes are (the builtin
+        ``sum`` of floats is compensated from Python 3.12 on)."""
+        if not self.rows:
+            return 0.0
+        squares = np.fromiter((r.surrogate_grad_norm ** 2 for r in self.rows), float,
+                              len(self.rows))
+        return float(np.cumsum(squares)[-1])
 
 
 def g_plus(g_value: float) -> float:

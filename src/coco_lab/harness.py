@@ -10,6 +10,12 @@ Artifacts per run directory:
 
 Files are written atomically (temp file + rename). Reruns of an identical
 configuration produce byte-identical CSVs.
+
+Comparator costs and feasibility do not depend on the learner: ``run``
+plays a block of ``ORACLE_BLOCK`` rounds, then scores every comparator on
+it with the oracle families' cross-round kernels (``oracle_values``), one
+pass per comparator. ``verify_run`` recomputes f, g and the comparator
+costs from ``rounds.csv`` with the same kernels, block by block.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from . import budgets
 from .coco import Coco1State, Coco2State, _GradOnly, coco1_round, coco2_round
 from .core import FEASIBILITY_TOL, RoundRow, RunRecord, ccv_update, g_plus
 from .geometry import membership
-from .scenarios import Scenario, ScenarioSpec, build_scenario, with_horizon
+from .scenarios import Scenario, ScenarioSpec, build_scenario, oracle_values, with_horizon
 from .subroutines import (
     KNOWN_PATH,
     PATH_FREE,
@@ -40,6 +46,10 @@ from .subroutines import (
 
 ALGORITHMS = ("adagrad", "ahag", "coco1", "coco2")
 VERIFY_REL_TOL = 1e-6
+# rounds whose oracles are held at once while comparators are scored, so a
+# run's memory does not grow with its horizon; measured, the kernels' time
+# per round is lowest near this size
+ORACLE_BLOCK = 256
 
 
 class ConfigError(ValueError):
@@ -114,42 +124,98 @@ def run(config: RunConfig, horizon: int | None = None) -> RunRecord:
 
     t0 = time.perf_counter()
     record = RunRecord(dimension=scenario.dimension, comparators=comparators,
-                       comparator_costs={name: [] for name in comparators})
-    comp_cost = {name: 0.0 for name in comparators}
-    sum_cost = 0.0
-    bookkeeping_q = 0.0
+                       comparator_costs={name: np.empty(scenario.horizon)
+                                         for name in comparators})
     state = _init_state(config, scenario)
-
-    for t in range(1, scenario.horizon + 1):
-        try:
-            cost, constraint = scenario.generate(t)
-            row = _advance(config.algorithm, state, cost, constraint, t, bookkeeping_q)
-            bookkeeping_q = row.q
-            if not math.isfinite(row.f):
-                raise ValueError(f"non-finite cost f(x_t) = {row.f}")
-            for name, comp in comparators.items():
-                u = comp.points[t - 1]
-                c = float(cost.value(u))
-                if not math.isfinite(c):
-                    raise ValueError(f"non-finite cost {c} at comparator {name!r}")
-                record.comparator_costs[name].append(c)
-                comp_cost[name] += c
-                if comp.feasible and float(constraint.value(u)) > FEASIBILITY_TOL:
-                    raise HarnessError(
-                        f"comparator {name!r} marked feasible violates round {t}")
-        except HarnessError:
-            raise
-        except Exception as exc:
-            raise HarnessError(f"oracle failure at round {t}: {exc}") from exc
-        sum_cost += row.f
-        record.append(row)
-
+    sum_cost = _play(config.algorithm, scenario, state, record)
+    comp_cost = {name: _running_sum(c) for name, c in record.comparator_costs.items()}
     summary = _summarize(config, scenario, state, record, comp_cost, sum_cost)
     summary["wall_clock_sec"] = time.perf_counter() - t0
     record.summary = summary
     if config.out_dir is not None:
         persist(record, config, config.out_dir)
     return record
+
+
+def _play(algorithm: str, scenario: Scenario, state, record: RunRecord) -> float:
+    """Play every round, appending its row to ``record``; returns the sum
+    of the played costs. Only one block's oracles are alive at a time."""
+    sum_cost = 0.0
+    bookkeeping_q = 0.0
+    # the learner plays a block of rounds, then every comparator is scored
+    # on that block in one kernel pass; a failure reports its round as a
+    # round-by-round loop would: the earliest round first and, within a
+    # round, the learner, then the comparators in order, cost before
+    # feasibility
+    for start in range(1, scenario.horizon + 1, ORACLE_BLOCK):
+        costs, constraints, rows = [], [], []
+        failure = None
+        for t in range(start, min(start + ORACLE_BLOCK, scenario.horizon + 1)):
+            try:
+                cost, constraint = scenario.generate(t)
+                row = _advance(algorithm, state, cost, constraint, t, bookkeeping_q)
+                bookkeeping_q = row.q
+                if not math.isfinite(row.f):
+                    raise ValueError(f"non-finite cost f(x_t) = {row.f}")
+            except Exception as exc:
+                failure = (t, exc)
+                break
+            costs.append(cost)
+            constraints.append(constraint)
+            rows.append(row)
+        failure = _score_comparators(record, costs, constraints, start) or failure
+        # the rounds before a failure are recorded, as a round-by-round loop
+        # records them before it fails
+        for row in rows if failure is None else rows[:failure[0] - start]:
+            sum_cost += row.f
+            record.append(row)
+        if failure is not None:
+            t, exc = failure
+            if isinstance(exc, HarnessError):
+                raise exc
+            raise HarnessError(f"oracle failure at round {t}: {exc}") from exc
+    return sum_cost
+
+
+def _running_sum(*parts) -> float:
+    """``0.0`` plus each value of ``parts`` in turn, as a running ``+=``
+    adds them: ``np.cumsum`` is sequential, ``np.sum`` is not."""
+    return float(np.cumsum(np.concatenate(([0.0], *parts)))[-1])
+
+
+def _score_comparators(record: RunRecord, costs: list, constraints: list, start: int):
+    """Fill in each comparator's costs on rounds ``start, start + 1, ...``
+    in ``record.comparator_costs``, and check that every comparator marked
+    feasible meets each round's constraint.
+
+    Returns None, or ``(round, exception)`` for the first failure: a
+    raising or non-finite cost, or a violated (or raising) constraint.
+    """
+    n = len(costs)
+    first = None
+    for name, comp in record.comparators.items():
+        points = comp.points[start - 1:start - 1 + n]
+        values, failed = oracle_values(costs, points)
+        record.comparator_costs[name][start - 1:start - 1 + n] = values
+        found = [_earlier(failed, ~np.isfinite(values), lambda i: ValueError(
+            f"non-finite cost {values[i]} at comparator {name!r}"))]
+        if comp.feasible:
+            g, failed = oracle_values(constraints, points)
+            found.append(_earlier(failed, g > FEASIBILITY_TOL, lambda i: HarnessError(
+                f"comparator {name!r} marked feasible violates round {start + i}")))
+        # strictly earlier only: at one round, the comparator scored first
+        # and its cost before its feasibility win
+        for failure in found:
+            if failure is not None and (first is None or failure[0] < first[0]):
+                first = failure
+    return None if first is None else (start + first[0], first[1])
+
+
+def _earlier(failure, bad: np.ndarray, error):
+    """``(i, error(i))`` for the first row ``i`` where ``bad`` holds, if it
+    comes before ``failure`` (``(row, exception)`` or None); else ``failure``."""
+    rows = np.flatnonzero(bad[:len(bad) if failure is None else failure[0]])
+    return failure if rows.size == 0 else (int(rows[0]), error(int(rows[0])))
 
 
 def _init_state(config: RunConfig, scenario: Scenario):
@@ -441,8 +507,16 @@ def sweep(config: RunConfig) -> list:
 # ---------------------------------------------------------------------------
 # verification: re-derive the summary from the persisted CSV
 
-def _rel_close(a: float, b: float, tol: float = VERIFY_REL_TOL) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _rel_close(a, b):
+    """``|a - b| <= VERIFY_REL_TOL * max(1, |a|, |b|)``, entry by entry on arrays."""
+    return np.abs(a - b) <= VERIFY_REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def _values_or_raise(oracles: list, points: np.ndarray) -> np.ndarray:
+    values, failure = oracle_values(oracles, points)
+    if failure is not None:
+        raise failure[1]
+    return values
 
 
 def load_run(out_dir: str):
@@ -488,21 +562,30 @@ def verify_run(out_dir: str) -> list:
     scenario = build_scenario(spec)
     names = [k[len("regret__"):] for k in summary if k.startswith("regret__")]
     comparators = scenario.comparators()
-    comp_cost = {n: 0.0 for n in names}
-    sum_fx = 0.0
-    for t in range(1, scenario.horizon + 1):
-        cost, constraint = scenario.generate(t)
-        fx = float(cost.value(xs[t - 1]))
-        gx = float(constraint.value(xs[t - 1]))
-        if not _rel_close(fx, float(f_col[t - 1])):
-            problems.append(f"f column mismatch at round {t}")
-            break
-        if not _rel_close(gx, float(g_col[t - 1])):
-            problems.append(f"g column mismatch at round {t}")
-            break
-        sum_fx += fx
+    # f, g and the comparator costs are recomputed one block of rounds at a
+    # time; the sums run over the rounds before the first mismatch
+    fx, comp_costs = [], {n: [] for n in names}
+    for start in range(0, min(scenario.horizon, len(f_col)), ORACLE_BLOCK):
+        stop = min(start + ORACLE_BLOCK, scenario.horizon, len(f_col))
+        pairs = [scenario.generate(t) for t in range(start + 1, stop + 1)]
+        costs = [cost for cost, _ in pairs]
+        f_re = _values_or_raise(costs, xs[start:stop])
+        g_re = _values_or_raise([constraint for _, constraint in pairs], xs[start:stop])
+        f_bad = ~_rel_close(f_re, f_col[start:stop])
+        bad = f_bad | ~_rel_close(g_re, g_col[start:stop])
+        mismatch = bool(bad.any())
+        end = int(np.argmax(bad)) if mismatch else stop - start
+        if mismatch:
+            column = "f" if f_bad[end] else "g"
+            problems.append(f"{column} column mismatch at round {start + end + 1}")
+        fx.append(f_re[:end])
         for n in names:
-            comp_cost[n] += float(cost.value(comparators[n].points[t - 1]))
+            comp_costs[n].append(
+                _values_or_raise(costs[:end], comparators[n].points[start:start + end]))
+        if mismatch:
+            break
+    sum_fx = _running_sum(*fx)
+    comp_cost = {n: _running_sum(*c) for n, c in comp_costs.items()}
 
     for n in names:
         regret_re = sum_fx - comp_cost[n]

@@ -61,12 +61,12 @@ class GridSpec:
 
 
 def _eval_on(fn, pts: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(fn(pts), dtype=float)
-        if vals.shape == (pts.shape[0],):
-            return vals
-    except Exception:
-        pass
+    """``fn`` on every point: one batched call, or one call per point when
+    the batched result has the wrong shape. An error from the batched call
+    is the oracle's own and propagates."""
+    vals = np.asarray(fn(pts), dtype=float)
+    if vals.shape == (pts.shape[0],):
+        return vals
     return np.array([float(fn(p)) for p in pts])
 
 

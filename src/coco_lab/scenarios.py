@@ -15,120 +15,282 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ComparatorSequence, ConstraintOracle, CostOracle, DecisionSet, path_length
+from .core import ComparatorSequence, DecisionSet, path_length
 from .geometry import Ball, Box, GeometricSet, Halfspace, Intersection, _norm
 
 
 # ---------------------------------------------------------------------------
 # oracle families (cost: affine and norm-of-offset; constraints limited to
 # families whose sublevel sets project in closed form)
+#
+# Each family is a small class holding its parameters, so a round's oracles
+# pickle and ``generate`` only indexes per-round arrays. Besides ``value``
+# and ``subgradient`` each family has a cross-round kernel ``values_at``:
+# oracle ``i`` evaluated at row ``i``, with the bits of
+# ``float(oracles[i].value(points[i]))``.
 
-def affine_cost(a, b: float = 0.0, lipschitz_bound: float | None = None) -> CostOracle:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-
-    def value(x):
-        return np.asarray(x, dtype=float) @ a + b
-
-    def subgradient(x):
-        g = np.empty(np.shape(x))
-        g[...] = a
-        return g
-
-    lip = float(np.linalg.norm(a)) if lipschitz_bound is None else lipschitz_bound
-    return CostOracle(value=value, subgradient=subgradient, lipschitz_bound=lip)
+def _rows_dot(points, vectors):
+    """``points[i] @ vectors[i]`` for every row, bit for bit: a stacked
+    matmul takes one BLAS dot per row, as the 1-d product does; a row sum
+    or a matrix-vector product adds in another order."""
+    return (points[:, None, :] @ vectors[:, :, None])[:, 0, 0]
 
 
-def norm_cost(center, lipschitz_bound: float | None = None) -> CostOracle:
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-
-    def value(x):
-        return _norm(np.asarray(x, dtype=float) - c)
-
-    def subgradient(x):
-        delta = np.asarray(x, dtype=float) - c
-        n = _norm(delta, keepdims=True)
-        return np.divide(delta, n, out=np.zeros_like(delta), where=n > 1e-12)
-
-    lip = 1.0 if lipschitz_bound is None else lipschitz_bound
-    return CostOracle(value=value, subgradient=subgradient, lipschitz_bound=lip)
+def _unit_offset(x, center):
+    delta = np.asarray(x, dtype=float) - center
+    n = _norm(delta, keepdims=True)
+    return np.divide(delta, n, out=np.zeros_like(delta), where=n > 1e-12)
 
 
-def halfspace_constraint(a, b: float, decision_geometry: GeometricSet,
-                         lipschitz_bound: float | None = None) -> ConstraintOracle:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-
-    def value(x):
-        return np.asarray(x, dtype=float) @ a - b
-
-    def subgradient(x):
-        g = np.empty(np.shape(x))
-        g[...] = a
-        return g
-
-    lip = float(np.linalg.norm(a)) if lipschitz_bound is None else lipschitz_bound
-    region = Intersection((decision_geometry, Halfspace(a, b)))
-    return ConstraintOracle(value=value, subgradient=subgradient,
-                            lipschitz_bound=lip, feasible_region=region)
+def _linear_subgradient(x, a):
+    g = np.empty(np.shape(x))
+    g[...] = a
+    return g
 
 
-def ball_constraint(center, radius: float, decision_geometry: GeometricSet,
-                    lipschitz_bound: float | None = None) -> ConstraintOracle:
-    c = np.atleast_1d(np.asarray(center, dtype=float))
+class AffineCost:
+    """Cost ``a @ x + b``."""
 
-    def value(x):
-        return _norm(np.asarray(x, dtype=float) - c) - radius
+    __slots__ = ("a", "b", "lipschitz_bound")
 
-    def subgradient(x):
-        delta = np.asarray(x, dtype=float) - c
-        n = _norm(delta, keepdims=True)
-        return np.divide(delta, n, out=np.zeros_like(delta), where=n > 1e-12)
+    def __init__(self, a, b, lipschitz_bound):
+        self.a, self.b, self.lipschitz_bound = a, b, lipschitz_bound
 
-    lip = 1.0 if lipschitz_bound is None else lipschitz_bound
-    region = Intersection((decision_geometry, Ball(c, radius)))
-    return ConstraintOracle(value=value, subgradient=subgradient,
-                            lipschitz_bound=lip, feasible_region=region)
+    def value(self, x):
+        return np.asarray(x, dtype=float) @ self.a + self.b
+
+    def subgradient(self, x):
+        return _linear_subgradient(x, self.a)
+
+    @staticmethod
+    def values_at(oracles, points):
+        return (_rows_dot(points, np.array([o.a for o in oracles]))
+                + np.array([o.b for o in oracles]))
 
 
-def box_constraint(lower, upper, decision_geometry: GeometricSet,
-                   lipschitz_bound: float | None = None) -> ConstraintOracle:
-    lo = np.atleast_1d(np.asarray(lower, dtype=float))
-    hi = np.atleast_1d(np.asarray(upper, dtype=float))
+class NormCost:
+    """Cost ``||x - center||``."""
 
-    def value(x):
+    __slots__ = ("center", "lipschitz_bound")
+
+    def __init__(self, center, lipschitz_bound):
+        self.center, self.lipschitz_bound = center, lipschitz_bound
+
+    def value(self, x):
+        return _norm(np.asarray(x, dtype=float) - self.center)
+
+    def subgradient(self, x):
+        return _unit_offset(x, self.center)
+
+    @staticmethod
+    def values_at(oracles, points):
+        return _norm(points - np.array([o.center for o in oracles]))
+
+
+class _Constraint:
+    """A constraint family's decision set and Lipschitz bound; its feasible
+    region, an ``Intersection`` with the decision set, is built when first
+    read."""
+
+    __slots__ = ("decision_geometry", "lipschitz_bound", "_region")
+
+    def __init__(self, decision_geometry, lipschitz_bound):
+        self.decision_geometry, self.lipschitz_bound = decision_geometry, lipschitz_bound
+        self._region = None
+
+    @property
+    def feasible_region(self) -> GeometricSet:
+        if self._region is None:
+            self._region = Intersection((self.decision_geometry, self._sublevel_set()))
+        return self._region
+
+
+class HalfspaceConstraint(_Constraint):
+    """Constraint ``a @ x - b <= 0``."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b, decision_geometry, lipschitz_bound):
+        super().__init__(decision_geometry, lipschitz_bound)
+        self.a, self.b = a, b
+
+    def _sublevel_set(self):
+        return Halfspace(self.a, self.b)
+
+    def value(self, x):
+        return np.asarray(x, dtype=float) @ self.a - self.b
+
+    def subgradient(self, x):
+        return _linear_subgradient(x, self.a)
+
+    @staticmethod
+    def values_at(oracles, points):
+        return (_rows_dot(points, np.array([o.a for o in oracles]))
+                - np.array([o.b for o in oracles]))
+
+
+class BallConstraint(_Constraint):
+    """Constraint ``||x - center|| - radius <= 0``."""
+
+    __slots__ = ("center", "radius")
+
+    def __init__(self, center, radius, decision_geometry, lipschitz_bound):
+        super().__init__(decision_geometry, lipschitz_bound)
+        self.center, self.radius = center, radius
+
+    def _sublevel_set(self):
+        return Ball(self.center, self.radius)
+
+    def value(self, x):
+        return _norm(np.asarray(x, dtype=float) - self.center) - self.radius
+
+    def subgradient(self, x):
+        return _unit_offset(x, self.center)
+
+    @staticmethod
+    def values_at(oracles, points):
+        return (_norm(points - np.array([o.center for o in oracles]))
+                - np.array([o.radius for o in oracles]))
+
+
+class BoxConstraint(_Constraint):
+    """Constraint ``max_i max(lower_i - x_i, x_i - upper_i) <= 0``."""
+
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower, upper, decision_geometry, lipschitz_bound):
+        super().__init__(decision_geometry, lipschitz_bound)
+        self.lower, self.upper = lower, upper
+
+    def _sublevel_set(self):
+        return Box(self.lower, self.upper)
+
+    def value(self, x):
         a = np.asarray(x, dtype=float)
-        return np.max(np.maximum(lo - a, a - hi), axis=-1)
+        return np.max(np.maximum(self.lower - a, a - self.upper), axis=-1)
 
-    def subgradient(x):
+    def subgradient(self, x):
         a = np.asarray(x, dtype=float)
+        lo, hi = self.lower, self.upper
         margins = np.maximum(lo - a, a - hi)
         i = int(np.argmax(margins))
         g = np.zeros_like(a)
         g[i] = -1.0 if (lo[i] - a[i]) >= (a[i] - hi[i]) else 1.0
         return g
 
-    lip = 1.0 if lipschitz_bound is None else lipschitz_bound
-    region = Intersection((decision_geometry, Box(lo, hi)))
-    return ConstraintOracle(value=value, subgradient=subgradient,
-                            lipschitz_bound=lip, feasible_region=region)
+    @staticmethod
+    def values_at(oracles, points):
+        lo = np.array([o.lower for o in oracles])
+        hi = np.array([o.upper for o in oracles])
+        return np.max(np.maximum(lo - points, points - hi), axis=-1)
+
+
+class ConstantConstraint(_Constraint):
+    """Constraint identically equal to ``level <= 0``: its feasible region
+    is the whole decision set."""
+
+    __slots__ = ("level",)
+
+    def __init__(self, level, decision_geometry, lipschitz_bound):
+        super().__init__(decision_geometry, lipschitz_bound)
+        self.level = level
+        self._region = decision_geometry
+
+    def value(self, x):
+        a = np.asarray(x, dtype=float)
+        return self.level if a.ndim == 1 else np.full(a.shape[0], self.level)
+
+    def subgradient(self, x):
+        return np.zeros(np.shape(x))
+
+    @staticmethod
+    def values_at(oracles, points):
+        return np.array([o.level for o in oracles], dtype=float)
+
+
+_KERNELS = {cls: cls.values_at for cls in (
+    AffineCost, NormCost, HalfspaceConstraint, BallConstraint, BoxConstraint,
+    ConstantConstraint)}
+
+
+def oracle_values(oracles, points):
+    """``float(oracles[i].value(points[i]))`` for every row ``i``, bit for
+    bit, with one kernel call per oracle family; any other oracle (a plain
+    ``CostOracle`` or ``ConstraintOracle``) is called one row at a time.
+
+    Returns ``(values, failure)``. ``failure`` is None, or ``(i, exc)`` for
+    the first row whose oracle raised ``exc``; rows from ``i`` on are then
+    not all evaluated.
+    """
+    values = np.full(len(oracles), np.nan)
+    groups = {}
+    for i, o in enumerate(oracles):
+        groups.setdefault(type(o), []).append(i)
+    failure = None
+    for cls, rows in groups.items():
+        kernel = _KERNELS.get(cls)
+        if kernel is not None:
+            try:
+                values[rows] = kernel([oracles[i] for i in rows], points[rows])
+                continue
+            except (ValueError, TypeError):
+                pass  # the kernel cannot say which row failed: call them in turn
+        for i in rows:
+            if failure is not None and i >= failure[0]:
+                break
+            try:
+                values[i] = float(oracles[i].value(points[i]))
+            except Exception as exc:
+                failure = (i, exc)
+    return values, failure
+
+
+def affine_cost(a, b: float = 0.0, lipschitz_bound: float | None = None) -> AffineCost:
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    lip = float(np.linalg.norm(a)) if lipschitz_bound is None else lipschitz_bound
+    return AffineCost(a, float(b), lip)
+
+
+def norm_cost(center, lipschitz_bound: float | None = None) -> NormCost:
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    return NormCost(c, 1.0 if lipschitz_bound is None else lipschitz_bound)
+
+
+def halfspace_constraint(a, b: float, decision_geometry: GeometricSet,
+                         lipschitz_bound: float | None = None) -> HalfspaceConstraint:
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    lip = float(np.linalg.norm(a)) if lipschitz_bound is None else lipschitz_bound
+    oracle = HalfspaceConstraint(a, float(b), decision_geometry, lip)
+    oracle.feasible_region  # an empty region is rejected here, not on first use
+    return oracle
+
+
+def ball_constraint(center, radius: float, decision_geometry: GeometricSet,
+                    lipschitz_bound: float | None = None) -> BallConstraint:
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    oracle = BallConstraint(c, float(radius), decision_geometry,
+                            1.0 if lipschitz_bound is None else lipschitz_bound)
+    oracle.feasible_region  # an empty region is rejected here, not on first use
+    return oracle
+
+
+def box_constraint(lower, upper, decision_geometry: GeometricSet,
+                   lipschitz_bound: float | None = None) -> BoxConstraint:
+    lo = np.atleast_1d(np.asarray(lower, dtype=float))
+    hi = np.atleast_1d(np.asarray(upper, dtype=float))
+    oracle = BoxConstraint(lo, hi, decision_geometry,
+                           1.0 if lipschitz_bound is None else lipschitz_bound)
+    oracle.feasible_region  # an empty region is rejected here, not on first use
+    return oracle
 
 
 def constant_constraint(level: float, decision_geometry: GeometricSet,
-                        lipschitz_bound: float = 0.0) -> ConstraintOracle:
+                        lipschitz_bound: float = 0.0) -> ConstantConstraint:
     """Constraint identically equal to ``level``; for ``level <= 0`` the
     feasible region is the whole decision set."""
     if level > 0:
         raise ValueError("a constant positive constraint has an empty feasible region")
-
-    def value(x):
-        a = np.asarray(x, dtype=float)
-        return level if a.ndim == 1 else np.full(a.shape[0], level)
-
-    def subgradient(x):
-        return np.zeros(np.shape(x))
-
-    return ConstraintOracle(value=value, subgradient=subgradient,
-                            lipschitz_bound=lipschitz_bound,
-                            feasible_region=decision_geometry)
+    return ConstantConstraint(level, decision_geometry, lipschitz_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +496,9 @@ class TrackingBallScenario(Scenario):
 
     def generate(self, t):
         self._check_round(t)
-        cost = affine_cost(self._directions[t - 1], 0.0, lipschitz_bound=self.g_lip)
-        constraint = ball_constraint(self._centers[t - 1], self._ball_radius,
-                                     self.decision_set.geometry,
-                                     lipschitz_bound=self.g_lip)
-        return cost, constraint
+        return (AffineCost(self._directions[t - 1], 0.0, self.g_lip),
+                BallConstraint(self._centers[t - 1], self._ball_radius,
+                               self.decision_set.geometry, self.g_lip))
 
     def comparators(self):
         minimizers = self._centers - self._ball_radius * self._directions
@@ -374,15 +534,13 @@ class OcoMixScenario(Scenario):
         self._anchors = radii[:, None] * np.stack(
             [np.cos(anchor_angles), np.sin(anchor_angles)], axis=1)
         self._comparator_phase = rng.uniform(0.0, 2.0 * math.pi)
+        self._constraint = constant_constraint(-1.0, geom, lipschitz_bound=self.g_lip)
 
     def generate(self, t):
         self._check_round(t)
         if t % 2 == 1:
-            cost = affine_cost(self._directions[t - 1], 0.0, lipschitz_bound=self.g_lip)
-        else:
-            cost = norm_cost(self._anchors[t - 1], lipschitz_bound=self.g_lip)
-        return cost, constant_constraint(-1.0, self.decision_set.geometry,
-                                         lipschitz_bound=self.g_lip)
+            return AffineCost(self._directions[t - 1], 0.0, self.g_lip), self._constraint
+        return NormCost(self._anchors[t - 1], self.g_lip), self._constraint
 
     def _circle(self, step):
         T = self.horizon

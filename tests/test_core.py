@@ -144,3 +144,16 @@ def test_run_record_row_count_and_monotone_q():
     qs = [r.q for r in rec.rows]
     assert all(b >= a for a, b in zip(qs, qs[1:]))
     assert qs[-1] >= 0.0
+
+
+def test_surrogate_grad_sq_sum_adds_left_to_right():
+    # squares 1e16, 1, 1: added in turn, each 1 rounds away (1e16 + 1 is a
+    # tie that rounds to even); a compensated sum (the builtin ``sum`` of
+    # floats from Python 3.12) gives 1e16 + 2. The summary and the
+    # plotdata prefixes must agree on every Python version.
+    rec = RunRecord(dimension=1)
+    for t, norm in enumerate([1e8, 1.0, 1.0], start=1):
+        rec.append(RoundRow(t, np.zeros(1), 0.0, 0.0, 0.0, 0.0, norm))
+    prefixes = np.cumsum([r.surrogate_grad_norm ** 2 for r in rec.rows])
+    assert rec.surrogate_grad_sq_sum() == prefixes[-1] == 1e16
+    assert RunRecord(dimension=1).surrogate_grad_sq_sum() == 0.0

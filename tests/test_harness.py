@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import coco_lab
-from coco_lab import subroutines
+from coco_lab import harness, subroutines
 from coco_lab.cli import main
-from coco_lab.core import CostOracle
+from coco_lab.core import ConstraintOracle, CostOracle
 from coco_lab.harness import (
     ALGORITHMS,
     VERIFY_REL_TOL,
@@ -23,7 +23,7 @@ from coco_lab.harness import (
     sweep_slope,
     verify_run,
 )
-from coco_lab.scenarios import SCENARIOS, ScenarioSpec, StaticScenario
+from coco_lab.scenarios import SCENARIOS, ScenarioSpec, StaticScenario, build_scenario
 
 
 def cfg(name="static", T=50, seed=0, algorithm="coco2", **kw):
@@ -113,6 +113,18 @@ def test_verify_catches_tampering(tmp_path):
     assert verify_run(out) != []
 
 
+def test_verify_reports_missing_rows(tmp_path):
+    out = str(tmp_path / "t")
+    run(cfg("static", T=20, out_dir=out))
+    path = os.path.join(out, "rounds.csv")
+    lines = open(path).read().splitlines()
+    with open(path, "w") as f:
+        f.write("\n".join(lines[:11]) + "\n")  # header and rounds 1..10
+    problems = verify_run(out)
+    assert problems[0] == "row count 10 != horizon 20"
+    assert not any("column mismatch" in p for p in problems)
+
+
 def test_unknown_comparator_is_config_error():
     with pytest.raises(ConfigError, match="unknown comparator"):
         run(cfg("static", comparators=["nope"]))
@@ -198,6 +210,130 @@ def test_run_rejects_non_finite_cost_with_round(monkeypatch, algorithm, bad_valu
     monkeypatch.setitem(SCENARIOS, "broken-static", _BrokenStatic)
     with pytest.raises(HarnessError, match=f"round 3: non-finite cost.*{what}"):
         run(cfg("broken-static", T=10, algorithm=algorithm))
+
+
+class _FailsFrom(StaticScenario):
+    """static, but from round ``comparator_from`` on the cost is NaN at the
+    points in ``nan_at``, from round ``infeasible_from`` on the constraint
+    is violated at 1, and from round ``learner_from`` on the subgradient is
+    NaN. adagrad plays 0, 3, 3, ..., so from round 2 on only the
+    comparators meet the changed values: 'minimizer-path' at 1, then
+    'interior-static' at 0."""
+
+    nan_at = (1.0,)
+    comparator_from = infeasible_from = learner_from = math.inf
+
+    def generate(self, t):
+        cost, constraint = super().generate(t)
+        nan_at = self.nan_at if t >= self.comparator_from else ()
+        infeasible = t >= self.infeasible_from
+        learner_nan = t >= self.learner_from
+
+        def value(x):
+            return np.nan if float(x[0]) in nan_at else cost.value(x)
+
+        def subgradient(x):
+            return np.array([np.nan]) if learner_nan else cost.subgradient(x)
+
+        def constraint_value(x):
+            return 1.0 if infeasible and float(x[0]) == 1.0 else constraint.value(x)
+
+        return (CostOracle(value=value, subgradient=subgradient,
+                           lipschitz_bound=cost.lipschitz_bound),
+                ConstraintOracle(value=constraint_value, subgradient=constraint.subgradient,
+                                 lipschitz_bound=constraint.lipschitz_bound,
+                                 feasible_region=constraint.feasible_region))
+
+
+@pytest.mark.parametrize("block", [harness.ORACLE_BLOCK, 2], ids=["block", "small-block"])
+@pytest.mark.parametrize("failures,what", [
+    ({"comparator_from": 3, "learner_from": 5},
+     "oracle failure at round 3: non-finite cost nan at comparator 'minimizer-path'"),
+    ({"comparator_from": 3, "learner_from": 3}, "oracle failure at round 3: non-finite gradient"),
+    ({"comparator_from": 5, "learner_from": 3}, "oracle failure at round 3: non-finite gradient"),
+    ({"comparator_from": 3, "nan_at": (0.0, 1.0)},
+     "oracle failure at round 3: non-finite cost nan at comparator 'minimizer-path'"),
+    ({"comparator_from": 3, "infeasible_from": 3},
+     "oracle failure at round 3: non-finite cost nan at comparator 'minimizer-path'"),
+    ({"comparator_from": 3, "nan_at": (0.0,), "infeasible_from": 3},
+     "comparator 'minimizer-path' marked feasible violates round 3"),
+    ({"comparator_from": 4, "nan_at": (0.0,), "infeasible_from": 5},
+     "oracle failure at round 4: non-finite cost nan at comparator 'interior-static'"),
+], ids=["comparator-earlier", "same-round-learner-first", "learner-earlier",
+        "same-round-first-comparator", "same-round-cost-before-feasibility",
+        "same-round-first-comparator-feasibility", "second-comparator-earlier"])
+def test_run_reports_the_first_failure(monkeypatch, block, failures, what):
+    monkeypatch.setattr(harness, "ORACLE_BLOCK", block)
+    for name, value in failures.items():
+        monkeypatch.setattr(_FailsFrom, name, value)
+    monkeypatch.setitem(SCENARIOS, "fails-from", _FailsFrom)
+    with pytest.raises(HarnessError, match=f"^{what}"):
+        run(cfg("fails-from", T=10, algorithm="adagrad"))
+
+
+def _sequential_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_comparator_costs_are_each_rounds_cost_value(scenario):
+    record = run(cfg(scenario, T=70, seed=4, algorithm="ahag"))
+    sc = build_scenario(ScenarioSpec(scenario, horizon=70, seed=4))
+    costs = [sc.generate(t)[0] for t in range(1, 71)]
+    sum_cost = _sequential_sum(row.f for row in record.rows)
+    for name, comp in record.comparators.items():
+        expect = [float(c.value(u)) for c, u in zip(costs, comp.points)]
+        assert record.comparator_costs[name].tolist() == expect, name
+        # the regret adds both sums in round order, as a running ``+=`` does
+        regret = sum_cost - _sequential_sum(expect)
+        assert record.summary[f"regret__{name}"] == regret, name
+
+
+def test_block_size_does_not_change_a_run(monkeypatch, tmp_path):
+    config = cfg("oco-mix", T=50, seed=2, algorithm="adagrad", emit_plotdata=True)
+    texts = []
+    for block, out in ((harness.ORACLE_BLOCK, "a"), (7, "b")):
+        monkeypatch.setattr(harness, "ORACLE_BLOCK", block)
+        config.out_dir = str(tmp_path / out)
+        run(config)
+        assert verify_run(config.out_dir) == []
+        texts.append([open(os.path.join(config.out_dir, f)).read()
+                      for f in ("rounds.csv", "plotdata.csv")])
+    assert texts[0] == texts[1]
+
+
+def _tamper(out, changes):
+    """Add ``delta`` to rounds.csv's ``column`` at ``round`` for each
+    ``(column, round) -> delta`` in ``changes``."""
+    path = os.path.join(out, "rounds.csv")
+    lines = open(path).read().splitlines()
+    header = lines[0].split(",")
+    for (column, t), delta in changes.items():
+        cells = lines[t].split(",")
+        i = header.index(column)
+        cells[i] = repr(float(cells[i]) + delta)
+        lines[t] = ",".join(cells)
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("block", [harness.ORACLE_BLOCK, 2], ids=["block", "small-block"])
+@pytest.mark.parametrize("changes,expect", [
+    ({("g", 3): 0.5, ("f", 7): 0.5}, "g column mismatch at round 3"),
+    ({("g", 3): 0.5, ("f", 3): 0.5}, "f column mismatch at round 3"),
+    ({("f", 8): 0.5, ("g", 9): 0.5}, "f column mismatch at round 8"),
+], ids=["g-earlier", "same-round-f-first", "f-earlier"])
+def test_verify_reports_the_first_mismatching_round(monkeypatch, tmp_path, block, changes,
+                                                    expect):
+    monkeypatch.setattr(harness, "ORACLE_BLOCK", block)
+    out = str(tmp_path / "t")
+    run(cfg("tracking-ball", T=30, seed=1, algorithm="adagrad", out_dir=out))
+    _tamper(out, changes)
+    problems = verify_run(out)
+    assert [p for p in problems if "column mismatch" in p] == [expect]
 
 
 @pytest.mark.parametrize("algorithm", ["coco2", "ahag"])

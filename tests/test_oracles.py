@@ -159,3 +159,24 @@ def test_min_feasible_path_horizon_cap():
     cons = [sc.generate(t)[1] for t in range(1, 3)] * 150
     with pytest.raises(ValueError, match="capped"):
         min_feasible_path(cons, GridSpec([-3.0], [3.0], 0.5))
+
+
+def test_grid_argmin_batch_error_surfaces_after_one_call():
+    calls = []
+
+    def broken(x):
+        calls.append(np.shape(x))
+        raise RuntimeError("oracle broke on its batch")
+
+    with pytest.raises(RuntimeError, match="oracle broke on its batch"):
+        grid_argmin(broken, Box([0.0], [1.0]), GridSpec([0.0], [1.0], 0.25))
+    assert calls == [(5, 1)]
+
+
+def test_grid_argmin_calls_point_by_point_on_a_wrongly_shaped_batch():
+    # a point-only oracle: on a batch it returns one number, not one per point
+    def point_only(x):
+        return float(np.sum((np.asarray(x) - 0.3) ** 2))
+
+    am = grid_argmin(point_only, Box([0.0], [1.0]), GridSpec([0.0], [1.0], 0.25))
+    assert np.array_equal(am, [0.25])

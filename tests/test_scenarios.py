@@ -1,9 +1,27 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from coco_lab.geometry import membership
+from coco_lab.core import CostOracle
+from coco_lab.geometry import Box, membership
 from coco_lab.oracles import GridSpec, constrained_minimizer_path, min_feasible_path
-from coco_lab.scenarios import SCENARIOS, ScenarioSpec, build_scenario, make_scenario
+from coco_lab.scenarios import (
+    SCENARIOS,
+    AffineCost,
+    BallConstraint,
+    BoxConstraint,
+    ConstantConstraint,
+    HalfspaceConstraint,
+    NormCost,
+    ScenarioSpec,
+    build_scenario,
+    make_scenario,
+    oracle_values,
+)
 
 
 ALL_NAMES = sorted(SCENARIOS)
@@ -142,3 +160,92 @@ def test_oco_mix_comparator_paths_span_orders():
     assert comps["static-center"].path_length == 0.0
     assert 0.5 * np.sqrt(T) <= comps["slow-circle"].path_length <= 2.0 * np.sqrt(T)
     assert comps["fast-circle"].path_length >= 0.25 * T
+
+
+def same_bits(a, b):
+    """Equal shapes and bit patterns (tells -0.0 from 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+FAMILIES = [AffineCost, NormCost, HalfspaceConstraint, BallConstraint, BoxConstraint,
+            ConstantConstraint]
+NUMBERS = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def family_oracle(draw, family, d):
+    """One round's oracle of ``family`` in dimension ``d``, parameters drawn."""
+    vec = hnp.arrays(float, d, elements=NUMBERS)
+    geom = Box(np.full(d, -1e4), np.full(d, 1e4))
+    if family is AffineCost:
+        return AffineCost(draw(vec), draw(NUMBERS), 1.0)
+    if family is NormCost:
+        return NormCost(draw(vec), 1.0)
+    if family is HalfspaceConstraint:
+        return HalfspaceConstraint(draw(vec), draw(NUMBERS), geom, 1.0)
+    if family is BallConstraint:
+        return BallConstraint(draw(vec), draw(st.floats(0.0, 1e3)), geom, 1.0)
+    if family is BoxConstraint:
+        a, b = draw(vec), draw(vec)
+        return BoxConstraint(np.minimum(a, b), np.maximum(a, b), geom, 1.0)
+    return ConstantConstraint(draw(st.floats(-1e3, 0.0)), geom, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_family_kernel_is_each_rounds_value_bitwise(family, d, data):
+    n = data.draw(st.integers(1, 12))
+    oracles = [data.draw(family_oracle(family, d)) for _ in range(n)]
+    points = data.draw(hnp.arrays(float, (n, d), elements=NUMBERS))
+    expect = [float(o.value(p)) for o, p in zip(oracles, points)]
+    assert same_bits(family.values_at(oracles, points), expect)
+    values, failure = oracle_values(oracles, points)
+    assert failure is None and same_bits(values, expect)
+
+
+def test_oracle_values_mixes_families_and_plain_oracles():
+    rng = np.random.default_rng(21)
+    geom = Box([-5.0, -5.0], [5.0, 5.0])
+    plain = CostOracle(value=lambda x: float(np.sum(x ** 3)), subgradient=None,
+                       lipschitz_bound=1.0)
+    oracles = [AffineCost(rng.normal(size=2), 0.5, 1.0), plain,
+               NormCost(rng.normal(size=2), 1.0), plain,
+               BallConstraint(rng.normal(size=2), 1.0, geom, 1.0),
+               AffineCost(rng.normal(size=2), -1.0, 1.0)]
+    points = rng.normal(size=(len(oracles), 2))
+    values, failure = oracle_values(oracles, points)
+    assert failure is None
+    assert same_bits(values, [float(o.value(p)) for o, p in zip(oracles, points)])
+
+
+def test_oracle_values_reports_the_first_raising_row():
+    calls = []
+
+    def value(x):
+        calls.append(x)
+        raise ArithmeticError("no value here")
+
+    broken = CostOracle(value=value, subgradient=None, lipschitz_bound=1.0)
+    oracles = [AffineCost(np.ones(1), 0.0, 1.0), broken, NormCost(np.zeros(1), 1.0), broken]
+    values, failure = oracle_values(oracles, np.arange(4.0)[:, None])
+    row, exc = failure
+    assert row == 1 and isinstance(exc, ArithmeticError)
+    assert len(calls) == 1  # the later broken row is not called
+    assert values[0] == 0.0 and values[2] == 2.0
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_generated_oracles_pickle(name):
+    sc = make_scenario(name, 8, seed=2)
+    xs = np.random.default_rng(19).uniform(-1, 1, size=(6, sc.dimension))
+    for t in (1, 2, 8):
+        cost, constraint = sc.generate(t)
+        cost_b, constraint_b = pickle.loads(pickle.dumps((cost, constraint)))
+        assert same_bits(cost_b.value(xs), cost.value(xs))
+        assert same_bits(constraint_b.value(xs), np.asarray(constraint.value(xs)))
+        assert same_bits(cost_b.subgradient(xs[0]), cost.subgradient(xs[0]))
+        assert np.array_equal(constraint_b.feasible_region.contains(xs),
+                              constraint.feasible_region.contains(xs))
