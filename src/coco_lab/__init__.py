@@ -15,7 +15,6 @@ from .core import (
     DecisionSet,
     RoundRow,
     RunRecord,
-    as_point,
     ccv_update,
     g_plus,
     path_length,

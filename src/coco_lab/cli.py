@@ -20,6 +20,7 @@ from .harness import (
     HarnessError,
     RunConfig,
     _atomic_write,
+    _read_json,
     _sweep_values,
     loglog_slope,
     run,
@@ -94,12 +95,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = os.path.join(args.run_dir, "summary.json")
-    try:
-        with open(path) as f:
-            summary = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    summary = _read_json(os.path.join(args.run_dir, "summary.json"))
     print(json.dumps(summary, sort_keys=True, indent=2))
     if args.verify:
         problems = verify_run(args.run_dir)

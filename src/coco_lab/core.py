@@ -18,18 +18,6 @@ from .geometry import GeometricSet, membership
 FEASIBILITY_TOL = 1e-9
 
 
-def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Coerce to a finite 1-d float vector, optionally checking the dimension."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1:
-        raise ValueError(f"a point must be a vector, got shape {p.shape}")
-    if dim is not None and p.shape[0] != dim:
-        raise ValueError(f"point dimension {p.shape[0]} != expected {dim}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point has non-finite coordinates")
-    return p
-
-
 @dataclass(frozen=True)
 class DecisionSet:
     """The fixed convex action set, with its declared Euclidean diameter.

@@ -26,7 +26,7 @@ import os
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,17 +85,13 @@ class RunConfig:
         if self.g_lip is not None:
             # explicit override feeds the scenario so the oracles, the
             # surrogates, and the budgets all share one Lipschitz bound
-            self.scenario = ScenarioSpec(
-                name=self.scenario.name, horizon=self.scenario.horizon,
-                seed=self.scenario.seed,
-                params={**self.scenario.params, "g_lip": self.g_lip},
-            )
+            self.scenario = replace(self.scenario,
+                                    params={**self.scenario.params, "g_lip": self.g_lip})
 
 
 def _resolve_comparators(config: RunConfig, scenario: Scenario) -> dict:
     available = scenario.comparators()
-    names = config.comparators if config.comparators is not None \
-        else scenario.default_comparators()
+    names = config.comparators if config.comparators is not None else list(available)
     if not names:
         raise ConfigError("at least one comparator must be registered")
     missing = [n for n in names if n not in available]
@@ -107,14 +103,13 @@ def _resolve_comparators(config: RunConfig, scenario: Scenario) -> dict:
 def _build_scenario(spec: ScenarioSpec) -> Scenario:
     try:
         return build_scenario(spec)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
 
-def run(config: RunConfig, horizon: int | None = None) -> RunRecord:
+def run(config: RunConfig) -> RunRecord:
     """Execute one run and return its record; persists when out_dir is set."""
-    spec = config.scenario if horizon is None else with_horizon(config.scenario, horizon)
-    scenario = _build_scenario(spec)
+    scenario = _build_scenario(config.scenario)
     comparators = _resolve_comparators(config, scenario)
     for name, comp in comparators.items():
         if comp.points.shape != (scenario.horizon, scenario.dimension):
@@ -368,9 +363,12 @@ def _fmt_column(values) -> list:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
+def _rounds_columns(d: int) -> list:
+    return ["t", *(f"x_{i}" for i in range(d)), "f", "g", "gplus", "Q", "grad_norm_surrogate"]
+
+
 def rounds_csv_text(record: RunRecord) -> str:
-    d = record.dimension
-    header = "t," + ",".join(f"x_{i}" for i in range(d)) + ",f,g,gplus,Q,grad_norm_surrogate"
+    header = ",".join(_rounds_columns(record.dimension))
     rows = record.rows
     if not rows:
         return header + "\n"
@@ -492,15 +490,11 @@ def sweep(config: RunConfig) -> list:
         raise ConfigError("sweep requires a horizons list")
     records = []
     for T in config.horizons:
-        sub = RunConfig(
-            scenario=config.scenario, algorithm=config.algorithm,
-            comparators=config.comparators, v=config.v, g_lip=None,
-            path_estimate=config.path_estimate,
-            out_dir=None if config.out_dir is None
-            else os.path.join(config.out_dir, f"T{T}"),
-            emit_plotdata=config.emit_plotdata,
-        )
-        records.append(run(sub, horizon=T))
+        # g_lip is already folded into the scenario's params, where each
+        # horizon's config.json records it
+        records.append(run(replace(
+            config, scenario=with_horizon(config.scenario, T), g_lip=None, horizons=None,
+            out_dir=None if config.out_dir is None else os.path.join(config.out_dir, f"T{T}"))))
     return records
 
 
@@ -519,23 +513,50 @@ def _values_or_raise(oracles: list, points: np.ndarray) -> np.ndarray:
     return values
 
 
+def _read_json(path: str):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def load_run(out_dir: str):
-    with open(os.path.join(out_dir, "summary.json")) as f:
-        summary = json.load(f)
-    with open(os.path.join(out_dir, "config.json")) as f:
-        cfg = json.load(f)
-    with open(os.path.join(out_dir, "rounds.csv")) as f:
-        names = f.readline().rstrip("\n").split(",")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    # rounds.csv's columns by name
+    """A run directory's summary, config and ``rounds.csv`` columns by name.
+
+    Raises ConfigError for a file that cannot be read, and HarnessError for
+    a ``rounds.csv`` that does not parse.
+    """
+    summary = _read_json(os.path.join(out_dir, "summary.json"))
+    cfg = _read_json(os.path.join(out_dir, "config.json"))
+    path = os.path.join(out_dir, "rounds.csv")
+    try:
+        with open(path) as f:
+            names = f.readline().rstrip("\n").split(",")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header and no rows
+                data = np.loadtxt(f, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise HarnessError(f"rounds.csv does not parse: {exc}") from exc
+    if data.size == 0:
+        data = np.empty((0, len(names)))
     return summary, cfg, dict(zip(names, data.T))
 
 
 def verify_run(out_dir: str) -> list:
-    """Recompute every summary number from rounds.csv; returns discrepancies."""
-    summary, cfg, rows = load_run(out_dir)
-    problems = []
+    """Recompute every summary number from rounds.csv; returns discrepancies.
+    Raises ConfigError if a file of the run cannot be read."""
+    try:
+        summary, cfg, rows = load_run(out_dir)
+    except HarnessError as exc:
+        return [str(exc)]
     d = summary["dimension"]
+    columns = _rounds_columns(d)
+    if list(rows) != columns:
+        return [f"rounds.csv columns {list(rows)} != {columns}"]
+    problems = []
     xs = np.stack([rows[f"x_{i}"] for i in range(d)], axis=1)
     f_col, g_col = rows["f"], rows["g"]
     gplus_col, q_col = rows["gplus"], rows["Q"]
@@ -543,6 +564,8 @@ def verify_run(out_dir: str) -> list:
 
     if len(f_col) != summary["horizon"]:
         problems.append(f"row count {len(f_col)} != horizon {summary['horizon']}")
+        if len(f_col) == 0:
+            return problems
     if np.max(np.abs(gplus_col - np.maximum(g_col, 0.0))) > 1e-12:
         problems.append("gplus column is not max(0, g)")
     q_re = np.cumsum(gplus_col)
@@ -559,7 +582,7 @@ def verify_run(out_dir: str) -> list:
     spec = ScenarioSpec(name=cfg["scenario"]["name"], horizon=int(summary["horizon"]),
                         seed=int(cfg["scenario"]["seed"]),
                         params=cfg["scenario"]["params"])
-    scenario = build_scenario(spec)
+    scenario = _build_scenario(spec)
     names = [k[len("regret__"):] for k in summary if k.startswith("regret__")]
     comparators = scenario.comparators()
     # f, g and the comparator costs are recomputed one block of rounds at a

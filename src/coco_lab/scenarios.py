@@ -24,10 +24,11 @@ from .geometry import Ball, Box, GeometricSet, Halfspace, Intersection, _norm
 # families whose sublevel sets project in closed form)
 #
 # Each family is a small class holding its parameters, so a round's oracles
-# pickle and ``generate`` only indexes per-round arrays. Besides ``value``
-# and ``subgradient`` each family has a cross-round kernel ``values_at``:
-# oracle ``i`` evaluated at row ``i``, with the bits of
-# ``float(oracles[i].value(points[i]))``.
+# pickle. Besides ``value`` and ``subgradient`` each family has a cross-round
+# kernel ``values_at``: oracle ``i`` at row ``i``, with the bits of
+# ``float(oracles[i].value(points[i]))``. Two shapes carry four families:
+# ``x @ a - b`` is computed as ``x @ a + (-b)`` and ``||x - c||`` as
+# ``||x - c|| - 0.0``, which in IEEE arithmetic give the same bits.
 
 def _rows_dot(points, vectors):
     """``points[i] @ vectors[i]`` for every row, bit for bit: a stacked
@@ -42,104 +43,29 @@ def _unit_offset(x, center):
     return np.divide(delta, n, out=np.zeros_like(delta), where=n > 1e-12)
 
 
-def _linear_subgradient(x, a):
-    g = np.empty(np.shape(x))
-    g[...] = a
-    return g
+class _Linear:
+    """``x @ a + shift``."""
 
-
-class AffineCost:
-    """Cost ``a @ x + b``."""
-
-    __slots__ = ("a", "b", "lipschitz_bound")
-
-    def __init__(self, a, b, lipschitz_bound):
-        self.a, self.b, self.lipschitz_bound = a, b, lipschitz_bound
+    __slots__ = ("a", "shift", "lipschitz_bound")
 
     def value(self, x):
-        return np.asarray(x, dtype=float) @ self.a + self.b
+        return np.asarray(x, dtype=float) @ self.a + self.shift
 
     def subgradient(self, x):
-        return _linear_subgradient(x, self.a)
+        g = np.empty(np.shape(x))
+        g[...] = self.a
+        return g
 
     @staticmethod
     def values_at(oracles, points):
         return (_rows_dot(points, np.array([o.a for o in oracles]))
-                + np.array([o.b for o in oracles]))
+                + np.array([o.shift for o in oracles]))
 
 
-class NormCost:
-    """Cost ``||x - center||``."""
+class _Radial:
+    """``||x - center|| - radius``."""
 
-    __slots__ = ("center", "lipschitz_bound")
-
-    def __init__(self, center, lipschitz_bound):
-        self.center, self.lipschitz_bound = center, lipschitz_bound
-
-    def value(self, x):
-        return _norm(np.asarray(x, dtype=float) - self.center)
-
-    def subgradient(self, x):
-        return _unit_offset(x, self.center)
-
-    @staticmethod
-    def values_at(oracles, points):
-        return _norm(points - np.array([o.center for o in oracles]))
-
-
-class _Constraint:
-    """A constraint family's decision set and Lipschitz bound; its feasible
-    region, an ``Intersection`` with the decision set, is built when first
-    read."""
-
-    __slots__ = ("decision_geometry", "lipschitz_bound", "_region")
-
-    def __init__(self, decision_geometry, lipschitz_bound):
-        self.decision_geometry, self.lipschitz_bound = decision_geometry, lipschitz_bound
-        self._region = None
-
-    @property
-    def feasible_region(self) -> GeometricSet:
-        if self._region is None:
-            self._region = Intersection((self.decision_geometry, self._sublevel_set()))
-        return self._region
-
-
-class HalfspaceConstraint(_Constraint):
-    """Constraint ``a @ x - b <= 0``."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b, decision_geometry, lipschitz_bound):
-        super().__init__(decision_geometry, lipschitz_bound)
-        self.a, self.b = a, b
-
-    def _sublevel_set(self):
-        return Halfspace(self.a, self.b)
-
-    def value(self, x):
-        return np.asarray(x, dtype=float) @ self.a - self.b
-
-    def subgradient(self, x):
-        return _linear_subgradient(x, self.a)
-
-    @staticmethod
-    def values_at(oracles, points):
-        return (_rows_dot(points, np.array([o.a for o in oracles]))
-                - np.array([o.b for o in oracles]))
-
-
-class BallConstraint(_Constraint):
-    """Constraint ``||x - center|| - radius <= 0``."""
-
-    __slots__ = ("center", "radius")
-
-    def __init__(self, center, radius, decision_geometry, lipschitz_bound):
-        super().__init__(decision_geometry, lipschitz_bound)
-        self.center, self.radius = center, radius
-
-    def _sublevel_set(self):
-        return Ball(self.center, self.radius)
+    __slots__ = ("center", "radius", "lipschitz_bound")
 
     def value(self, x):
         return _norm(np.asarray(x, dtype=float) - self.center) - self.radius
@@ -153,14 +79,75 @@ class BallConstraint(_Constraint):
                 - np.array([o.radius for o in oracles]))
 
 
+class _Constraint:
+    """Mixin: the feasible region, an ``Intersection`` of ``decision_geometry``
+    with the sublevel set, is built when first read."""
+
+    __slots__ = ()
+
+    @property
+    def feasible_region(self) -> GeometricSet:
+        if self._region is None:
+            self._region = Intersection((self.decision_geometry, self._sublevel_set()))
+        return self._region
+
+
+class AffineCost(_Linear):
+    """Cost ``a @ x + b``."""
+
+    __slots__ = ()
+
+    def __init__(self, a, b, lipschitz_bound):
+        self.a, self.shift, self.lipschitz_bound = a, b, lipschitz_bound
+
+    b = property(lambda self: self.shift)
+
+
+class NormCost(_Radial):
+    """Cost ``||x - center||``."""
+
+    __slots__ = ()
+
+    def __init__(self, center, lipschitz_bound):
+        self.center, self.radius, self.lipschitz_bound = center, 0.0, lipschitz_bound
+
+
+class HalfspaceConstraint(_Linear, _Constraint):
+    """Constraint ``a @ x - b <= 0``."""
+
+    __slots__ = ("decision_geometry", "_region")
+
+    def __init__(self, a, b, decision_geometry, lipschitz_bound):
+        self.a, self.shift, self.lipschitz_bound = a, -b, lipschitz_bound
+        self.decision_geometry, self._region = decision_geometry, None
+
+    b = property(lambda self: -self.shift)
+
+    def _sublevel_set(self):
+        return Halfspace(self.a, self.b)
+
+
+class BallConstraint(_Radial, _Constraint):
+    """Constraint ``||x - center|| - radius <= 0``."""
+
+    __slots__ = ("decision_geometry", "_region")
+
+    def __init__(self, center, radius, decision_geometry, lipschitz_bound):
+        self.center, self.radius, self.lipschitz_bound = center, radius, lipschitz_bound
+        self.decision_geometry, self._region = decision_geometry, None
+
+    def _sublevel_set(self):
+        return Ball(self.center, self.radius)
+
+
 class BoxConstraint(_Constraint):
     """Constraint ``max_i max(lower_i - x_i, x_i - upper_i) <= 0``."""
 
-    __slots__ = ("lower", "upper")
+    __slots__ = ("lower", "upper", "lipschitz_bound", "decision_geometry", "_region")
 
     def __init__(self, lower, upper, decision_geometry, lipschitz_bound):
-        super().__init__(decision_geometry, lipschitz_bound)
-        self.lower, self.upper = lower, upper
+        self.lower, self.upper, self.lipschitz_bound = lower, upper, lipschitz_bound
+        self.decision_geometry, self._region = decision_geometry, None
 
     def _sublevel_set(self):
         return Box(self.lower, self.upper)
@@ -189,12 +176,11 @@ class ConstantConstraint(_Constraint):
     """Constraint identically equal to ``level <= 0``: its feasible region
     is the whole decision set."""
 
-    __slots__ = ("level",)
+    __slots__ = ("level", "lipschitz_bound", "decision_geometry", "_region")
 
     def __init__(self, level, decision_geometry, lipschitz_bound):
-        super().__init__(decision_geometry, lipschitz_bound)
-        self.level = level
-        self._region = decision_geometry
+        self.level, self.lipschitz_bound = level, lipschitz_bound
+        self.decision_geometry = self._region = decision_geometry
 
     def value(self, x):
         a = np.asarray(x, dtype=float)
@@ -206,11 +192,6 @@ class ConstantConstraint(_Constraint):
     @staticmethod
     def values_at(oracles, points):
         return np.array([o.level for o in oracles], dtype=float)
-
-
-_KERNELS = {cls: cls.values_at for cls in (
-    AffineCost, NormCost, HalfspaceConstraint, BallConstraint, BoxConstraint,
-    ConstantConstraint)}
 
 
 def oracle_values(oracles, points):
@@ -228,7 +209,7 @@ def oracle_values(oracles, points):
         groups.setdefault(type(o), []).append(i)
     failure = None
     for cls, rows in groups.items():
-        kernel = _KERNELS.get(cls)
+        kernel = getattr(cls, "values_at", None)
         if kernel is not None:
             try:
                 values[rows] = kernel([oracles[i] for i in rows], points[rows])
@@ -256,32 +237,31 @@ def norm_cost(center, lipschitz_bound: float | None = None) -> NormCost:
     return NormCost(c, 1.0 if lipschitz_bound is None else lipschitz_bound)
 
 
+def _nonempty(oracle):
+    oracle.feasible_region  # an empty region is rejected here, not on first use
+    return oracle
+
+
 def halfspace_constraint(a, b: float, decision_geometry: GeometricSet,
                          lipschitz_bound: float | None = None) -> HalfspaceConstraint:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     lip = float(np.linalg.norm(a)) if lipschitz_bound is None else lipschitz_bound
-    oracle = HalfspaceConstraint(a, float(b), decision_geometry, lip)
-    oracle.feasible_region  # an empty region is rejected here, not on first use
-    return oracle
+    return _nonempty(HalfspaceConstraint(a, float(b), decision_geometry, lip))
 
 
 def ball_constraint(center, radius: float, decision_geometry: GeometricSet,
                     lipschitz_bound: float | None = None) -> BallConstraint:
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    oracle = BallConstraint(c, float(radius), decision_geometry,
-                            1.0 if lipschitz_bound is None else lipschitz_bound)
-    oracle.feasible_region  # an empty region is rejected here, not on first use
-    return oracle
+    return _nonempty(BallConstraint(c, float(radius), decision_geometry,
+                                    1.0 if lipschitz_bound is None else lipschitz_bound))
 
 
 def box_constraint(lower, upper, decision_geometry: GeometricSet,
                    lipschitz_bound: float | None = None) -> BoxConstraint:
     lo = np.atleast_1d(np.asarray(lower, dtype=float))
     hi = np.atleast_1d(np.asarray(upper, dtype=float))
-    oracle = BoxConstraint(lo, hi, decision_geometry,
-                           1.0 if lipschitz_bound is None else lipschitz_bound)
-    oracle.feasible_region  # an empty region is rejected here, not on first use
-    return oracle
+    return _nonempty(BoxConstraint(lo, hi, decision_geometry,
+                                   1.0 if lipschitz_bound is None else lipschitz_bound))
 
 
 def constant_constraint(level: float, decision_geometry: GeometricSet,
@@ -311,14 +291,22 @@ class ScenarioSpec:
 
 
 class Scenario:
-    """Deterministic instance: oracle pairs per round plus declared ground truth."""
+    """Deterministic instance: oracle pairs per round plus declared ground
+    truth, the exact path lengths ``minimizer_path`` and ``feasible_path``
+    (None where unknown)."""
 
     def __init__(self, spec: ScenarioSpec, decision_set: DecisionSet, g_lip: float,
-                 common_feasible: bool):
+                 common_feasible: bool, minimizer_path: float | None = None,
+                 feasible_path: float | None = None):
+        g_lip = float(g_lip)
+        if not (math.isfinite(g_lip) and g_lip >= 1.0):  # every oracle is 1-Lipschitz
+            raise ValueError(f"g_lip must be a finite Lipschitz bound >= 1, got {g_lip}")
         self.spec = spec
         self.decision_set = decision_set
-        self.g_lip = float(g_lip)
+        self.g_lip = g_lip
         self.common_feasible = common_feasible
+        self._minimizer_path = minimizer_path
+        self._feasible_path = feasible_path
 
     @property
     def name(self) -> str:
@@ -342,17 +330,20 @@ class Scenario:
     def comparators(self) -> dict:
         raise NotImplementedError
 
-    def default_comparators(self) -> list:
-        return list(self.comparators().keys())
-
     def minimizer_path_length(self):
         """Exact path length of the per-round constrained cost minimizers, if known."""
-        return None
+        return self._minimizer_path
 
     def feasible_path_length(self):
         """Exact path length of a declared round-feasible comparator (an upper
         bound on the minimum feasible path), if known."""
-        return None
+        return self._feasible_path
+
+
+def _feasible_comparators(points_by_name: dict) -> dict:
+    """Round-feasible comparator sequences, by name, from their points."""
+    return {name: ComparatorSequence.from_points(points, True, name)
+            for name, points in points_by_name.items()}
 
 
 class AlternatingScenario(Scenario):
@@ -365,7 +356,8 @@ class AlternatingScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = {"radius": 3.0, "g_lip": 1.0, **spec.params}
         geom = Box([-p["radius"]], [p["radius"]])
-        super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"], True)
+        super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"], True,
+                         minimizer_path=0.0, feasible_path=0.0)
         self._cost = norm_cost([0.0], lipschitz_bound=self.g_lip)
         self._odd = halfspace_constraint([1.0], 1.0, geom, lipschitz_bound=self.g_lip)
         self._even = halfspace_constraint([-1.0], 1.0, geom, lipschitz_bound=self.g_lip)
@@ -376,18 +368,8 @@ class AlternatingScenario(Scenario):
 
     def comparators(self):
         T = self.horizon
-        zeros = np.zeros((T, 1))
-        ones = np.ones((T, 1))
-        return {
-            "minimizer-path": ComparatorSequence.from_points(zeros, True, "minimizer-path"),
-            "static-boundary": ComparatorSequence.from_points(ones, True, "static-boundary"),
-        }
-
-    def minimizer_path_length(self):
-        return 0.0
-
-    def feasible_path_length(self):
-        return 0.0
+        return _feasible_comparators({"minimizer-path": np.zeros((T, 1)),
+                                      "static-boundary": np.ones((T, 1))})
 
 
 class DisjointAlternatingScenario(Scenario):
@@ -401,7 +383,9 @@ class DisjointAlternatingScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = {"g_lip": 1.0, **spec.params}
         geom = Box([0.0], [3.0])
-        super().__init__(spec, DecisionSet(geom, 3.0), p["g_lip"], False)
+        T = spec.horizon
+        super().__init__(spec, DecisionSet(geom, 3.0), p["g_lip"], False,
+                         minimizer_path=2.0 * (T - 1), feasible_path=float(T - 1))
         self._cost = norm_cost([0.0], lipschitz_bound=self.g_lip)
         self._odd = ball_constraint([0.5], 0.5, geom, lipschitz_bound=self.g_lip)
         self._even = ball_constraint([2.5], 0.5, geom, lipschitz_bound=self.g_lip)
@@ -410,24 +394,10 @@ class DisjointAlternatingScenario(Scenario):
         self._check_round(t)
         return self._cost, (self._odd if t % 2 == 1 else self._even)
 
-    def _hop_points(self, low, high):
-        T = self.horizon
-        pts = np.where(np.arange(1, T + 1)[:, None] % 2 == 1, low, high)
-        return pts.astype(float)
-
     def comparators(self):
-        return {
-            "min-feasible-path": ComparatorSequence.from_points(
-                self._hop_points(1.0, 2.0), True, "min-feasible-path"),
-            "minimizer-path": ComparatorSequence.from_points(
-                self._hop_points(0.0, 2.0), True, "minimizer-path"),
-        }
-
-    def minimizer_path_length(self):
-        return 2.0 * (self.horizon - 1)
-
-    def feasible_path_length(self):
-        return float(self.horizon - 1)
+        odd = np.arange(1, self.horizon + 1)[:, None] % 2 == 1
+        return _feasible_comparators({"min-feasible-path": np.where(odd, 1.0, 2.0),
+                                      "minimizer-path": np.where(odd, 0.0, 2.0)})
 
 
 class StaticScenario(Scenario):
@@ -441,7 +411,8 @@ class StaticScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = {"radius": 3.0, "g_lip": 1.0, **spec.params}
         geom = Box([-p["radius"]], [p["radius"]])
-        super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"], True)
+        super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"], True,
+                         minimizer_path=0.0, feasible_path=0.0)
         self._cost = affine_cost([-1.0], 0.0, lipschitz_bound=self.g_lip)
         self._constraint = halfspace_constraint([1.0], 1.0, geom, lipschitz_bound=self.g_lip)
 
@@ -451,18 +422,8 @@ class StaticScenario(Scenario):
 
     def comparators(self):
         T = self.horizon
-        return {
-            "minimizer-path": ComparatorSequence.from_points(
-                np.ones((T, 1)), True, "minimizer-path"),
-            "interior-static": ComparatorSequence.from_points(
-                np.zeros((T, 1)), True, "interior-static"),
-        }
-
-    def minimizer_path_length(self):
-        return 0.0
-
-    def feasible_path_length(self):
-        return 0.0
+        return _feasible_comparators({"minimizer-path": np.ones((T, 1)),
+                                      "interior-static": np.zeros((T, 1))})
 
 
 class TrackingBallScenario(Scenario):
@@ -481,18 +442,21 @@ class TrackingBallScenario(Scenario):
         }
         if p["ring_radius"] + p["ball_radius"] > p["set_radius"]:
             raise ValueError("feasible balls must stay inside the decision set")
-        geom = Ball(np.zeros(2), p["set_radius"])
-        super().__init__(spec, DecisionSet(geom, 2.0 * p["set_radius"]), p["g_lip"],
-                         common_feasible=p["ring_radius"] <= p["ball_radius"])
-        self._ball_radius = p["ball_radius"]
         T = spec.horizon
         rng = np.random.default_rng(spec.seed)
         phase_c, phase_a = rng.uniform(0.0, 2.0 * math.pi, size=2)
         steps = np.arange(T) / T
         theta = phase_c + 2.0 * math.pi * p["ring_loops"] * steps
         phi = phase_a + 2.0 * math.pi * p["cost_loops"] * steps
+        self._ball_radius = p["ball_radius"]
         self._centers = p["ring_radius"] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         self._directions = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        self._minimizers = self._centers - self._ball_radius * self._directions
+        geom = Ball(np.zeros(2), p["set_radius"])
+        super().__init__(spec, DecisionSet(geom, 2.0 * p["set_radius"]), p["g_lip"],
+                         common_feasible=p["ring_radius"] <= p["ball_radius"],
+                         minimizer_path=path_length(self._minimizers),
+                         feasible_path=path_length(self._centers))
 
     def generate(self, t):
         self._check_round(t)
@@ -501,19 +465,8 @@ class TrackingBallScenario(Scenario):
                                self.decision_set.geometry, self.g_lip))
 
     def comparators(self):
-        minimizers = self._centers - self._ball_radius * self._directions
-        return {
-            "center-path": ComparatorSequence.from_points(
-                self._centers, True, "center-path"),
-            "minimizer-path": ComparatorSequence.from_points(
-                minimizers, True, "minimizer-path"),
-        }
-
-    def minimizer_path_length(self):
-        return path_length(self._centers - self._ball_radius * self._directions)
-
-    def feasible_path_length(self):
-        return path_length(self._centers)
+        return _feasible_comparators({"center-path": self._centers,
+                                      "minimizer-path": self._minimizers})
 
 
 class OcoMixScenario(Scenario):
@@ -524,7 +477,8 @@ class OcoMixScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = {"set_radius": 2.0, "g_lip": 1.0, **spec.params}
         geom = Ball(np.zeros(2), p["set_radius"])
-        super().__init__(spec, DecisionSet(geom, 2.0 * p["set_radius"]), p["g_lip"], True)
+        super().__init__(spec, DecisionSet(geom, 2.0 * p["set_radius"]), p["g_lip"], True,
+                         feasible_path=0.0)
         T = spec.horizon
         rng = np.random.default_rng(spec.seed)
         angles = rng.uniform(0.0, 2.0 * math.pi, size=T)
@@ -549,17 +503,9 @@ class OcoMixScenario(Scenario):
 
     def comparators(self):
         T = self.horizon
-        return {
-            "static-center": ComparatorSequence.from_points(
-                np.zeros((T, 2)), True, "static-center"),
-            "slow-circle": ComparatorSequence.from_points(
-                self._circle(1.0 / math.sqrt(T)), True, "slow-circle"),
-            "fast-circle": ComparatorSequence.from_points(
-                self._circle(1.0), True, "fast-circle"),
-        }
-
-    def feasible_path_length(self):
-        return 0.0
+        return _feasible_comparators({"static-center": np.zeros((T, 2)),
+                                      "slow-circle": self._circle(1.0 / math.sqrt(T)),
+                                      "fast-circle": self._circle(1.0)})
 
 
 class TrivialScenario(Scenario):
@@ -569,7 +515,8 @@ class TrivialScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = {"g_lip": 1.0, **spec.params}
         geom = Box([-1.0], [1.0])
-        super().__init__(spec, DecisionSet(geom, 2.0), p["g_lip"], True)
+        super().__init__(spec, DecisionSet(geom, 2.0), p["g_lip"], True,
+                         minimizer_path=0.0, feasible_path=0.0)
         self._cost = affine_cost([0.0], 0.0, lipschitz_bound=self.g_lip)
         self._constraint = constant_constraint(-1.0, geom, lipschitz_bound=self.g_lip)
 
@@ -578,14 +525,7 @@ class TrivialScenario(Scenario):
         return self._cost, self._constraint
 
     def comparators(self):
-        return {"static-center": ComparatorSequence.from_points(
-            np.zeros((self.horizon, 1)), True, "static-center")}
-
-    def minimizer_path_length(self):
-        return 0.0
-
-    def feasible_path_length(self):
-        return 0.0
+        return _feasible_comparators({"static-center": np.zeros((self.horizon, 1))})
 
 
 SCENARIOS = {

@@ -463,3 +463,60 @@ def test_cli_seed_override(tmp_path):
     b1 = open(os.path.join(out1, "rounds.csv")).read()
     b2 = open(os.path.join(out2, "rounds.csv")).read()
     assert b1 != b2
+
+
+def _keep_header_only(path):
+    with open(path) as f:
+        header = f.readline()
+    with open(path, "w") as f:
+        f.write(header)
+
+
+def _spoil_one_cell(path):
+    lines = open(path).read().splitlines()
+    lines[3] = lines[3].replace(",", ",oops", 1)
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _unknown_scenario(path):
+    config = json.loads(open(path).read())
+    config["scenario"]["name"] = "nope"
+    with open(path, "w") as f:
+        f.write(json.dumps(config))
+
+
+def _rename_a_column(path):
+    text = open(path).read()
+    with open(path, "w") as f:
+        f.write(text.replace(",gplus,", ",g_plus,", 1))
+
+
+@pytest.mark.parametrize("name,damage,code,message", [
+    ("rounds.csv", _keep_header_only, 3, "VERIFY FAIL: row count 0 != horizon 20"),
+    ("rounds.csv", _spoil_one_cell, 3, "VERIFY FAIL: rounds.csv does not parse"),
+    ("rounds.csv", _rename_a_column, 3, "VERIFY FAIL: rounds.csv columns"),
+    ("rounds.csv", os.remove, 2, "config error: cannot read"),
+    ("config.json", os.remove, 2, "config error: cannot read"),
+    ("config.json", _unknown_scenario, 2, "config error: bad scenario"),
+], ids=["header-only", "unparsable", "renamed-column", "missing-rounds", "missing-config",
+        "unknown-scenario"])
+def test_cli_verify_damaged_run_directory(tmp_path, capsys, name, damage, code, message):
+    out = str(tmp_path / "d")
+    run(cfg("static", T=20, out_dir=out))
+    capsys.readouterr()
+    damage(os.path.join(out, name))
+    assert main(["report", out, "--verify"]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g_lip", [0, -1, 0.001, 0.999])
+def test_g_lip_below_the_oracles_bound_is_config_error(tmp_path, capsys, g_lip):
+    assert main(["run", "--config", write_config(tmp_path, g_lip=g_lip)]) == 2
+    assert "g_lip" in capsys.readouterr().err
+    for bad in (g_lip, math.inf, math.nan):
+        with pytest.raises(ValueError, match="g_lip"):
+            StaticScenario(ScenarioSpec("static", horizon=5, params={"g_lip": bad}))
+    assert StaticScenario(ScenarioSpec("static", horizon=5, params={"g_lip": 1.0})).g_lip == 1.0
+    # a value that is not a number at all is a configuration error too
+    assert main(["run", "--config", write_config(tmp_path, g_lip=[1])]) == 2
