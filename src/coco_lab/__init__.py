@@ -41,6 +41,7 @@ from .subroutines import (
     adahedge_step,
     ahag_bound_rhs,
     ahag_round,
+    ahag_step,
     num_experts,
 )
 from .coco import (

@@ -26,7 +26,7 @@ from .harness import (
     run,
     verify_run,
 )
-from .scenarios import SCENARIOS, ScenarioSpec
+from .scenarios import SCENARIOS
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -34,39 +34,15 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        sc = raw["scenario"]
-        spec = ScenarioSpec(
-            name=sc["name"],
-            horizon=int(sc.get("horizon", 1000)),
-            seed=int(overrides.seed if overrides.seed is not None else sc.get("seed", 0)),
-            params=dict(sc.get("params", {})),
-        )
-        horizons = raw.get("horizons")
-        if getattr(overrides, "horizons", None):
-            horizons = [int(h) for h in overrides.horizons.split(",")]
-        return RunConfig(
-            scenario=spec,
-            algorithm=raw["algorithm"],
-            comparators=raw.get("comparators"),
-            v=raw.get("v"),
-            g_lip=raw.get("g_lip"),
-            path_estimate=raw.get("path_estimate"),
-            horizons=horizons,
-            out_dir=overrides.out if overrides.out is not None else raw.get("out_dir"),
-            emit_plotdata=bool(raw.get("emit_plotdata", False)
-                               or getattr(overrides, "emit_plotdata", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad config {path}: {exc}") from exc
+def load_config(path: str, args: argparse.Namespace) -> RunConfig:
+    """``path``'s configuration under the command line's overrides."""
+    return RunConfig.from_json(_read_json(path), seed=args.seed, out_dir=args.out,
+                               horizons=getattr(args, "horizons", None),
+                               emit_plotdata=args.emit_plotdata or None)
+
+
+def _horizon_list(text: str) -> list:
+    return [int(h) for h in text.split(",")]
 
 
 def _cmd_run(args) -> int:
@@ -79,19 +55,14 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = load_config(args.config, args)
     records, values = _sweep_values(config, args.metric, args.comparator)
-    slope = loglog_slope(config.horizons, values)
-    out = {
-        "metric": args.metric,
-        "horizons": config.horizons,
-        "values": values,
-        "slope": slope,
-        "all_bounds_satisfied": all(r.summary["all_bounds_satisfied"] for r in records),
-    }
-    print(json.dumps(out, sort_keys=True, indent=2))
+    ok = all(r.summary["all_bounds_satisfied"] for r in records)
+    text = json.dumps({"metric": args.metric, "horizons": config.horizons, "values": values,
+                       "slope": loglog_slope(config.horizons, values),
+                       "all_bounds_satisfied": ok}, sort_keys=True, indent=2)
+    print(text)
     if config.out_dir is not None:
-        _atomic_write(os.path.join(config.out_dir, "sweep.json"),
-                      json.dumps(out, sort_keys=True, indent=2) + "\n")
-    return EXIT_OK if out["all_bounds_satisfied"] else EXIT_BOUND_VIOLATION
+        _atomic_write(os.path.join(config.out_dir, "sweep.json"), text + "\n")
+    return EXIT_OK if ok else EXIT_BOUND_VIOLATION
 
 
 def _cmd_report(args) -> int:
@@ -130,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--horizons", default=None, help="comma-separated list")
+    p_sweep.add_argument("--horizons", type=_horizon_list, default=None,
+                         help="comma-separated list")
     p_sweep.add_argument("--metric", choices=("ccv", "regret"), default="ccv")
     p_sweep.add_argument("--comparator", default=None)
     p_sweep.add_argument("--emit-plotdata", action="store_true", dest="emit_plotdata")

@@ -29,7 +29,7 @@ from .core import (
     g_plus,
 )
 from .geometry import GeometricSet, dist, dist_subgradient
-from .subroutines import AhagState, ahag_round
+from .subroutines import AhagState, ahag_round, ahag_step  # noqa: F401  ahag_round re-exported
 
 
 def auxiliary_value(cost: CostOracle, feasible_set: GeometricSet, g_lip: float, x) -> float:
@@ -51,15 +51,6 @@ def coco1_surrogate_subgradient(cost: CostOracle, constraint: ConstraintOracle, 
         grad += np.asarray(constraint.subgradient(x), dtype=float)
     grad += 2.0 * g_lip * dist_subgradient(x, constraint.feasible_region)
     return grad
-
-
-class _GradOnly:
-    """Adapter exposing a precomputed-at-play-point subgradient callable."""
-
-    __slots__ = ("subgradient",)
-
-    def __init__(self, fn):
-        self.subgradient = fn
 
 
 @dataclass
@@ -90,7 +81,7 @@ def _round(state: Coco1State | Coco2State, cost: CostOracle, constraint: Constra
     state.q = ccv_update(state.q, g_val)
     state.t += 1
     grad = np.asarray(surrogate_subgradient(x), dtype=float)
-    _, played = ahag_round(state.subroutine, _GradOnly(lambda _x: grad))
+    _, played = ahag_step(state.subroutine, grad)
     row = RoundRow(
         t=state.t, x=played, f=f_val, g=g_val, gplus=g_plus(g_val),
         q=state.q, surrogate_grad_norm=math.sqrt(grad @ grad),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import budgets
-from .coco import Coco1State, Coco2State, _GradOnly, coco1_round, coco2_round
+from .coco import Coco1State, Coco2State, coco1_round, coco2_round
 from .core import FEASIBILITY_TOL, RoundRow, RunRecord, ccv_update, g_plus
 from .geometry import membership
 from .scenarios import Scenario, ScenarioSpec, build_scenario, oracle_values, with_horizon
@@ -41,7 +42,7 @@ from .subroutines import (
     AdaGradState,
     AhagState,
     adagrad_step,
-    ahag_round,
+    ahag_step,
 )
 
 ALGORITHMS = ("adagrad", "ahag", "coco1", "coco2")
@@ -77,16 +78,49 @@ class RunConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.horizons is not None:
             hs = list(self.horizons)
+            if not all(isinstance(h, numbers.Integral) and not isinstance(h, bool) for h in hs):
+                raise ConfigError(f"horizons must be integers, got {hs}")
             if any(h2 <= h1 for h1, h2 in zip(hs, hs[1:])):
                 raise ConfigError("horizons must be strictly increasing")
             if any(h < 1 for h in hs):
                 raise ConfigError("horizons must be positive")
             self.horizons = hs
+        # each learner knob belongs to one algorithm: V to coco2, the path
+        # estimate to adagrad
+        for name, owner, sign in (("v", "coco2", "> 0"), ("path_estimate", "adagrad", ">= 0")):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if self.algorithm != owner:
+                raise ConfigError(f"{name} applies only to {owner}, not {self.algorithm}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value) or value < 0 or (value == 0 and name == "v"):
+                raise ConfigError(f"{name} must be a finite number {sign}, got {value!r}")
         if self.g_lip is not None:
             # explicit override feeds the scenario so the oracles, the
             # surrogates, and the budgets all share one Lipschitz bound
             self.scenario = replace(self.scenario,
                                     params={**self.scenario.params, "g_lip": self.g_lip})
+
+    @classmethod
+    def from_json(cls, raw, **overrides) -> RunConfig:
+        """The configuration a parsed ``config.json`` holds, a user's or the
+        one ``persist`` writes. Each override that is not None replaces its
+        field (``seed``, the scenario's seed)."""
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        try:
+            sc = raw["scenario"]
+            spec = ScenarioSpec(name=sc["name"], horizon=int(sc.get("horizon", 1000)),
+                                seed=int(overrides.pop("seed", sc.get("seed", 0))),
+                                params=dict(sc.get("params", {})))
+            fields = {k: raw.get(k) for k in
+                      ("comparators", "v", "g_lip", "path_estimate", "horizons", "out_dir")}
+            return cls(scenario=spec, algorithm=raw["algorithm"], **{
+                **fields, "emit_plotdata": bool(raw.get("emit_plotdata", False)), **overrides})
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, ConfigError):
+                raise
+            raise ConfigError(f"bad config: {exc!r}") from exc
 
 
 def _resolve_comparators(config: RunConfig, scenario: Scenario) -> dict:
@@ -123,8 +157,13 @@ def run(config: RunConfig) -> RunRecord:
                                          for name in comparators})
     state = _init_state(config, scenario)
     sum_cost = _play(config.algorithm, scenario, state, record)
-    comp_cost = {name: _running_sum(c) for name, c in record.comparator_costs.items()}
-    summary = _summarize(config, scenario, state, record, comp_cost, sum_cost)
+    grad_sq = record.surrogate_grad_sq_sum()
+    summary = _summarize(config, scenario, state, comparators, RunTotals(
+        record.horizon, record.final_ccv(), sum_cost, grad_sq,
+        {name: _running_sum(c) for name, c in record.comparator_costs.items()},
+        # the plain engines are budgeted on their own accumulator, the
+        # meta-algorithms on the recorded surrogate gradient norms
+        state.grad_sq_sum if config.algorithm in ("adagrad", "ahag") else grad_sq))
     summary["wall_clock_sec"] = time.perf_counter() - t0
     record.summary = summary
     if config.out_dir is not None:
@@ -214,14 +253,10 @@ def _earlier(failure, bad: np.ndarray, error):
 
 
 def _init_state(config: RunConfig, scenario: Scenario):
-    ds = scenario.decision_set
-    T = scenario.horizon
-    g = scenario.g_lip
+    ds, T, g = scenario.decision_set, scenario.horizon, scenario.g_lip
     if config.algorithm == "adagrad":
-        if config.path_estimate is not None:
-            return AdaGradState(decision_set=ds, mode=KNOWN_PATH,
-                                path_estimate=float(config.path_estimate))
-        return AdaGradState(decision_set=ds, mode=PATH_FREE)
+        return AdaGradState(ds, PATH_FREE if config.path_estimate is None else KNOWN_PATH,
+                            float(config.path_estimate or 0.0))
     if config.algorithm == "ahag":
         return AhagState.create(ds, T)
     if config.algorithm == "coco1":
@@ -240,33 +275,43 @@ def _advance(algorithm: str, state, cost, constraint, t: int, prev_q: float) -> 
         return coco1_round(state, cost, constraint)[2]
     if algorithm == "coco2":
         return coco2_round(state, cost, constraint)[2]
-    x = state.point if algorithm == "adagrad" else state.combined_point
+    adagrad = algorithm == "adagrad"
+    x = state.point if adagrad else state.combined_point
     f_val = float(cost.value(x))
     g_val = float(constraint.value(x))
     grad = np.asarray(cost.subgradient(x), dtype=float)
-    if algorithm == "adagrad":
-        adagrad_step(state, grad)
-    else:
-        ahag_round(state, _GradOnly(lambda _x: grad))
+    (adagrad_step if adagrad else ahag_step)(state, grad)
     return RoundRow(t=t, x=x, f=f_val, g=g_val, gplus=g_plus(g_val),
                     q=ccv_update(prev_q, g_val),
                     surrogate_grad_norm=math.sqrt(grad @ grad))
 
 
-def _summarize(config, scenario, state, record, comp_cost, sum_cost) -> dict:
+@dataclass(frozen=True)
+class RunTotals:
+    """The sums over a run's recorded rounds that its summary is built from."""
+
+    horizon: int
+    final_ccv: float
+    sum_cost: float
+    surrogate_grad_sq_sum: float
+    comparator_cost: dict  # comparator name -> sum of its costs
+    budget_grad_sq_sum: float  # the accumulator the budgets are evaluated on
+
+
+def _summarize(config, scenario, state, comparators: dict, totals: RunTotals) -> dict:
+    """The run summary; ``state`` gives only the learner's parameters."""
     algo = config.algorithm
-    ds = scenario.decision_set
     summary = {
         "algorithm": algo,
         "scenario": scenario.name,
         "seed": config.scenario.seed,
-        "horizon": record.horizon,
+        "horizon": totals.horizon,
         "dimension": scenario.dimension,
         "g_lip": scenario.g_lip,
-        "diameter": ds.diameter,
-        "final_ccv": record.final_ccv(),
-        "sum_cost": sum_cost,
-        "surrogate_grad_sq_sum": record.surrogate_grad_sq_sum(),
+        "diameter": scenario.decision_set.diameter,
+        "final_ccv": totals.final_ccv,
+        "sum_cost": totals.sum_cost,
+        "surrogate_grad_sq_sum": totals.surrogate_grad_sq_sum,
     }
     if algo == "adagrad":
         summary["mode"] = state.mode
@@ -275,41 +320,30 @@ def _summarize(config, scenario, state, record, comp_cost, sum_cost) -> dict:
     if algo == "coco2":
         summary["v"] = state.v_param
     meta = algo in ("coco1", "coco2")
-    # the plain engines are budgeted on their own accumulator, the
-    # meta-algorithms on the recorded surrogate gradient norms
-    grad_sq = summary["surrogate_grad_sq_sum"] if meta else state.grad_sq_sum
-
+    # the meta-algorithms' analysis covers feasible comparators; known-path
+    # descent covers comparators whose path fits its estimate
+    reach = state.path_estimate + 1e-12 if summary.get("mode") == KNOWN_PATH else math.inf
+    grad_sq = totals.budget_grad_sq_sum
     flags = []
-    for name, comp in record.comparators.items():
-        regret = sum_cost - comp_cost[name]
+    for name, comp in comparators.items():
+        regret = totals.sum_cost - totals.comparator_cost[name]
         summary[f"path_length__{name}"] = comp.path_length
         summary[f"feasible__{name}"] = comp.feasible
         summary[f"regret__{name}"] = regret
-        # the meta-algorithms' analysis covers feasible comparators; known-path
-        # descent covers comparators whose path fits its estimate
-        if meta:
-            applies = comp.feasible
-        elif algo == "adagrad" and state.mode == KNOWN_PATH:
-            applies = comp.path_length <= state.path_estimate + 1e-12
-        else:
-            applies = True
-        if applies:
-            rhs = _budget(summary, comp.path_length, record.horizon, grad_sq)
+        if comp.feasible if meta else comp.path_length <= reach:
+            rhs = _budget(summary, comp.path_length, totals.horizon, grad_sq)
             summary[f"bound_rhs__{name}"] = rhs
             ok = regret <= rhs * (1.0 + 1e-12) + 1e-12
             summary[f"bound_ok__{name}"] = bool(ok)
             flags.append(bool(ok))
 
-    ccv_path = None
-    if algo == "coco1":
-        ccv_path = scenario.minimizer_path_length()
-    elif algo == "coco2":
-        ccv_path = scenario.feasible_path_length()
+    ccv_path = (scenario.minimizer_path_length() if algo == "coco1" else
+                scenario.feasible_path_length() if algo == "coco2" else None)
     if ccv_path is not None:
-        ccv_rhs = _budget(summary, ccv_path, record.horizon, grad_sq, ccv=True)
+        ccv_rhs = _budget(summary, ccv_path, totals.horizon, grad_sq, ccv=True)
         summary["ccv_bound_path"] = ccv_path
         summary["ccv_bound_rhs"] = ccv_rhs
-        ok = record.final_ccv() <= ccv_rhs * (1.0 + 1e-12) + 1e-12
+        ok = totals.final_ccv <= ccv_rhs * (1.0 + 1e-12) + 1e-12
         summary["ccv_bound_ok"] = bool(ok)
         flags.append(bool(ok))
 
@@ -420,16 +454,12 @@ def persist(record: RunRecord, config: RunConfig, out_dir: str):
     _atomic_write(os.path.join(out_dir, "rounds.csv"), rounds_csv_text(record))
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   json.dumps(record.summary, sort_keys=True, indent=2) + "\n")
-    cfg = {
-        "scenario": {
-            "name": config.scenario.name, "horizon": record.horizon,
-            "seed": config.scenario.seed, "params": config.scenario.params,
-        },
-        "algorithm": config.algorithm,
-        "comparators": list(config.comparators) if config.comparators is not None else None,
-        "v": config.v, "g_lip": config.g_lip, "path_estimate": config.path_estimate,
-        "emit_plotdata": config.emit_plotdata,
-    }
+    # what RunConfig.from_json reads back
+    cfg = {k: getattr(config, k) for k in ("algorithm", "v", "g_lip", "path_estimate",
+                                           "emit_plotdata")}
+    cfg["scenario"] = {"name": config.scenario.name, "horizon": record.horizon,
+                       "seed": config.scenario.seed, "params": config.scenario.params}
+    cfg["comparators"] = None if config.comparators is None else list(config.comparators)
     _atomic_write(os.path.join(out_dir, "config.json"),
                   json.dumps(cfg, sort_keys=True, indent=2) + "\n")
     if config.emit_plotdata:
@@ -513,12 +543,15 @@ def _values_or_raise(oracles: list, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            value = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return value
 
 
 def load_run(out_dir: str):
@@ -545,49 +578,46 @@ def load_run(out_dir: str):
     return summary, cfg, dict(zip(names, data.T))
 
 
+def _same(a, b) -> bool:
+    """Summary values agree: numbers within ``VERIFY_REL_TOL`` (plain float
+    arithmetic), anything else equal and of the same type."""
+    if type(a) in (int, float) and type(b) in (int, float):
+        return abs(a - b) <= VERIFY_REL_TOL * max(1.0, abs(a), abs(b))
+    return type(a) is type(b) and a == b
+
+
 def verify_run(out_dir: str) -> list:
-    """Recompute every summary number from rounds.csv; returns discrepancies.
-    Raises ConfigError if a file of the run cannot be read."""
+    """Rebuild the summary from rounds.csv and config.json as ``run`` builds
+    it, and diff it with summary.json key by key (``wall_clock_sec`` aside);
+    returns the discrepancies. Raises ConfigError if a file of the run
+    cannot be read or its config is invalid."""
     try:
         summary, cfg, rows = load_run(out_dir)
     except HarnessError as exc:
         return [str(exc)]
-    d = summary["dimension"]
-    columns = _rounds_columns(d)
+    config = RunConfig.from_json(cfg)
+    scenario = _build_scenario(config.scenario)
+    comparators = _resolve_comparators(config, scenario)
+    columns = _rounds_columns(scenario.dimension)
     if list(rows) != columns:
         return [f"rounds.csv columns {list(rows)} != {columns}"]
     problems = []
-    xs = np.stack([rows[f"x_{i}"] for i in range(d)], axis=1)
+    xs = np.stack([rows[f"x_{i}"] for i in range(scenario.dimension)], axis=1)
     f_col, g_col = rows["f"], rows["g"]
     gplus_col, q_col = rows["gplus"], rows["Q"]
-    grad_col = rows["grad_norm_surrogate"]
 
-    if len(f_col) != summary["horizon"]:
-        problems.append(f"row count {len(f_col)} != horizon {summary['horizon']}")
+    if len(f_col) != scenario.horizon:
+        problems.append(f"row count {len(f_col)} != horizon {scenario.horizon}")
         if len(f_col) == 0:
             return problems
     if np.max(np.abs(gplus_col - np.maximum(g_col, 0.0))) > 1e-12:
         problems.append("gplus column is not max(0, g)")
-    q_re = np.cumsum(gplus_col)
-    if not np.allclose(q_re, q_col, rtol=VERIFY_REL_TOL, atol=1e-9):
+    if not np.allclose(np.cumsum(gplus_col), q_col, rtol=VERIFY_REL_TOL, atol=1e-9):
         problems.append("Q column does not match the running violation sum")
-    if not _rel_close(float(q_col[-1]), summary["final_ccv"]):
-        problems.append("final_ccv mismatch")
-    if not _rel_close(float(np.sum(f_col)), summary["sum_cost"]):
-        problems.append("sum_cost mismatch")
-    s_re = float(np.sum(grad_col ** 2))
-    if not _rel_close(s_re, summary["surrogate_grad_sq_sum"]):
-        problems.append("surrogate_grad_sq_sum mismatch")
 
-    spec = ScenarioSpec(name=cfg["scenario"]["name"], horizon=int(summary["horizon"]),
-                        seed=int(cfg["scenario"]["seed"]),
-                        params=cfg["scenario"]["params"])
-    scenario = _build_scenario(spec)
-    names = [k[len("regret__"):] for k in summary if k.startswith("regret__")]
-    comparators = scenario.comparators()
     # f, g and the comparator costs are recomputed one block of rounds at a
     # time; the sums run over the rounds before the first mismatch
-    fx, comp_costs = [], {n: [] for n in names}
+    fx, comp_costs = [], {n: [] for n in comparators}
     for start in range(0, min(scenario.horizon, len(f_col)), ORACLE_BLOCK):
         stop = min(start + ORACLE_BLOCK, scenario.horizon, len(f_col))
         pairs = [scenario.generate(t) for t in range(start + 1, stop + 1)]
@@ -602,27 +632,20 @@ def verify_run(out_dir: str) -> list:
             column = "f" if f_bad[end] else "g"
             problems.append(f"{column} column mismatch at round {start + end + 1}")
         fx.append(f_re[:end])
-        for n in names:
-            comp_costs[n].append(
-                _values_or_raise(costs[:end], comparators[n].points[start:start + end]))
+        for n, comp in comparators.items():
+            comp_costs[n].append(_values_or_raise(costs[:end], comp.points[start:start + end]))
         if mismatch:
             break
-    sum_fx = _running_sum(*fx)
-    comp_cost = {n: _running_sum(*c) for n, c in comp_costs.items()}
 
-    for n in names:
-        regret_re = sum_fx - comp_cost[n]
-        if not _rel_close(regret_re, summary[f"regret__{n}"]):
-            problems.append(f"regret__{n} mismatch")
-        if not _rel_close(comparators[n].path_length, summary[f"path_length__{n}"]):
-            problems.append(f"path_length__{n} mismatch")
-        rhs_key = f"bound_rhs__{n}"
-        if rhs_key in summary:
-            rhs_re = _budget(summary, comparators[n].path_length, scenario.horizon, s_re)
-            if not _rel_close(rhs_re, summary[rhs_key]):
-                problems.append(f"bound_rhs__{n} mismatch")
-    if "ccv_bound_rhs" in summary:
-        rhs_re = _budget(summary, summary["ccv_bound_path"], scenario.horizon, s_re, ccv=True)
-        if not _rel_close(rhs_re, summary["ccv_bound_rhs"]):
-            problems.append("ccv_bound_rhs mismatch")
+    # the recorded gradient norms stand in for the plain engines' own
+    # accumulator, as they do in plotdata.csv
+    grad_sq = _running_sum(rows["grad_norm_surrogate"] ** 2)
+    expected = _summarize(config, scenario, _init_state(config, scenario), comparators, RunTotals(
+        len(f_col), float(q_col[-1]), _running_sum(*fx), grad_sq,
+        {n: _running_sum(*c) for n, c in comp_costs.items()}, grad_sq))
+    problems += [f"{key} mismatch" for key in expected
+                 if key in summary and not _same(summary[key], expected[key])]
+    problems += [f"{key} missing from summary.json" for key in expected if key not in summary]
+    problems += [f"{key} not expected in summary.json" for key in summary
+                 if key not in expected and key != "wall_clock_sec"]
     return problems

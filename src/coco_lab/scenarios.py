@@ -340,6 +340,15 @@ class Scenario:
         return self._feasible_path
 
 
+def _params(spec: ScenarioSpec, **defaults) -> dict:
+    """``defaults`` and a ``g_lip`` of 1 under ``spec.params``, which must not add a name."""
+    defaults = {"g_lip": 1.0, **defaults}
+    unknown = sorted(set(spec.params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown params {unknown}; {spec.name!r} reads {sorted(defaults)}")
+    return {**defaults, **spec.params}
+
+
 def _feasible_comparators(points_by_name: dict) -> dict:
     """Round-feasible comparator sequences, by name, from their points."""
     return {name: ComparatorSequence.from_points(points, True, name)
@@ -354,7 +363,7 @@ class AlternatingScenario(Scenario):
     """
 
     def __init__(self, spec: ScenarioSpec):
-        p = {"radius": 3.0, "g_lip": 1.0, **spec.params}
+        p = _params(spec, radius=3.0)
         geom = Box([-p["radius"]], [p["radius"]])
         super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"], True,
                          minimizer_path=0.0, feasible_path=0.0)
@@ -381,7 +390,7 @@ class DisjointAlternatingScenario(Scenario):
     """
 
     def __init__(self, spec: ScenarioSpec):
-        p = {"g_lip": 1.0, **spec.params}
+        p = _params(spec)
         geom = Box([0.0], [3.0])
         T = spec.horizon
         super().__init__(spec, DecisionSet(geom, 3.0), p["g_lip"], False,
@@ -409,7 +418,7 @@ class StaticScenario(Scenario):
     """
 
     def __init__(self, spec: ScenarioSpec):
-        p = {"radius": 3.0, "g_lip": 1.0, **spec.params}
+        p = _params(spec, radius=3.0)
         geom = Box([-p["radius"]], [p["radius"]])
         super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"], True,
                          minimizer_path=0.0, feasible_path=0.0)
@@ -436,10 +445,8 @@ class TrackingBallScenario(Scenario):
     """
 
     def __init__(self, spec: ScenarioSpec):
-        p = {
-            "set_radius": 3.0, "ring_radius": 1.5, "ball_radius": 1.0,
-            "ring_loops": 1.0, "cost_loops": 3.0, "g_lip": 1.0, **spec.params,
-        }
+        p = _params(spec, set_radius=3.0, ring_radius=1.5, ball_radius=1.0,
+                    ring_loops=1.0, cost_loops=3.0)
         if p["ring_radius"] + p["ball_radius"] > p["set_radius"]:
             raise ValueError("feasible balls must stay inside the decision set")
         T = spec.horizon
@@ -475,7 +482,7 @@ class OcoMixScenario(Scenario):
     span zero, order sqrt(T), and order T."""
 
     def __init__(self, spec: ScenarioSpec):
-        p = {"set_radius": 2.0, "g_lip": 1.0, **spec.params}
+        p = _params(spec, set_radius=2.0)
         geom = Ball(np.zeros(2), p["set_radius"])
         super().__init__(spec, DecisionSet(geom, 2.0 * p["set_radius"]), p["g_lip"], True,
                          feasible_path=0.0)
@@ -513,7 +520,7 @@ class TrivialScenario(Scenario):
     should vanish and every budget flag should hold."""
 
     def __init__(self, spec: ScenarioSpec):
-        p = {"g_lip": 1.0, **spec.params}
+        p = _params(spec)
         geom = Box([-1.0], [1.0])
         super().__init__(spec, DecisionSet(geom, 2.0), p["g_lip"], True,
                          minimizer_path=0.0, feasible_path=0.0)

@@ -220,20 +220,25 @@ class AhagState:
         return self.experts.point
 
 
-def ahag_round(state: AhagState, cost) -> tuple[AhagState, np.ndarray]:
-    """Play the weighted expert combination, then update every layer.
+def ahag_step(state: AhagState, grad: np.ndarray) -> tuple[AhagState, np.ndarray]:
+    """Play the weighted expert combination, then update every layer on
+    ``grad``, the gradient taken at that play.
 
-    ``cost`` only needs a ``subgradient`` callable. The expert losses are
-    formed from the pre-update expert points, matching the regret
-    decomposition the ensemble is built on.
+    The expert losses are formed from the pre-update expert points,
+    matching the regret decomposition the ensemble is built on.
     """
     x = state.combined_point
-    grad = np.asarray(cost.subgradient(x), dtype=float)
     losses = state.experts.point @ grad
     adagrad_step(state.experts, grad)
     adahedge_step(state.hedge, losses)
     state.combined_point = state.hedge.weights @ state.experts.point
     return state, x
+
+
+def ahag_round(state: AhagState, cost) -> tuple[AhagState, np.ndarray]:
+    """``ahag_step`` on ``cost``'s subgradient at the combined play; ``cost``
+    only needs a ``subgradient`` callable."""
+    return ahag_step(state, np.asarray(cost.subgradient(state.combined_point), dtype=float))
 
 
 def ahag_bound_rhs(state: AhagState, path_length: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -108,13 +109,13 @@ def test_coco1_trajectory_matches_reference_loop():
     sc = make_scenario("disjoint-alternating", 12)
     state = Coco1State.create(sc.decision_set, 12, sc.g_lip)
     ref = AhagState.create(sc.decision_set, 12)
-    from coco_lab.coco import _GradOnly
 
     for t in range(1, 13):
         cost, constraint = sc.generate(t)
         _, played, _ = coco1_round(state, cost, constraint)
         _, ref_played = ahag_round(
-            ref, _GradOnly(lambda p: coco1_surrogate_subgradient(cost, constraint, p)))
+            ref, types.SimpleNamespace(
+                subgradient=lambda p: coco1_surrogate_subgradient(cost, constraint, p)))
         assert np.array_equal(played, ref_played)
 
 
@@ -148,7 +149,6 @@ def test_coco2_trajectory_matches_reference_loop():
     sc = make_scenario("disjoint-alternating", 12)
     state = Coco2State.create(sc.decision_set, 12, sc.g_lip, v=5.0)
     ref = AhagState.create(sc.decision_set, 12)
-    from coco_lab.coco import _GradOnly
 
     q = 0.0
     for t in range(1, 13):
@@ -164,7 +164,7 @@ def test_coco2_trajectory_matches_reference_loop():
             return g
 
         _, played, _ = coco2_round(state, cost, constraint)
-        _, ref_played = ahag_round(ref, _GradOnly(surrogate_grad))
+        _, ref_played = ahag_round(ref, types.SimpleNamespace(subgradient=surrogate_grad))
         assert np.array_equal(played, ref_played)
     assert state.q == pytest.approx(q)
 

@@ -83,6 +83,36 @@ def test_verify_catches_scaled_budget(tmp_path, algorithm):
         assert verify_run(out) == [f"{key} mismatch"]
 
 
+@pytest.mark.parametrize("key", [
+    "all_bounds_satisfied", "ccv_bound_ok", "bound_ok__center-path", "bound_ok__minimizer-path",
+    "feasible__center-path", "feasible__minimizer-path", "ccv_bound_path", "v", "diameter",
+    "g_lip", "seed"])
+def test_verify_catches_each_changed_summary_key(tmp_path, key):
+    # the flags and the budget inputs are rebuilt, not read back from the summary
+    out = str(tmp_path / "r")
+    run(cfg("tracking-ball", T=50, seed=3, algorithm="coco2", out_dir=out))
+    path = os.path.join(out, "summary.json")
+    summary = json.loads(open(path).read())
+    value = summary[key]
+    with open(path, "w") as f:
+        json.dump({**summary, key: (not value) if isinstance(value, bool) else value + 1}, f)
+    assert verify_run(out) == [f"{key} mismatch"]
+
+
+def test_verify_names_missing_unexpected_and_retyped_keys(tmp_path):
+    out = str(tmp_path / "r")
+    run(cfg("static", T=20, algorithm="adagrad", out_dir=out))
+    path = os.path.join(out, "summary.json")
+    summary = json.loads(open(path).read())
+    del summary["dimension"], summary["wall_clock_sec"]
+    summary.update({"extra": 1.0, "all_bounds_satisfied": 1, "mode": "known_path"})
+    with open(path, "w") as f:
+        json.dump(summary, f)
+    assert verify_run(out) == ["mode mismatch", "all_bounds_satisfied mismatch",
+                               "dimension missing from summary.json",
+                               "extra not expected in summary.json"]
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_plotdata_final_rows_match_summary(tmp_path, algorithm, scenario):
@@ -486,6 +516,32 @@ def _unknown_scenario(path):
         f.write(json.dumps(config))
 
 
+def _drop_dimension(path):
+    summary = json.loads(open(path).read())
+    del summary["dimension"]
+    with open(path, "w") as f:
+        f.write(json.dumps(summary))
+
+
+def _empty_list(path):
+    with open(path, "w") as f:
+        f.write("[]")
+
+
+def _drop_algorithm(path):
+    config = json.loads(open(path).read())
+    del config["algorithm"]
+    with open(path, "w") as f:
+        f.write(json.dumps(config))
+
+
+def _negative_v(path):
+    config = json.loads(open(path).read())
+    config["v"] = -1
+    with open(path, "w") as f:
+        f.write(json.dumps(config))
+
+
 def _rename_a_column(path):
     text = open(path).read()
     with open(path, "w") as f:
@@ -499,8 +555,14 @@ def _rename_a_column(path):
     ("rounds.csv", os.remove, 2, "config error: cannot read"),
     ("config.json", os.remove, 2, "config error: cannot read"),
     ("config.json", _unknown_scenario, 2, "config error: bad scenario"),
+    ("summary.json", _drop_dimension, 3, "VERIFY FAIL: dimension missing from summary.json"),
+    ("summary.json", _empty_list, 2, "does not hold a JSON object"),
+    ("config.json", _empty_list, 2, "does not hold a JSON object"),
+    ("config.json", _drop_algorithm, 2, "config error: bad config"),
+    ("config.json", _negative_v, 2, "config error: v must be a finite number > 0"),
 ], ids=["header-only", "unparsable", "renamed-column", "missing-rounds", "missing-config",
-        "unknown-scenario"])
+        "unknown-scenario", "summary-without-key", "summary-list", "config-list",
+        "config-without-algorithm", "config-negative-v"])
 def test_cli_verify_damaged_run_directory(tmp_path, capsys, name, damage, code, message):
     out = str(tmp_path / "d")
     run(cfg("static", T=20, out_dir=out))
@@ -520,3 +582,53 @@ def test_g_lip_below_the_oracles_bound_is_config_error(tmp_path, capsys, g_lip):
     assert StaticScenario(ScenarioSpec("static", horizon=5, params={"g_lip": 1.0})).g_lip == 1.0
     # a value that is not a number at all is a configuration error too
     assert main(["run", "--config", write_config(tmp_path, g_lip=[1])]) == 2
+
+
+@pytest.mark.parametrize("algorithm,knob,value,message", [
+    ("coco2", "v", -1, "v must be a finite number > 0"),
+    ("coco2", "v", 0, "v must be a finite number > 0"),
+    ("coco2", "v", "x", "v must be a finite number > 0"),
+    ("coco2", "v", math.nan, "v must be a finite number > 0"),
+    ("coco2", "v", True, "v must be a finite number > 0"),
+    ("adagrad", "path_estimate", -1, "path_estimate must be a finite number >= 0"),
+    ("adagrad", "path_estimate", "x", "path_estimate must be a finite number >= 0"),
+    ("adagrad", "path_estimate", math.inf, "path_estimate must be a finite number >= 0"),
+    ("coco1", "v", 2.0, "v applies only to coco2, not coco1"),
+    ("ahag", "path_estimate", 3.0, "path_estimate applies only to adagrad, not ahag"),
+])
+def test_learner_knob_that_crashes_or_does_nothing_is_config_error(tmp_path, capsys, algorithm,
+                                                                   knob, value, message):
+    config = write_config(tmp_path, algorithm=algorithm, **{knob: value})
+    assert main(["run", "--config", config]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm,knob,value", [
+    ("coco2", "v", 2.0), ("adagrad", "path_estimate", 0), ("adagrad", "path_estimate", 3.0)])
+def test_learner_knob_in_range_runs(tmp_path, capsys, algorithm, knob, value):
+    config = write_config(tmp_path, algorithm=algorithm, **{knob: value})
+    assert main(["run", "--config", config]) in (0, 1)
+    summary = json.loads(capsys.readouterr().out)
+    assert summary[knob] == value
+
+
+@pytest.mark.parametrize("horizons", [[10.5, 20, 40], [10, "20", 40], [True, 20, 40]])
+def test_horizons_that_are_not_integers_are_config_errors(tmp_path, capsys, horizons):
+    assert main(["sweep", "--config", write_config(tmp_path, horizons=horizons)]) == 2
+    assert "horizons must be integers" in capsys.readouterr().err
+
+
+def test_cli_horizons_flag_that_is_not_integers_is_config_error(tmp_path, capsys):
+    assert main(["sweep", "--config", write_config(tmp_path), "--horizons", "10,x,40"]) == 2
+    assert "--horizons" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,params", [
+    ("static", {"bogus": 1}), ("tracking-ball", {"ring_radiuss": 1.0}),
+    ("trivial", {"radius": 2.0})])
+def test_unknown_scenario_param_is_config_error(tmp_path, capsys, name, params):
+    config = write_config(tmp_path, scenario={"name": name, "horizon": 20, "params": params})
+    assert main(["run", "--config", config]) == 2
+    assert f"unknown params {sorted(params)}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="unknown params"):
+        build_scenario(ScenarioSpec(name, horizon=20, params=params))
