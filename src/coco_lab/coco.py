@@ -38,16 +38,20 @@ def auxiliary_value(cost: CostOracle, feasible_set: GeometricSet, g_lip: float, 
     return float(cost.value(x)) + 2.0 * g_lip * dist(x, feasible_set)
 
 
-def coco1_surrogate_subgradient(cost: CostOracle, constraint: ConstraintOracle, x) -> np.ndarray:
-    """Subgradient of cost + clipped constraint + distance penalty at ``x``.
+def coco1_surrogate_subgradient(cost: CostOracle, constraint: ConstraintOracle, x,
+                                g_val: float | None = None) -> np.ndarray:
+    """Subgradient of cost + clipped constraint + distance penalty at ``x``;
+    ``g_val`` is ``g(x)`` when the caller has it already.
 
     The clipped-constraint term contributes zero on the boundary
     ``g(x) = 0`` and the distance term is the unit outward vector, so the
     result is bounded by ``4G`` in norm.
     """
+    if g_val is None:
+        g_val = float(constraint.value(x))
     g_lip = max(cost.lipschitz_bound, constraint.lipschitz_bound)
     grad = np.array(cost.subgradient(x), dtype=float)
-    if float(constraint.value(x)) > 0.0:
+    if g_val > 0.0:
         grad += np.asarray(constraint.subgradient(x), dtype=float)
     grad += 2.0 * g_lip * dist_subgradient(x, constraint.feasible_region)
     return grad
@@ -73,14 +77,14 @@ def _round(state: Coco1State | Coco2State, cost: CostOracle, constraint: Constra
            surrogate_subgradient):
     """Play the subroutine's point, record the revealed values, fold the
     fresh violation into ``Q(t)``, then advance the subroutine on
-    ``surrogate_subgradient`` evaluated at the subroutine's play, and record
-    that gradient's norm."""
+    ``surrogate_subgradient(x, g(x))`` at the subroutine's play ``x``, and
+    record that gradient's norm."""
     x = state.subroutine.combined_point
     f_val = float(cost.value(x))
     g_val = float(constraint.value(x))
     state.q = ccv_update(state.q, g_val)
     state.t += 1
-    grad = np.asarray(surrogate_subgradient(x), dtype=float)
+    grad = np.asarray(surrogate_subgradient(x, g_val), dtype=float)
     _, played = ahag_step(state.subroutine, grad)
     row = RoundRow(
         t=state.t, x=played, f=f_val, g=g_val, gplus=g_plus(g_val),
@@ -92,7 +96,7 @@ def _round(state: Coco1State | Coco2State, cost: CostOracle, constraint: Constra
 def coco1_round(state: Coco1State, cost: CostOracle, constraint: ConstraintOracle):
     """One full-feedback round: the ensemble steps on the penalized surrogate."""
     return _round(state, cost, constraint,
-                  lambda pt: coco1_surrogate_subgradient(cost, constraint, pt))
+                  lambda pt, g_val: coco1_surrogate_subgradient(cost, constraint, pt, g_val))
 
 
 @dataclass
@@ -119,11 +123,15 @@ class Coco2State:
 
 
 def coco2_surrogate_subgradient(state: Coco2State, cost: CostOracle,
-                                constraint: ConstraintOracle, x) -> np.ndarray:
+                                constraint: ConstraintOracle, x,
+                                g_val: float | None = None) -> np.ndarray:
     """Subgradient of ``V f + 2 Q(t) g^+`` at ``x``; the state's violation
-    total must already include the current round."""
+    total must already include the current round. ``g_val`` is ``g(x)``
+    when the caller has it already."""
+    if g_val is None:
+        g_val = float(constraint.value(x))
     grad = state.v_param * np.asarray(cost.subgradient(x), dtype=float)
-    if float(constraint.value(x)) > 0.0:
+    if g_val > 0.0:
         grad = grad + (2.0 * state.q) * np.asarray(constraint.subgradient(x), dtype=float)
     return grad
 
@@ -132,7 +140,8 @@ def coco2_round(state: Coco2State, cost: CostOracle, constraint: ConstraintOracl
     """One first-order round: the ensemble steps on the violation-weighted
     surrogate, whose ``Q(t)`` already includes this round."""
     return _round(state, cost, constraint,
-                  lambda pt: coco2_surrogate_subgradient(state, cost, constraint, pt))
+                  lambda pt, g_val: coco2_surrogate_subgradient(state, cost, constraint, pt,
+                                                                g_val))
 
 
 def coco2_default_v(g_lip: float, diameter: float, horizon: int) -> float:

@@ -8,6 +8,7 @@ comparator sequences and by the cumulative constraint violation (CCV).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -141,7 +142,7 @@ class RunRecord:
 
 def g_plus(g_value: float) -> float:
     """Clipped constraint value max(0, g)."""
-    if not np.isfinite(g_value):
+    if not math.isfinite(g_value):
         raise ValueError("constraint value must be finite")
     return max(0.0, float(g_value))
 

@@ -3,8 +3,9 @@
 Supported sets are axis-aligned boxes, Euclidean balls, halfspaces, and
 finite intersections of those. Projections onto the primitives are closed
 form, and so are projections onto two of them whose intersection has a
-closed form: two balls in any dimension (a lens) and any two primitives in
-one dimension (an interval). Every other intersection uses Dykstra's
+closed form: two balls in any dimension (a lens), two boxes in any
+dimension (a box) and any two primitives in one dimension (an interval).
+Every other intersection uses Dykstra's
 alternating projection scheme, which converges to the exact Euclidean
 projection for closed convex sets.
 
@@ -122,7 +123,9 @@ class Ball(GeometricSet):
         a = np.asarray(x, dtype=float)
         delta = a - self.center
         n = _norm(delta, keepdims=True)
-        scale = np.where(n > self.radius, self.radius / np.maximum(n, 1e-300), 1.0)
+        # 1.0 when n <= r or n is NaN, else r / n: the bits of
+        # ``np.where(n > r, r / max(n, 1e-300), 1.0)`` for any r >= 1e-300
+        scale = self.radius / np.fmax(n, self.radius)
         return self.center + delta * scale
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
@@ -174,11 +177,12 @@ class Halfspace(GeometricSet):
 class Intersection(GeometricSet):
     """Finite intersection of convex sets.
 
-    Two balls in any dimension and any two of ``Box``, ``Ball`` and
-    ``Halfspace`` in one dimension (an interval) are projected in closed
-    form: nested balls onto the inner ball, overlapping ones onto their
-    lens. They are rejected at construction when the balls lie more than
-    1e-6 apart or the interval's ends cross by more than 1e-6. Every other
+    Two balls in any dimension, two boxes in any dimension and any two of
+    ``Box``, ``Ball`` and ``Halfspace`` in one dimension (an interval) are
+    projected in closed form: nested balls onto the inner ball, overlapping
+    ones onto their lens, boxes onto their common box. They are rejected at
+    construction when the balls lie more than 1e-6 apart or a lower end
+    exceeds its upper end by more than 1e-6. Every other
     intersection is projected by Dykstra's scheme, and construction probes
     it for non-emptiness: if no component anchor lies in all components,
     Dykstra is run from a few deterministic starts and the intersection is
@@ -191,9 +195,9 @@ class Intersection(GeometricSet):
         comps = tuple(self.components)
         if not comps:
             raise ValueError("intersection needs at least one component")
-        dims = {c.dim for c in comps}
-        if len(dims) != 1:
-            raise ValueError("intersection components must share a dimension")
+        for c in comps[1:]:
+            if c.dim != comps[0].dim:
+                raise ValueError("intersection components must share a dimension")
         object.__setattr__(self, "components", comps)
         # a set equal to this one with a closed-form projection; None
         # means Dykstra
@@ -236,8 +240,9 @@ class Intersection(GeometricSet):
         else:
             out = self._exact.project(pts)
             # for balls and 1-d sets, membership at the tolerance is the
-            # residual test: the distance to each component is at most it
-            if not np.all(self.contains(out, _RESIDUAL_TOL)):
+            # residual test: the distance to each component is at most it;
+            # for boxes it bounds each coordinate's distance
+            if not self.contains(out, _RESIDUAL_TOL).all():
                 raise ProjectionError("closed-form projection left the set",
                                       self._residual(out))
         return out[0] if single else out
@@ -251,21 +256,28 @@ class Intersection(GeometricSet):
 
 
 def _closed_form(components):
-    """A set equal to the intersection of two balls, or of two 1-d
-    primitives, whose projection is closed form: the inner one of nested
-    balls, a ``_Lens``, or a 1-d ``Box``. None for any other intersection.
-    Raises ``ValueError`` when such an intersection is empty."""
+    """A set equal to the intersection of two balls, of two boxes, or of
+    two 1-d primitives, whose projection is closed form: the inner one of
+    nested balls, a ``_Lens``, or a ``Box``. None for any other
+    intersection. Raises ``ValueError`` when such an intersection is empty."""
     if len(components) != 2:
         return None
-    if components[0].dim == 1:
-        ends = [_interval(c) for c in components]
-        if None in ends:
+    c1, c2 = components
+    if c1.dim == 1:
+        e1, e2 = _interval(c1), _interval(c2)
+        if e1 is None or e2 is None:
             return None
-        lo, hi = max(e[0] for e in ends), min(e[1] for e in ends)
+        lo, hi = max(e1[0], e2[0]), min(e1[1], e2[1])
         if lo > hi + _EMPTY_PROBE_TOL:
             raise ValueError(f"empty intersection (lower end {lo - hi:.3e} above upper end)")
         return Box([lo], [max(lo, hi)])
-    if not all(isinstance(c, Ball) for c in components):
+    if isinstance(c1, Box) and isinstance(c2, Box):
+        lo, hi = np.maximum(c1.lower, c2.lower), np.minimum(c1.upper, c2.upper)
+        if np.any(lo > hi + _EMPTY_PROBE_TOL):
+            raise ValueError(f"empty intersection (lower end {np.max(lo - hi):.3e} "
+                             "above upper end)")
+        return Box(lo, np.maximum(lo, hi))
+    if not (isinstance(c1, Ball) and isinstance(c2, Ball)):
         return None
     b1, b2 = components
     v = b2.center - b1.center
@@ -377,7 +389,7 @@ def _settled(start, x, components, before, after, tol) -> bool:
 def project(x, s: GeometricSet):
     """Euclidean projection of ``x`` onto ``s``."""
     pts = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("cannot project a non-finite point")
     return s.project(pts)
 

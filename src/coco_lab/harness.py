@@ -78,7 +78,7 @@ class RunConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.horizons is not None:
             hs = list(self.horizons)
-            if not all(isinstance(h, numbers.Integral) and not isinstance(h, bool) for h in hs):
+            if not all(_is_integer(h) for h in hs):
                 raise ConfigError(f"horizons must be integers, got {hs}")
             if any(h2 <= h1 for h1, h2 in zip(hs, hs[1:])):
                 raise ConfigError("horizons must be strictly increasing")
@@ -110,8 +110,12 @@ class RunConfig:
         overrides = {k: v for k, v in overrides.items() if v is not None}
         try:
             sc = raw["scenario"]
-            spec = ScenarioSpec(name=sc["name"], horizon=int(sc.get("horizon", 1000)),
-                                seed=int(overrides.pop("seed", sc.get("seed", 0))),
+            horizon = sc.get("horizon", 1000)
+            seed = overrides.pop("seed", sc.get("seed", 0))
+            for name, value in (("horizon", horizon), ("seed", seed)):
+                if not _is_integer(value):
+                    raise ConfigError(f"{name} must be an integer, got {value!r}")
+            spec = ScenarioSpec(name=sc["name"], horizon=horizon, seed=seed,
                                 params=dict(sc.get("params", {})))
             fields = {k: raw.get(k) for k in
                       ("comparators", "v", "g_lip", "path_estimate", "horizons", "out_dir")}
@@ -121,6 +125,10 @@ class RunConfig:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad config: {exc!r}") from exc
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _resolve_comparators(config: RunConfig, scenario: Scenario) -> dict:

@@ -16,7 +16,7 @@ Three layers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,8 @@ class AdaGradState:
     path factor. Until the first nonzero gradient arrives the iterate stays
     put (the step size is undefined at ``S_t = 0`` and no movement is
     needed). ``point`` may be a batch ``(N, d)`` of iterates stepping on one
-    gradient, with a ``path_estimate`` column ``(N, 1)``.
+    gradient, with a ``path_estimate`` column ``(N, 1)``. The numerator
+    ``(D+1) * sqrt(1 + path_estimate)`` is fixed when the state is made.
     """
 
     decision_set: DecisionSet
@@ -51,6 +52,7 @@ class AdaGradState:
     path_estimate: float | np.ndarray = 0.0
     point: np.ndarray = None
     grad_sq_sum: float = 0.0
+    numerator: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (KNOWN_PATH, PATH_FREE):
@@ -61,6 +63,8 @@ class AdaGradState:
             self.point = np.zeros(self.decision_set.dim)
         else:
             self.point = np.asarray(self.point, dtype=float)
+        scale = np.sqrt(1.0 + self.path_estimate) if self.mode == KNOWN_PATH else 1.0
+        self.numerator = (self.diameter + 1.0) * scale
 
     @property
     def diameter(self) -> float:
@@ -68,8 +72,7 @@ class AdaGradState:
 
     def step_size(self):
         """Current step size (a column for a batch); requires a positive gradient accumulator."""
-        scale = np.sqrt(1.0 + self.path_estimate) if self.mode == KNOWN_PATH else 1.0
-        return (self.diameter + 1.0) * scale / math.sqrt(2.0 * self.grad_sq_sum)
+        return self.numerator / math.sqrt(2.0 * self.grad_sq_sum)
 
 
 def adagrad_step(state: AdaGradState, gradient) -> tuple[AdaGradState, np.ndarray]:
@@ -84,7 +87,8 @@ def adagrad_step(state: AdaGradState, gradient) -> tuple[AdaGradState, np.ndarra
         raise ValueError(f"non-finite gradient {g}: squared-norm sum {s}")
     state.grad_sq_sum = s
     if s > 0.0:
-        state.point = state.decision_set.project(state.point - state.step_size() * g)
+        step = state.numerator / math.sqrt(2.0 * s)
+        state.point = state.decision_set.project(state.point - step * g)
     return state, state.point
 
 
@@ -130,10 +134,10 @@ def _hedge_weights(cum_losses: np.ndarray, cum_mix_gap: float) -> np.ndarray:
     n = cum_losses.shape[0]
     eta = math.log(n) / cum_mix_gap if cum_mix_gap > 0.0 else math.inf
     if not math.isfinite(eta):
-        mask = cum_losses == cum_losses.min()
-        return mask / mask.sum()
-    u = np.exp(-eta * (cum_losses - cum_losses.min()))
-    return u / u.sum()
+        mask = cum_losses == np.minimum.reduce(cum_losses)
+        return mask / np.add.reduce(mask)
+    u = np.exp(-eta * (cum_losses - np.minimum.reduce(cum_losses)))
+    return u / np.add.reduce(u)
 
 
 def _log_sum_exp(a: np.ndarray) -> float:
@@ -141,10 +145,13 @@ def _log_sum_exp(a: np.ndarray) -> float:
     for ``a`` with at least one finite entry. Reproduces
     ``scipy.special.logsumexp`` bit for bit (the numpy ``log1p``, not
     ``math.log1p``, is needed for that)."""
-    a_max = a.max()
+    a_max = np.maximum.reduce(a)
     top = a == a_max
-    m = top.sum(dtype=float)
-    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+    m = np.count_nonzero(top)
+    s = np.add.reduce(np.exp(np.where(top, -np.inf, a) - a_max))
+    if m == 1:
+        # dividing by 1 and adding log(1) = 0 to log1p(s) >= +0.0 change no bit
+        return np.log1p(s) + a_max
     s = s / m if s != 0.0 else s
     return np.log1p(s) + np.log(m) + a_max
 
@@ -168,8 +175,11 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
     if not math.isfinite(eta) or eta <= 0.0:
         mix = float(losses[w > 0].min())
     else:
-        a = np.log(w, out=np.full(n, -np.inf), where=w > 0.0) - eta * losses
-        a[w <= 0.0] = -np.inf  # zero-weight experts contribute nothing
+        if np.minimum.reduce(w) > 0.0:  # every log finite, nothing to mask
+            a = np.log(w) - eta * losses
+        else:
+            a = np.log(w, out=np.full(n, -np.inf), where=w > 0.0) - eta * losses
+            a[w <= 0.0] = -np.inf  # zero-weight experts contribute nothing
         mix = float(-_log_sum_exp(a) / eta)
     # Jensen guarantees expected >= mix; clamp float dust so the gap stays monotone.
     gap = max(0.0, expected - mix)

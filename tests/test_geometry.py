@@ -187,9 +187,10 @@ def test_near_tangent_lens_projects_onto_its_rim():
     np.testing.assert_allclose(p, [0.995, h], rtol=0, atol=1e-12)
 
 
-# Exact projections onto ball ∩ ball (a lens) and onto 1-d pairs (an
-# interval). Each instance is built around a common point, so it is never
-# empty; ``depth`` is how far it is from tangency, where Dykstra is slow.
+# Exact projections onto ball ∩ ball (a lens), onto 1-d pairs (an
+# interval) and onto box ∩ box. Each instance is built around a common
+# point, so it is never empty; ``depth`` is how far it is from tangency,
+# where Dykstra is slow.
 
 coords = st.floats(-3.0, 3.0)
 radii = st.floats(0.1, 2.0)
@@ -234,8 +235,24 @@ def intervals(draw):
     return (s1, s2), min(e1[1], e2[1]) - max(e1[0], e2[0])
 
 
+@st.composite
+def box_pairs(draw):
+    """Two boxes in 2 or 3 dimensions around a common point. Dykstra is
+    slow where the common box is thin and where two lower (or upper) ends
+    differ by a little: its corrections then drift by that much a sweep."""
+    d = draw(st.integers(2, 3))
+    z = draw(hnp.arrays(float, d, elements=coords))
+    reach = hnp.arrays(float, d, elements=st.floats(0.0, 3.0))
+    lo1, hi1, lo2, hi2 = z - draw(reach), z + draw(reach), z - draw(reach), z + draw(reach)
+    gaps = np.abs(np.concatenate([lo1 - lo2, hi1 - hi2]))
+    depth = min(float(np.min(np.minimum(hi1, hi2) - np.maximum(lo1, lo2))),
+                float(np.min(gaps, initial=np.inf, where=gaps > 0.0)))
+    return (Box(lo1, hi1), Box(lo2, hi2)), depth
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(lenses(), intervals()), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+@given(st.one_of(lenses(), intervals(), box_pairs()), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
 def test_exact_projection_properties(instance, n, seed):
     (s1, s2), depth = instance
     region = Intersection((s1, s2))
@@ -286,6 +303,34 @@ def test_disjoint_intervals_are_empty(first, kind, extra, above):
           "halfspace": Halfspace([-sign], -sign * start)}[kind]
     with pytest.raises(ValueError, match="empty intersection"):
         Intersection((s1, s2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_pairs(), st.integers(0, 2), st.floats(2e-6, 3.0), st.booleans())
+def test_disjoint_boxes_are_empty(instance, axis, extra, above):
+    (b1, _), _ = instance
+    axis %= b1.dim
+    # the second box starts ``extra`` past one end of the first on ``axis``
+    lo, hi = b1.lower - 1.0, b1.upper + 1.0
+    if above:
+        lo[axis], hi[axis] = b1.upper[axis] + extra, b1.upper[axis] + extra + 1.0
+    else:
+        lo[axis], hi[axis] = b1.lower[axis] - extra - 1.0, b1.lower[axis] - extra
+    with pytest.raises(ValueError, match="empty intersection"):
+        Intersection((b1, Box(lo, hi)))
+
+
+def test_box_pair_is_projected_as_one_box():
+    region = Intersection((Box([-1.0, -2.0, 0.0], [1.0, 2.0, 3.0]),
+                           Box([0.0, -3.0, -1.0], [2.0, 1.0, 1e-7])))
+    xs = np.array([[5.0, -5.0, 5.0], [-5.0, 5.0, -5.0], [0.5, 0.0, 5e-8]])
+    np.testing.assert_array_equal(region.project(xs), [[1.0, -2.0, 1e-7], [0.0, 1.0, 0.0],
+                                                       [0.5, 0.0, 5e-8]])
+    # a lower end above its upper end by at most 1e-6 is allowed, as for an
+    # interval, and the membership check then rejects the projection
+    touching = Intersection((Box([0.0, 0.0], [1.0, 1.0]), Box([1.0 + 5e-7, 0.0], [2.0, 1.0])))
+    with pytest.raises(ProjectionError, match="left the set"):
+        touching.project([3.0, 0.5])
 
 
 @pytest.mark.parametrize("components", [
@@ -343,6 +388,45 @@ def test_box_project_is_clip_bitwise(instance):
     rows = np.clip(x, lo, hi) if x.ndim == 1 else np.array([np.clip(r, lo, hi) for r in x])
     assert same_bits(p, rows)
     assert np.array_equal(p, np.clip(x, lo, hi))
+
+
+def reference_ball_project(ball, x):
+    """``Ball.project`` with the scale taken by ``np.where``."""
+    delta = np.asarray(x, dtype=float) - ball.center
+    n = np.linalg.norm(delta, axis=-1, keepdims=True)
+    scale = np.where(n > ball.radius, ball.radius / np.maximum(n, 1e-300), 1.0)
+    return ball.center + delta * scale
+
+
+def ball_edge_points(ball, rng):
+    """Points at distance 0, r, one ulp either side of r, 3r and 1000r
+    from the center, along the first axis and along a random direction,
+    then two non-finite points. Along the axis of a ball centred at the
+    origin these distances are exact (``sqrt(r * r) == r``)."""
+    r = ball.radius
+    dists = np.array([0.0, r, np.nextafter(r, np.inf), np.nextafter(r, 0.0), 3.0 * r, 1e3 * r])
+    u = rng.normal(size=ball.dim)
+    u /= np.linalg.norm(u)
+    axis = np.eye(ball.dim)[0]
+    pts = ball.center + np.vstack([dists[:, None] * axis, dists[:, None] * u])
+    bad = np.tile(ball.center, (2, 1))
+    bad[0, 0], bad[1, -1] = np.nan, np.inf
+    return np.vstack([pts, bad])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    hnp.arrays(float, d, elements=st.floats(-3.0, 3.0)), st.floats(1e-3, 1e3),
+    points(d, elements=st.floats(-1e4, 1e4)))), st.integers(0, 2 ** 32 - 1))
+def test_ball_project_matches_where_form_bitwise(instance, seed):
+    center, radius, x = instance
+    for ball in (Ball(center, radius), Ball(np.zeros_like(center), radius)):
+        edge = ball_edge_points(ball, np.random.default_rng(seed))
+        with np.errstate(invalid="ignore"):  # inf * 0 in the non-finite points
+            for pts in (x, edge, *edge):
+                assert same_bits(ball.project(pts), reference_ball_project(ball, pts))
+            # a batch is its rows projected one by one
+            assert same_bits(ball.project(edge), np.array([ball.project(p) for p in edge]))
 
 
 @st.composite

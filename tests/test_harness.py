@@ -618,6 +618,21 @@ def test_horizons_that_are_not_integers_are_config_errors(tmp_path, capsys, hori
     assert "horizons must be integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario,message", [
+    ({"horizon": 20.7, "seed": 1.9}, "horizon must be an integer"),
+    ({"horizon": 20.0}, "horizon must be an integer"),
+    ({"horizon": True}, "horizon must be an integer"),
+    ({"horizon": "20"}, "horizon must be an integer"),
+    ({"seed": 1.9}, "seed must be an integer"),
+    ({"seed": False}, "seed must be an integer")])
+def test_horizon_or_seed_that_is_not_an_integer_is_config_error(tmp_path, capsys, scenario,
+                                                                 message):
+    config = write_config(tmp_path, scenario={"name": "static", "horizon": 20, "seed": 0,
+                                              **scenario})
+    assert main(["run", "--config", config]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_horizons_flag_that_is_not_integers_is_config_error(tmp_path, capsys):
     assert main(["sweep", "--config", write_config(tmp_path), "--horizons", "10,x,40"]) == 2
     assert "--horizons" in capsys.readouterr().err

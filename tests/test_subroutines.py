@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from coco_lab import harness
 from coco_lab.core import DecisionSet
-from coco_lab.geometry import Box, membership
-from coco_lab.scenarios import affine_cost, make_scenario
+from coco_lab.geometry import Ball, Box, dist_subgradient, membership
+from coco_lab.harness import ALGORITHMS, RunConfig, run
+from coco_lab.scenarios import SCENARIOS, ScenarioSpec, affine_cost, build_scenario, make_scenario
 from coco_lab.subroutines import (
     KNOWN_PATH,
     PATH_FREE,
@@ -22,7 +24,7 @@ from coco_lab.subroutines import (
     ahag_round,
     num_experts,
 )
-from coco_lab.subroutines import _hedge_weights, _log_sum_exp
+from coco_lab.subroutines import _log_sum_exp
 
 
 def unit_interval_set():
@@ -230,9 +232,46 @@ def test_adahedge_survives_tiny_gap_and_underflowed_weights():
     assert np.isfinite(st.cum_mix_gap) and st.cum_mix_gap >= 0.0
 
 
+# The hedge kernels as they were before each was cut to fewer numpy calls:
+# the rewritten ones must give the same bits.
+
+def reference_hedge_weights(cum_losses, cum_mix_gap):
+    n = cum_losses.shape[0]
+    eta = math.log(n) / cum_mix_gap if cum_mix_gap > 0.0 else math.inf
+    if not math.isfinite(eta):
+        mask = cum_losses == cum_losses.min()
+        return mask / mask.sum()
+    u = np.exp(-eta * (cum_losses - cum_losses.min()))
+    return u / u.sum()
+
+
+def reference_log_sum_exp(a):
+    a_max = a.max()
+    top = a == a_max
+    m = top.sum(dtype=float)
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+    s = s / m if s != 0.0 else s
+    return np.log1p(s) + np.log(m) + a_max
+
+
+@settings(max_examples=500, deadline=None)
+@given(hst.lists(hst.one_of(hst.floats(-1e3, 1e3),
+                            hst.sampled_from([-np.inf, np.inf, 0.0, -2.5])),
+                 min_size=1, max_size=16).filter(lambda v: any(np.isfinite(v))))
+@example([0.0])  # a single entry
+@example([1.5, -np.inf, -np.inf])  # a unique maximum beside -inf entries
+@example([-2.5, 3.0, -2.5])  # a unique maximum beside a tie below it
+@example([2.0, -1.0, 2.0])  # a tied maximum
+@example([5.0, 5.0, -np.inf])  # a tied maximum and nothing else to sum
+@example([np.inf, 1.0])  # an overflowed entry
+def test_log_sum_exp_matches_reference_bitwise(values):
+    a = np.array(values)
+    assert float(_log_sum_exp(a)).hex() == float(reference_log_sum_exp(a)).hex()
+
+
 def reference_adahedge_step(state, loss_vector):
     """``adahedge_step`` as it was written with ``np.errstate`` around
-    ``np.log`` and ``np.all(np.isfinite(...))``."""
+    ``np.log``, ``np.all(np.isfinite(...))`` and the reference kernels."""
     losses = np.asarray(loss_vector, dtype=float)
     if not np.all(np.isfinite(losses)):
         raise ValueError(f"NaN or infinite loss in {losses}")
@@ -247,11 +286,11 @@ def reference_adahedge_step(state, loss_vector):
             log_w = np.log(w)
         a = log_w - eta * losses
         a[w <= 0.0] = -np.inf
-        mix = float(-_log_sum_exp(a) / eta)
+        mix = float(-reference_log_sum_exp(a) / eta)
     gap = max(0.0, expected - mix)
     state.cum_mix_gap += gap
     state.cum_losses = state.cum_losses + losses
-    state.weights = _hedge_weights(state.cum_losses, state.cum_mix_gap)
+    state.weights = reference_hedge_weights(state.cum_losses, state.cum_mix_gap)
     return state
 
 
@@ -265,7 +304,8 @@ def hedge_states(n, spread, gap, seed):
     """Two equal states; a wide spread of cumulative losses at a small gap
     underflows the weights of the worse experts to exactly zero."""
     cum = np.random.default_rng(seed).uniform(0.0, spread, n)
-    return [HedgeState(cum_losses=cum.copy(), cum_mix_gap=gap, weights=_hedge_weights(cum, gap))
+    return [HedgeState(cum_losses=cum.copy(), cum_mix_gap=gap,
+                       weights=reference_hedge_weights(cum, gap))
             for _ in range(2)]
 
 
@@ -469,3 +509,87 @@ def test_ahag_regret_within_budget_on_scenario_runs():
 def test_ahag_constant_assembly():
     assert ahag_constant(1.0, 2) == pytest.approx(
         2.0 * math.sqrt(2.0) * 2.0 + 2.0 * math.sqrt(4.0 + math.log(2.0)))
+
+
+# ---------------------------------------------------------------------------
+# whole runs against a round loop built on the kernels as they were before
+# each was cut to fewer numpy calls
+
+def reference_adagrad_step(state, g):
+    """``adagrad_step`` with the whole step size evaluated every round."""
+    s = state.grad_sq_sum + float(g @ g)
+    state.grad_sq_sum = s
+    if s > 0.0:
+        scale = np.sqrt(1.0 + state.path_estimate) if state.mode == KNOWN_PATH else 1.0
+        step = (state.diameter + 1.0) * scale / math.sqrt(2.0 * s)
+        state.point = state.decision_set.project(state.point - step * g)
+
+
+def reference_ahag_step(state, grad):
+    losses = state.experts.point @ grad
+    reference_adagrad_step(state.experts, grad)
+    reference_adahedge_step(state.hedge, losses)
+    state.combined_point = state.hedge.weights @ state.experts.point
+
+
+def reference_ball_project(ball, x):
+    """``Ball.project`` with the scale taken by ``np.where``."""
+    delta = np.asarray(x, dtype=float) - ball.center
+    n = np.linalg.norm(delta, axis=-1, keepdims=True)
+    scale = np.where(n > ball.radius, ball.radius / np.maximum(n, 1e-300), 1.0)
+    return ball.center + delta * scale
+
+
+def reference_surrogate(algorithm, state, cost, constraint, x):
+    """The coco1 or coco2 surrogate gradient, each evaluating ``g(x)`` itself."""
+    if algorithm == "coco1":
+        g_lip = max(cost.lipschitz_bound, constraint.lipschitz_bound)
+        grad = np.array(cost.subgradient(x), dtype=float)
+        if float(constraint.value(x)) > 0.0:
+            grad += np.asarray(constraint.subgradient(x), dtype=float)
+        grad += 2.0 * g_lip * dist_subgradient(x, constraint.feasible_region)
+        return grad
+    grad = state.v_param * np.asarray(cost.subgradient(x), dtype=float)
+    if float(constraint.value(x)) > 0.0:
+        grad = grad + (2.0 * state.q) * np.asarray(constraint.subgradient(x), dtype=float)
+    return grad
+
+
+def reference_rows(config):
+    """``(t, x, f, g, gplus, q, surrogate_grad_norm)`` of every round."""
+    algorithm = config.algorithm
+    scenario = build_scenario(config.scenario)
+    state = harness._init_state(config, scenario)
+    meta = algorithm in ("coco1", "coco2")
+    learner = state.subroutine if meta else state
+    rows, q = [], 0.0
+    for t in range(1, scenario.horizon + 1):
+        cost, constraint = scenario.generate(t)
+        x = learner.point if algorithm == "adagrad" else learner.combined_point
+        f_val, g_val = float(cost.value(x)), float(constraint.value(x))
+        q += max(0.0, g_val)
+        if meta:
+            state.q = q
+            grad = np.asarray(reference_surrogate(algorithm, state, cost, constraint, x),
+                              dtype=float)
+        else:
+            grad = np.asarray(cost.subgradient(x), dtype=float)
+        (reference_adagrad_step if algorithm == "adagrad" else reference_ahag_step)(learner, grad)
+        rows.append((t, x, f_val, g_val, max(0.0, g_val), q, math.sqrt(grad @ grad)))
+    return rows
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_matches_reference_round_loop_bitwise(monkeypatch, name, algorithm):
+    config = RunConfig(ScenarioSpec(name, 300, seed=3), algorithm)
+    record = run(config)
+    with monkeypatch.context() as patch:
+        patch.setattr(Ball, "project", reference_ball_project)
+        expected = reference_rows(config)
+    assert len(record.rows) == len(expected)
+    for row, (t, x, *values) in zip(record.rows, expected):
+        assert row.t == t
+        assert np.array_equal(row.x.view(np.uint64), x.view(np.uint64))
+        got = [row.f, row.g, row.gplus, row.q, row.surrogate_grad_norm]
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(values).view(np.uint64))
