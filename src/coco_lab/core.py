@@ -126,18 +126,9 @@ class RunRecord:
             raise ValueError(f"CCV decreased at round {row.t}")
         self.rows.append(row)
 
-    def final_ccv(self) -> float:
-        return self.rows[-1].q if self.rows else 0.0
-
     def surrogate_grad_sq_sum(self) -> float:
-        """Sum of the squared surrogate gradient norms, added left to right
-        as ``plotdata.csv``'s ``np.cumsum`` prefixes are (the builtin
-        ``sum`` of floats is compensated from Python 3.12 on)."""
-        if not self.rows:
-            return 0.0
-        squares = np.fromiter((r.surrogate_grad_norm ** 2 for r in self.rows), float,
-                              len(self.rows))
-        return float(np.cumsum(squares)[-1])
+        """Sum of the squared surrogate gradient norms, added in round order."""
+        return float(running_sum([r.surrogate_grad_norm ** 2 for r in self.rows])[-1])
 
 
 def g_plus(g_value: float) -> float:
@@ -147,18 +138,31 @@ def g_plus(g_value: float) -> float:
     return max(0.0, float(g_value))
 
 
-def path_length(points) -> float:
-    """Total Euclidean movement of a sequence; a singleton has zero path.
+def running_sum(values) -> np.ndarray:
+    """Every prefix sum of ``values``: entry ``i`` is ``0.0`` plus the first ``i``
+    values, added in order as a running ``+=`` adds them (``np.cumsum`` is
+    sequential; ``np.sum`` and, from Python 3.12, the builtin ``sum`` are not)."""
+    return np.cumsum(np.concatenate(([0.0], values)))
 
-    The sequence is implicitly prepended with its own first element, so a
-    constant sequence has path length zero.
+
+def path_prefix(points) -> np.ndarray:
+    """Euclidean path length of a sequence up to each of its points: entry
+    ``i`` adds the first ``i`` step lengths in order, so a singleton or a
+    constant sequence has zero path.
+
+    Each step's length is the bits of ``np.linalg.norm(step)``: one BLAS dot
+    product per row, which a stacked matmul makes and a row sum does not.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("empty comparator")
-    if pts.shape[0] == 1:
-        return 0.0
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=-1)))
+    steps = np.diff(pts, axis=0)
+    return running_sum(np.sqrt((steps[:, None, :] @ steps[:, :, None]).ravel()))
+
+
+def path_length(points) -> float:
+    """Total Euclidean movement of a sequence: the last entry of ``path_prefix``."""
+    return float(path_prefix(points)[-1])
 
 
 def ud_regret(costs, actions, comparators) -> float:

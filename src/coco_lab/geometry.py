@@ -341,16 +341,16 @@ class _Lens:
         return np.where(done[:, None], out, self.mid + self.h * direction)
 
 
-def _dykstra(pts, components, max_sweeps=DYKSTRA_MAX_SWEEPS, move_tol=DYKSTRA_MOVE_TOL):
+def _dykstra(pts, components):
     """Cyclic Dykstra iteration over a batch of points.
 
     Returns ``(points, converged, last_move)``. Convergence requires a
-    full sweep that moves every point less than ``move_tol`` and the
+    full sweep that moves every point less than ``DYKSTRA_MOVE_TOL`` and the
     iterate lying within the residual tolerance of every component. The
     iterate can stand still at a member of the set that is not the
     projection while the correction terms keep changing, so the sweep must
-    also change each point's corrections by less than ``move_tol``, or
-    leave the point within ``move_tol`` of its start's projection onto one
+    also change each point's corrections by less than that tolerance, or
+    leave the point that close to its start's projection onto one
     component (a member of the set nearest to the start within a larger set
     is the projection, whatever the corrections still do).
     """
@@ -358,7 +358,7 @@ def _dykstra(pts, components, max_sweeps=DYKSTRA_MAX_SWEEPS, move_tol=DYKSTRA_MO
     x = start
     corrections = [np.zeros_like(x) for _ in components]
     moved = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(DYKSTRA_MAX_SWEEPS):
         prev, before = x, list(corrections)
         for i, comp in enumerate(components):
             z = x + corrections[i]
@@ -366,12 +366,12 @@ def _dykstra(pts, components, max_sweeps=DYKSTRA_MAX_SWEEPS, move_tol=DYKSTRA_MO
             corrections[i] = z - y
             x = y
         moved = float(np.max(_norm(x - prev)))
-        if moved < move_tol:
+        if moved < DYKSTRA_MOVE_TOL:
             residual = max(
                 float(np.max(_norm(x - c.project(x)))) for c in components
             )
             if residual <= _RESIDUAL_TOL and _settled(start, x, components, before,
-                                                      corrections, move_tol):
+                                                      corrections, DYKSTRA_MOVE_TOL):
                 return x, True, moved
     return x, False, moved
 

@@ -33,9 +33,10 @@ import numpy as np
 
 from . import budgets
 from .coco import Coco1State, Coco2State, coco1_round, coco2_round
-from .core import FEASIBILITY_TOL, RoundRow, RunRecord, ccv_update, g_plus
+from .core import (FEASIBILITY_TOL, RoundRow, RunRecord, ccv_update, g_plus, path_prefix,
+                   running_sum)
 from .geometry import membership
-from .scenarios import Scenario, ScenarioSpec, build_scenario, oracle_values, with_horizon
+from .scenarios import Scenario, ScenarioSpec, build_scenario, oracle_values
 from .subroutines import (
     KNOWN_PATH,
     PATH_FREE,
@@ -96,6 +97,8 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Real) \
                     or not math.isfinite(value) or value < 0 or (value == 0 and name == "v"):
                 raise ConfigError(f"{name} must be a finite number {sign}, got {value!r}")
+        if not isinstance(self.emit_plotdata, bool):
+            raise ConfigError(f"emit_plotdata must be true or false, got {self.emit_plotdata!r}")
         if self.g_lip is not None:
             # explicit override feeds the scenario so the oracles, the
             # surrogates, and the budgets all share one Lipschitz bound
@@ -120,7 +123,7 @@ class RunConfig:
             fields = {k: raw.get(k) for k in
                       ("comparators", "v", "g_lip", "path_estimate", "horizons", "out_dir")}
             return cls(scenario=spec, algorithm=raw["algorithm"], **{
-                **fields, "emit_plotdata": bool(raw.get("emit_plotdata", False)), **overrides})
+                **fields, "emit_plotdata": raw.get("emit_plotdata", False), **overrides})
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -164,14 +167,8 @@ def run(config: RunConfig) -> RunRecord:
                        comparator_costs={name: np.empty(scenario.horizon)
                                          for name in comparators})
     state = _init_state(config, scenario)
-    sum_cost = _play(config.algorithm, scenario, state, record)
-    grad_sq = record.surrogate_grad_sq_sum()
-    summary = _summarize(config, scenario, state, comparators, RunTotals(
-        record.horizon, record.final_ccv(), sum_cost, grad_sq,
-        {name: _running_sum(c) for name, c in record.comparator_costs.items()},
-        # the plain engines are budgeted on their own accumulator, the
-        # meta-algorithms on the recorded surrogate gradient norms
-        state.grad_sq_sum if config.algorithm in ("adagrad", "ahag") else grad_sq))
+    _play(config.algorithm, scenario, state, record)
+    summary = _summarize(config, scenario, state, comparators, _record_totals(record))
     summary["wall_clock_sec"] = time.perf_counter() - t0
     record.summary = summary
     if config.out_dir is not None:
@@ -179,10 +176,9 @@ def run(config: RunConfig) -> RunRecord:
     return record
 
 
-def _play(algorithm: str, scenario: Scenario, state, record: RunRecord) -> float:
-    """Play every round, appending its row to ``record``; returns the sum
-    of the played costs. Only one block's oracles are alive at a time."""
-    sum_cost = 0.0
+def _play(algorithm: str, scenario: Scenario, state, record: RunRecord):
+    """Play every round, appending its row to ``record``. Only one block's
+    oracles are alive at a time."""
     bookkeeping_q = 0.0
     # the learner plays a block of rounds, then every comparator is scored
     # on that block in one kernel pass; a failure reports its round as a
@@ -209,20 +205,12 @@ def _play(algorithm: str, scenario: Scenario, state, record: RunRecord) -> float
         # the rounds before a failure are recorded, as a round-by-round loop
         # records them before it fails
         for row in rows if failure is None else rows[:failure[0] - start]:
-            sum_cost += row.f
             record.append(row)
         if failure is not None:
             t, exc = failure
             if isinstance(exc, HarnessError):
                 raise exc
             raise HarnessError(f"oracle failure at round {t}: {exc}") from exc
-    return sum_cost
-
-
-def _running_sum(*parts) -> float:
-    """``0.0`` plus each value of ``parts`` in turn, as a running ``+=``
-    adds them: ``np.cumsum`` is sequential, ``np.sum`` is not."""
-    return float(np.cumsum(np.concatenate(([0.0], *parts)))[-1])
 
 
 def _score_comparators(record: RunRecord, costs: list, constraints: list, start: int):
@@ -296,30 +284,51 @@ def _advance(algorithm: str, state, cost, constraint, t: int, prev_q: float) -> 
 
 @dataclass(frozen=True)
 class RunTotals:
-    """The sums over a run's recorded rounds that its summary is built from."""
+    """A run's running sums in round order. Entry ``t`` of each array covers
+    rounds 1..t, so entry 0 is 0.0: the summary reads the last entries and
+    ``plotdata.csv`` every one after the first."""
 
     horizon: int
-    final_ccv: float
-    sum_cost: float
-    surrogate_grad_sq_sum: float
-    comparator_cost: dict  # comparator name -> sum of its costs
-    budget_grad_sq_sum: float  # the accumulator the budgets are evaluated on
+    ccv: np.ndarray  # the Q column
+    cost: np.ndarray  # sum of f_t(x_t)
+    grad_sq: np.ndarray  # sum of the squared recorded gradient norms, S_t
+    comparator_cost: dict  # comparator name -> sum of f_t(u_t)
+    path: dict  # comparator name -> path length up to each of its points
+
+    @classmethod
+    def of(cls, q, f, grad_norm, comparators: dict, comparator_costs: dict) -> RunTotals:
+        """The totals of the recorded columns and each comparator's costs."""
+        return cls(len(q), np.concatenate(([0.0], q)), running_sum(f),
+                   running_sum([g ** 2 for g in grad_norm]),
+                   {name: running_sum(c) for name, c in comparator_costs.items()},
+                   {name: path_prefix(comp.points) for name, comp in comparators.items()})
+
+    def regret(self, name: str) -> np.ndarray:
+        return self.cost - self.comparator_cost[name]
+
+
+def _record_totals(record: RunRecord) -> RunTotals:
+    rows = record.rows
+    return RunTotals.of([r.q for r in rows], [r.f for r in rows],
+                        [r.surrogate_grad_norm for r in rows],
+                        record.comparators, record.comparator_costs)
 
 
 def _summarize(config, scenario, state, comparators: dict, totals: RunTotals) -> dict:
     """The run summary; ``state`` gives only the learner's parameters."""
-    algo = config.algorithm
+    algo, T = config.algorithm, totals.horizon
+    grad_sq = float(totals.grad_sq[-1])
     summary = {
         "algorithm": algo,
         "scenario": scenario.name,
         "seed": config.scenario.seed,
-        "horizon": totals.horizon,
+        "horizon": T,
         "dimension": scenario.dimension,
         "g_lip": scenario.g_lip,
         "diameter": scenario.decision_set.diameter,
-        "final_ccv": totals.final_ccv,
-        "sum_cost": totals.sum_cost,
-        "surrogate_grad_sq_sum": totals.surrogate_grad_sq_sum,
+        "final_ccv": float(totals.ccv[-1]),
+        "sum_cost": float(totals.cost[-1]),
+        "surrogate_grad_sq_sum": grad_sq,
     }
     if algo == "adagrad":
         summary["mode"] = state.mode
@@ -331,15 +340,15 @@ def _summarize(config, scenario, state, comparators: dict, totals: RunTotals) ->
     # the meta-algorithms' analysis covers feasible comparators; known-path
     # descent covers comparators whose path fits its estimate
     reach = state.path_estimate + 1e-12 if summary.get("mode") == KNOWN_PATH else math.inf
-    grad_sq = totals.budget_grad_sq_sum
     flags = []
     for name, comp in comparators.items():
-        regret = totals.sum_cost - totals.comparator_cost[name]
-        summary[f"path_length__{name}"] = comp.path_length
+        path = float(totals.path[name][-1])
+        regret = float(totals.regret(name)[-1])
+        summary[f"path_length__{name}"] = path
         summary[f"feasible__{name}"] = comp.feasible
         summary[f"regret__{name}"] = regret
-        if comp.feasible if meta else comp.path_length <= reach:
-            rhs = _budget(summary, comp.path_length, totals.horizon, grad_sq)
+        if comp.feasible if meta else path <= reach:
+            rhs = _budget(summary, path, T, grad_sq)
             summary[f"bound_rhs__{name}"] = rhs
             ok = regret <= rhs * (1.0 + 1e-12) + 1e-12
             summary[f"bound_ok__{name}"] = bool(ok)
@@ -348,10 +357,10 @@ def _summarize(config, scenario, state, comparators: dict, totals: RunTotals) ->
     ccv_path = (scenario.minimizer_path_length() if algo == "coco1" else
                 scenario.feasible_path_length() if algo == "coco2" else None)
     if ccv_path is not None:
-        ccv_rhs = _budget(summary, ccv_path, totals.horizon, grad_sq, ccv=True)
+        ccv_rhs = _budget(summary, ccv_path, T, grad_sq, ccv=True)
         summary["ccv_bound_path"] = ccv_path
         summary["ccv_bound_rhs"] = ccv_rhs
-        ok = totals.final_ccv <= ccv_rhs * (1.0 + 1e-12) + 1e-12
+        ok = summary["final_ccv"] <= ccv_rhs * (1.0 + 1e-12) + 1e-12
         summary["ccv_bound_ok"] = bool(ok)
         flags.append(bool(ok))
 
@@ -365,7 +374,7 @@ def _budget(summary: dict, path: float, t: int, grad_sq_sum: float, ccv: bool = 
 
     ``grad_sq_sum`` is the squared gradient norm accumulated over those
     rounds. The run summary, the plot trajectories and verification all
-    evaluate budgets here, each from its own inputs.
+    evaluate budgets here, on entries of the same ``RunTotals``.
     """
     algo = summary["algorithm"]
     diam = summary["diameter"]
@@ -428,31 +437,24 @@ def _series(name: str, ts: list, values) -> list:
 
 
 def plotdata_csv_text(record: RunRecord) -> str:
-    """Long-format trajectories: running CCV, running regret per comparator,
-    and the matching budget RHS evaluated on each prefix."""
-    rows = record.rows
-    if not rows:
+    """Long-format trajectories of the run's totals: running CCV, running
+    regret per comparator, and the matching budget RHS evaluated on each
+    prefix. Each series ends on its value in the summary, bit for bit."""
+    if not record.rows:
         return "series,t,value\n"
-    ts = [str(r.t) for r in rows]
-    lines = ["series,t,value", *_series("ccv", ts, [r.q for r in rows])]
-    f = np.array([r.f for r in rows], dtype=float)
-    grad_sq_prefix = np.cumsum([r.surrogate_grad_norm ** 2 for r in rows]).tolist()
-    for name, comp in record.comparators.items():
-        # cumsum adds in order, as a running ``regret += f - cost`` does
-        regret = _series(f"regret__{name}", ts,
-                         np.cumsum(f - np.asarray(record.comparator_costs[name], dtype=float)))
+    totals = _record_totals(record)
+    rounds = range(1, totals.horizon + 1)
+    ts = list(map(str, rounds))
+    lines = ["series,t,value", *_series("ccv", ts, totals.ccv[1:])]
+    for name in record.comparators:
+        regret = _series(f"regret__{name}", ts, totals.regret(name)[1:])
         if f"bound_rhs__{name}" not in record.summary:
             lines += regret
             continue
-        # each step's norm bit for bit as ``np.linalg.norm(step)``: one BLAS
-        # dot product per row, which a stacked matmul makes and a row sum
-        # does not
-        steps = np.diff(comp.points[:len(rows)], axis=0)
-        norms = np.sqrt((steps[:, None, :] @ steps[:, :, None]).ravel())
-        path_prefix = np.cumsum(np.concatenate(([0.0], norms))).tolist()
+        # the comparator's path after round t is entry t - 1 of its prefix
         rhs = _series(f"bound_rhs__{name}", ts, [
-            _budget(record.summary, p, r.t, s)
-            for p, r, s in zip(path_prefix, rows, grad_sq_prefix)])
+            _budget(record.summary, p, t, s)
+            for t, p, s in zip(rounds, totals.path[name].tolist(), totals.grad_sq[1:].tolist())])
         lines += [line for pair in zip(regret, rhs) for line in pair]
     return "\n".join(lines) + "\n"
 
@@ -508,7 +510,7 @@ def _sweep_values(config: RunConfig, metric: str, comparator: str | None = None)
     if metric not in ("ccv", "regret"):
         raise ConfigError(f"unknown metric {metric!r}; choose 'ccv' or 'regret'")
     if comparator is not None:
-        scenario = _build_scenario(with_horizon(config.scenario, config.horizons[0]))
+        scenario = _build_scenario(replace(config.scenario, horizon=config.horizons[0]))
         names = _resolve_comparators(config, scenario)
         if comparator not in names:
             raise ConfigError(f"unknown comparator {comparator!r}; runs record {list(names)}")
@@ -531,7 +533,7 @@ def sweep(config: RunConfig) -> list:
         # g_lip is already folded into the scenario's params, where each
         # horizon's config.json records it
         records.append(run(replace(
-            config, scenario=with_horizon(config.scenario, T), g_lip=None, horizons=None,
+            config, scenario=replace(config.scenario, horizon=T), g_lip=None, horizons=None,
             out_dir=None if config.out_dir is None else os.path.join(config.out_dir, f"T{T}"))))
     return records
 
@@ -620,7 +622,7 @@ def verify_run(out_dir: str) -> list:
             return problems
     if np.max(np.abs(gplus_col - np.maximum(g_col, 0.0))) > 1e-12:
         problems.append("gplus column is not max(0, g)")
-    if not np.allclose(np.cumsum(gplus_col), q_col, rtol=VERIFY_REL_TOL, atol=1e-9):
+    if not np.allclose(running_sum(gplus_col)[1:], q_col, rtol=VERIFY_REL_TOL, atol=1e-9):
         problems.append("Q column does not match the running violation sum")
 
     # f, g and the comparator costs are recomputed one block of rounds at a
@@ -645,12 +647,9 @@ def verify_run(out_dir: str) -> list:
         if mismatch:
             break
 
-    # the recorded gradient norms stand in for the plain engines' own
-    # accumulator, as they do in plotdata.csv
-    grad_sq = _running_sum(rows["grad_norm_surrogate"] ** 2)
-    expected = _summarize(config, scenario, _init_state(config, scenario), comparators, RunTotals(
-        len(f_col), float(q_col[-1]), _running_sum(*fx), grad_sq,
-        {n: _running_sum(*c) for n, c in comp_costs.items()}, grad_sq))
+    totals = RunTotals.of(q_col, np.concatenate(fx), rows["grad_norm_surrogate"].tolist(),
+                          comparators, {n: np.concatenate(c) for n, c in comp_costs.items()})
+    expected = _summarize(config, scenario, _init_state(config, scenario), comparators, totals)
     problems += [f"{key} mismatch" for key in expected
                  if key in summary and not _same(summary[key], expected[key])]
     problems += [f"{key} missing from summary.json" for key in expected if key not in summary]

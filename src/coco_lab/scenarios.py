@@ -11,7 +11,8 @@ budget inequalities can be checked without grid search at large horizons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -296,15 +297,14 @@ class Scenario:
     (None where unknown)."""
 
     def __init__(self, spec: ScenarioSpec, decision_set: DecisionSet, g_lip: float,
-                 common_feasible: bool, minimizer_path: float | None = None,
-                 feasible_path: float | None = None):
-        g_lip = float(g_lip)
-        if not (math.isfinite(g_lip) and g_lip >= 1.0):  # every oracle is 1-Lipschitz
-            raise ValueError(f"g_lip must be a finite Lipschitz bound >= 1, got {g_lip}")
+                 minimizer_path: float | None = None, feasible_path: float | None = None):
+        # every oracle is 1-Lipschitz; a bool is not a bound
+        if isinstance(g_lip, bool) or not isinstance(g_lip, numbers.Real) \
+                or not (math.isfinite(g_lip) and g_lip >= 1.0):
+            raise ValueError(f"g_lip must be a finite Lipschitz bound >= 1, got {g_lip!r}")
         self.spec = spec
         self.decision_set = decision_set
-        self.g_lip = g_lip
-        self.common_feasible = common_feasible
+        self.g_lip = float(g_lip)
         self._minimizer_path = minimizer_path
         self._feasible_path = feasible_path
 
@@ -365,7 +365,7 @@ class AlternatingScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = _params(spec, radius=3.0)
         geom = Box([-p["radius"]], [p["radius"]])
-        super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"], True,
+        super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"],
                          minimizer_path=0.0, feasible_path=0.0)
         self._cost = norm_cost([0.0], lipschitz_bound=self.g_lip)
         self._odd = halfspace_constraint([1.0], 1.0, geom, lipschitz_bound=self.g_lip)
@@ -393,7 +393,7 @@ class DisjointAlternatingScenario(Scenario):
         p = _params(spec)
         geom = Box([0.0], [3.0])
         T = spec.horizon
-        super().__init__(spec, DecisionSet(geom, 3.0), p["g_lip"], False,
+        super().__init__(spec, DecisionSet(geom, 3.0), p["g_lip"],
                          minimizer_path=2.0 * (T - 1), feasible_path=float(T - 1))
         self._cost = norm_cost([0.0], lipschitz_bound=self.g_lip)
         self._odd = ball_constraint([0.5], 0.5, geom, lipschitz_bound=self.g_lip)
@@ -420,7 +420,7 @@ class StaticScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = _params(spec, radius=3.0)
         geom = Box([-p["radius"]], [p["radius"]])
-        super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"], True,
+        super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"],
                          minimizer_path=0.0, feasible_path=0.0)
         self._cost = affine_cost([-1.0], 0.0, lipschitz_bound=self.g_lip)
         self._constraint = halfspace_constraint([1.0], 1.0, geom, lipschitz_bound=self.g_lip)
@@ -461,7 +461,6 @@ class TrackingBallScenario(Scenario):
         self._minimizers = self._centers - self._ball_radius * self._directions
         geom = Ball(np.zeros(2), p["set_radius"])
         super().__init__(spec, DecisionSet(geom, 2.0 * p["set_radius"]), p["g_lip"],
-                         common_feasible=p["ring_radius"] <= p["ball_radius"],
                          minimizer_path=path_length(self._minimizers),
                          feasible_path=path_length(self._centers))
 
@@ -484,7 +483,7 @@ class OcoMixScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = _params(spec, set_radius=2.0)
         geom = Ball(np.zeros(2), p["set_radius"])
-        super().__init__(spec, DecisionSet(geom, 2.0 * p["set_radius"]), p["g_lip"], True,
+        super().__init__(spec, DecisionSet(geom, 2.0 * p["set_radius"]), p["g_lip"],
                          feasible_path=0.0)
         T = spec.horizon
         rng = np.random.default_rng(spec.seed)
@@ -522,7 +521,7 @@ class TrivialScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = _params(spec)
         geom = Box([-1.0], [1.0])
-        super().__init__(spec, DecisionSet(geom, 2.0), p["g_lip"], True,
+        super().__init__(spec, DecisionSet(geom, 2.0), p["g_lip"],
                          minimizer_path=0.0, feasible_path=0.0)
         self._cost = affine_cost([0.0], 0.0, lipschitz_bound=self.g_lip)
         self._constraint = constant_constraint(-1.0, geom, lipschitz_bound=self.g_lip)
@@ -556,7 +555,3 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
 
 def make_scenario(name: str, horizon: int, seed: int = 0, **params) -> Scenario:
     return build_scenario(ScenarioSpec(name=name, horizon=horizon, seed=seed, params=params))
-
-
-def with_horizon(spec: ScenarioSpec, horizon: int) -> ScenarioSpec:
-    return replace(spec, horizon=horizon)

@@ -2,7 +2,7 @@
 
 ``reference_rounds_csv_text`` and ``reference_plotdata_csv_text`` are the
 writers as they were before they became column-wise: one row, one
-formatted line, and the running regret and path length added up in a
+formatted line, and the running costs and path length added up in a
 Python loop. The shipped writers must give the same text, byte for byte.
 """
 
@@ -46,13 +46,14 @@ def reference_plotdata_csv_text(record):
     grad_sq_prefix = np.cumsum([r.surrogate_grad_norm ** 2 for r in record.rows])
     for name, comp in record.comparators.items():
         costs = record.comparator_costs[name]
-        regret = 0.0
+        sum_cost = sum_comparator_cost = 0.0
         path_prefix = 0.0
         for i, r in enumerate(record.rows):
-            regret += r.f - costs[i]
+            sum_cost += r.f
+            sum_comparator_cost += costs[i]
             if i > 0:
                 path_prefix += float(np.linalg.norm(comp.points[i] - comp.points[i - 1]))
-            lines.append(f"regret__{name},{r.t},{_fmt(regret)}")
+            lines.append(f"regret__{name},{r.t},{_fmt(sum_cost - sum_comparator_cost)}")
             if f"bound_rhs__{name}" in record.summary:
                 rhs = _budget(record.summary, path_prefix, r.t, float(grad_sq_prefix[i]))
                 lines.append(f"bound_rhs__{name},{r.t},{_fmt(rhs)}")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coco_lab.core import (
@@ -11,6 +11,7 @@ from coco_lab.core import (
     ccv_update,
     g_plus,
     path_length,
+    path_prefix,
     ud_regret,
 )
 from coco_lab.geometry import Ball, Box
@@ -54,6 +55,22 @@ def test_path_length_reversal_and_duplicate_invariance(points):
     dup = np.insert(pts, 1 if len(pts) > 1 else 0, pts[0], axis=0)
     assert path_length(dup) == pytest.approx(p, abs=1e-9)
     assert p >= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1,
+                max_size=40))
+@example([(0.3, -0.7)])
+@example([(1.5, 2.5)] * 7)
+def test_path_length_is_the_last_prefix_and_adds_its_steps_in_order(points):
+    pts = np.asarray(points, dtype=float)
+    prefix = path_prefix(pts)
+    expected, total = [0.0], 0.0
+    for step in np.diff(pts, axis=0):
+        total += float(np.linalg.norm(step))
+        expected.append(total)
+    assert prefix.tolist() == expected  # bit for bit, every prefix
+    assert path_length(pts) == prefix[-1] == total
 
 
 def test_ud_regret_self_is_zero_and_examples():

@@ -13,7 +13,6 @@ from coco_lab.cli import main
 from coco_lab.core import ConstraintOracle, CostOracle
 from coco_lab.harness import (
     ALGORITHMS,
-    VERIFY_REL_TOL,
     ConfigError,
     HarnessError,
     RunConfig,
@@ -125,9 +124,10 @@ def test_plotdata_final_rows_match_summary(tmp_path, algorithm, scenario):
         final[series] = float(value)  # each series is written in round order
     keys = [k for k in rec.summary if k.startswith(("regret__", "bound_rhs__"))]
     assert any(k.startswith("bound_rhs__") for k in keys)
+    # the summary and plotdata.csv read the same running totals
     for key in keys:
-        a, b = final[key], rec.summary[key]
-        assert abs(a - b) <= VERIFY_REL_TOL * max(1.0, abs(a), abs(b)), key
+        assert final[key] == rec.summary[key], key
+    assert final["ccv"] == rec.summary["final_ccv"]
 
 
 def test_verify_catches_tampering(tmp_path):
@@ -191,7 +191,7 @@ def test_sweep_requires_three_horizons():
         sweep_slope(cfg(horizons=[10, 20]), "ccv")
 
 
-def test_sweep_runs_each_horizon_and_respects_thread_cap(tmp_path):
+def test_sweep_runs_each_horizon(tmp_path):
     config = cfg("static", algorithm="coco2", horizons=[20, 40, 80],
                  out_dir=str(tmp_path / "sweep"))
     records = sweep(config)
@@ -582,6 +582,28 @@ def test_g_lip_below_the_oracles_bound_is_config_error(tmp_path, capsys, g_lip):
     assert StaticScenario(ScenarioSpec("static", horizon=5, params={"g_lip": 1.0})).g_lip == 1.0
     # a value that is not a number at all is a configuration error too
     assert main(["run", "--config", write_config(tmp_path, g_lip=[1])]) == 2
+
+
+@pytest.mark.parametrize("config", [{"g_lip": True}, {"g_lip": "2.0"},
+                                    {"scenario": {"name": "static", "horizon": 20,
+                                                  "params": {"g_lip": True}}},
+                                    {"scenario": {"name": "static", "horizon": 20,
+                                                  "params": {"g_lip": "2.0"}}}],
+                         ids=["top-bool", "top-string", "param-bool", "param-string"])
+def test_g_lip_that_is_not_a_real_number_is_config_error(tmp_path, capsys, config):
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", write_config(tmp_path, **config), "--out", out]) == 2
+    assert "g_lip must be a finite Lipschitz bound" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
+def test_emit_plotdata_that_is_not_a_bool_is_config_error(tmp_path, capsys, value):
+    out = str(tmp_path / "out")
+    config = write_config(tmp_path, emit_plotdata=value)
+    assert main(["run", "--config", config, "--out", out]) == 2
+    assert "emit_plotdata must be true or false" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("algorithm,knob,value,message", [
