@@ -13,7 +13,6 @@ from .core import (
     ConstraintOracle,
     CostOracle,
     DecisionSet,
-    RoundRow,
     RunRecord,
     ccv_update,
     g_plus,

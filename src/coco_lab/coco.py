@@ -20,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgets import coco2_ccv_rhs, coco2_gamma, coco2_regret_rhs, ensemble_rhs, num_experts
-from .core import (
-    ConstraintOracle,
-    CostOracle,
-    DecisionSet,
-    RoundRow,
-    ccv_update,
-    g_plus,
-)
+from .core import ConstraintOracle, CostOracle, DecisionSet, ccv_update
 from .geometry import GeometricSet, dist, dist_subgradient
 from .subroutines import AhagState, ahag_round, ahag_step  # noqa: F401  ahag_round re-exported
 
@@ -75,22 +68,17 @@ class Coco1State:
 
 def _round(state: Coco1State | Coco2State, cost: CostOracle, constraint: ConstraintOracle,
            surrogate_subgradient):
-    """Play the subroutine's point, record the revealed values, fold the
-    fresh violation into ``Q(t)``, then advance the subroutine on
-    ``surrogate_subgradient(x, g(x))`` at the subroutine's play ``x``, and
-    record that gradient's norm."""
+    """Play the subroutine's point ``x``, fold the fresh violation ``g(x)``
+    into ``Q(t)``, then advance the subroutine on
+    ``surrogate_subgradient(x, g(x))``. Returns the state, ``x`` and that
+    gradient's norm."""
     x = state.subroutine.combined_point
-    f_val = float(cost.value(x))
     g_val = float(constraint.value(x))
     state.q = ccv_update(state.q, g_val)
     state.t += 1
     grad = np.asarray(surrogate_subgradient(x, g_val), dtype=float)
     _, played = ahag_step(state.subroutine, grad)
-    row = RoundRow(
-        t=state.t, x=played, f=f_val, g=g_val, gplus=g_plus(g_val),
-        q=state.q, surrogate_grad_norm=math.sqrt(grad @ grad),
-    )
-    return state, played, row
+    return state, played, math.sqrt(grad @ grad)
 
 
 def coco1_round(state: Coco1State, cost: CostOracle, constraint: ConstraintOracle):

@@ -9,7 +9,7 @@ comparator sequences and by the cumulative constraint violation (CCV).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -90,45 +90,52 @@ class ComparatorSequence:
         return self.points.shape[0]
 
 
-@dataclass
-class RoundRow:
-    """One trajectory row: the played point plus the revealed values for the round."""
-
-    t: int
-    x: np.ndarray
-    f: float
-    g: float
-    gplus: float
-    q: float
-    surrogate_grad_norm: float
-
-
-@dataclass
 class RunRecord:
-    """Full trajectory of a run plus the summary filled in by the harness.
+    """A run's trajectory as preallocated columns, plus the summary filled
+    in by the harness.
 
+    ``x`` has shape ``(capacity, dimension)``; ``f``, ``g``, ``gplus``,
+    ``Q`` and ``grad_norm`` have shape ``(capacity,)``. The first
+    ``horizon`` rows are recorded: each round writes its row of ``x`` and
+    ``grad_norm``, and ``fill`` then completes a block of rounds at once.
     The harness also keeps the comparators it scored (name ->
     ``ComparatorSequence``) and each one's per-round cost (name -> array).
     """
 
-    dimension: int
-    rows: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    comparators: dict = field(default_factory=dict)
-    comparator_costs: dict = field(default_factory=dict)
+    def __init__(self, dimension: int, capacity: int = 0, comparators: dict | None = None,
+                 comparator_costs: dict | None = None):
+        self.dimension = dimension
+        self.x = np.empty((capacity, dimension))
+        self.f, self.g, self.gplus, self.Q, self.grad_norm = np.empty((5, capacity))
+        self.horizon = 0
+        self.summary = {}
+        self.comparators = {} if comparators is None else comparators
+        self.comparator_costs = {} if comparator_costs is None else comparator_costs
 
-    @property
-    def horizon(self) -> int:
-        return len(self.rows)
-
-    def append(self, row: RoundRow):
-        if self.rows and row.q < self.rows[-1].q - 1e-12:
-            raise ValueError(f"CCV decreased at round {row.t}")
-        self.rows.append(row)
+    def fill(self, f, g, q: float | None = None):
+        """Record the next ``len(f)`` rounds, whose ``x`` and ``grad_norm``
+        rows are written, with their values ``f`` and ``g``: ``gplus`` is
+        ``max(0.0, g)`` and ``Q`` the running violation sum carried on from
+        the rounds before, each with the bits of ``g_plus`` and
+        ``ccv_update``. ``q``, if given, is the learner's own CCV after these
+        rounds, which must be the last ``Q`` bit for bit."""
+        start = self.horizon
+        stop = start + len(f)
+        g = np.asarray(g, dtype=float)
+        gplus = np.where(g > 0.0, g, 0.0)
+        self.f[start:stop], self.g[start:stop], self.gplus[start:stop] = f, g, gplus
+        q_before = self.Q[start - 1] if start else 0.0
+        self.Q[start:stop] = np.cumsum(np.concatenate(([q_before], gplus)))[1:]
+        if q is not None and q != self.Q[stop - 1]:
+            if q < q_before:
+                raise ValueError(f"CCV decreased at round {stop}")
+            raise ValueError(f"learner's CCV {q!r} is not the Q column's "
+                             f"{float(self.Q[stop - 1])!r} at round {stop}")
+        self.horizon = stop
 
     def surrogate_grad_sq_sum(self) -> float:
         """Sum of the squared surrogate gradient norms, added in round order."""
-        return float(running_sum([r.surrogate_grad_norm ** 2 for r in self.rows])[-1])
+        return float(running_sum([n ** 2 for n in self.grad_norm[:self.horizon].tolist()])[-1])
 
 
 def g_plus(g_value: float) -> float:

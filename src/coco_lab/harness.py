@@ -11,11 +11,14 @@ Artifacts per run directory:
 Files are written atomically (temp file + rename). Reruns of an identical
 configuration produce byte-identical CSVs.
 
-Comparator costs and feasibility do not depend on the learner: ``run``
-plays a block of ``ORACLE_BLOCK`` rounds, then scores every comparator on
-it with the oracle families' cross-round kernels (``oracle_values``), one
-pass per comparator. ``verify_run`` recomputes f, g and the comparator
-costs from ``rounds.csv`` with the same kernels, block by block.
+A run's record is a set of columns (``RunRecord``). Each round writes only
+the learner's play x_t and the norm of the gradient it stepped on. ``run``
+plays a block of ``ORACLE_BLOCK`` rounds, groups the block's costs and
+constraints by family and stacks each group once (``OracleStack``); the
+stacks then give the learner's f and g, from which the record derives
+gplus and Q, and every comparator's cost and feasibility, one kernel pass
+per point set. ``verify_run`` recomputes f, g and the comparator costs
+from ``rounds.csv`` with the same stacks, block by block.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ import numpy as np
 
 from . import budgets
 from .coco import Coco1State, Coco2State, coco1_round, coco2_round
-from .core import (FEASIBILITY_TOL, RoundRow, RunRecord, ccv_update, g_plus, path_prefix,
-                   running_sum)
+from .core import FEASIBILITY_TOL, RunRecord, path_prefix, running_sum
 from .geometry import membership
-from .scenarios import Scenario, ScenarioSpec, build_scenario, oracle_values
+from .scenarios import OracleStack, Scenario, ScenarioSpec, build_scenario
 from .subroutines import (
     KNOWN_PATH,
     PATH_FREE,
@@ -97,6 +99,15 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Real) \
                     or not math.isfinite(value) or value < 0 or (value == 0 and name == "v"):
                 raise ConfigError(f"{name} must be a finite number {sign}, got {value!r}")
+        if self.comparators is not None and (
+                not isinstance(self.comparators, (list, tuple))
+                or not all(isinstance(name, str) for name in self.comparators)):
+            raise ConfigError("comparators must be a list of names, got "
+                              f"{type(self.comparators).__name__} {self.comparators!r}")
+        if self.out_dir is not None and (not isinstance(self.out_dir, (str, os.PathLike))
+                                         or not os.fspath(self.out_dir)):
+            raise ConfigError("out_dir must be a path, got "
+                              f"{type(self.out_dir).__name__} {self.out_dir!r}")
         if not isinstance(self.emit_plotdata, bool):
             raise ConfigError(f"emit_plotdata must be true or false, got {self.emit_plotdata!r}")
         if self.g_lip is not None:
@@ -163,9 +174,8 @@ def run(config: RunConfig) -> RunRecord:
             raise ConfigError(f"comparator {name!r} leaves the decision set")
 
     t0 = time.perf_counter()
-    record = RunRecord(dimension=scenario.dimension, comparators=comparators,
-                       comparator_costs={name: np.empty(scenario.horizon)
-                                         for name in comparators})
+    record = RunRecord(scenario.dimension, scenario.horizon, comparators,
+                       {name: np.empty(scenario.horizon) for name in comparators})
     state = _init_state(config, scenario)
     _play(config.algorithm, scenario, state, record)
     summary = _summarize(config, scenario, state, comparators, _record_totals(record))
@@ -177,68 +187,105 @@ def run(config: RunConfig) -> RunRecord:
 
 
 def _play(algorithm: str, scenario: Scenario, state, record: RunRecord):
-    """Play every round, appending its row to ``record``. Only one block's
-    oracles are alive at a time."""
-    bookkeeping_q = 0.0
-    # the learner plays a block of rounds, then every comparator is scored
-    # on that block in one kernel pass; a failure reports its round as a
-    # round-by-round loop would: the earliest round first and, within a
-    # round, the learner, then the comparators in order, cost before
-    # feasibility
+    """Play every round into ``record``. Only one block's oracles are alive
+    at a time."""
+    step = _round_step(algorithm)
+    meta = algorithm in ("coco1", "coco2")
+    xs, norms = record.x, record.grad_norm
+    # the learner plays a block of rounds, then its f and g and every
+    # comparator are evaluated on that block from one stack of its oracles;
+    # a failure reports its round as a round-by-round loop would: the
+    # earliest round first and, within a round, the learner, then the
+    # comparators in order, cost before feasibility
     for start in range(1, scenario.horizon + 1, ORACLE_BLOCK):
-        costs, constraints, rows = [], [], []
-        failure = None
+        costs, constraints = [], []
+        played = None
         for t in range(start, min(start + ORACLE_BLOCK, scenario.horizon + 1)):
             try:
                 cost, constraint = scenario.generate(t)
-                row = _advance(algorithm, state, cost, constraint, t, bookkeeping_q)
-                bookkeeping_q = row.q
-                if not math.isfinite(row.f):
-                    raise ValueError(f"non-finite cost f(x_t) = {row.f}")
+                xs[t - 1], norms[t - 1] = step(state, cost, constraint)
             except Exception as exc:
-                failure = (t, exc)
+                played = (t - start, exc)
                 break
             costs.append(cost)
             constraints.append(constraint)
-            rows.append(row)
-        failure = _score_comparators(record, costs, constraints, start) or failure
-        # the rounds before a failure are recorded, as a round-by-round loop
-        # records them before it fails
-        for row in rows if failure is None else rows[:failure[0] - start]:
-            record.append(row)
+        costs, constraints = OracleStack(costs), OracleStack(constraints)
+        x = xs[start - 1:start - 1 + len(costs)]
+        f, f_raised = costs.values(x)
+        g, g_raised = constraints.values(x)
+        # within a round, f is read before g, and g's violation is taken
+        # before f's finiteness is checked
+        failure = _first(
+            f_raised, g_raised,
+            _earlier(None, ~np.isfinite(g), lambda i: ValueError(
+                "constraint value must be finite")),
+            _earlier(None, ~np.isfinite(f), lambda i: ValueError(
+                f"non-finite cost f(x_t) = {f[i]}")),
+            played)
+        failure = _score_comparators(record, costs, constraints, start, failure)
         if failure is not None:
-            t, exc = failure
+            i, exc = failure
             if isinstance(exc, HarnessError):
                 raise exc
-            raise HarnessError(f"oracle failure at round {t}: {exc}") from exc
+            raise HarnessError(f"oracle failure at round {start + i}: {exc}") from exc
+        try:
+            record.fill(f, g, state.q if meta else None)
+        except ValueError as exc:
+            raise HarnessError(str(exc)) from exc
 
 
-def _score_comparators(record: RunRecord, costs: list, constraints: list, start: int):
+def _round_step(algorithm: str):
+    """``step(state, cost, constraint) -> (x_t, gradient norm)``: one round
+    of ``algorithm``, which plays x_t and steps on a gradient. The plain OCO
+    subroutines ignore the constraint for their update; the violation they
+    incur is still recorded."""
+    if algorithm == "coco1":
+        return lambda state, cost, constraint: coco1_round(state, cost, constraint)[1:]
+    if algorithm == "coco2":
+        return lambda state, cost, constraint: coco2_round(state, cost, constraint)[1:]
+    adagrad = algorithm == "adagrad"
+
+    def step(state, cost, constraint):
+        x = state.point if adagrad else state.combined_point
+        grad = np.asarray(cost.subgradient(x), dtype=float)
+        (adagrad_step if adagrad else ahag_step)(state, grad)
+        return x, math.sqrt(grad @ grad)
+    return step
+
+
+def _score_comparators(record: RunRecord, costs: OracleStack, constraints: OracleStack,
+                       start: int, first):
     """Fill in each comparator's costs on rounds ``start, start + 1, ...``
     in ``record.comparator_costs``, and check that every comparator marked
     feasible meets each round's constraint.
 
-    Returns None, or ``(round, exception)`` for the first failure: a
-    raising or non-finite cost, or a violated (or raising) constraint.
+    ``first`` is None or the learner's ``(row, exception)`` in this block.
+    Returns the first failure, which is ``first`` unless a comparator's
+    failure comes strictly before it: a raising or non-finite cost, or a
+    violated (or raising) constraint.
     """
     n = len(costs)
-    first = None
     for name, comp in record.comparators.items():
         points = comp.points[start - 1:start - 1 + n]
-        values, failed = oracle_values(costs, points)
+        values, failed = costs.values(points)
         record.comparator_costs[name][start - 1:start - 1 + n] = values
         found = [_earlier(failed, ~np.isfinite(values), lambda i: ValueError(
             f"non-finite cost {values[i]} at comparator {name!r}"))]
         if comp.feasible:
-            g, failed = oracle_values(constraints, points)
+            g, failed = constraints.values(points)
             found.append(_earlier(failed, g > FEASIBILITY_TOL, lambda i: HarnessError(
                 f"comparator {name!r} marked feasible violates round {start + i}")))
-        # strictly earlier only: at one round, the comparator scored first
-        # and its cost before its feasibility win
-        for failure in found:
-            if failure is not None and (first is None or failure[0] < first[0]):
-                first = failure
-    return None if first is None else (start + first[0], first[1])
+        # strictly earlier only: at one round, the learner, then the
+        # comparator scored first and its cost before its feasibility win
+        first = _first(first, *found)
+    return first
+
+
+def _first(*failures):
+    """The earliest of the ``(row, exception)`` failures given (None where
+    there is none); of two at one row, the one given first."""
+    found = [f for f in failures if f is not None]
+    return min(found, key=lambda f: f[0]) if found else None
 
 
 def _earlier(failure, bad: np.ndarray, error):
@@ -258,28 +305,6 @@ def _init_state(config: RunConfig, scenario: Scenario):
     if config.algorithm == "coco1":
         return Coco1State.create(ds, T, g)
     return Coco2State.create(ds, T, g, v=config.v)
-
-
-def _advance(algorithm: str, state, cost, constraint, t: int, prev_q: float) -> RoundRow:
-    """One round of the selected algorithm; returns the trajectory row.
-
-    Every branch plays, records the revealed values, then steps. The plain
-    OCO subroutines ignore the constraint for their update but the violation
-    they incur is still recorded.
-    """
-    if algorithm == "coco1":
-        return coco1_round(state, cost, constraint)[2]
-    if algorithm == "coco2":
-        return coco2_round(state, cost, constraint)[2]
-    adagrad = algorithm == "adagrad"
-    x = state.point if adagrad else state.combined_point
-    f_val = float(cost.value(x))
-    g_val = float(constraint.value(x))
-    grad = np.asarray(cost.subgradient(x), dtype=float)
-    (adagrad_step if adagrad else ahag_step)(state, grad)
-    return RoundRow(t=t, x=x, f=f_val, g=g_val, gplus=g_plus(g_val),
-                    q=ccv_update(prev_q, g_val),
-                    surrogate_grad_norm=math.sqrt(grad @ grad))
 
 
 @dataclass(frozen=True)
@@ -308,9 +333,8 @@ class RunTotals:
 
 
 def _record_totals(record: RunRecord) -> RunTotals:
-    rows = record.rows
-    return RunTotals.of([r.q for r in rows], [r.f for r in rows],
-                        [r.surrogate_grad_norm for r in rows],
+    n = record.horizon
+    return RunTotals.of(record.Q[:n], record.f[:n], record.grad_norm[:n].tolist(),
                         record.comparators, record.comparator_costs)
 
 
@@ -420,15 +444,13 @@ def _rounds_columns(d: int) -> list:
 
 def rounds_csv_text(record: RunRecord) -> str:
     header = ",".join(_rounds_columns(record.dimension))
-    rows = record.rows
-    if not rows:
+    n = record.horizon
+    if not n:
         return header + "\n"
-    # one (T, d + 5) array, formatted column by column, then joined by row
-    values = np.column_stack([
-        np.array([r.x for r in rows], dtype=float),
-        np.array([(r.f, r.g, r.gplus, r.q, r.surrogate_grad_norm) for r in rows], dtype=float),
-    ])
-    columns = [[str(r.t) for r in rows]] + [_fmt_column(c) for c in values.T]
+    # formatted column by column, then joined by row
+    columns = [list(map(str, range(1, n + 1))), *map(_fmt_column, record.x[:n].T),
+               *(_fmt_column(c[:n]) for c in (record.f, record.g, record.gplus, record.Q,
+                                              record.grad_norm))]
     return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
@@ -440,7 +462,7 @@ def plotdata_csv_text(record: RunRecord) -> str:
     """Long-format trajectories of the run's totals: running CCV, running
     regret per comparator, and the matching budget RHS evaluated on each
     prefix. Each series ends on its value in the summary, bit for bit."""
-    if not record.rows:
+    if not record.horizon:
         return "series,t,value\n"
     totals = _record_totals(record)
     rounds = range(1, totals.horizon + 1)
@@ -546,9 +568,11 @@ def _rel_close(a, b):
     return np.abs(a - b) <= VERIFY_REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def _values_or_raise(oracles: list, points: np.ndarray) -> np.ndarray:
-    values, failure = oracle_values(oracles, points)
-    if failure is not None:
+def _values_or_raise(oracles: OracleStack, points: np.ndarray, rows: int | None = None):
+    """The oracles' values at ``points``; raises the first raising row's
+    exception if it is one of the first ``rows`` (of any row if None)."""
+    values, failure = oracles.values(points)
+    if failure is not None and (rows is None or failure[0] < rows):
         raise failure[1]
     return values
 
@@ -631,9 +655,10 @@ def verify_run(out_dir: str) -> list:
     for start in range(0, min(scenario.horizon, len(f_col)), ORACLE_BLOCK):
         stop = min(start + ORACLE_BLOCK, scenario.horizon, len(f_col))
         pairs = [scenario.generate(t) for t in range(start + 1, stop + 1)]
-        costs = [cost for cost, _ in pairs]
+        costs = OracleStack([cost for cost, _ in pairs])
         f_re = _values_or_raise(costs, xs[start:stop])
-        g_re = _values_or_raise([constraint for _, constraint in pairs], xs[start:stop])
+        g_re = _values_or_raise(OracleStack([constraint for _, constraint in pairs]),
+                                xs[start:stop])
         f_bad = ~_rel_close(f_re, f_col[start:stop])
         bad = f_bad | ~_rel_close(g_re, g_col[start:stop])
         mismatch = bool(bad.any())
@@ -643,7 +668,7 @@ def verify_run(out_dir: str) -> list:
             problems.append(f"{column} column mismatch at round {start + end + 1}")
         fx.append(f_re[:end])
         for n, comp in comparators.items():
-            comp_costs[n].append(_values_or_raise(costs[:end], comp.points[start:start + end]))
+            comp_costs[n].append(_values_or_raise(costs, comp.points[start:stop], end)[:end])
         if mismatch:
             break
 

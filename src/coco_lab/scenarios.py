@@ -26,8 +26,11 @@ from .geometry import Ball, Box, GeometricSet, Halfspace, Intersection, _norm
 #
 # Each family is a small class holding its parameters, so a round's oracles
 # pickle. Besides ``value`` and ``subgradient`` each family has a cross-round
-# kernel ``values_at``: oracle ``i`` at row ``i``, with the bits of
-# ``float(oracles[i].value(points[i]))``. Two shapes carry four families:
+# kernel in two steps: ``stack(oracles)`` gathers the oracles' parameters
+# into arrays, and ``evaluate(params, points)`` gives oracle ``i`` at row
+# ``i``, with the bits of ``float(oracles[i].value(points[i]))``; one stack
+# serves any number of point sets. ``values_at`` is the two in turn. Two
+# shapes carry four families:
 # ``x @ a - b`` is computed as ``x @ a + (-b)`` and ``||x - c||`` as
 # ``||x - c|| - 0.0``, which in IEEE arithmetic give the same bits.
 
@@ -38,13 +41,21 @@ def _rows_dot(points, vectors):
     return (points[:, None, :] @ vectors[:, :, None])[:, 0, 0]
 
 
+class _Family:
+    __slots__ = ()
+
+    @classmethod
+    def values_at(cls, oracles, points):
+        return cls.evaluate(cls.stack(oracles), points)
+
+
 def _unit_offset(x, center):
     delta = np.asarray(x, dtype=float) - center
     n = _norm(delta, keepdims=True)
     return np.divide(delta, n, out=np.zeros_like(delta), where=n > 1e-12)
 
 
-class _Linear:
+class _Linear(_Family):
     """``x @ a + shift``."""
 
     __slots__ = ("a", "shift", "lipschitz_bound")
@@ -58,12 +69,16 @@ class _Linear:
         return g
 
     @staticmethod
-    def values_at(oracles, points):
-        return (_rows_dot(points, np.array([o.a for o in oracles]))
-                + np.array([o.shift for o in oracles]))
+    def stack(oracles):
+        return np.array([o.a for o in oracles]), np.array([o.shift for o in oracles])
+
+    @staticmethod
+    def evaluate(params, points):
+        a, shift = params
+        return _rows_dot(points, a) + shift
 
 
-class _Radial:
+class _Radial(_Family):
     """``||x - center|| - radius``."""
 
     __slots__ = ("center", "radius", "lipschitz_bound")
@@ -75,9 +90,13 @@ class _Radial:
         return _unit_offset(x, self.center)
 
     @staticmethod
-    def values_at(oracles, points):
-        return (_norm(points - np.array([o.center for o in oracles]))
-                - np.array([o.radius for o in oracles]))
+    def stack(oracles):
+        return np.array([o.center for o in oracles]), np.array([o.radius for o in oracles])
+
+    @staticmethod
+    def evaluate(params, points):
+        center, radius = params
+        return _norm(points - center) - radius
 
 
 class _Constraint:
@@ -141,7 +160,7 @@ class BallConstraint(_Radial, _Constraint):
         return Ball(self.center, self.radius)
 
 
-class BoxConstraint(_Constraint):
+class BoxConstraint(_Family, _Constraint):
     """Constraint ``max_i max(lower_i - x_i, x_i - upper_i) <= 0``."""
 
     __slots__ = ("lower", "upper", "lipschitz_bound", "decision_geometry", "_region")
@@ -167,13 +186,16 @@ class BoxConstraint(_Constraint):
         return g
 
     @staticmethod
-    def values_at(oracles, points):
-        lo = np.array([o.lower for o in oracles])
-        hi = np.array([o.upper for o in oracles])
+    def stack(oracles):
+        return np.array([o.lower for o in oracles]), np.array([o.upper for o in oracles])
+
+    @staticmethod
+    def evaluate(params, points):
+        lo, hi = params
         return np.max(np.maximum(lo - points, points - hi), axis=-1)
 
 
-class ConstantConstraint(_Constraint):
+class ConstantConstraint(_Family, _Constraint):
     """Constraint identically equal to ``level <= 0``: its feasible region
     is the whole decision set."""
 
@@ -191,40 +213,69 @@ class ConstantConstraint(_Constraint):
         return np.zeros(np.shape(x))
 
     @staticmethod
-    def values_at(oracles, points):
+    def stack(oracles):
         return np.array([o.level for o in oracles], dtype=float)
+
+    @staticmethod
+    def evaluate(params, points):
+        return params
+
+
+class OracleStack:
+    """One block of rounds' oracles, grouped by family and stacked once:
+    ``values(points)`` gives ``float(oracles[i].value(points[i]))`` for
+    every row ``i``, bit for bit, with one kernel call per family, at as
+    many point sets as needed. Any other oracle (a plain ``CostOracle`` or
+    ``ConstraintOracle``), or a family whose kernel cannot take the block,
+    is called one row at a time."""
+
+    def __init__(self, oracles):
+        self.oracles = oracles
+        groups = {}
+        for i, o in enumerate(oracles):
+            groups.setdefault(type(o), []).append(i)
+        self._groups = []  # (rows, evaluate or None, stacked parameters)
+        for cls, rows in groups.items():
+            evaluate, params = getattr(cls, "evaluate", None), None
+            if evaluate is not None:
+                try:
+                    params = cls.stack([oracles[i] for i in rows])
+                except (ValueError, TypeError):
+                    evaluate = None
+            # one family in the block takes the points as they are
+            index = slice(None) if len(rows) == len(oracles) else np.array(rows)
+            self._groups.append((rows, index, evaluate, params))
+
+    def __len__(self) -> int:
+        return len(self.oracles)
+
+    def values(self, points):
+        """Returns ``(values, failure)``. ``failure`` is None, or ``(i, exc)``
+        for the first row whose oracle raised ``exc``; rows from ``i`` on are
+        then not all evaluated."""
+        values = np.full(len(self.oracles), np.nan)
+        failure = None
+        for rows, index, evaluate, params in self._groups:
+            if evaluate is not None:
+                try:
+                    values[index] = evaluate(params, points[index])
+                    continue
+                except (ValueError, TypeError):
+                    pass  # the kernel cannot say which row failed: call them in turn
+            for i in rows:
+                if failure is not None and i >= failure[0]:
+                    break
+                try:
+                    values[i] = float(self.oracles[i].value(points[i]))
+                except Exception as exc:
+                    failure = (i, exc)
+        return values, failure
 
 
 def oracle_values(oracles, points):
-    """``float(oracles[i].value(points[i]))`` for every row ``i``, bit for
-    bit, with one kernel call per oracle family; any other oracle (a plain
-    ``CostOracle`` or ``ConstraintOracle``) is called one row at a time.
-
-    Returns ``(values, failure)``. ``failure`` is None, or ``(i, exc)`` for
-    the first row whose oracle raised ``exc``; rows from ``i`` on are then
-    not all evaluated.
-    """
-    values = np.full(len(oracles), np.nan)
-    groups = {}
-    for i, o in enumerate(oracles):
-        groups.setdefault(type(o), []).append(i)
-    failure = None
-    for cls, rows in groups.items():
-        kernel = getattr(cls, "values_at", None)
-        if kernel is not None:
-            try:
-                values[rows] = kernel([oracles[i] for i in rows], points[rows])
-                continue
-            except (ValueError, TypeError):
-                pass  # the kernel cannot say which row failed: call them in turn
-        for i in rows:
-            if failure is not None and i >= failure[0]:
-                break
-            try:
-                values[i] = float(oracles[i].value(points[i]))
-            except Exception as exc:
-                failure = (i, exc)
-    return values, failure
+    """``OracleStack(oracles).values(points)``: every row's value, bit for
+    bit, and the first raising row, if any."""
+    return OracleStack(oracles).values(points)
 
 
 def affine_cost(a, b: float = 0.0, lipschitz_bound: float | None = None) -> AffineCost:

@@ -3,7 +3,8 @@
 ``reference_rounds_csv_text`` and ``reference_plotdata_csv_text`` are the
 writers as they were before they became column-wise: one row, one
 formatted line, and the running costs and path length added up in a
-Python loop. The shipped writers must give the same text, byte for byte.
+Python loop. They read the record one round at a time (``_rows``). The
+shipped writers must give the same text, byte for byte.
 """
 
 import os
@@ -28,35 +29,44 @@ def _fmt(v):
     return repr(float(v))
 
 
+def _rows(record):
+    """Each recorded round as ``(t, x, f, g, gplus, Q, grad_norm)``, the
+    values as Python floats."""
+    columns = (record.f, record.g, record.gplus, record.Q, record.grad_norm)
+    return [(t, record.x[t - 1], *(float(c[t - 1]) for c in columns))
+            for t in range(1, record.horizon + 1)]
+
+
 def reference_rounds_csv_text(record):
     d = record.dimension
     header = "t," + ",".join(f"x_{i}" for i in range(d)) + ",f,g,gplus,Q,grad_norm_surrogate"
     lines = [header]
-    for r in record.rows:
-        coords = ",".join(_fmt(c) for c in r.x)
-        lines.append(f"{r.t},{coords},{_fmt(r.f)},{_fmt(r.g)},{_fmt(r.gplus)},"
-                     f"{_fmt(r.q)},{_fmt(r.surrogate_grad_norm)}")
+    for t, x, f, g, gplus, q, grad_norm in _rows(record):
+        coords = ",".join(_fmt(c) for c in x)
+        lines.append(f"{t},{coords},{_fmt(f)},{_fmt(g)},{_fmt(gplus)},"
+                     f"{_fmt(q)},{_fmt(grad_norm)}")
     return "\n".join(lines) + "\n"
 
 
 def reference_plotdata_csv_text(record):
     lines = ["series,t,value"]
-    for r in record.rows:
-        lines.append(f"ccv,{r.t},{_fmt(r.q)}")
-    grad_sq_prefix = np.cumsum([r.surrogate_grad_norm ** 2 for r in record.rows])
+    rows = _rows(record)
+    for t, _, _, _, _, q, _ in rows:
+        lines.append(f"ccv,{t},{_fmt(q)}")
+    grad_sq_prefix = np.cumsum([grad_norm ** 2 for *_, grad_norm in rows])
     for name, comp in record.comparators.items():
         costs = record.comparator_costs[name]
         sum_cost = sum_comparator_cost = 0.0
         path_prefix = 0.0
-        for i, r in enumerate(record.rows):
-            sum_cost += r.f
+        for i, (t, _, f, *_) in enumerate(rows):
+            sum_cost += f
             sum_comparator_cost += costs[i]
             if i > 0:
                 path_prefix += float(np.linalg.norm(comp.points[i] - comp.points[i - 1]))
-            lines.append(f"regret__{name},{r.t},{_fmt(sum_cost - sum_comparator_cost)}")
+            lines.append(f"regret__{name},{t},{_fmt(sum_cost - sum_comparator_cost)}")
             if f"bound_rhs__{name}" in record.summary:
-                rhs = _budget(record.summary, path_prefix, r.t, float(grad_sq_prefix[i]))
-                lines.append(f"bound_rhs__{name},{r.t},{_fmt(rhs)}")
+                rhs = _budget(record.summary, path_prefix, t, float(grad_sq_prefix[i]))
+                lines.append(f"bound_rhs__{name},{t},{_fmt(rhs)}")
     return "\n".join(lines) + "\n"
 
 

@@ -96,10 +96,10 @@ def test_coco1_round_bookkeeping():
     state = Coco1State.create(ds, horizon=5, g_lip=1.0)
     q_prev = 0.0
     for _ in range(5):
-        state, played, row = coco1_round(state, cost, constraint)
-        assert row.q == pytest.approx(q_prev + g_plus(row.g))
-        assert row.gplus == g_plus(row.g)
-        q_prev = row.q
+        state, played, _ = coco1_round(state, cost, constraint)
+        g = float(constraint.value(played))
+        assert state.q == pytest.approx(q_prev + g_plus(g))
+        q_prev = state.q
     assert state.q == q_prev
 
 
@@ -138,11 +138,11 @@ def test_coco2_round_records_surrogate_gradient():
     ds, cost, constraint = interval_instance()
     state = Coco2State.create(ds, horizon=6, g_lip=1.0, v=2.0)
     for _ in range(6):
-        state, played, row = coco2_round(state, cost, constraint)
+        state, played, grad_norm = coco2_round(state, cost, constraint)
         expected = coco2_surrogate_subgradient(state, cost, constraint, played)
-        assert row.surrogate_grad_norm == pytest.approx(float(np.linalg.norm(expected)))
+        assert grad_norm == pytest.approx(float(np.linalg.norm(expected)))
         cap = state.lipschitz_bound * (state.v_param + 2.0 * state.q) + 1e-9
-        assert row.surrogate_grad_norm <= cap
+        assert grad_norm <= cap
 
 
 def test_coco2_trajectory_matches_reference_loop():
@@ -183,12 +183,10 @@ def test_coco2_default_v_examples():
 
 
 def _record_with(grad_norms):
-    from coco_lab.core import RoundRow
-
-    rec = RunRecord(dimension=1)
-    q = 0.0
-    for i, gn in enumerate(grad_norms, start=1):
-        rec.append(RoundRow(i, np.zeros(1), 0.0, -1.0, 0.0, q, gn))
+    rec = RunRecord(dimension=1, capacity=len(grad_norms))
+    rec.x[:] = 0.0
+    rec.grad_norm[:] = grad_norms
+    rec.fill(np.zeros(len(grad_norms)), np.full(len(grad_norms), -1.0))
     return rec
 
 
@@ -213,8 +211,7 @@ def test_coco2_bound_rhs_algebra():
     n = num_experts(diam, T)
     gamma = coco2_gamma(g_lip, diam, n)
     v = gamma * math.sqrt(T)
-    rec = _record_with([0.0] * 4)
-    object.__setattr__(rec, "rows", rec.rows * (T // 4))  # fake horizon
+    rec = _record_with([0.0] * T)
     regret_rhs, ccv_rhs = coco2_bound_rhs(rec, 0.0, v, g_lip, diam)
     # with P=0 and V=gamma*sqrt(T) the regret budget collapses to 2*gamma*sqrt(T)
     assert regret_rhs == pytest.approx(2.0 * gamma * math.sqrt(T))
@@ -254,12 +251,12 @@ def test_coco1_budgets_hold_on_runs():
     for name in ("disjoint-alternating", "tracking-ball", "static"):
         sc = make_scenario(name, 250)
         state = Coco1State.create(sc.decision_set, 250, sc.g_lip)
-        rec = RunRecord(dimension=sc.dimension)
+        rec = RunRecord(dimension=sc.dimension, capacity=250)
         costs, plays = [], []
         for t in range(1, 251):
             cost, constraint = sc.generate(t)
-            _, x, row = coco1_round(state, cost, constraint)
-            rec.append(row)
+            _, x, rec.grad_norm[t - 1] = coco1_round(state, cost, constraint)
+            rec.fill([float(cost.value(x))], [float(constraint.value(x))], q=state.q)
             costs.append(cost)
             plays.append(x)
         diam = sc.decision_set.diameter
@@ -274,12 +271,12 @@ def test_coco2_budgets_hold_on_runs():
     for name in ("disjoint-alternating", "tracking-ball", "static"):
         sc = make_scenario(name, 250)
         state = Coco2State.create(sc.decision_set, 250, sc.g_lip)
-        rec = RunRecord(dimension=sc.dimension)
+        rec = RunRecord(dimension=sc.dimension, capacity=250)
         costs, plays = [], []
         for t in range(1, 251):
             cost, constraint = sc.generate(t)
-            _, x, row = coco2_round(state, cost, constraint)
-            rec.append(row)
+            _, x, rec.grad_norm[t - 1] = coco2_round(state, cost, constraint)
+            rec.fill([float(cost.value(x))], [float(constraint.value(x))], q=state.q)
             costs.append(cost)
             plays.append(x)
         diam = sc.decision_set.diameter
@@ -302,8 +299,8 @@ def test_feasible_rounds_reduce_to_unconstrained_learning():
     ens = AhagState.create(sc.decision_set, 100)
     for t in range(1, 101):
         cost, constraint = sc.generate(t)
-        _, x1, row = coco1_round(state, cost, constraint)
+        _, x1, _ = coco1_round(state, cost, constraint)
         _, x2 = ahag_round(ens, cost)
         assert np.array_equal(x1, x2)
-        assert row.q == 0.0
+        assert state.q == 0.0
     assert state.q == 0.0

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from coco_lab.core import (
     ComparatorSequence,
     DecisionSet,
-    RoundRow,
     RunRecord,
     ccv_update,
     g_plus,
@@ -141,10 +140,30 @@ def test_comparator_feasibility_validated_against_constraints():
 
 
 def test_run_record_rejects_decreasing_ccv():
-    rec = RunRecord(dimension=1)
-    rec.append(RoundRow(1, np.zeros(1), 0.0, 0.0, 0.0, 1.0, 0.0))
-    with pytest.raises(ValueError, match="decreased"):
-        rec.append(RoundRow(2, np.zeros(1), 0.0, 0.0, 0.0, 0.5, 0.0))
+    # round 1 violates by 1; the learner then claims a CCV of 0.5 after round 2
+    rec = RunRecord(dimension=1, capacity=2)
+    rec.fill([0.0], [1.0])
+    with pytest.raises(ValueError, match="decreased at round 2"):
+        rec.fill([0.0], [0.0], q=0.5)
+    with pytest.raises(ValueError, match="not the Q column's 1.0 at round 2"):
+        rec.fill([0.0], [0.0], q=1.5)
+    assert rec.horizon == 1
+
+
+def test_run_record_fill_has_the_bits_of_the_per_round_bookkeeping():
+    rng = np.random.default_rng(5)
+    g = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(-8, 8, 40),
+                        [0.0, -0.0, 1e-300, -1e-300, 1e16, 1.0, 1.0]])
+    rec = RunRecord(dimension=2, capacity=len(g))
+    q = 0.0
+    for start, stop in ((0, 1), (1, 17), (17, 40), (40, len(g))):
+        for t in range(start, stop):
+            q = ccv_update(q, float(g[t]))
+        rec.fill(np.zeros(stop - start), g[start:stop], q=q)
+    assert rec.horizon == len(g)
+    expect_gplus = [g_plus(float(v)) for v in g]
+    assert np.array_equal(rec.gplus.view(np.uint64), np.array(expect_gplus).view(np.uint64))
+    assert rec.Q[-1] == q and np.array_equal(rec.g, g)
 
 
 def test_run_record_row_count_and_monotone_q():
@@ -152,13 +171,14 @@ def test_run_record_row_count_and_monotone_q():
     from coco_lab.coco import Coco1State, coco1_round
 
     state = Coco1State.create(sc.decision_set, 25, sc.g_lip)
-    rec = RunRecord(dimension=1)
+    rec = RunRecord(dimension=1, capacity=25)
     for t in range(1, 26):
         cost, constraint = sc.generate(t)
-        _, _, row = coco1_round(state, cost, constraint)
-        rec.append(row)
+        _, rec.x[t - 1], rec.grad_norm[t - 1] = coco1_round(state, cost, constraint)
+        x = rec.x[t - 1]
+        rec.fill([float(cost.value(x))], [float(constraint.value(x))], q=state.q)
     assert rec.horizon == 25
-    qs = [r.q for r in rec.rows]
+    qs = rec.Q[:rec.horizon].tolist()
     assert all(b >= a for a, b in zip(qs, qs[1:]))
     assert qs[-1] >= 0.0
 
@@ -168,9 +188,9 @@ def test_surrogate_grad_sq_sum_adds_left_to_right():
     # tie that rounds to even); a compensated sum (the builtin ``sum`` of
     # floats from Python 3.12) gives 1e16 + 2. The summary and the
     # plotdata prefixes must agree on every Python version.
-    rec = RunRecord(dimension=1)
-    for t, norm in enumerate([1e8, 1.0, 1.0], start=1):
-        rec.append(RoundRow(t, np.zeros(1), 0.0, 0.0, 0.0, 0.0, norm))
-    prefixes = np.cumsum([r.surrogate_grad_norm ** 2 for r in rec.rows])
+    rec = RunRecord(dimension=1, capacity=3)
+    rec.grad_norm[:] = [1e8, 1.0, 1.0]
+    rec.fill(np.zeros(3), np.zeros(3))
+    prefixes = np.cumsum([norm ** 2 for norm in rec.grad_norm.tolist()])
     assert rec.surrogate_grad_sq_sum() == prefixes[-1] == 1e16
     assert RunRecord(dimension=1).surrogate_grad_sq_sum() == 0.0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 import coco_lab
-from coco_lab import harness, subroutines
+from coco_lab import coco, harness, subroutines
 from coco_lab.cli import main
-from coco_lab.core import ConstraintOracle, CostOracle
+from coco_lab.core import ConstraintOracle, CostOracle, RunRecord
 from coco_lab.harness import (
     ALGORITHMS,
     ConfigError,
@@ -313,7 +314,7 @@ def test_comparator_costs_are_each_rounds_cost_value(scenario):
     record = run(cfg(scenario, T=70, seed=4, algorithm="ahag"))
     sc = build_scenario(ScenarioSpec(scenario, horizon=70, seed=4))
     costs = [sc.generate(t)[0] for t in range(1, 71)]
-    sum_cost = _sequential_sum(row.f for row in record.rows)
+    sum_cost = _sequential_sum(record.f[:record.horizon].tolist())
     for name, comp in record.comparators.items():
         expect = [float(c.value(u)) for c, u in zip(costs, comp.points)]
         assert record.comparator_costs[name].tolist() == expect, name
@@ -333,6 +334,35 @@ def test_block_size_does_not_change_a_run(monkeypatch, tmp_path):
         texts.append([open(os.path.join(config.out_dir, f)).read()
                       for f in ("rounds.csv", "plotdata.csv")])
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("algorithm", ["coco1", "coco2"])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_coco_state_q_is_the_q_column_at_every_block_end(monkeypatch, scenario, algorithm):
+    monkeypatch.setattr(harness, "ORACLE_BLOCK", 64)
+    ends = []
+    fill = RunRecord.fill
+
+    def spy(record, f, g, q=None):
+        fill(record, f, g, q)
+        ends.append((record.horizon, q, record.Q[record.horizon - 1]))
+
+    monkeypatch.setattr(RunRecord, "fill", spy)
+    record = run(cfg(scenario, T=300, seed=3, algorithm=algorithm))
+    assert [t for t, _, _ in ends] == [64, 128, 192, 256, 300]
+    qs, column = zip(*((q, big_q) for _, q, big_q in ends))
+    assert np.array_equal(np.array(qs).view(np.uint64), np.array(column).view(np.uint64))
+    assert record.summary["final_ccv"] == qs[-1]
+
+
+@pytest.mark.parametrize("algorithm", ["coco1", "coco2"])
+def test_coco_state_q_off_the_q_column_is_a_harness_error(monkeypatch, algorithm):
+    # the learner's own CCV drifts from the violations its plays incur
+    monkeypatch.setattr(harness, "ORACLE_BLOCK", 8)
+    original = coco.ccv_update
+    monkeypatch.setattr(coco, "ccv_update", lambda q, g: original(q, g) + 2.0 ** -30)
+    with pytest.raises(HarnessError, match="learner's CCV .* is not the Q column's .* round 8$"):
+        run(cfg("tracking-ball", T=20, algorithm=algorithm))
 
 
 def _tamper(out, changes):
@@ -379,7 +409,7 @@ def test_recorded_gradient_norm_is_the_stepped_gradients_norm(monkeypatch, algor
 
     monkeypatch.setattr(subroutines, "adagrad_step", recording_step)
     record = run(cfg("static", T=20000, seed=0, algorithm=algorithm))
-    recorded = np.array([r.surrogate_grad_norm for r in record.rows])
+    recorded = record.grad_norm[:record.horizon]
     assert len(stepped) == len(recorded)
     np.testing.assert_allclose(recorded, stepped, rtol=1e-12, atol=0.0)
 
@@ -604,6 +634,27 @@ def test_emit_plotdata_that_is_not_a_bool_is_config_error(tmp_path, capsys, valu
     assert main(["run", "--config", config, "--out", out]) == 2
     assert "emit_plotdata must be true or false" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"out_dir": 5}, "out_dir must be a path, got int 5"),
+    ({"out_dir": ["runs"]}, "out_dir must be a path, got list ['runs']"),
+    ({"out_dir": ""}, "out_dir must be a path, got str ''"),
+    ({"comparators": "interior-static"},
+     "comparators must be a list of names, got str 'interior-static'"),
+    ({"comparators": {"interior-static": 1}}, "comparators must be a list of names, got dict"),
+    ({"comparators": ["interior-static", 3]}, "comparators must be a list of names, got list"),
+], ids=["out-dir-int", "out-dir-list", "out-dir-empty", "comparators-str", "comparators-dict",
+        "comparators-not-names"])
+def test_out_dir_or_comparators_of_the_wrong_type_is_config_error(monkeypatch, tmp_path, capsys,
+                                                                  config, message):
+    played = []
+    monkeypatch.setattr(harness, "_play", lambda *args: played.append(args))
+    assert main(["run", "--config", write_config(tmp_path, **config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not played  # rejected before any round is played
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig.from_json({"scenario": {"name": "static"}, "algorithm": "coco2", **config})
 
 
 @pytest.mark.parametrize("algorithm,knob,value,message", [

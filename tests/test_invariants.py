@@ -32,8 +32,8 @@ def _play(algorithm, scenario):
     state = Coco1State.create(ds, T, g) if algorithm == "coco1" else Coco2State.create(ds, T, g)
     step = coco1_round if algorithm == "coco1" else coco2_round
     for t in range(1, T + 1):
-        _, x, row = step(state, *scenario.generate(t))
-        yield state.subroutine, x, state.q, row.surrogate_grad_norm
+        _, x, surrogate_norm = step(state, *scenario.generate(t))
+        yield state.subroutine, x, state.q, surrogate_norm
 
 
 @pytest.mark.parametrize("algorithm", ["coco1", "coco2", "ahag"])

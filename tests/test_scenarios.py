@@ -17,6 +17,7 @@ from coco_lab.scenarios import (
     ConstantConstraint,
     HalfspaceConstraint,
     NormCost,
+    OracleStack,
     ScenarioSpec,
     build_scenario,
     make_scenario,
@@ -235,6 +236,73 @@ def test_oracle_values_reports_the_first_raising_row():
     assert row == 1 and isinstance(exc, ArithmeticError)
     assert len(calls) == 1  # the later broken row is not called
     assert values[0] == 0.0 and values[2] == 2.0
+
+
+def _mixed_block():
+    """oco-mix's costs, which alternate ``AffineCost`` and ``NormCost``, and
+    its constraints."""
+    sc = make_scenario("oco-mix", 40, seed=6)
+    pairs = [sc.generate(t) for t in range(1, 41)]
+    assert {type(c) for c, _ in pairs} == {AffineCost, NormCost}
+    return [c for c, _ in pairs], [k for _, k in pairs]
+
+
+def _plain(oracle):
+    return CostOracle(value=oracle.value, subgradient=oracle.subgradient,
+                      lipschitz_bound=oracle.lipschitz_bound)
+
+
+@pytest.mark.parametrize("block", ["oco-mix-costs", "oco-mix-constraints", "plain-rows"])
+def test_one_oracle_stack_serves_several_point_sets(monkeypatch, block):
+    costs, constraints = _mixed_block()
+    oracles = {"oco-mix-costs": costs, "oco-mix-constraints": constraints,
+               "plain-rows": [_plain(o) if i % 3 else o for i, o in enumerate(costs)]}[block]
+    stacked = []
+    for family in {type(o) for o in oracles}:
+        if hasattr(family, "stack"):
+            original = family.stack
+            monkeypatch.setattr(family, "stack", staticmethod(
+                lambda group, _original=original: stacked.append(len(group))
+                or _original(group)))
+    stack = OracleStack(oracles)
+    assert sum(stacked) == sum(hasattr(type(o), "stack") for o in oracles)
+    rng = np.random.default_rng(8)
+    for points in (rng.normal(size=(40, 2)), np.zeros((40, 2)), rng.uniform(-9, 9, (40, 2))):
+        values, failure = stack.values(points)
+        assert failure is None
+        assert same_bits(values, [float(o.value(p)) for o, p in zip(oracles, points)])
+    assert len(stacked) == len({type(o) for o in oracles} - {CostOracle})  # stacked once
+
+
+def test_one_oracle_stack_reports_the_first_raising_row_at_each_point_set():
+    calls = []
+
+    def value(x):
+        calls.append(x)
+        if x[0] > 0.0:
+            raise ArithmeticError("no value here")
+        return -1.0
+
+    costs, _ = _mixed_block()
+    oracles = [CostOracle(value=value, subgradient=None, lipschitz_bound=1.0) if i % 4 == 3
+               else o for i, o in enumerate(costs)]
+    stack = OracleStack(oracles)
+    rng = np.random.default_rng(9)
+    for bad_row in (3, 11, 39):
+        points = rng.normal(size=(40, 2))
+        points[3::4, 0] = -1.0
+        points[bad_row, 0] = 1.0
+        calls.clear()
+        values, failure = stack.values(points)
+        row, exc = failure
+        assert row == bad_row and isinstance(exc, ArithmeticError)
+        assert len(calls) == (bad_row + 1) // 4  # no plain row after it is called
+        expect = [float(o.value(p)) for o, p in zip(oracles[:bad_row], points[:bad_row])]
+        assert same_bits(values[:bad_row], expect)
+        assert same_bits(values[bad_row + 1:][~np.isnan(values[bad_row + 1:])],
+                         [float(o.value(p)) for o, p in zip(oracles[bad_row + 1:],
+                                                             points[bad_row + 1:])
+                          if hasattr(type(o), "stack")])
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -587,9 +587,10 @@ def test_run_matches_reference_round_loop_bitwise(monkeypatch, name, algorithm):
     with monkeypatch.context() as patch:
         patch.setattr(Ball, "project", reference_ball_project)
         expected = reference_rows(config)
-    assert len(record.rows) == len(expected)
-    for row, (t, x, *values) in zip(record.rows, expected):
-        assert row.t == t
-        assert np.array_equal(row.x.view(np.uint64), x.view(np.uint64))
-        got = [row.f, row.g, row.gplus, row.q, row.surrogate_grad_norm]
+    assert record.horizon == len(expected)
+    columns = (record.f, record.g, record.gplus, record.Q, record.grad_norm)
+    for i, (t, x, *values) in enumerate(expected):
+        assert t == i + 1
+        assert np.array_equal(record.x[i].view(np.uint64), x.view(np.uint64))
+        got = [c[i] for c in columns]
         assert np.array_equal(np.array(got).view(np.uint64), np.array(values).view(np.uint64))
