@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 budget violation, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -118,10 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

@@ -13,12 +13,14 @@ configuration produce byte-identical CSVs.
 
 A run's record is a set of columns (``RunRecord``). Each round writes only
 the learner's play x_t and the norm of the gradient it stepped on. ``run``
-plays a block of ``ORACLE_BLOCK`` rounds, groups the block's costs and
-constraints by family and stacks each group once (``OracleStack``); the
-stacks then give the learner's f and g, from which the record derives
-gplus and Q, and every comparator's cost and feasibility, one kernel pass
-per point set. ``verify_run`` recomputes f, g and the comparator costs
-from ``rounds.csv`` with the same stacks, block by block.
+plays a block of ``ORACLE_BLOCK`` rounds, then takes the block's costs and
+constraints from the scenario as one ``OracleStack`` each
+(``Scenario.oracle_block``, which a built-in scenario reads off its own
+arrays); the stacks give the learner's f and g, from which the record
+derives gplus and Q, and every comparator's cost and feasibility, one
+kernel pass per family and point set. ``verify_run`` recomputes f, g and
+the comparator costs from ``rounds.csv`` with the same stacks, block by
+block, and builds no oracle of a round.
 """
 
 from __future__ import annotations
@@ -124,6 +126,8 @@ class RunConfig:
         overrides = {k: v for k, v in overrides.items() if v is not None}
         try:
             sc = raw["scenario"]
+            if not isinstance(sc, dict):
+                raise ConfigError(f"scenario must be a JSON object, got {sc!r}")
             horizon = sc.get("horizon", 1000)
             seed = overrides.pop("seed", sc.get("seed", 0))
             for name, value in (("horizon", horizon), ("seed", seed)):
@@ -193,24 +197,22 @@ def _play(algorithm: str, scenario: Scenario, state, record: RunRecord):
     meta = algorithm in ("coco1", "coco2")
     xs, norms = record.x, record.grad_norm
     # the learner plays a block of rounds, then its f and g and every
-    # comparator are evaluated on that block from one stack of its oracles;
-    # a failure reports its round as a round-by-round loop would: the
-    # earliest round first and, within a round, the learner, then the
-    # comparators in order, cost before feasibility
+    # comparator are evaluated on the rounds it played from the scenario's
+    # stacks of their oracles; a failure reports its round as a
+    # round-by-round loop would: the earliest round first and, within a
+    # round, the learner, then the comparators in order, cost before
+    # feasibility
     for start in range(1, scenario.horizon + 1, ORACLE_BLOCK):
-        costs, constraints = [], []
         played = None
-        for t in range(start, min(start + ORACLE_BLOCK, scenario.horizon + 1)):
+        stop = min(start + ORACLE_BLOCK, scenario.horizon + 1)
+        for t in range(start, stop):
             try:
-                cost, constraint = scenario.generate(t)
-                xs[t - 1], norms[t - 1] = step(state, cost, constraint)
+                xs[t - 1], norms[t - 1] = step(state, *scenario.generate(t))
             except Exception as exc:
-                played = (t - start, exc)
+                played, stop = (t - start, exc), t
                 break
-            costs.append(cost)
-            constraints.append(constraint)
-        costs, constraints = OracleStack(costs), OracleStack(constraints)
-        x = xs[start - 1:start - 1 + len(costs)]
+        costs, constraints = scenario.oracle_block(start, stop)
+        x = xs[start - 1:stop - 1]
         f, f_raised = costs.values(x)
         g, g_raised = constraints.values(x)
         # within a round, f is read before g, and g's violation is taken
@@ -398,7 +400,9 @@ def _budget(summary: dict, path: float, t: int, grad_sq_sum: float, ccv: bool = 
 
     ``grad_sq_sum`` is the squared gradient norm accumulated over those
     rounds. The run summary, the plot trajectories and verification all
-    evaluate budgets here, on entries of the same ``RunTotals``.
+    evaluate budgets here, on entries of the same ``RunTotals``: a number
+    each for the summary, or arrays of every prefix for a trajectory, whose
+    entries have the bits of the number (``budgets``).
     """
     algo = summary["algorithm"]
     diam = summary["diameter"]
@@ -465,8 +469,7 @@ def plotdata_csv_text(record: RunRecord) -> str:
     if not record.horizon:
         return "series,t,value\n"
     totals = _record_totals(record)
-    rounds = range(1, totals.horizon + 1)
-    ts = list(map(str, rounds))
+    ts = list(map(str, range(1, totals.horizon + 1)))
     lines = ["series,t,value", *_series("ccv", ts, totals.ccv[1:])]
     for name in record.comparators:
         regret = _series(f"regret__{name}", ts, totals.regret(name)[1:])
@@ -474,9 +477,9 @@ def plotdata_csv_text(record: RunRecord) -> str:
             lines += regret
             continue
         # the comparator's path after round t is entry t - 1 of its prefix
-        rhs = _series(f"bound_rhs__{name}", ts, [
-            _budget(record.summary, p, t, s)
-            for t, p, s in zip(rounds, totals.path[name].tolist(), totals.grad_sq[1:].tolist())])
+        rhs = _series(f"bound_rhs__{name}", ts, _budget(
+            record.summary, totals.path[name], np.arange(1, totals.horizon + 1),
+            totals.grad_sq[1:]))
         lines += [line for pair in zip(regret, rhs) for line in pair]
     return "\n".join(lines) + "\n"
 
@@ -654,11 +657,9 @@ def verify_run(out_dir: str) -> list:
     fx, comp_costs = [], {n: [] for n in comparators}
     for start in range(0, min(scenario.horizon, len(f_col)), ORACLE_BLOCK):
         stop = min(start + ORACLE_BLOCK, scenario.horizon, len(f_col))
-        pairs = [scenario.generate(t) for t in range(start + 1, stop + 1)]
-        costs = OracleStack([cost for cost, _ in pairs])
+        costs, constraints = scenario.oracle_block(start + 1, stop + 1)
         f_re = _values_or_raise(costs, xs[start:stop])
-        g_re = _values_or_raise(OracleStack([constraint for _, constraint in pairs]),
-                                xs[start:stop])
+        g_re = _values_or_raise(constraints, xs[start:stop])
         f_bad = ~_rel_close(f_re, f_col[start:stop])
         bad = f_bad | ~_rel_close(g_re, g_col[start:stop])
         mismatch = bool(bad.any())

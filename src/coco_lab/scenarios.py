@@ -230,11 +230,11 @@ class OracleStack:
     is called one row at a time."""
 
     def __init__(self, oracles):
-        self.oracles = oracles
         groups = {}
         for i, o in enumerate(oracles):
             groups.setdefault(type(o), []).append(i)
-        self._groups = []  # (rows, evaluate or None, stacked parameters)
+        self._n, self._oracle = len(oracles), oracles.__getitem__
+        self._groups = []  # (row index, evaluate or None, stacked parameters)
         for cls, rows in groups.items():
             evaluate, params = getattr(cls, "evaluate", None), None
             if evaluate is not None:
@@ -244,29 +244,41 @@ class OracleStack:
                     evaluate = None
             # one family in the block takes the points as they are
             index = slice(None) if len(rows) == len(oracles) else np.array(rows)
-            self._groups.append((rows, index, evaluate, params))
+            self._groups.append((index, evaluate, params))
+
+    @classmethod
+    def from_groups(cls, n: int, groups, oracle) -> OracleStack:
+        """The stack of ``n`` rows given as ``(rows, family, params)``
+        groups: ``rows`` is ``slice(None)`` or an index array, and
+        ``params`` holds what ``family.stack`` gives for those rows' oracles.
+        ``oracle(i)`` builds row ``i``'s oracle; it is called only if a
+        kernel cannot take the block."""
+        stack = cls.__new__(cls)
+        stack._n, stack._oracle = n, oracle
+        stack._groups = [(rows, family.evaluate, params) for rows, family, params in groups]
+        return stack
 
     def __len__(self) -> int:
-        return len(self.oracles)
+        return self._n
 
     def values(self, points):
         """Returns ``(values, failure)``. ``failure`` is None, or ``(i, exc)``
         for the first row whose oracle raised ``exc``; rows from ``i`` on are
         then not all evaluated."""
-        values = np.full(len(self.oracles), np.nan)
+        values = np.full(self._n, np.nan)
         failure = None
-        for rows, index, evaluate, params in self._groups:
+        for index, evaluate, params in self._groups:
             if evaluate is not None:
                 try:
                     values[index] = evaluate(params, points[index])
                     continue
                 except (ValueError, TypeError):
                     pass  # the kernel cannot say which row failed: call them in turn
-            for i in rows:
+            for i in np.arange(self._n)[index].tolist():
                 if failure is not None and i >= failure[0]:
                     break
                 try:
-                    values[i] = float(self.oracles[i].value(points[i]))
+                    values[i] = float(self._oracle(i).value(points[i]))
                 except Exception as exc:
                     failure = (i, exc)
         return values, failure
@@ -375,8 +387,38 @@ class Scenario:
         if not 1 <= t <= self.horizon:
             raise ValueError(f"round {t} outside horizon 1..{self.horizon}")
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a class that changes what ``generate`` gives, and says nothing of
+        # its blocks, gets its blocks from its own ``generate``
+        if "generate" in vars(cls) and "oracle_block" not in vars(cls):
+            cls.oracle_block = Scenario.oracle_block
+
     def generate(self, t: int):
         raise NotImplementedError
+
+    def oracle_block(self, start: int, stop: int):
+        """``(costs, constraints)``: the ``OracleStack`` of each for rounds
+        ``start <= t < stop``, whose row ``i`` has the values of
+        ``generate(start + i)``'s oracle. Here, those oracles stacked; a
+        scenario whose oracles are rows of its own arrays reads the stacks'
+        parameters off those arrays (``_block``)."""
+        pairs = [self.generate(t) for t in self._rounds(start, stop).tolist()]
+        return OracleStack([c for c, _ in pairs]), OracleStack([k for _, k in pairs])
+
+    def _rounds(self, start: int, stop: int) -> np.ndarray:
+        """The rounds ``start <= t < stop`` of a block, within the horizon."""
+        if not 1 <= start <= stop <= self.horizon + 1:
+            raise ValueError(f"rounds {start}..{stop - 1} outside horizon 1..{self.horizon}")
+        return np.arange(start, stop)
+
+    def _block(self, start: int, stop: int, costs: list, constraints: list):
+        """``oracle_block``'s stacks from ``(rows, family, params)`` groups
+        of each kind; a row's oracle is built by ``generate``, and only if
+        a kernel cannot take the block."""
+        return tuple(OracleStack.from_groups(stop - start, groups,
+                                             lambda i, k=k: self.generate(start + i)[k])
+                     for k, groups in enumerate((costs, constraints)))
 
     def comparators(self) -> dict:
         raise NotImplementedError
@@ -392,12 +434,32 @@ class Scenario:
 
 
 def _params(spec: ScenarioSpec, **defaults) -> dict:
-    """``defaults`` and a ``g_lip`` of 1 under ``spec.params``, which must not add a name."""
+    """``defaults`` and a ``g_lip`` of 1 under ``spec.params``, which must not
+    add a name. Each value but ``g_lip`` (which ``Scenario`` checks) must be
+    a finite real number, and a radius a positive one."""
     defaults = {"g_lip": 1.0, **defaults}
     unknown = sorted(set(spec.params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown params {unknown}; {spec.name!r} reads {sorted(defaults)}")
-    return {**defaults, **spec.params}
+    p = {**defaults, **spec.params}
+    for name, value in p.items():
+        if name == "g_lip":
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not math.isfinite(value):
+            raise ValueError(f"param {name} must be a finite number, got {value!r}")
+        if name.endswith("radius") and not value > 0:
+            raise ValueError(f"param {name} must be positive, got {value!r}")
+    return p
+
+
+def _fixed(oracles, which) -> list:
+    """The one group of a block whose row ``i`` holds ``oracles[which[i]]``,
+    all of one family: their parameters, stacked once and taken by row."""
+    family = type(oracles[0])
+    params = family.stack(oracles)
+    rows = params[which] if isinstance(params, np.ndarray) else tuple(p[which] for p in params)
+    return [(slice(None), family, rows)]
 
 
 def _feasible_comparators(points_by_name: dict) -> dict:
@@ -425,6 +487,11 @@ class AlternatingScenario(Scenario):
     def generate(self, t):
         self._check_round(t)
         return self._cost, (self._odd if t % 2 == 1 else self._even)
+
+    def oracle_block(self, start, stop):
+        t = self._rounds(start, stop)
+        return self._block(start, stop, _fixed([self._cost], np.zeros_like(t)),
+                           _fixed([self._even, self._odd], t % 2))
 
     def comparators(self):
         T = self.horizon
@@ -454,6 +521,8 @@ class DisjointAlternatingScenario(Scenario):
         self._check_round(t)
         return self._cost, (self._odd if t % 2 == 1 else self._even)
 
+    oracle_block = AlternatingScenario.oracle_block
+
     def comparators(self):
         odd = np.arange(1, self.horizon + 1)[:, None] % 2 == 1
         return _feasible_comparators({"min-feasible-path": np.where(odd, 1.0, 2.0),
@@ -479,6 +548,11 @@ class StaticScenario(Scenario):
     def generate(self, t):
         self._check_round(t)
         return self._cost, self._constraint
+
+    def oracle_block(self, start, stop):
+        first = np.zeros_like(self._rounds(start, stop))
+        return self._block(start, stop, _fixed([self._cost], first),
+                           _fixed([self._constraint], first))
 
     def comparators(self):
         T = self.horizon
@@ -521,6 +595,12 @@ class TrackingBallScenario(Scenario):
                 BallConstraint(self._centers[t - 1], self._ball_radius,
                                self.decision_set.geometry, self.g_lip))
 
+    def oracle_block(self, start, stop):
+        n, rows = len(self._rounds(start, stop)), slice(start - 1, stop - 1)
+        return self._block(
+            start, stop, [(slice(None), AffineCost, (self._directions[rows], np.zeros(n)))],
+            [(slice(None), BallConstraint, (self._centers[rows], np.full(n, self._ball_radius)))])
+
     def comparators(self):
         return _feasible_comparators({"center-path": self._centers,
                                       "minimizer-path": self._minimizers})
@@ -553,6 +633,13 @@ class OcoMixScenario(Scenario):
             return AffineCost(self._directions[t - 1], 0.0, self.g_lip), self._constraint
         return NormCost(self._anchors[t - 1], self.g_lip), self._constraint
 
+    def oracle_block(self, start, stop):
+        t = self._rounds(start, stop)
+        odd, even = np.flatnonzero(t % 2), np.flatnonzero(t % 2 == 0)
+        costs = [(odd, AffineCost, (self._directions[start - 1 + odd], np.zeros(len(odd)))),
+                 (even, NormCost, (self._anchors[start - 1 + even], np.zeros(len(even))))]
+        return self._block(start, stop, costs, _fixed([self._constraint], np.zeros_like(t)))
+
     def _circle(self, step):
         T = self.horizon
         angles = self._comparator_phase + step * np.arange(T)
@@ -580,6 +667,8 @@ class TrivialScenario(Scenario):
     def generate(self, t):
         self._check_round(t)
         return self._cost, self._constraint
+
+    oracle_block = StaticScenario.oracle_block
 
     def comparators(self):
         return _feasible_comparators({"static-center": np.zeros((self.horizon, 1))})

@@ -11,7 +11,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coco_lab import budgets
 from coco_lab.core import RunRecord
 from coco_lab.harness import (
     ALGORITHMS,
@@ -111,3 +114,30 @@ def test_load_run_columns_match_genfromtxt(tmp_path, scenario, horizon):
     for name in reference.dtype.names:
         assert columns[name].shape == (horizon,)
         assert np.array_equal(columns[name], reference[name]), name
+
+
+NONNEGATIVE = st.floats(0.0, 1e12, allow_subnormal=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_budgets_on_arrays_are_each_entry_bitwise(data):
+    n = data.draw(st.integers(1, 20))
+    path = np.array(data.draw(st.lists(NONNEGATIVE, min_size=n, max_size=n)))
+    grad_sq = np.array(data.draw(st.lists(NONNEGATIVE, min_size=n, max_size=n)))
+    t = np.array(data.draw(st.lists(st.integers(1, 10 ** 6), min_size=n, max_size=n)))
+    diameter = data.draw(st.floats(1e-3, 1e3))
+    estimate, v, gamma = (data.draw(st.floats(1e-3, 1e3)) for _ in range(3))
+    experts = budgets.num_experts(diameter, int(t.max()))
+    formulas = [
+        lambda p, s, k: budgets.adagrad_known_path_rhs(diameter, estimate, s),
+        lambda p, s, k: budgets.adagrad_path_free_rhs(diameter, p, s),
+        lambda p, s, k: budgets.ensemble_rhs(diameter, experts, p, s),
+        lambda p, s, k: budgets.coco2_regret_rhs(gamma, v, p, k),
+        lambda p, s, k: budgets.coco2_ccv_rhs(gamma, v, 1.0, diameter, p, k),
+    ]
+    for formula in formulas:
+        each = [formula(p, s, k) for p, s, k in zip(path.tolist(), grad_sq.tolist(), t.tolist())]
+        assert all(type(value) is float for value in each)
+        array = formula(path, grad_sq, t)
+        assert np.array_equal(array.view(np.uint64), np.array(each).view(np.uint64))

@@ -720,3 +720,41 @@ def test_unknown_scenario_param_is_config_error(tmp_path, capsys, name, params):
     assert f"unknown params {sorted(params)}" in capsys.readouterr().err
     with pytest.raises(ValueError, match="unknown params"):
         build_scenario(ScenarioSpec(name, horizon=20, params=params))
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("static", {"radius": math.inf}, "param radius must be a finite number, got inf"),
+    ("oco-mix", {"set_radius": math.inf}, "param set_radius must be a finite number, got inf"),
+    ("tracking-ball", {"set_radius": math.inf},
+     "param set_radius must be a finite number, got inf"),
+    ("static", {"radius": True}, "param radius must be a finite number, got True"),
+    ("tracking-ball", {"ball_radius": 0}, "param ball_radius must be positive, got 0"),
+    ("tracking-ball", {"ball_radius": -1}, "param ball_radius must be positive, got -1"),
+], ids=["static-inf-radius", "oco-mix-inf-set-radius", "tracking-ball-inf-set-radius",
+        "static-bool-radius", "tracking-ball-zero-ball-radius",
+        "tracking-ball-negative-ball-radius"])
+def test_scenario_param_that_is_not_a_finite_positive_radius_is_config_error(
+        monkeypatch, tmp_path, capsys, name, params, message):
+    played = []
+    monkeypatch.setattr(harness, "_play", lambda *args: played.append(args))
+    # json writes inf as Infinity, which it reads back as inf (so does 1e400)
+    config = write_config(tmp_path, scenario={"name": name, "horizon": 20, "params": params})
+    assert main(["run", "--config", config]) == 2
+    assert message in capsys.readouterr().err
+    assert not played  # rejected before any round is played
+
+
+def test_scenario_that_is_not_a_json_object_is_config_error(tmp_path, capsys):
+    message = "scenario must be a JSON object, got 'static'"
+    assert main(["run", "--config", write_config(tmp_path, scenario="static")]) == 2
+    assert message in capsys.readouterr().err
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", write_config(tmp_path), "--out", out]) == 0
+    config = json.loads(open(os.path.join(out, "config.json")).read())
+    config["scenario"] = "static"
+    with open(os.path.join(out, "config.json"), "w") as f:
+        json.dump(config, f)
+    assert main(["report", out, "--verify"]) == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_json({"scenario": "static", "algorithm": "coco2"})

@@ -18,7 +18,9 @@ from coco_lab.scenarios import (
     HalfspaceConstraint,
     NormCost,
     OracleStack,
+    Scenario,
     ScenarioSpec,
+    StaticScenario,
     build_scenario,
     make_scenario,
     oracle_values,
@@ -317,3 +319,85 @@ def test_generated_oracles_pickle(name):
         assert same_bits(cost_b.subgradient(xs[0]), cost.subgradient(xs[0]))
         assert np.array_equal(constraint_b.feasible_region.contains(xs),
                               constraint.feasible_region.contains(xs))
+
+
+# (start, stop) rounds of a block at T=300: one row at an odd and at an even
+# round, a block starting on an even round (the other parity), one on an
+# odd round, the last partial block of 256, every round, and no round
+BLOCKS = [(1, 2), (300, 301), (2, 40), (3, 41), (257, 301), (1, 301), (7, 7)]
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=lambda b: f"{b[0]}-{b[1]}")
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_oracle_block_is_the_generated_stack_bitwise(name, block):
+    sc = make_scenario(name, 300, seed=5)
+    start, stop = block
+    pairs = [sc.generate(t) for t in range(start, stop)]
+    rng = np.random.default_rng(start)
+    for k, stack in enumerate(sc.oracle_block(start, stop)):
+        assert len(stack) == stop - start
+        reference = OracleStack([pair[k] for pair in pairs])
+        for points in (rng.uniform(-4, 4, (stop - start, sc.dimension)),
+                       np.zeros((stop - start, sc.dimension))):
+            values, failure = stack.values(points)
+            expect, expect_failure = reference.values(points)
+            assert failure is None and expect_failure is None
+            assert same_bits(values, expect)
+            assert same_bits(values, [float(p[k].value(x)) for p, x in zip(pairs, points)])
+
+
+def test_oracle_block_outside_the_horizon_is_rejected():
+    sc = make_scenario("tracking-ball", 10)
+    for start, stop in ((0, 3), (5, 12), (6, 5)):
+        with pytest.raises(ValueError, match="outside horizon"):
+            sc.oracle_block(start, stop)
+
+
+class _Shifted(StaticScenario):
+    """static, whose cost is ``1 - 2x`` on even rounds: only ``generate`` says so."""
+
+    def generate(self, t):
+        cost, constraint = super().generate(t)
+        return (AffineCost(np.array([-2.0]), 1.0, 1.0) if t % 2 == 0 else cost), constraint
+
+
+def test_scenario_that_overrides_only_generate_gets_blocks_of_its_own_oracles():
+    assert _Shifted.oracle_block is Scenario.oracle_block
+    sc = _Shifted(ScenarioSpec("static", horizon=9))
+    points = np.linspace(-3.0, 3.0, 9)[:, None]
+    costs, constraints = sc.oracle_block(1, 10)
+    values, failure = costs.values(points)
+    assert failure is None
+    assert same_bits(values, [float(sc.generate(t)[0].value(x))
+                              for t, x in zip(range(1, 10), points)])
+    assert values[1] == 1.0 - 2.0 * points[1, 0]  # not static's -x
+    assert same_bits(constraints.values(points)[0], points[:, 0] - 1.0)
+
+
+def test_table_backed_block_whose_kernel_raises_reports_its_first_raising_row(monkeypatch):
+    sc = make_scenario("tracking-ball", 40, seed=3)
+    built = []
+    original = type(sc).generate
+    monkeypatch.setattr(type(sc), "generate",
+                        lambda self, t: built.append(t) or original(self, t))
+
+    def value(self, x):
+        if x[0] > 5.0:
+            raise ArithmeticError("no value here")
+        return np.asarray(x, dtype=float) @ self.a + self.shift
+
+    def evaluate(params, points):
+        raise ValueError("the kernel cannot take this block")
+
+    monkeypatch.setattr(AffineCost, "evaluate", staticmethod(evaluate))
+    monkeypatch.setattr(AffineCost, "value", value)
+    costs, _ = sc.oracle_block(11, 31)
+    assert not built  # no round's oracle is built while the kernel could run
+    points = np.random.default_rng(4).uniform(-1, 1, (20, 2))
+    points[[6, 13], 0] = 9.0
+    values, failure = costs.values(points)
+    row, exc = failure
+    assert row == 6 and isinstance(exc, ArithmeticError)
+    assert built == list(range(11, 18))  # the rows up to the raising one, on demand
+    assert same_bits(values[:6], [float(sc.generate(t)[0].value(x))
+                                  for t, x in zip(range(11, 17), points)])
