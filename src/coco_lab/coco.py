@@ -5,7 +5,9 @@ hedge-over-gradient-descent ensemble:
 
 * the full-feedback variant adds the clipped constraint and a
   distance-to-feasible-set penalty to the cost, keeping the surrogate
-  4G-Lipschitz but requiring a projection onto the round's feasible set;
+  4G-Lipschitz but requiring a projection onto the round's feasible set
+  on each round whose play violates the constraint (both terms are zero
+  at a play that satisfies it);
 * the first-order variant mixes the cost and the clipped constraint with
   weights ``V`` and ``2 Q(t)`` (a quadratic potential of the running
   violation), needing only gradients but leaning on the ensemble's
@@ -39,12 +41,21 @@ def coco1_surrogate_subgradient(cost: CostOracle, constraint: ConstraintOracle, 
     The clipped-constraint term contributes zero on the boundary
     ``g(x) = 0`` and the distance term is the unit outward vector, so the
     result is bounded by ``4G`` in norm.
+
+    With ``x`` in the decision set, ``g(x) <= 0`` puts ``x`` in the feasible
+    region (the ``ConstraintOracle`` contract), where both terms are zero:
+    the region is read, and projected onto, only when ``g(x) > 0`` or
+    ``g(x)`` is NaN. The zero is still added, with the sign the projecting
+    path gives it, so a ``-0.0`` cost component comes out ``+0.0`` either way.
     """
     if g_val is None:
         g_val = float(constraint.value(x))
     g_lip = max(cost.lipschitz_bound, constraint.lipschitz_bound)
     grad = np.array(cost.subgradient(x), dtype=float)
-    if g_val > 0.0:
+    if g_val <= 0.0:  # x is in the feasible region
+        grad += 2.0 * g_lip * 0.0
+        return grad
+    if g_val > 0.0:  # not NaN
         grad += np.asarray(constraint.subgradient(x), dtype=float)
     grad += 2.0 * g_lip * dist_subgradient(x, constraint.feasible_region)
     return grad

@@ -61,9 +61,11 @@ class CostOracle:
 class ConstraintOracle:
     """Per-round convex constraint ``g(x) <= 0`` with its feasible region.
 
-    ``feasible_region`` is the sublevel set within the decision set, kept as
-    an explicit geometric object so distances and projections onto it stay
-    closed form.
+    ``feasible_region`` is the sublevel set within the decision set,
+    ``{x in decision set : value(x) <= 0}``, kept as an explicit geometric
+    object so distances and projections onto it stay closed form. coco1
+    reads it only on rounds whose play has ``value(x_t) > 0``: a play in the
+    decision set that reads ``<= 0`` is taken to lie in it.
     """
 
     value: Callable

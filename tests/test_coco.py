@@ -3,7 +3,11 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from coco_lab import coco
 from coco_lab.coco import (
     Coco1State,
     Coco2State,
@@ -18,10 +22,14 @@ from coco_lab.coco import (
     coco2_surrogate_subgradient,
 )
 from coco_lab.core import DecisionSet, RunRecord, g_plus
-from coco_lab.geometry import Box
+from coco_lab.geometry import Ball, Box, Halfspace, dist_subgradient, membership
+from coco_lab.harness import RunConfig, run
 from coco_lab.scenarios import (
+    ScenarioSpec,
     affine_cost,
     ball_constraint,
+    box_constraint,
+    constant_constraint,
     halfspace_constraint,
     make_scenario,
     norm_cost,
@@ -72,6 +80,108 @@ def test_coco1_surrogate_subgradient_examples():
     # violating point x=2: 1 (cost) + 1 (constraint) + 2*G (distance unit)
     g = coco1_surrogate_subgradient(cost, constraint, np.array([2.0]))
     assert g == pytest.approx(np.array([4.0]))
+
+
+def always_projecting_surrogate(cost, constraint, x, g_val=None):
+    """coco1's surrogate subgradient with the distance term projected on
+    every call, feasible ``x`` included."""
+    if g_val is None:
+        g_val = float(constraint.value(x))
+    g_lip = max(cost.lipschitz_bound, constraint.lipschitz_bound)
+    grad = np.array(cost.subgradient(x), dtype=float)
+    if g_val > 0.0:
+        grad += np.asarray(constraint.subgradient(x), dtype=float)
+    grad += 2.0 * g_lip * dist_subgradient(x, constraint.feasible_region)
+    return grad
+
+
+SQUARE = Box([-2.0, -2.0], [2.0, 2.0])
+
+
+@pytest.mark.parametrize("g_val", [None, math.nan])
+@pytest.mark.parametrize("constraint, x", [
+    (halfspace_constraint([1.0, 0.0], 1.0, SQUARE), [0.0, 0.5]),  # feasible
+    (halfspace_constraint([1.0, 0.0], 1.0, SQUARE), [1.0, 0.3]),  # g == 0
+    (halfspace_constraint([1.0, 0.0], 1.0, SQUARE), [1.5, -0.2]),  # violating
+    (ball_constraint([0.5, 0.0], 1.0, SQUARE), [0.2, 0.1]),
+    (ball_constraint([0.5, 0.0], 1.0, SQUARE), [1.5, 0.0]),
+    (ball_constraint([0.5, 0.0], 1.0, SQUARE), [-1.0, -1.5]),
+])
+def test_coco1_surrogate_subgradient_is_the_always_projecting_one_bitwise(
+        monkeypatch, constraint, x, g_val):
+    x = np.array(x)
+    cost = affine_cost([-0.0, 1.0])
+    expected = always_projecting_surrogate(cost, constraint, x, g_val)
+    calls = []
+    monkeypatch.setattr(coco, "dist_subgradient",
+                        lambda *args: calls.append(args) or dist_subgradient(*args))
+    got = coco1_surrogate_subgradient(cost, constraint, x, g_val)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    g = float(constraint.value(x))
+    # the region is read on a violation and on a NaN g_val, and only there
+    assert len(calls) == (g_val is not None or g > 0.0)
+    if g <= 0.0:
+        # the cost's -0.0 comes out +0.0, as the projecting path adds +0.0
+        assert got[0] == 0.0 and not np.signbit(got[0])
+
+
+DECISION_GEOMETRIES = (Box([-2.0], [3.0]), Box([-2.0, -1.0], [1.5, 2.0]),
+                       Ball([0.3, -0.2], 1.5))
+
+
+@st.composite
+def constraints_with_feasible_points(draw):
+    """A constraint from any factory on a 1-d box, a 2-d box or a 2-d ball
+    decision set, and points of the decision set where it reads ``<= 0``:
+    random ones, and their projections onto the constraint's sublevel set."""
+    geom = draw(st.sampled_from(DECISION_GEOMETRIES))
+    vectors = hnp.arrays(float, geom.dim, elements=st.floats(-3.0, 3.0))
+    reach = hnp.arrays(float, geom.dim, elements=st.floats(0.0, 3.0))
+    z = geom.project(draw(vectors))  # each constraint below holds at z
+    kind = draw(st.sampled_from(["halfspace", "ball", "box", "constant"]))
+    if kind == "halfspace":
+        a = draw(vectors.filter(lambda a: np.linalg.norm(a) > 0.1))
+        b = float(a @ z) + draw(st.floats(0.0, 3.0))
+        make, sublevel = lambda: halfspace_constraint(a, b, geom), Halfspace(a, b)
+    elif kind == "ball":
+        center = z + draw(vectors)
+        radius = float(np.linalg.norm(z - center)) + draw(st.floats(0.0, 2.0))
+        if radius <= 0.0:
+            radius = draw(st.floats(0.1, 2.0))
+        make, sublevel = lambda: ball_constraint(center, radius, geom), Ball(center, radius)
+    elif kind == "box":
+        lo, hi = z - draw(reach), z + draw(reach)
+        make, sublevel = lambda: box_constraint(lo, hi, geom), Box(lo, hi)
+    else:
+        level = draw(st.floats(-3.0, 0.0))
+        make, sublevel = lambda: constant_constraint(level, geom), geom
+    try:
+        constraint = make()
+    except ValueError:
+        # Dykstra's emptiness probe rejects some regions that hold a single
+        # point, such as a ball touching the square's corner, and the
+        # factory refuses the constraint: no run can play one
+        reject()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    inside = geom.project(rng.uniform(-3.0, 3.0, size=(8, geom.dim)))
+    on_sublevel = sublevel.project(inside)
+    candidates = np.vstack([z[None], inside, on_sublevel, geom.project(on_sublevel)])
+    points = [x for x in candidates
+              if membership(x, geom, tol=0.0) and float(constraint.value(x)) <= 0.0]
+    return constraint, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraints_with_feasible_points())
+def test_distance_subgradient_is_zero_where_the_constraint_holds(instance):
+    # coco1 skips the projection when g(x) <= 0: that is exact because every
+    # point of the decision set where a constraint reads <= 0 is in its
+    # feasible region, where the distance subgradient is +0.0 throughout
+    constraint, points = instance
+    for x in points:
+        sub = dist_subgradient(x, constraint.feasible_region)
+        assert sub.shape == x.shape
+        assert not sub.any() and not np.signbit(sub).any()
 
 
 def test_coco1_surrogate_gradient_norm_capped_at_4g():
@@ -289,6 +399,18 @@ def test_coco2_budgets_hold_on_runs():
             regret_rhs, _ = coco2_bound_rhs(rec, comp.path_length, state.v_param,
                                             sc.g_lip, diam)
             assert regret <= regret_rhs
+
+
+@pytest.mark.parametrize("name", ["tracking-ball", "static"])
+def test_coco1_projects_once_per_violating_round_only(monkeypatch, name):
+    points = []
+    monkeypatch.setattr(coco, "dist_subgradient",
+                        lambda x, s: points.append(np.array(x)) or dist_subgradient(x, s))
+    record = run(RunConfig(ScenarioSpec(name, 500, seed=0), "coco1"))
+    xs, g = record.x[:record.horizon], record.g[:record.horizon]
+    violating = xs[g > 0.0]
+    assert 0 < len(violating) < record.horizon
+    assert np.array_equal(np.array(points).view(np.uint64), violating.view(np.uint64))
 
 
 def test_feasible_rounds_reduce_to_unconstrained_learning():
