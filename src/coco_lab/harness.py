@@ -18,9 +18,12 @@ constraints from the scenario as one ``OracleStack`` each
 (``Scenario.oracle_block``, which a built-in scenario reads off its own
 arrays); the stacks give the learner's f and g, from which the record
 derives gplus and Q, and every comparator's cost and feasibility, one
-kernel pass per family and point set. ``verify_run`` recomputes f, g and
-the comparator costs from ``rounds.csv`` with the same stacks, block by
-block, and builds no oracle of a round.
+kernel pass per family and point set (``_evaluate_block``). A stack gives
+values or raises; a block that raises or shows a non-finite value or an
+infeasible comparator is replayed round by round with ``generate(t)``'s
+own oracles, which names the first failure. ``verify_run`` recomputes f,
+g and the comparator costs from ``rounds.csv`` with the same block
+evaluation and builds no oracle of a round.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from . import budgets
 from .coco import Coco1State, Coco2State, coco1_round, coco2_round
 from .core import FEASIBILITY_TOL, RunRecord, path_prefix, running_sum
 from .geometry import membership
-from .scenarios import OracleStack, Scenario, ScenarioSpec, build_scenario
+from .scenarios import Scenario, ScenarioSpec, build_scenario
 from .subroutines import (
     KNOWN_PATH,
     PATH_FREE,
@@ -197,43 +200,85 @@ def _play(algorithm: str, scenario: Scenario, state, record: RunRecord):
     meta = algorithm in ("coco1", "coco2")
     xs, norms = record.x, record.grad_norm
     # the learner plays a block of rounds, then its f and g and every
-    # comparator are evaluated on the rounds it played from the scenario's
-    # stacks of their oracles; a failure reports its round as a
-    # round-by-round loop would: the earliest round first and, within a
-    # round, the learner, then the comparators in order, cost before
-    # feasibility
+    # comparator's cost and feasibility are evaluated on the rounds it
+    # played from the scenario's stacks of their oracles; a block that
+    # shows any failure is replayed round by round to name the first one
     for start in range(1, scenario.horizon + 1, ORACLE_BLOCK):
-        played = None
+        played = cause = None
         stop = min(start + ORACLE_BLOCK, scenario.horizon + 1)
         for t in range(start, stop):
             try:
                 xs[t - 1], norms[t - 1] = step(state, *scenario.generate(t))
             except Exception as exc:
-                played, stop = (t - start, exc), t
+                played, stop = exc, t
                 break
-        costs, constraints = scenario.oracle_block(start, stop)
-        x = xs[start - 1:stop - 1]
-        f, f_raised = costs.values(x)
-        g, g_raised = constraints.values(x)
-        # within a round, f is read before g, and g's violation is taken
-        # before f's finiteness is checked
-        failure = _first(
-            f_raised, g_raised,
-            _earlier(None, ~np.isfinite(g), lambda i: ValueError(
-                "constraint value must be finite")),
-            _earlier(None, ~np.isfinite(f), lambda i: ValueError(
-                f"non-finite cost f(x_t) = {f[i]}")),
-            played)
-        failure = _score_comparators(record, costs, constraints, start, failure)
-        if failure is not None:
-            i, exc = failure
-            if isinstance(exc, HarnessError):
-                raise exc
-            raise HarnessError(f"oracle failure at round {start + i}: {exc}") from exc
+        rows = slice(start - 1, stop - 1)
+        try:
+            constraints, f, g, costs = _evaluate_block(scenario, record.comparators,
+                                                       start, stop, xs)
+            # the conditions the replay raises on; a NaN constraint value at
+            # a comparator is not a violation in either
+            clean = played is None and np.isfinite(np.concatenate((f, g, *costs.values()))).all()
+            clean = clean and not any(
+                (constraints.values(comp.points[rows]) > FEASIBILITY_TOL).any()
+                for comp in record.comparators.values() if comp.feasible)
+        except Exception as exc:
+            clean, cause = False, exc
+        if not clean:
+            _raise_first_failure(scenario, record, start, stop, played, cause)
+        for name, values in costs.items():
+            record.comparator_costs[name][rows] = values
         try:
             record.fill(f, g, state.q if meta else None)
         except ValueError as exc:
             raise HarnessError(str(exc)) from exc
+
+
+def _evaluate_block(scenario: Scenario, comparators: dict, start: int, stop: int, plays):
+    """Rounds ``start <= t < stop`` evaluated at once: the block's constraint
+    ``OracleStack``, f and g at the plays (row ``t - 1`` of ``plays`` is
+    round ``t``'s), and every comparator's costs (name -> array). Raises
+    what an oracle raises."""
+    costs, constraints = scenario.oracle_block(start, stop)
+    rows = slice(start - 1, stop - 1)
+    return constraints, costs.values(plays[rows]), constraints.values(plays[rows]), {
+        name: costs.values(comp.points[rows]) for name, comp in comparators.items()}
+
+
+def _raise_first_failure(scenario: Scenario, record: RunRecord, start: int, stop: int,
+                         played, cause):
+    """Raise the first failure of a block whose evaluation showed one, found
+    by replaying rounds ``start <= t < stop`` with ``generate(t)``'s own
+    oracles. Within a round: the learner's f raises, g raises, g is not
+    finite, f is not finite; then each comparator in order, its cost raising
+    or not finite before its feasibility. After those rounds comes
+    ``played``, what the learner's step at round ``stop`` raised, if
+    anything. A replay that finds none of these leaves only a kernel that
+    disagrees with its rounds' oracles: ``cause`` is what it raised, if
+    anything."""
+    for t in range(start, stop):
+        cost, constraint = scenario.generate(t)
+        try:
+            f = float(cost.value(record.x[t - 1]))
+            g = float(constraint.value(record.x[t - 1]))
+            if not math.isfinite(g):
+                raise ValueError("constraint value must be finite")
+            if not math.isfinite(f):
+                raise ValueError(f"non-finite cost f(x_t) = {f}")
+            for name, comp in record.comparators.items():
+                value = float(cost.value(comp.points[t - 1]))
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite cost {value} at comparator {name!r}")
+                if comp.feasible and float(constraint.value(comp.points[t - 1])) > FEASIBILITY_TOL:
+                    raise HarnessError(f"comparator {name!r} marked feasible violates round {t}")
+        except HarnessError:
+            raise
+        except Exception as exc:
+            raise HarnessError(f"oracle failure at round {t}: {exc}") from exc
+    if played is not None:
+        raise HarnessError(f"oracle failure at round {stop}: {played}") from played
+    raise HarnessError(f"oracle kernels disagree with the oracles of rounds {start}..{stop - 1}"
+                       ) from cause
 
 
 def _round_step(algorithm: str):
@@ -253,48 +298,6 @@ def _round_step(algorithm: str):
         (adagrad_step if adagrad else ahag_step)(state, grad)
         return x, math.sqrt(grad @ grad)
     return step
-
-
-def _score_comparators(record: RunRecord, costs: OracleStack, constraints: OracleStack,
-                       start: int, first):
-    """Fill in each comparator's costs on rounds ``start, start + 1, ...``
-    in ``record.comparator_costs``, and check that every comparator marked
-    feasible meets each round's constraint.
-
-    ``first`` is None or the learner's ``(row, exception)`` in this block.
-    Returns the first failure, which is ``first`` unless a comparator's
-    failure comes strictly before it: a raising or non-finite cost, or a
-    violated (or raising) constraint.
-    """
-    n = len(costs)
-    for name, comp in record.comparators.items():
-        points = comp.points[start - 1:start - 1 + n]
-        values, failed = costs.values(points)
-        record.comparator_costs[name][start - 1:start - 1 + n] = values
-        found = [_earlier(failed, ~np.isfinite(values), lambda i: ValueError(
-            f"non-finite cost {values[i]} at comparator {name!r}"))]
-        if comp.feasible:
-            g, failed = constraints.values(points)
-            found.append(_earlier(failed, g > FEASIBILITY_TOL, lambda i: HarnessError(
-                f"comparator {name!r} marked feasible violates round {start + i}")))
-        # strictly earlier only: at one round, the learner, then the
-        # comparator scored first and its cost before its feasibility win
-        first = _first(first, *found)
-    return first
-
-
-def _first(*failures):
-    """The earliest of the ``(row, exception)`` failures given (None where
-    there is none); of two at one row, the one given first."""
-    found = [f for f in failures if f is not None]
-    return min(found, key=lambda f: f[0]) if found else None
-
-
-def _earlier(failure, bad: np.ndarray, error):
-    """``(i, error(i))`` for the first row ``i`` where ``bad`` holds, if it
-    comes before ``failure`` (``(row, exception)`` or None); else ``failure``."""
-    rows = np.flatnonzero(bad[:len(bad) if failure is None else failure[0]])
-    return failure if rows.size == 0 else (int(rows[0]), error(int(rows[0])))
 
 
 def _init_state(config: RunConfig, scenario: Scenario):
@@ -571,15 +574,6 @@ def _rel_close(a, b):
     return np.abs(a - b) <= VERIFY_REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def _values_or_raise(oracles: OracleStack, points: np.ndarray, rows: int | None = None):
-    """The oracles' values at ``points``; raises the first raising row's
-    exception if it is one of the first ``rows`` (of any row if None)."""
-    values, failure = oracles.values(points)
-    if failure is not None and (rows is None or failure[0] < rows):
-        raise failure[1]
-    return values
-
-
 def _read_json(path: str) -> dict:
     try:
         with open(path) as f:
@@ -647,33 +641,39 @@ def verify_run(out_dir: str) -> list:
         problems.append(f"row count {len(f_col)} != horizon {scenario.horizon}")
         if len(f_col) == 0:
             return problems
-    if np.max(np.abs(gplus_col - np.maximum(g_col, 0.0))) > 1e-12:
+    if not np.array_equal(rows["t"], np.arange(1, len(f_col) + 1)):
+        problems.append(f"t column is not 1..{len(f_col)}")
+    # written so that a NaN fails each check
+    if not (np.abs(gplus_col - np.maximum(g_col, 0.0)) <= 1e-12).all():
         problems.append("gplus column is not max(0, g)")
     if not np.allclose(running_sum(gplus_col)[1:], q_col, rtol=VERIFY_REL_TOL, atol=1e-9):
         problems.append("Q column does not match the running violation sum")
+    norms = rows["grad_norm_surrogate"]
+    if not (np.isfinite(norms) & (norms >= 0.0)).all():
+        problems.append("grad_norm_surrogate column holds a value that is not a norm")
 
     # f, g and the comparator costs are recomputed one block of rounds at a
     # time; the sums run over the rounds before the first mismatch
     fx, comp_costs = [], {n: [] for n in comparators}
-    for start in range(0, min(scenario.horizon, len(f_col)), ORACLE_BLOCK):
-        stop = min(start + ORACLE_BLOCK, scenario.horizon, len(f_col))
-        costs, constraints = scenario.oracle_block(start + 1, stop + 1)
-        f_re = _values_or_raise(costs, xs[start:stop])
-        g_re = _values_or_raise(constraints, xs[start:stop])
-        f_bad = ~_rel_close(f_re, f_col[start:stop])
-        bad = f_bad | ~_rel_close(g_re, g_col[start:stop])
+    n_rounds = min(scenario.horizon, len(f_col))
+    for start in range(1, n_rounds + 1, ORACLE_BLOCK):
+        stop = min(start + ORACLE_BLOCK, n_rounds + 1)
+        block = slice(start - 1, stop - 1)
+        _, f_re, g_re, costs = _evaluate_block(scenario, comparators, start, stop, xs)
+        f_bad = ~_rel_close(f_re, f_col[block])
+        bad = f_bad | ~_rel_close(g_re, g_col[block])
         mismatch = bool(bad.any())
         end = int(np.argmax(bad)) if mismatch else stop - start
         if mismatch:
             column = "f" if f_bad[end] else "g"
-            problems.append(f"{column} column mismatch at round {start + end + 1}")
+            problems.append(f"{column} column mismatch at round {start + end}")
         fx.append(f_re[:end])
-        for n, comp in comparators.items():
-            comp_costs[n].append(_values_or_raise(costs, comp.points[start:stop], end)[:end])
+        for n, values in costs.items():
+            comp_costs[n].append(values[:end])
         if mismatch:
             break
 
-    totals = RunTotals.of(q_col, np.concatenate(fx), rows["grad_norm_surrogate"].tolist(),
+    totals = RunTotals.of(q_col, np.concatenate(fx), norms.tolist(),
                           comparators, {n: np.concatenate(c) for n, c in comp_costs.items()})
     expected = _summarize(config, scenario, _init_state(config, scenario), comparators, totals)
     problems += [f"{key} mismatch" for key in expected

@@ -29,8 +29,7 @@ from .geometry import Ball, Box, GeometricSet, Halfspace, Intersection, _norm
 # kernel in two steps: ``stack(oracles)`` gathers the oracles' parameters
 # into arrays, and ``evaluate(params, points)`` gives oracle ``i`` at row
 # ``i``, with the bits of ``float(oracles[i].value(points[i]))``; one stack
-# serves any number of point sets. ``values_at`` is the two in turn. Two
-# shapes carry four families:
+# serves any number of point sets. Two shapes carry four families:
 # ``x @ a - b`` is computed as ``x @ a + (-b)`` and ``||x - c||`` as
 # ``||x - c|| - 0.0``, which in IEEE arithmetic give the same bits.
 
@@ -41,21 +40,13 @@ def _rows_dot(points, vectors):
     return (points[:, None, :] @ vectors[:, :, None])[:, 0, 0]
 
 
-class _Family:
-    __slots__ = ()
-
-    @classmethod
-    def values_at(cls, oracles, points):
-        return cls.evaluate(cls.stack(oracles), points)
-
-
 def _unit_offset(x, center):
     delta = np.asarray(x, dtype=float) - center
     n = _norm(delta, keepdims=True)
     return np.divide(delta, n, out=np.zeros_like(delta), where=n > 1e-12)
 
 
-class _Linear(_Family):
+class _Linear:
     """``x @ a + shift``."""
 
     __slots__ = ("a", "shift", "lipschitz_bound")
@@ -78,7 +69,7 @@ class _Linear(_Family):
         return _rows_dot(points, a) + shift
 
 
-class _Radial(_Family):
+class _Radial:
     """``||x - center|| - radius``."""
 
     __slots__ = ("center", "radius", "lipschitz_bound")
@@ -160,7 +151,7 @@ class BallConstraint(_Radial, _Constraint):
         return Ball(self.center, self.radius)
 
 
-class BoxConstraint(_Family, _Constraint):
+class BoxConstraint(_Constraint):
     """Constraint ``max_i max(lower_i - x_i, x_i - upper_i) <= 0``."""
 
     __slots__ = ("lower", "upper", "lipschitz_bound", "decision_geometry", "_region")
@@ -195,7 +186,7 @@ class BoxConstraint(_Family, _Constraint):
         return np.max(np.maximum(lo - points, points - hi), axis=-1)
 
 
-class ConstantConstraint(_Family, _Constraint):
+class ConstantConstraint(_Constraint):
     """Constraint identically equal to ``level <= 0``: its feasible region
     is the whole decision set."""
 
@@ -226,68 +217,46 @@ class OracleStack:
     ``values(points)`` gives ``float(oracles[i].value(points[i]))`` for
     every row ``i``, bit for bit, with one kernel call per family, at as
     many point sets as needed. Any other oracle (a plain ``CostOracle`` or
-    ``ConstraintOracle``), or a family whose kernel cannot take the block,
-    is called one row at a time."""
+    ``ConstraintOracle``) is called one row at a time. Whatever a kernel or
+    an oracle raises, ``values`` raises: the stack does not say which row
+    failed (``run`` finds it by replaying the block round by round)."""
 
     def __init__(self, oracles):
         groups = {}
         for i, o in enumerate(oracles):
             groups.setdefault(type(o), []).append(i)
-        self._n, self._oracle = len(oracles), oracles.__getitem__
-        self._groups = []  # (row index, evaluate or None, stacked parameters)
+        self._n = len(oracles)
+        self._groups = []  # (row index, evaluate, stacked parameters)
         for cls, rows in groups.items():
-            evaluate, params = getattr(cls, "evaluate", None), None
-            if evaluate is not None:
-                try:
-                    params = cls.stack([oracles[i] for i in rows])
-                except (ValueError, TypeError):
-                    evaluate = None
+            group = [oracles[i] for i in rows]
             # one family in the block takes the points as they are
             index = slice(None) if len(rows) == len(oracles) else np.array(rows)
-            self._groups.append((index, evaluate, params))
+            self._groups.append((index, cls.evaluate, cls.stack(group)) if hasattr(cls, "evaluate")
+                                else (index, _each_value, group))
 
     @classmethod
-    def from_groups(cls, n: int, groups, oracle) -> OracleStack:
+    def from_groups(cls, n: int, groups) -> OracleStack:
         """The stack of ``n`` rows given as ``(rows, family, params)``
         groups: ``rows`` is ``slice(None)`` or an index array, and
-        ``params`` holds what ``family.stack`` gives for those rows' oracles.
-        ``oracle(i)`` builds row ``i``'s oracle; it is called only if a
-        kernel cannot take the block."""
+        ``params`` holds what ``family.stack`` gives for those rows' oracles."""
         stack = cls.__new__(cls)
-        stack._n, stack._oracle = n, oracle
+        stack._n = n
         stack._groups = [(rows, family.evaluate, params) for rows, family, params in groups]
         return stack
 
     def __len__(self) -> int:
         return self._n
 
-    def values(self, points):
-        """Returns ``(values, failure)``. ``failure`` is None, or ``(i, exc)``
-        for the first row whose oracle raised ``exc``; rows from ``i`` on are
-        then not all evaluated."""
-        values = np.full(self._n, np.nan)
-        failure = None
+    def values(self, points) -> np.ndarray:
+        values = np.empty(self._n)
         for index, evaluate, params in self._groups:
-            if evaluate is not None:
-                try:
-                    values[index] = evaluate(params, points[index])
-                    continue
-                except (ValueError, TypeError):
-                    pass  # the kernel cannot say which row failed: call them in turn
-            for i in np.arange(self._n)[index].tolist():
-                if failure is not None and i >= failure[0]:
-                    break
-                try:
-                    values[i] = float(self._oracle(i).value(points[i]))
-                except Exception as exc:
-                    failure = (i, exc)
-        return values, failure
+            values[index] = evaluate(params, points[index])
+        return values
 
 
-def oracle_values(oracles, points):
-    """``OracleStack(oracles).values(points)``: every row's value, bit for
-    bit, and the first raising row, if any."""
-    return OracleStack(oracles).values(points)
+def _each_value(oracles, points) -> list:
+    """Each oracle's value at its row of ``points``, called in turn."""
+    return [float(o.value(p)) for o, p in zip(oracles, points)]
 
 
 def affine_cost(a, b: float = 0.0, lipschitz_bound: float | None = None) -> AffineCost:
@@ -412,14 +381,6 @@ class Scenario:
             raise ValueError(f"rounds {start}..{stop - 1} outside horizon 1..{self.horizon}")
         return np.arange(start, stop)
 
-    def _block(self, start: int, stop: int, costs: list, constraints: list):
-        """``oracle_block``'s stacks from ``(rows, family, params)`` groups
-        of each kind; a row's oracle is built by ``generate``, and only if
-        a kernel cannot take the block."""
-        return tuple(OracleStack.from_groups(stop - start, groups,
-                                             lambda i, k=k: self.generate(start + i)[k])
-                     for k, groups in enumerate((costs, constraints)))
-
     def comparators(self) -> dict:
         raise NotImplementedError
 
@@ -451,6 +412,12 @@ def _params(spec: ScenarioSpec, **defaults) -> dict:
         if name.endswith("radius") and not value > 0:
             raise ValueError(f"param {name} must be positive, got {value!r}")
     return p
+
+
+def _block(n: int, costs: list, constraints: list):
+    """``oracle_block``'s stacks of ``n`` rows from ``(rows, family, params)``
+    groups of each kind."""
+    return tuple(OracleStack.from_groups(n, groups) for groups in (costs, constraints))
 
 
 def _fixed(oracles, which) -> list:
@@ -490,8 +457,8 @@ class AlternatingScenario(Scenario):
 
     def oracle_block(self, start, stop):
         t = self._rounds(start, stop)
-        return self._block(start, stop, _fixed([self._cost], np.zeros_like(t)),
-                           _fixed([self._even, self._odd], t % 2))
+        return _block(len(t), _fixed([self._cost], np.zeros_like(t)),
+                      _fixed([self._even, self._odd], t % 2))
 
     def comparators(self):
         T = self.horizon
@@ -551,8 +518,8 @@ class StaticScenario(Scenario):
 
     def oracle_block(self, start, stop):
         first = np.zeros_like(self._rounds(start, stop))
-        return self._block(start, stop, _fixed([self._cost], first),
-                           _fixed([self._constraint], first))
+        return _block(len(first), _fixed([self._cost], first),
+                      _fixed([self._constraint], first))
 
     def comparators(self):
         T = self.horizon
@@ -597,8 +564,8 @@ class TrackingBallScenario(Scenario):
 
     def oracle_block(self, start, stop):
         n, rows = len(self._rounds(start, stop)), slice(start - 1, stop - 1)
-        return self._block(
-            start, stop, [(slice(None), AffineCost, (self._directions[rows], np.zeros(n)))],
+        return _block(
+            n, [(slice(None), AffineCost, (self._directions[rows], np.zeros(n)))],
             [(slice(None), BallConstraint, (self._centers[rows], np.full(n, self._ball_radius)))])
 
     def comparators(self):
@@ -638,7 +605,7 @@ class OcoMixScenario(Scenario):
         odd, even = np.flatnonzero(t % 2), np.flatnonzero(t % 2 == 0)
         costs = [(odd, AffineCost, (self._directions[start - 1 + odd], np.zeros(len(odd)))),
                  (even, NormCost, (self._anchors[start - 1 + even], np.zeros(len(even))))]
-        return self._block(start, stop, costs, _fixed([self._constraint], np.zeros_like(t)))
+        return _block(len(t), costs, _fixed([self._constraint], np.zeros_like(t)))
 
     def _circle(self, step):
         T = self.horizon

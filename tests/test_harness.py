@@ -23,7 +23,14 @@ from coco_lab.harness import (
     sweep_slope,
     verify_run,
 )
-from coco_lab.scenarios import SCENARIOS, ScenarioSpec, StaticScenario, build_scenario
+from coco_lab.scenarios import (
+    SCENARIOS,
+    AffineCost,
+    ScenarioSpec,
+    StaticScenario,
+    TrackingBallScenario,
+    build_scenario,
+)
 
 
 def cfg(name="static", T=50, seed=0, algorithm="coco2", **kw):
@@ -246,28 +253,39 @@ def test_run_rejects_non_finite_cost_with_round(monkeypatch, algorithm, bad_valu
 class _FailsFrom(StaticScenario):
     """static, but from round ``comparator_from`` on the cost is NaN at the
     points in ``nan_at``, from round ``infeasible_from`` on the constraint
-    is violated at 1, and from round ``learner_from`` on the subgradient is
-    NaN. adagrad plays 0, 3, 3, ..., so from round 2 on only the
-    comparators meet the changed values: 'minimizer-path' at 1, then
-    'interior-static' at 0."""
+    is ``infeasible_value`` at the points in ``infeasible_at``, and from
+    round ``learner_from`` on the subgradient is NaN. From round
+    ``raise_from`` on the cost raises at the points in ``cost_raises_at``,
+    and the constraint at those in ``constraint_raises_at``. adagrad plays
+    0, 3, 3, ..., so from round 2 on only the comparators meet the changed
+    values at 1 and 0: 'minimizer-path' at 1, then 'interior-static' at 0;
+    the learner meets them at 3."""
 
     nan_at = (1.0,)
-    comparator_from = infeasible_from = learner_from = math.inf
+    comparator_from = infeasible_from = learner_from = raise_from = math.inf
+    infeasible_value, infeasible_at = 1.0, (1.0,)
+    cost_raises_at = constraint_raises_at = ()
 
     def generate(self, t):
         cost, constraint = super().generate(t)
         nan_at = self.nan_at if t >= self.comparator_from else ()
         infeasible = t >= self.infeasible_from
         learner_nan = t >= self.learner_from
+        raises = t >= self.raise_from
 
         def value(x):
+            if raises and float(x[0]) in self.cost_raises_at:
+                raise ArithmeticError(f"no cost at {float(x[0])}")
             return np.nan if float(x[0]) in nan_at else cost.value(x)
 
         def subgradient(x):
             return np.array([np.nan]) if learner_nan else cost.subgradient(x)
 
         def constraint_value(x):
-            return 1.0 if infeasible and float(x[0]) == 1.0 else constraint.value(x)
+            if raises and float(x[0]) in self.constraint_raises_at:
+                raise ArithmeticError(f"no constraint at {float(x[0])}")
+            return self.infeasible_value if infeasible and float(x[0]) in self.infeasible_at \
+                else constraint.value(x)
 
         return (CostOracle(value=value, subgradient=subgradient,
                            lipschitz_bound=cost.lipschitz_bound),
@@ -300,6 +318,80 @@ def test_run_reports_the_first_failure(monkeypatch, block, failures, what):
     monkeypatch.setitem(SCENARIOS, "fails-from", _FailsFrom)
     with pytest.raises(HarnessError, match=f"^{what}"):
         run(cfg("fails-from", T=10, algorithm="adagrad"))
+
+
+@pytest.mark.parametrize("block", [harness.ORACLE_BLOCK, 2], ids=["block", "small-block"])
+@pytest.mark.parametrize("failures,what", [
+    ({"raise_from": 3, "cost_raises_at": (3.0,)}, "oracle failure at round 3: no cost at 3.0"),
+    ({"raise_from": 3, "constraint_raises_at": (3.0,)},
+     "oracle failure at round 3: no constraint at 3.0"),
+    ({"raise_from": 3, "cost_raises_at": (1.0,)}, "oracle failure at round 3: no cost at 1.0"),
+    ({"raise_from": 3, "constraint_raises_at": (1.0,)},
+     "oracle failure at round 3: no constraint at 1.0"),
+    ({"raise_from": 3, "cost_raises_at": (1.0,), "constraint_raises_at": (3.0,)},
+     "oracle failure at round 3: no constraint at 3.0"),
+    ({"raise_from": 4, "cost_raises_at": (3.0,), "comparator_from": 3},
+     "oracle failure at round 3: non-finite cost nan at comparator 'minimizer-path'"),
+    ({"raise_from": 3, "constraint_raises_at": (1.0,), "comparator_from": 3, "nan_at": (0.0,)},
+     "oracle failure at round 3: no constraint at 1.0"),
+    ({"raise_from": 3, "constraint_raises_at": (0.0,), "comparator_from": 3},
+     "oracle failure at round 3: non-finite cost nan at comparator 'minimizer-path'"),
+    ({"raise_from": 3, "cost_raises_at": (3.0,), "learner_from": 3},
+     "oracle failure at round 3: non-finite gradient"),
+    ({"comparator_from": 3, "nan_at": (3.0,)},
+     "oracle failure at round 3: non-finite cost f(x_t) = nan"),
+    ({"infeasible_from": 3, "infeasible_at": (3.0,), "infeasible_value": np.inf},
+     "oracle failure at round 3: constraint value must be finite"),
+    ({"comparator_from": 3, "nan_at": (3.0,), "infeasible_from": 3, "infeasible_at": (3.0,),
+      "infeasible_value": np.nan}, "oracle failure at round 3: constraint value must be finite"),
+], ids=["learner-cost", "learner-constraint", "comparator-cost", "feasible-comparator-constraint",
+        "same-round-learner-first", "comparator-earlier",
+        "same-round-feasibility-before-next-cost",
+        "same-round-first-comparator", "step-before-its-rounds-values", "learner-cost-nan",
+        "learner-constraint-inf", "same-round-constraint-before-cost"])
+def test_run_replays_a_failing_block_to_its_first_failure(monkeypatch, block, failures, what):
+    monkeypatch.setattr(harness, "ORACLE_BLOCK", block)
+    for name, value in failures.items():
+        monkeypatch.setattr(_FailsFrom, name, value)
+    monkeypatch.setitem(SCENARIOS, "fails-from", _FailsFrom)
+    with pytest.raises(HarnessError, match=f"^{re.escape(what)}"):
+        run(cfg("fails-from", T=10, algorithm="adagrad"))
+
+
+def test_feasible_comparator_with_a_nan_constraint_value_completes(monkeypatch):
+    # a NaN is not a violation: only a value above the tolerance is
+    monkeypatch.setattr(_FailsFrom, "infeasible_from", 3)
+    monkeypatch.setattr(_FailsFrom, "infeasible_value", np.nan)
+    monkeypatch.setitem(SCENARIOS, "fails-from", _FailsFrom)
+    record = run(cfg("fails-from", T=10, algorithm="adagrad"))
+    assert record.horizon == 10 and record.summary["feasible__minimizer-path"]
+
+
+@pytest.mark.parametrize("block", [harness.ORACLE_BLOCK, 4], ids=["block", "small-block"])
+def test_kernel_that_raises_while_its_rows_answer_is_a_harness_error(monkeypatch, block):
+    monkeypatch.setattr(harness, "ORACLE_BLOCK", block)
+    kernel_error = ValueError("the kernel cannot take this block")
+
+    def evaluate(params, points):
+        raise kernel_error
+
+    monkeypatch.setattr(AffineCost, "evaluate", staticmethod(evaluate))
+    stop = min(block, 10)
+    with pytest.raises(HarnessError, match=f"^oracle kernels disagree with the oracles of "
+                                           f"rounds 1..{stop}$") as raised:
+        run(cfg("static", T=10, algorithm="coco2"))
+    assert raised.value.__cause__ is kernel_error
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_clean_run_builds_each_rounds_oracles_once(monkeypatch, algorithm):
+    # only the learner's step calls generate: a clean block is never replayed
+    calls = []
+    original = TrackingBallScenario.generate
+    monkeypatch.setattr(TrackingBallScenario, "generate",
+                        lambda self, t: calls.append(t) or original(self, t))
+    run(cfg("tracking-ball", T=300, seed=3, algorithm=algorithm))
+    assert calls == list(range(1, 301))
 
 
 def _sequential_sum(values):
@@ -365,19 +457,26 @@ def test_coco_state_q_off_the_q_column_is_a_harness_error(monkeypatch, algorithm
         run(cfg("tracking-ball", T=20, algorithm=algorithm))
 
 
-def _tamper(out, changes):
-    """Add ``delta`` to rounds.csv's ``column`` at ``round`` for each
-    ``(column, round) -> delta`` in ``changes``."""
+def _edit(out, changes):
+    """Replace the text of rounds.csv's ``column`` at ``round`` by
+    ``edit(text)`` for each ``(column, round) -> edit`` in ``changes``."""
     path = os.path.join(out, "rounds.csv")
     lines = open(path).read().splitlines()
     header = lines[0].split(",")
-    for (column, t), delta in changes.items():
+    for (column, t), edit in changes.items():
         cells = lines[t].split(",")
         i = header.index(column)
-        cells[i] = repr(float(cells[i]) + delta)
+        cells[i] = edit(cells[i])
         lines[t] = ",".join(cells)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def _tamper(out, changes):
+    """Add ``delta`` to rounds.csv's ``column`` at ``round`` for each
+    ``(column, round) -> delta`` in ``changes``."""
+    _edit(out, {cell: lambda text, delta=delta: repr(float(text) + delta)
+                for cell, delta in changes.items()})
 
 
 @pytest.mark.parametrize("block", [harness.ORACLE_BLOCK, 2], ids=["block", "small-block"])
@@ -394,6 +493,36 @@ def test_verify_reports_the_first_mismatching_round(monkeypatch, tmp_path, block
     _tamper(out, changes)
     problems = verify_run(out)
     assert [p for p in problems if "column mismatch" in p] == [expect]
+
+
+@pytest.mark.parametrize("t", ["4", "5.5"], ids=["repeated", "fractional"])
+def test_verify_reports_a_t_column_that_is_not_the_rounds(tmp_path, t):
+    out = str(tmp_path / "t")
+    run(cfg("static", T=20, algorithm="coco2", out_dir=out))
+    _edit(out, {("t", 5): lambda text: t})
+    assert verify_run(out) == ["t column is not 1..20"]
+
+
+def test_verify_reports_a_negative_gradient_norm(tmp_path):
+    out = str(tmp_path / "t")
+    run(cfg("tracking-ball", T=30, seed=1, algorithm="coco1", out_dir=out))
+    norms = harness.load_run(out)[2]["grad_norm_surrogate"]
+    assert norms[2] > 0.0 and norms[6] > 0.0
+    # only the square of a norm enters S_T: a negated norm changes no sum
+    _edit(out, {("grad_norm_surrogate", t): lambda text: repr(-float(text)) for t in (3, 7)})
+    assert verify_run(out) == ["grad_norm_surrogate column holds a value that is not a norm"]
+
+
+@pytest.mark.parametrize("cell,text,expect", [
+    ("grad_norm_surrogate", "inf", "grad_norm_surrogate column holds a value that is not a norm"),
+    ("grad_norm_surrogate", "nan", "grad_norm_surrogate column holds a value that is not a norm"),
+    ("gplus", "nan", "gplus column is not max(0, g)"),
+], ids=["infinite-norm", "nan-norm", "nan-gplus"])
+def test_verify_reports_a_non_finite_cell(tmp_path, cell, text, expect):
+    out = str(tmp_path / "t")
+    run(cfg("tracking-ball", T=30, seed=1, algorithm="coco1", out_dir=out))
+    _edit(out, {(cell, 4): lambda _: text})
+    assert expect in verify_run(out)
 
 
 @pytest.mark.parametrize("algorithm", ["coco2", "ahag"])

@@ -23,7 +23,6 @@ from coco_lab.scenarios import (
     StaticScenario,
     build_scenario,
     make_scenario,
-    oracle_values,
 )
 
 
@@ -204,9 +203,8 @@ def test_family_kernel_is_each_rounds_value_bitwise(family, d, data):
     oracles = [data.draw(family_oracle(family, d)) for _ in range(n)]
     points = data.draw(hnp.arrays(float, (n, d), elements=NUMBERS))
     expect = [float(o.value(p)) for o, p in zip(oracles, points)]
-    assert same_bits(family.values_at(oracles, points), expect)
-    values, failure = oracle_values(oracles, points)
-    assert failure is None and same_bits(values, expect)
+    assert same_bits(family.evaluate(family.stack(oracles), points), expect)
+    assert same_bits(OracleStack(oracles).values(points), expect)
 
 
 def test_oracle_values_mixes_families_and_plain_oracles():
@@ -219,25 +217,8 @@ def test_oracle_values_mixes_families_and_plain_oracles():
                BallConstraint(rng.normal(size=2), 1.0, geom, 1.0),
                AffineCost(rng.normal(size=2), -1.0, 1.0)]
     points = rng.normal(size=(len(oracles), 2))
-    values, failure = oracle_values(oracles, points)
-    assert failure is None
+    values = OracleStack(oracles).values(points)
     assert same_bits(values, [float(o.value(p)) for o, p in zip(oracles, points)])
-
-
-def test_oracle_values_reports_the_first_raising_row():
-    calls = []
-
-    def value(x):
-        calls.append(x)
-        raise ArithmeticError("no value here")
-
-    broken = CostOracle(value=value, subgradient=None, lipschitz_bound=1.0)
-    oracles = [AffineCost(np.ones(1), 0.0, 1.0), broken, NormCost(np.zeros(1), 1.0), broken]
-    values, failure = oracle_values(oracles, np.arange(4.0)[:, None])
-    row, exc = failure
-    assert row == 1 and isinstance(exc, ArithmeticError)
-    assert len(calls) == 1  # the later broken row is not called
-    assert values[0] == 0.0 and values[2] == 2.0
 
 
 def _mixed_block():
@@ -270,41 +251,9 @@ def test_one_oracle_stack_serves_several_point_sets(monkeypatch, block):
     assert sum(stacked) == sum(hasattr(type(o), "stack") for o in oracles)
     rng = np.random.default_rng(8)
     for points in (rng.normal(size=(40, 2)), np.zeros((40, 2)), rng.uniform(-9, 9, (40, 2))):
-        values, failure = stack.values(points)
-        assert failure is None
+        values = stack.values(points)
         assert same_bits(values, [float(o.value(p)) for o, p in zip(oracles, points)])
     assert len(stacked) == len({type(o) for o in oracles} - {CostOracle})  # stacked once
-
-
-def test_one_oracle_stack_reports_the_first_raising_row_at_each_point_set():
-    calls = []
-
-    def value(x):
-        calls.append(x)
-        if x[0] > 0.0:
-            raise ArithmeticError("no value here")
-        return -1.0
-
-    costs, _ = _mixed_block()
-    oracles = [CostOracle(value=value, subgradient=None, lipschitz_bound=1.0) if i % 4 == 3
-               else o for i, o in enumerate(costs)]
-    stack = OracleStack(oracles)
-    rng = np.random.default_rng(9)
-    for bad_row in (3, 11, 39):
-        points = rng.normal(size=(40, 2))
-        points[3::4, 0] = -1.0
-        points[bad_row, 0] = 1.0
-        calls.clear()
-        values, failure = stack.values(points)
-        row, exc = failure
-        assert row == bad_row and isinstance(exc, ArithmeticError)
-        assert len(calls) == (bad_row + 1) // 4  # no plain row after it is called
-        expect = [float(o.value(p)) for o, p in zip(oracles[:bad_row], points[:bad_row])]
-        assert same_bits(values[:bad_row], expect)
-        assert same_bits(values[bad_row + 1:][~np.isnan(values[bad_row + 1:])],
-                         [float(o.value(p)) for o, p in zip(oracles[bad_row + 1:],
-                                                             points[bad_row + 1:])
-                          if hasattr(type(o), "stack")])
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -339,10 +288,8 @@ def test_oracle_block_is_the_generated_stack_bitwise(name, block):
         reference = OracleStack([pair[k] for pair in pairs])
         for points in (rng.uniform(-4, 4, (stop - start, sc.dimension)),
                        np.zeros((stop - start, sc.dimension))):
-            values, failure = stack.values(points)
-            expect, expect_failure = reference.values(points)
-            assert failure is None and expect_failure is None
-            assert same_bits(values, expect)
+            values = stack.values(points)
+            assert same_bits(values, reference.values(points))
             assert same_bits(values, [float(p[k].value(x)) for p, x in zip(pairs, points)])
 
 
@@ -366,38 +313,8 @@ def test_scenario_that_overrides_only_generate_gets_blocks_of_its_own_oracles():
     sc = _Shifted(ScenarioSpec("static", horizon=9))
     points = np.linspace(-3.0, 3.0, 9)[:, None]
     costs, constraints = sc.oracle_block(1, 10)
-    values, failure = costs.values(points)
-    assert failure is None
+    values = costs.values(points)
     assert same_bits(values, [float(sc.generate(t)[0].value(x))
                               for t, x in zip(range(1, 10), points)])
     assert values[1] == 1.0 - 2.0 * points[1, 0]  # not static's -x
-    assert same_bits(constraints.values(points)[0], points[:, 0] - 1.0)
-
-
-def test_table_backed_block_whose_kernel_raises_reports_its_first_raising_row(monkeypatch):
-    sc = make_scenario("tracking-ball", 40, seed=3)
-    built = []
-    original = type(sc).generate
-    monkeypatch.setattr(type(sc), "generate",
-                        lambda self, t: built.append(t) or original(self, t))
-
-    def value(self, x):
-        if x[0] > 5.0:
-            raise ArithmeticError("no value here")
-        return np.asarray(x, dtype=float) @ self.a + self.shift
-
-    def evaluate(params, points):
-        raise ValueError("the kernel cannot take this block")
-
-    monkeypatch.setattr(AffineCost, "evaluate", staticmethod(evaluate))
-    monkeypatch.setattr(AffineCost, "value", value)
-    costs, _ = sc.oracle_block(11, 31)
-    assert not built  # no round's oracle is built while the kernel could run
-    points = np.random.default_rng(4).uniform(-1, 1, (20, 2))
-    points[[6, 13], 0] = 9.0
-    values, failure = costs.values(points)
-    row, exc = failure
-    assert row == 6 and isinstance(exc, ArithmeticError)
-    assert built == list(range(11, 18))  # the rows up to the raising one, on demand
-    assert same_bits(values[:6], [float(sc.generate(t)[0].value(x))
-                                  for t, x in zip(range(11, 17), points)])
+    assert same_bits(constraints.values(points), points[:, 0] - 1.0)
