@@ -17,7 +17,6 @@ from .core import (
     ccv_update,
     g_plus,
     path_length,
-    ud_regret,
 )
 from .geometry import (
     Ball,
@@ -35,10 +34,8 @@ from .subroutines import (
     AdaGradState,
     AhagState,
     HedgeState,
-    adagrad_bound_rhs,
     adagrad_step,
     adahedge_step,
-    ahag_bound_rhs,
     ahag_round,
     ahag_step,
     num_experts,
@@ -47,10 +44,8 @@ from .coco import (
     Coco1State,
     Coco2State,
     auxiliary_value,
-    coco1_bound_rhs,
     coco1_round,
     coco1_surrogate_subgradient,
-    coco2_bound_rhs,
     coco2_default_v,
     coco2_round,
     coco2_surrogate_subgradient,

@@ -1,10 +1,10 @@
 """Closed-form regret and violation budgets as plain-number functions.
 
-Every budget a coco-lab run checks is written here exactly once. The
-learner-facing ``*_bound_rhs`` functions, the run summary, the plot
-trajectories and the verification pass all evaluate these formulas; they
-differ only in where the inputs (path length, horizon, accumulated squared
-gradient norms) come from.
+Every budget a coco-lab run checks is written here exactly once, and
+``harness._budget`` is the one place that picks an algorithm's budget. The
+run summary, the plot trajectories and the verification pass all evaluate
+these formulas through it; they differ only in where the inputs (path
+length, horizon, accumulated squared gradient norms) come from.
 
 The five budgets also take those inputs as arrays, one entry per prefix of
 a run, and give each entry the bits of the call on that entry alone: the

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budgets import coco2_ccv_rhs, coco2_gamma, coco2_regret_rhs, ensemble_rhs, num_experts
+from .budgets import coco2_gamma, num_experts
 from .core import ConstraintOracle, CostOracle, DecisionSet, ccv_update
 from .geometry import GeometricSet, dist, dist_subgradient
 from .subroutines import AhagState, ahag_round, ahag_step  # noqa: F401  ahag_round re-exported
@@ -66,15 +66,13 @@ class Coco1State:
     """Full-feedback meta-algorithm state around an ensemble subroutine."""
 
     subroutine: AhagState
-    lipschitz_bound: float
     q: float = 0.0
-    t: int = 0
 
     @classmethod
     def create(cls, decision_set: DecisionSet, horizon: int, g_lip: float) -> "Coco1State":
         if g_lip <= 0:
             raise ValueError("Lipschitz bound must be positive")
-        return cls(subroutine=AhagState.create(decision_set, horizon), lipschitz_bound=g_lip)
+        return cls(subroutine=AhagState.create(decision_set, horizon))
 
 
 def _round(state: Coco1State | Coco2State, cost: CostOracle, constraint: ConstraintOracle,
@@ -86,7 +84,6 @@ def _round(state: Coco1State | Coco2State, cost: CostOracle, constraint: Constra
     x = state.subroutine.combined_point
     g_val = float(constraint.value(x))
     state.q = ccv_update(state.q, g_val)
-    state.t += 1
     grad = np.asarray(surrogate_subgradient(x, g_val), dtype=float)
     _, played = ahag_step(state.subroutine, grad)
     return state, played, math.sqrt(grad @ grad)
@@ -104,9 +101,7 @@ class Coco2State:
 
     subroutine: AhagState
     v_param: float
-    lipschitz_bound: float
     q: float = 0.0
-    t: int = 0
 
     @classmethod
     def create(cls, decision_set: DecisionSet, horizon: int, g_lip: float,
@@ -117,8 +112,7 @@ class Coco2State:
             v = coco2_default_v(g_lip, decision_set.diameter, horizon)
         if v <= 0:
             raise ValueError("V must be positive")
-        return cls(subroutine=AhagState.create(decision_set, horizon),
-                   v_param=float(v), lipschitz_bound=g_lip)
+        return cls(subroutine=AhagState.create(decision_set, horizon), v_param=float(v))
 
 
 def coco2_surrogate_subgradient(state: Coco2State, cost: CostOracle,
@@ -149,37 +143,3 @@ def coco2_default_v(g_lip: float, diameter: float, horizon: int) -> float:
         raise ValueError("need positive Lipschitz bound, diameter, and horizon")
     n = num_experts(diameter, horizon)
     return coco2_gamma(g_lip, diameter, n) * math.sqrt(horizon)
-
-
-def coco1_bound_rhs(run, path_length: float, g_lip: float, diameter: float) -> float:
-    """Single budget that dominates both the violation total (at the
-    minimizer-path length) and the regret (at the comparator's path length),
-    evaluated from the run's recorded surrogate gradient accumulator."""
-    horizon = run.horizon
-    if horizon == 0:
-        raise ValueError("empty run")
-    if path_length < 0:
-        raise ValueError("path length must be nonnegative")
-    n = num_experts(diameter, horizon)
-    return ensemble_rhs(diameter, n, path_length, run.surrogate_grad_sq_sum())
-
-
-def coco2_bound_rhs(run, path_length: float, v: float, g_lip: float,
-                    diameter: float) -> tuple[float, float]:
-    """Closed-form regret and violation budgets for the first-order variant.
-
-    Returns ``(regret_rhs, ccv_rhs)`` where the regret budget is valid for
-    any feasible comparator of the given path length and the violation
-    budget is tightest at the minimum feasible path length.
-    """
-    horizon = run.horizon
-    if horizon == 0:
-        raise ValueError("empty run")
-    if path_length < 0:
-        raise ValueError("path length must be nonnegative")
-    if v <= 0:
-        raise ValueError("V must be positive")
-    n = num_experts(diameter, horizon)
-    gamma = coco2_gamma(g_lip, diameter, n)
-    return (coco2_regret_rhs(gamma, v, path_length, horizon),
-            coco2_ccv_rhs(gamma, v, g_lip, diameter, path_length, horizon))

@@ -136,7 +136,9 @@ class RunRecord:
         self.horizon = stop
 
     def surrogate_grad_sq_sum(self) -> float:
-        """Sum of the squared surrogate gradient norms, added in round order."""
+        """Sum of the squared surrogate gradient norms, added in round order.
+        Kept only because perfbench's tracer wraps it by name (the harness
+        reads S_t from ``RunTotals.grad_sq``)."""
         return float(running_sum([n ** 2 for n in self.grad_norm[:self.horizon].tolist()])[-1])
 
 
@@ -172,22 +174,6 @@ def path_prefix(points) -> np.ndarray:
 def path_length(points) -> float:
     """Total Euclidean movement of a sequence: the last entry of ``path_prefix``."""
     return float(path_prefix(points)[-1])
-
-
-def ud_regret(costs, actions, comparators) -> float:
-    """Cumulative cost gap sum_t f_t(x_t) - f_t(u_t) against a comparator sequence."""
-    comp_pts = comparators.points if isinstance(comparators, ComparatorSequence) else \
-        np.atleast_2d(np.asarray(comparators, dtype=float))
-    acts = np.atleast_2d(np.asarray(actions, dtype=float))
-    if not (len(costs) == acts.shape[0] == comp_pts.shape[0]):
-        raise ValueError(
-            f"length mismatch: {len(costs)} costs, {acts.shape[0]} actions, "
-            f"{comp_pts.shape[0]} comparators"
-        )
-    total = 0.0
-    for cost, x, u in zip(costs, acts, comp_pts):
-        total += float(cost.value(x)) - float(cost.value(u))
-    return total
 
 
 def ccv_update(q_prev: float, g_value: float) -> float:

@@ -46,7 +46,6 @@ from .geometry import membership
 from .scenarios import Scenario, ScenarioSpec, build_scenario
 from .subroutines import (
     KNOWN_PATH,
-    PATH_FREE,
     AdaGradState,
     AhagState,
     adagrad_step,
@@ -184,7 +183,10 @@ def run(config: RunConfig) -> RunRecord:
     record = RunRecord(scenario.dimension, scenario.horizon, comparators,
                        {name: np.empty(scenario.horizon) for name in comparators})
     state = _init_state(config, scenario)
-    _play(config.algorithm, scenario, state, record)
+    # an overflow (a gradient near 1e200 squared) is reported by the
+    # finiteness checks as a numerical failure, not as a numpy warning
+    with np.errstate(over="ignore"):
+        _play(config.algorithm, scenario, state, record)
     summary = _summarize(config, scenario, state, comparators, _record_totals(record))
     summary["wall_clock_sec"] = time.perf_counter() - t0
     record.summary = summary
@@ -303,8 +305,8 @@ def _round_step(algorithm: str):
 def _init_state(config: RunConfig, scenario: Scenario):
     ds, T, g = scenario.decision_set, scenario.horizon, scenario.g_lip
     if config.algorithm == "adagrad":
-        return AdaGradState(ds, PATH_FREE if config.path_estimate is None else KNOWN_PATH,
-                            float(config.path_estimate or 0.0))
+        return AdaGradState(ds, None if config.path_estimate is None
+                            else float(config.path_estimate))
     if config.algorithm == "ahag":
         return AhagState.create(ds, T)
     if config.algorithm == "coco1":

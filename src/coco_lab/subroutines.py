@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budgets import (
-    adagrad_known_path_rhs,
-    adagrad_path_free_rhs,
-    ahag_constant,  # noqa: F401  re-exported
-    ensemble_rhs,
-    num_experts,
-)
+from .budgets import num_experts
 from .core import DecisionSet
 
 KNOWN_PATH = "known_path"
@@ -37,34 +31,35 @@ PATH_FREE = "path_free"
 class AdaGradState:
     """Projected gradient descent with step sizes driven by accumulated gradient norms.
 
-    In ``known_path`` mode the step size is
-    ``(D+1) * sqrt(1 + path_estimate) / sqrt(2 * S_t)`` where ``S_t`` is the
-    running sum of squared gradient norms; ``path_free`` mode drops the
-    path factor. Until the first nonzero gradient arrives the iterate stays
-    put (the step size is undefined at ``S_t = 0`` and no movement is
-    needed). ``point`` may be a batch ``(N, d)`` of iterates stepping on one
-    gradient, with a ``path_estimate`` column ``(N, 1)``. The numerator
-    ``(D+1) * sqrt(1 + path_estimate)`` is fixed when the state is made.
+    With a ``path_estimate`` P (``known_path`` mode) the step size is
+    ``(D+1) * sqrt(1 + P) / sqrt(2 * S_t)`` where ``S_t`` is the running
+    sum of squared gradient norms; ``path_estimate=None`` (``path_free``
+    mode) drops the path factor. Until the first nonzero gradient arrives
+    the iterate stays put (the step size is undefined at ``S_t = 0`` and no
+    movement is needed). ``point`` may be a batch ``(N, d)`` of iterates
+    stepping on one gradient, with a ``path_estimate`` column ``(N, 1)``.
+    The numerator ``(D+1) * sqrt(1 + P)`` is fixed when the state is made.
     """
 
     decision_set: DecisionSet
-    mode: str = PATH_FREE
-    path_estimate: float | np.ndarray = 0.0
+    path_estimate: float | np.ndarray | None = None
     point: np.ndarray = None
     grad_sq_sum: float = 0.0
     numerator: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in (KNOWN_PATH, PATH_FREE):
-            raise ValueError(f"unknown step-size mode {self.mode!r}")
-        if np.any(np.asarray(self.path_estimate) < 0):
+        if self.path_estimate is not None and np.any(np.asarray(self.path_estimate) < 0):
             raise ValueError("path estimate must be nonnegative")
         if self.point is None:
             self.point = np.zeros(self.decision_set.dim)
         else:
             self.point = np.asarray(self.point, dtype=float)
-        scale = np.sqrt(1.0 + self.path_estimate) if self.mode == KNOWN_PATH else 1.0
+        scale = 1.0 if self.path_estimate is None else np.sqrt(1.0 + self.path_estimate)
         self.numerator = (self.diameter + 1.0) * scale
+
+    @property
+    def mode(self) -> str:
+        return PATH_FREE if self.path_estimate is None else KNOWN_PATH
 
     @property
     def diameter(self) -> float:
@@ -90,20 +85,6 @@ def adagrad_step(state: AdaGradState, gradient) -> tuple[AdaGradState, np.ndarra
         step = state.numerator / math.sqrt(2.0 * s)
         state.point = state.decision_set.project(state.point - step * g)
     return state, state.point
-
-
-def adagrad_bound_rhs(state: AdaGradState, path_length: float) -> float:
-    """Regret budget implied by the run's own gradient accumulator.
-
-    ``known_path`` mode: ``(D+1) sqrt(2 (1+P)) sqrt(S_T)``, valid against
-    comparators whose true path length does not exceed the estimate the
-    state was run with. ``path_free`` mode:
-    ``sqrt(2) (D+1) (1+P) sqrt(S_T)`` for any comparator of path length P.
-    """
-    if path_length < 0:
-        raise ValueError("path length must be nonnegative")
-    rhs = adagrad_known_path_rhs if state.mode == KNOWN_PATH else adagrad_path_free_rhs
-    return rhs(state.diameter, path_length, state.grad_sq_sum)
 
 
 @dataclass
@@ -209,7 +190,7 @@ class AhagState:
     def create(cls, decision_set: DecisionSet, horizon: int) -> "AhagState":
         n = num_experts(decision_set.diameter, horizon)
         # guess rho = 2**i for sqrt(1+P), i.e. a path estimate of rho**2 - 1
-        experts = AdaGradState(decision_set, KNOWN_PATH,
+        experts = AdaGradState(decision_set,
                                path_estimate=4.0 ** np.arange(n, dtype=float)[:, None] - 1.0,
                                point=np.zeros((n, decision_set.dim)))
         return cls(
@@ -225,9 +206,6 @@ class AhagState:
     @property
     def grad_sq_sum(self) -> float:
         return self.experts.grad_sq_sum
-
-    def expert_points(self) -> np.ndarray:
-        return self.experts.point
 
 
 def ahag_step(state: AhagState, grad: np.ndarray) -> tuple[AhagState, np.ndarray]:
@@ -249,11 +227,3 @@ def ahag_round(state: AhagState, cost) -> tuple[AhagState, np.ndarray]:
     """``ahag_step`` on ``cost``'s subgradient at the combined play; ``cost``
     only needs a ``subgradient`` callable."""
     return ahag_step(state, np.asarray(cost.subgradient(state.combined_point), dtype=float))
-
-
-def ahag_bound_rhs(state: AhagState, path_length: float) -> float:
-    """Universal regret budget against any comparator of the given path length."""
-    if path_length < 0:
-        raise ValueError("path length must be nonnegative")
-    return ensemble_rhs(state.experts.diameter, state.num_experts, path_length,
-                        state.grad_sq_sum)

@@ -41,7 +41,8 @@ from coco_lab.scenarios import (
     make_scenario,
     norm_cost,
 )
-from coco_lab.subroutines import AhagState, adahedge_step, ahag_bound_rhs, ahag_round
+from coco_lab.budgets import ensemble_rhs
+from coco_lab.subroutines import AhagState, adahedge_step, ahag_round
 from coco_lab.subroutines import HedgeState
 
 
@@ -208,7 +209,7 @@ def test_criterion_5_ensemble_regret_budget():
             cost, _ = sc.generate(t)
             x = st.combined_point
             grad = np.asarray(cost.subgradient(x), dtype=float)
-            linf = float(np.max(np.abs(st.expert_points() @ grad)))
+            linf = float(np.max(np.abs(st.experts.point @ grad)))
             assert linf <= diam * float(np.linalg.norm(grad)) * (1 + 1e-9) + 1e-12
             _, played = ahag_round(st, cost)
             costs.append(cost)
@@ -219,7 +220,8 @@ def test_criterion_5_ensemble_regret_budget():
         for comp in comps.values():
             regret = sum(float(c.value(x)) - float(c.value(u))
                          for c, x, u in zip(costs, plays, comp.points))
-            if not regret <= ahag_bound_rhs(st, comp.path_length):
+            if not regret <= ensemble_rhs(diam, st.num_experts, comp.path_length,
+                                          st.grad_sq_sum):
                 violations += 1
     assert violations == 0
     _report(5, "10 ensemble runs x 3 path scales, loss-range cap held every round")

@@ -8,20 +8,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from coco_lab import coco
+from coco_lab.budgets import coco2_ccv_rhs, coco2_regret_rhs, ensemble_rhs
 from coco_lab.coco import (
     Coco1State,
     Coco2State,
     auxiliary_value,
-    coco1_bound_rhs,
     coco1_round,
     coco1_surrogate_subgradient,
-    coco2_bound_rhs,
     coco2_default_v,
     coco2_gamma,
     coco2_round,
     coco2_surrogate_subgradient,
 )
-from coco_lab.core import DecisionSet, RunRecord, g_plus
+from coco_lab.core import DecisionSet, RunRecord, g_plus, running_sum
 from coco_lab.geometry import Ball, Box, Halfspace, dist_subgradient, membership
 from coco_lab.harness import RunConfig, run
 from coco_lab.scenarios import (
@@ -246,12 +245,13 @@ def test_coco2_surrogate_subgradient_examples():
 
 def test_coco2_round_records_surrogate_gradient():
     ds, cost, constraint = interval_instance()
-    state = Coco2State.create(ds, horizon=6, g_lip=1.0, v=2.0)
+    g_lip = 1.0
+    state = Coco2State.create(ds, horizon=6, g_lip=g_lip, v=2.0)
     for _ in range(6):
         state, played, grad_norm = coco2_round(state, cost, constraint)
         expected = coco2_surrogate_subgradient(state, cost, constraint, played)
         assert grad_norm == pytest.approx(float(np.linalg.norm(expected)))
-        cap = state.lipschitz_bound * (state.v_param + 2.0 * state.q) + 1e-9
+        cap = g_lip * (state.v_param + 2.0 * state.q) + 1e-9
         assert grad_norm <= cap
 
 
@@ -292,27 +292,15 @@ def test_coco2_default_v_examples():
         coco2_default_v(0.0, 1.0, 10)
 
 
-def _record_with(grad_norms):
-    rec = RunRecord(dimension=1, capacity=len(grad_norms))
-    rec.x[:] = 0.0
-    rec.grad_norm[:] = grad_norms
-    rec.fill(np.zeros(len(grad_norms)), np.full(len(grad_norms), -1.0))
-    return rec
-
-
 def test_coco1_bound_rhs_matches_recomputation():
-    rec = _record_with([1.0, 2.0, 0.5, 3.0])
     s = sum(g ** 2 for g in [1.0, 2.0, 0.5, 3.0])
     n = num_experts(6.0, 4)
     c = 2.0 * math.sqrt(2.0) * 7.0 + 12.0 * math.sqrt(4.0 + math.log(n))
     for p in (0.0, 2.5, 7.0):
-        assert coco1_bound_rhs(rec, p, 1.0, 6.0) == pytest.approx(
-            c * math.sqrt(1.0 + p) * math.sqrt(s))
+        assert ensemble_rhs(6.0, n, p, s) == pytest.approx(c * math.sqrt(1.0 + p) * math.sqrt(s))
     # monotone in the path length
-    assert coco1_bound_rhs(rec, 1.0, 1.0, 6.0) < coco1_bound_rhs(rec, 2.0, 1.0, 6.0)
-    assert coco1_bound_rhs(_record_with([0.0, 0.0]), 3.0, 1.0, 6.0) == 0.0
-    with pytest.raises(ValueError, match="empty run"):
-        coco1_bound_rhs(RunRecord(dimension=1), 0.0, 1.0, 6.0)
+    assert ensemble_rhs(6.0, n, 1.0, s) < ensemble_rhs(6.0, n, 2.0, s)
+    assert ensemble_rhs(6.0, num_experts(6.0, 2), 3.0, 0.0) == 0.0
 
 
 def test_coco2_bound_rhs_algebra():
@@ -321,16 +309,14 @@ def test_coco2_bound_rhs_algebra():
     n = num_experts(diam, T)
     gamma = coco2_gamma(g_lip, diam, n)
     v = gamma * math.sqrt(T)
-    rec = _record_with([0.0] * T)
-    regret_rhs, ccv_rhs = coco2_bound_rhs(rec, 0.0, v, g_lip, diam)
+    regret_rhs = coco2_regret_rhs(gamma, v, 0.0, T)
+    ccv_rhs = coco2_ccv_rhs(gamma, v, g_lip, diam, 0.0, T)
     # with P=0 and V=gamma*sqrt(T) the regret budget collapses to 2*gamma*sqrt(T)
     assert regret_rhs == pytest.approx(2.0 * gamma * math.sqrt(T))
     expected_ccv = (2.0 * gamma * math.sqrt(T)
                     + 0.5 * math.sqrt(4.0 * gamma * v * math.sqrt(T))
                     + 0.5 * math.sqrt(4.0 * v * g_lip * diam * T))
     assert ccv_rhs == pytest.approx(expected_ccv)
-    with pytest.raises(ValueError, match="empty run"):
-        coco2_bound_rhs(RunRecord(dimension=1), 0.0, v, g_lip, diam)
 
 
 def test_regret_decomposition_identity_exact():
@@ -370,11 +356,12 @@ def test_coco1_budgets_hold_on_runs():
             costs.append(cost)
             plays.append(x)
         diam = sc.decision_set.diameter
-        assert state.q <= coco1_bound_rhs(rec, sc.minimizer_path_length(), sc.g_lip, diam)
+        n, grad_sq = num_experts(diam, 250), float(running_sum(rec.grad_norm ** 2)[-1])
+        assert state.q <= ensemble_rhs(diam, n, sc.minimizer_path_length(), grad_sq)
         for comp in sc.comparators().values():
             regret = sum(float(c.value(x)) - float(c.value(u))
                          for c, x, u in zip(costs, plays, comp.points))
-            assert regret <= coco1_bound_rhs(rec, comp.path_length, sc.g_lip, diam)
+            assert regret <= ensemble_rhs(diam, n, comp.path_length, grad_sq)
 
 
 def test_coco2_budgets_hold_on_runs():
@@ -390,15 +377,13 @@ def test_coco2_budgets_hold_on_runs():
             costs.append(cost)
             plays.append(x)
         diam = sc.decision_set.diameter
-        _, ccv_rhs = coco2_bound_rhs(rec, sc.feasible_path_length(), state.v_param,
-                                     sc.g_lip, diam)
-        assert state.q <= ccv_rhs
+        gamma = coco2_gamma(sc.g_lip, diam, num_experts(diam, 250))
+        assert state.q <= coco2_ccv_rhs(gamma, state.v_param, sc.g_lip, diam,
+                                        sc.feasible_path_length(), 250)
         for comp in sc.comparators().values():
             regret = sum(float(c.value(x)) - float(c.value(u))
                          for c, x, u in zip(costs, plays, comp.points))
-            regret_rhs, _ = coco2_bound_rhs(rec, comp.path_length, state.v_param,
-                                            sc.g_lip, diam)
-            assert regret <= regret_rhs
+            assert regret <= coco2_regret_rhs(gamma, state.v_param, comp.path_length, 250)
 
 
 @pytest.mark.parametrize("name", ["tracking-ball", "static"])

@@ -11,10 +11,9 @@ from coco_lab.core import (
     g_plus,
     path_length,
     path_prefix,
-    ud_regret,
 )
 from coco_lab.geometry import Ball, Box
-from coco_lab.scenarios import affine_cost, make_scenario
+from coco_lab.scenarios import make_scenario
 
 
 def test_g_plus_examples():
@@ -70,40 +69,6 @@ def test_path_length_is_the_last_prefix_and_adds_its_steps_in_order(points):
         expected.append(total)
     assert prefix.tolist() == expected  # bit for bit, every prefix
     assert path_length(pts) == prefix[-1] == total
-
-
-def test_ud_regret_self_is_zero_and_examples():
-    costs = [affine_cost([1.0]) for _ in range(3)]
-    actions = np.array([[0.5], [-1.0], [2.0]])
-    assert ud_regret(costs, actions, actions) == 0.0
-
-    assert ud_regret([affine_cost([1.0])], [[2.0]], [[1.0]]) == pytest.approx(1.0)
-
-    # two rounds of linear costs with mixed signs vs an independent loop
-    costs = [affine_cost([2.0, -1.0]), affine_cost([-0.5, 3.0])]
-    acts = np.array([[1.0, 2.0], [-1.0, 0.5]])
-    comps = np.array([[0.0, 1.0], [2.0, 2.0]])
-    expected = 0.0
-    for c, x, u in zip(costs, acts, comps):
-        expected += float(c.value(x)) - float(c.value(u))
-    assert ud_regret(costs, acts, comps) == pytest.approx(expected)
-
-    with pytest.raises(ValueError, match="length mismatch"):
-        ud_regret(costs, acts, comps[:1])
-
-
-def test_ud_regret_lower_bound_on_runs():
-    # for G-Lipschitz costs over a diameter-D set the regret is >= -G*D*T
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        T, d = 15, 2
-        dirs = rng.normal(size=(T, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        costs = [affine_cost(a) for a in dirs]  # G = 1
-        acts = rng.uniform(-1, 1, size=(T, d))
-        comps = rng.uniform(-1, 1, size=(T, d))
-        diam = 4.0 * np.sqrt(2)  # diameter of [-1,1]^2 is 2*sqrt(2) <= this
-        assert ud_regret(costs, acts, comps) >= -1.0 * diam * T
 
 
 def test_decision_set_requires_origin_and_positive_diameter():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -620,6 +621,25 @@ def test_cli_non_finite_gradient_is_numerical_failure(tmp_path, monkeypatch, cap
                           scenario={"name": "broken-static", "horizon": 10})
     assert main(["run", "--config", config]) == 3
     assert "round 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm,round_", [("coco1", 2), ("coco2", 1)])
+def test_overflowing_gradient_fails_its_round_without_a_numpy_warning(algorithm, round_):
+    # g_lip 1e200 overflows the squared gradient norm; the finiteness check
+    # reports it, and numpy's overflow warning stays out of the output
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(HarnessError, match=f"^oracle failure at round {round_}:"):
+            run(cfg(algorithm=algorithm, g_lip=1e200))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_adagrad_integer_path_estimate_is_recorded_as_a_float(tmp_path):
+    out = tmp_path / "run"
+    run(cfg(algorithm="adagrad", path_estimate=3, out_dir=str(out)))
+    text = (out / "summary.json").read_text()
+    assert '"path_estimate": 3.0' in text and json.loads(text)["mode"] == "known_path"
+    assert verify_run(str(out)) == []
 
 
 def test_package_imports_and_runs_without_scipy():

@@ -48,7 +48,7 @@ def test_run_invariants_hold_on_every_round(name, algorithm, seed, g_lip, horizo
     for ensemble, x, q_t, surrogate_norm in _play(algorithm, scenario):
         assert membership(x, geometry, tol=TOL)
         assert membership(ensemble.combined_point, geometry, tol=TOL)
-        assert np.all(membership(ensemble.expert_points(), geometry, tol=TOL))
+        assert np.all(membership(ensemble.experts.point, geometry, tol=TOL))
         w = ensemble.hedge.weights
         assert np.all(w >= 0.0) and math.isclose(w.sum(), 1.0, rel_tol=1e-12)
         assert ensemble.hedge.cum_mix_gap >= gap and q_t >= q

@@ -6,21 +6,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from coco_lab import harness
+from coco_lab.budgets import (
+    adagrad_known_path_rhs,
+    adagrad_path_free_rhs,
+    ahag_constant,
+    ensemble_rhs,
+)
 from coco_lab.core import DecisionSet
 from coco_lab.geometry import Ball, Box, dist_subgradient, membership
 from coco_lab.harness import ALGORITHMS, RunConfig, run
 from coco_lab.scenarios import SCENARIOS, ScenarioSpec, affine_cost, build_scenario, make_scenario
 from coco_lab.subroutines import (
     KNOWN_PATH,
-    PATH_FREE,
     AdaGradState,
     AhagState,
     HedgeState,
-    adagrad_bound_rhs,
     adagrad_step,
     adahedge_step,
-    ahag_bound_rhs,
-    ahag_constant,
     ahag_round,
     num_experts,
 )
@@ -35,7 +37,7 @@ def unit_interval_set():
 # adaptive gradient descent
 
 def test_adagrad_zero_gradient_guard():
-    st = AdaGradState(decision_set=unit_interval_set(), mode=KNOWN_PATH)
+    st = AdaGradState(decision_set=unit_interval_set(), path_estimate=0.0)
     _, p = adagrad_step(st, np.array([0.0]))
     assert np.array_equal(p, np.zeros(1))
     assert st.grad_sq_sum == 0.0
@@ -44,18 +46,28 @@ def test_adagrad_zero_gradient_guard():
 def test_adagrad_first_step_formula_and_clamp():
     # D=1, path estimate 0: eta_1 = 2*sqrt(1)/sqrt(2) = sqrt(2); raw step
     # -sqrt(2) clamps to the set boundary -0.5
-    st = AdaGradState(decision_set=unit_interval_set(), mode=KNOWN_PATH, path_estimate=0.0)
+    st = AdaGradState(decision_set=unit_interval_set(), path_estimate=0.0)
     _, p = adagrad_step(st, np.array([1.0]))
     assert st.step_size() == pytest.approx(math.sqrt(2.0))
     assert p == pytest.approx(np.array([-0.5]))
 
 
 def test_adagrad_accumulator_arithmetic():
-    st = AdaGradState(decision_set=unit_interval_set(), mode=KNOWN_PATH, path_estimate=0.0)
+    st = AdaGradState(decision_set=unit_interval_set(), path_estimate=0.0)
     adagrad_step(st, np.array([1.0]))
     adagrad_step(st, np.array([-1.0]))
     # two unit gradients: eta_2 = 2/sqrt(4) = 1
     assert st.step_size() == pytest.approx(1.0)
+
+
+def test_adagrad_mode_follows_path_estimate():
+    ds = unit_interval_set()
+    assert AdaGradState(ds).mode == "path_free"
+    assert AdaGradState(ds, path_estimate=0.0).mode == "known_path"
+    with pytest.raises(AttributeError):
+        AdaGradState(ds).mode = "known_path"
+    with pytest.raises(ValueError, match="nonnegative"):
+        AdaGradState(ds, path_estimate=-0.5)
 
 
 def test_adagrad_dimension_mismatch():
@@ -70,7 +82,7 @@ def test_adagrad_rejects_non_finite_gradient_without_moving(bad):
     # NaN would freeze the iterate, inf move it to [nan, ...] and 1e200
     # overflow g @ g to inf; each must raise and leave the state as it was
     ds = DecisionSet(Box([-1.0, -1.0], [1.0, 1.0]), 2.0 * math.sqrt(2.0))
-    st = AdaGradState(decision_set=ds, mode=KNOWN_PATH, path_estimate=3.0)
+    st = AdaGradState(decision_set=ds, path_estimate=3.0)
     adagrad_step(st, np.array([0.3, -0.4]))
     point, s = st.point.copy(), st.grad_sq_sum
     with pytest.raises(ValueError, match="non-finite"):
@@ -82,8 +94,8 @@ def test_adagrad_rejects_non_finite_gradient_without_moving(bad):
 def test_adagrad_step_sizes_non_increasing_and_iterates_feasible():
     rng = np.random.default_rng(7)
     ds = DecisionSet(Box([-1.0, -1.0], [1.0, 1.0]), 2.0 * math.sqrt(2.0))
-    for mode, rho in ((KNOWN_PATH, 3.0), (PATH_FREE, 0.0)):
-        st = AdaGradState(decision_set=ds, mode=mode, path_estimate=rho)
+    for rho in (3.0, None):
+        st = AdaGradState(decision_set=ds, path_estimate=rho)
         last = math.inf
         for _ in range(200):
             adagrad_step(st, rng.normal(size=2))
@@ -94,23 +106,18 @@ def test_adagrad_step_sizes_non_increasing_and_iterates_feasible():
 
 
 def test_adagrad_bound_rhs_formulas():
-    ds = unit_interval_set()
-    st = AdaGradState(decision_set=ds, mode=KNOWN_PATH, grad_sq_sum=4.0)
-    assert adagrad_bound_rhs(st, 0.0) == pytest.approx(4.0 * math.sqrt(2.0))
-    st = AdaGradState(decision_set=ds, mode=PATH_FREE, grad_sq_sum=1.0)
-    assert adagrad_bound_rhs(st, 3.0) == pytest.approx(8.0 * math.sqrt(2.0))
-    st = AdaGradState(decision_set=ds, mode=KNOWN_PATH, grad_sq_sum=0.0)
-    assert adagrad_bound_rhs(st, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        adagrad_bound_rhs(st, -1.0)
+    diam = unit_interval_set().diameter
+    assert adagrad_known_path_rhs(diam, 0.0, 4.0) == pytest.approx(4.0 * math.sqrt(2.0))
+    assert adagrad_path_free_rhs(diam, 3.0, 1.0) == pytest.approx(8.0 * math.sqrt(2.0))
+    assert adagrad_known_path_rhs(diam, 5.0, 0.0) == 0.0
 
 
 def test_adagrad_regret_bounded_on_random_runs():
     rng = np.random.default_rng(8)
     ds = DecisionSet(Box([-1.0, -1.0], [1.0, 1.0]), 2.0 * math.sqrt(2.0))
     T = 300
-    for mode, rho in ((KNOWN_PATH, 10.0), (PATH_FREE, 0.0)):
-        st = AdaGradState(decision_set=ds, mode=mode, path_estimate=rho)
+    for rho in (10.0, None):
+        st = AdaGradState(decision_set=ds, path_estimate=rho)
         costs, actions = [], []
         for _ in range(T):
             a = rng.normal(size=2)
@@ -129,11 +136,11 @@ def test_adagrad_regret_bounded_on_random_runs():
                          for c, x, u in zip(costs, actions, comp))
             from coco_lab.core import path_length
             true_path = path_length(comp)
-            if mode == KNOWN_PATH:
+            if rho is not None:
                 assert true_path <= rho
-                assert regret <= adagrad_bound_rhs(st, rho)
+                assert regret <= adagrad_known_path_rhs(ds.diameter, rho, st.grad_sq_sum)
             else:
-                assert regret <= adagrad_bound_rhs(st, true_path)
+                assert regret <= adagrad_path_free_rhs(ds.diameter, true_path, st.grad_sq_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +366,12 @@ def test_ahag_single_expert_matches_plain_descent():
     ds = unit_interval_set()  # D*T small enough for one expert: N = 2? use T=1
     # force a single-expert ensemble by hand
     ensemble = AhagState(
-        experts=AdaGradState(decision_set=ds, mode=KNOWN_PATH, path_estimate=0.0,
+        experts=AdaGradState(decision_set=ds, path_estimate=0.0,
                              point=np.zeros((1, 1))),
         hedge=HedgeState.uniform(1),
         combined_point=np.zeros(1),
     )
-    solo = AdaGradState(decision_set=ds, mode=KNOWN_PATH, path_estimate=0.0)
+    solo = AdaGradState(decision_set=ds, path_estimate=0.0)
     rng = np.random.default_rng(11)
     for _ in range(50):
         a = rng.normal(size=1)
@@ -383,7 +390,7 @@ def test_ahag_degenerate_convex_combination():
     st.hedge.weights = np.array([0.7, 0.2, 0.1][: st.num_experts] +
                                 [0.0] * max(0, st.num_experts - 3))
     st.hedge.weights /= st.hedge.weights.sum()
-    st.combined_point = st.hedge.weights @ st.expert_points()
+    st.combined_point = st.hedge.weights @ st.experts.point
     assert st.combined_point == pytest.approx(shared)
 
 
@@ -444,15 +451,15 @@ def test_ahag_batched_experts_match_independent_descents_bitwise(name):
     T = 300
     sc = make_scenario(name, T, seed=3)
     st = AhagState.create(sc.decision_set, T)
-    solos = [AdaGradState(decision_set=sc.decision_set, mode=KNOWN_PATH,
-                          path_estimate=4.0 ** i - 1.0) for i in range(st.num_experts)]
+    solos = [AdaGradState(decision_set=sc.decision_set, path_estimate=4.0 ** i - 1.0)
+             for i in range(st.num_experts)]
     for t in range(1, T + 1):
         cost, _ = sc.generate(t)
         grad = np.asarray(cost.subgradient(st.combined_point), dtype=float)
         ahag_round(st, cost)
         for i, solo in enumerate(solos):
             adagrad_step(solo, grad)
-            assert np.array_equal(st.expert_points()[i], solo.point)
+            assert np.array_equal(st.experts.point[i], solo.point)
         assert st.grad_sq_sum == solos[0].grad_sq_sum
 
 
@@ -464,28 +471,21 @@ def test_ahag_points_feasible_and_loss_range_capped():
         cost, _ = sc.generate(t)
         x = st.combined_point
         grad = np.asarray(cost.subgradient(x), dtype=float)
-        linf = float(np.max(np.abs(st.expert_points() @ grad)))
+        linf = float(np.max(np.abs(st.experts.point @ grad)))
         assert linf <= diam * float(np.linalg.norm(grad)) * (1.0 + 1e-9) + 1e-12
         _, played = ahag_round(st, cost)
         assert membership(played, sc.decision_set.geometry, tol=1e-8)
-        assert np.all(membership(st.expert_points(), sc.decision_set.geometry, tol=1e-8))
+        assert np.all(membership(st.experts.point, sc.decision_set.geometry, tol=1e-8))
 
 
 def test_ahag_bound_rhs_formula():
-    ds = unit_interval_set()
-    st = AhagState(
-        experts=AdaGradState(decision_set=ds, mode=KNOWN_PATH, point=np.zeros((2, 1)),
-                             grad_sq_sum=1.0),
-        hedge=HedgeState.uniform(2),
-        combined_point=np.zeros(1),
-    )
+    diam = unit_interval_set().diameter
     expect = 2.0 * math.sqrt(2.0) * 2.0 + 2.0 * math.sqrt(4.0 + math.log(2.0))
-    assert ahag_bound_rhs(st, 0.0) == pytest.approx(expect)
+    assert ensemble_rhs(diam, 2, 0.0, 1.0) == pytest.approx(expect)
     assert expect == pytest.approx(9.98959, abs=1e-4)
     # doubling 1+path from 1 to 4 doubles the budget
-    assert ahag_bound_rhs(st, 3.0) == pytest.approx(2.0 * ahag_bound_rhs(st, 0.0))
-    st.experts.grad_sq_sum = 0.0
-    assert ahag_bound_rhs(st, 2.0) == 0.0
+    assert ensemble_rhs(diam, 2, 3.0, 1.0) == pytest.approx(2.0 * ensemble_rhs(diam, 2, 0.0, 1.0))
+    assert ensemble_rhs(diam, 2, 2.0, 0.0) == 0.0
 
 
 def test_ahag_regret_within_budget_on_scenario_runs():
@@ -503,7 +503,8 @@ def test_ahag_regret_within_budget_on_scenario_runs():
         for comp in sc.comparators().values():
             regret = sum(float(c.value(x)) - float(c.value(u))
                          for c, x, u in zip(costs, plays, comp.points))
-            assert regret <= ahag_bound_rhs(st, plen(comp.points))
+            assert regret <= ensemble_rhs(sc.decision_set.diameter, st.num_experts,
+                                          plen(comp.points), st.grad_sq_sum)
 
 
 def test_ahag_constant_assembly():
