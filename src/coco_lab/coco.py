@@ -33,10 +33,12 @@ def auxiliary_value(cost: CostOracle, feasible_set: GeometricSet, g_lip: float, 
     return float(cost.value(x)) + 2.0 * g_lip * dist(x, feasible_set)
 
 
-def coco1_surrogate_subgradient(cost: CostOracle, constraint: ConstraintOracle, x,
+def coco1_surrogate_subgradient(state: Coco1State, cost: CostOracle,
+                                constraint: ConstraintOracle, x,
                                 g_val: float | None = None) -> np.ndarray:
-    """Subgradient of cost + clipped constraint + distance penalty at ``x``;
-    ``g_val`` is ``g(x)`` when the caller has it already.
+    """Subgradient of cost + clipped constraint + ``2G`` times the distance
+    to the feasible region at ``x``, with G the state's ``g_lip``; ``g_val``
+    is ``g(x)`` when the caller has it already.
 
     The clipped-constraint term contributes zero on the boundary
     ``g(x) = 0`` and the distance term is the unit outward vector, so the
@@ -50,14 +52,13 @@ def coco1_surrogate_subgradient(cost: CostOracle, constraint: ConstraintOracle, 
     """
     if g_val is None:
         g_val = float(constraint.value(x))
-    g_lip = max(cost.lipschitz_bound, constraint.lipschitz_bound)
     grad = np.array(cost.subgradient(x), dtype=float)
     if g_val <= 0.0:  # x is in the feasible region
-        grad += 2.0 * g_lip * 0.0
+        grad += 2.0 * state.g_lip * 0.0
         return grad
     if g_val > 0.0:  # not NaN
         grad += np.asarray(constraint.subgradient(x), dtype=float)
-    grad += 2.0 * g_lip * dist_subgradient(x, constraint.feasible_region)
+    grad += 2.0 * state.g_lip * dist_subgradient(x, constraint.feasible_region)
     return grad
 
 
@@ -66,33 +67,37 @@ class Coco1State:
     """Full-feedback meta-algorithm state around an ensemble subroutine."""
 
     subroutine: AhagState
+    g_lip: float
     q: float = 0.0
 
     @classmethod
     def create(cls, decision_set: DecisionSet, horizon: int, g_lip: float) -> "Coco1State":
-        if g_lip <= 0:
-            raise ValueError("Lipschitz bound must be positive")
-        return cls(subroutine=AhagState.create(decision_set, horizon))
+        _check_positive("Lipschitz bound", g_lip)
+        return cls(subroutine=AhagState.create(decision_set, horizon), g_lip=float(g_lip))
+
+
+def _check_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def _round(state: Coco1State | Coco2State, cost: CostOracle, constraint: ConstraintOracle,
            surrogate_subgradient):
     """Play the subroutine's point ``x``, fold the fresh violation ``g(x)``
     into ``Q(t)``, then advance the subroutine on
-    ``surrogate_subgradient(x, g(x))``. Returns the state, ``x`` and that
-    gradient's norm."""
+    ``surrogate_subgradient(state, cost, constraint, x, g(x))``. Returns the
+    state, ``x`` and that gradient's norm."""
     x = state.subroutine.combined_point
     g_val = float(constraint.value(x))
     state.q = ccv_update(state.q, g_val)
-    grad = np.asarray(surrogate_subgradient(x, g_val), dtype=float)
+    grad = np.asarray(surrogate_subgradient(state, cost, constraint, x, g_val), dtype=float)
     _, played = ahag_step(state.subroutine, grad)
     return state, played, math.sqrt(grad @ grad)
 
 
 def coco1_round(state: Coco1State, cost: CostOracle, constraint: ConstraintOracle):
     """One full-feedback round: the ensemble steps on the penalized surrogate."""
-    return _round(state, cost, constraint,
-                  lambda pt, g_val: coco1_surrogate_subgradient(cost, constraint, pt, g_val))
+    return _round(state, cost, constraint, coco1_surrogate_subgradient)
 
 
 @dataclass
@@ -106,12 +111,10 @@ class Coco2State:
     @classmethod
     def create(cls, decision_set: DecisionSet, horizon: int, g_lip: float,
                v: float | None = None) -> "Coco2State":
-        if g_lip <= 0:
-            raise ValueError("Lipschitz bound must be positive")
+        _check_positive("Lipschitz bound", g_lip)
         if v is None:
             v = coco2_default_v(g_lip, decision_set.diameter, horizon)
-        if v <= 0:
-            raise ValueError("V must be positive")
+        _check_positive("V", v)
         return cls(subroutine=AhagState.create(decision_set, horizon), v_param=float(v))
 
 
@@ -132,14 +135,11 @@ def coco2_surrogate_subgradient(state: Coco2State, cost: CostOracle,
 def coco2_round(state: Coco2State, cost: CostOracle, constraint: ConstraintOracle):
     """One first-order round: the ensemble steps on the violation-weighted
     surrogate, whose ``Q(t)`` already includes this round."""
-    return _round(state, cost, constraint,
-                  lambda pt, g_val: coco2_surrogate_subgradient(state, cost, constraint, pt,
-                                                                g_val))
+    return _round(state, cost, constraint, coco2_surrogate_subgradient)
 
 
 def coco2_default_v(g_lip: float, diameter: float, horizon: int) -> float:
     """Default cost weight ``gamma * sqrt(T)`` balancing regret against violation."""
-    if g_lip <= 0 or diameter <= 0 or horizon < 1:
-        raise ValueError("need positive Lipschitz bound, diameter, and horizon")
+    _check_positive("Lipschitz bound", g_lip)
     n = num_experts(diameter, horizon)
     return coco2_gamma(g_lip, diameter, n) * math.sqrt(horizon)

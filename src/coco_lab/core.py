@@ -46,7 +46,9 @@ class DecisionSet:
 
 @dataclass(frozen=True)
 class CostOracle:
-    """Per-round convex cost: value and subgradient callables plus a Lipschitz bound.
+    """Per-round convex cost: value and subgradient callables. Its Lipschitz
+    bound is the run's one G, the scenario's ``g_lip``, which bounds every
+    cost and constraint of the run.
 
     Callables must accept a point of shape ``(d,)``; batch support of shape
     ``(n, d)`` is expected by the grid oracles.
@@ -54,7 +56,6 @@ class CostOracle:
 
     value: Callable
     subgradient: Callable
-    lipschitz_bound: float
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,6 @@ class ConstraintOracle:
 
     value: Callable
     subgradient: Callable
-    lipschitz_bound: float
     feasible_region: GeometricSet
 
 

@@ -53,7 +53,6 @@ from .subroutines import (
 )
 
 ALGORITHMS = ("adagrad", "ahag", "coco1", "coco2")
-VERIFY_REL_TOL = 1e-6
 # rounds whose oracles are held at once while comparators are scored, so a
 # run's memory does not grow with its horizon; measured, the kernels' time
 # per round is lowest near this size
@@ -115,8 +114,8 @@ class RunConfig:
         if not isinstance(self.emit_plotdata, bool):
             raise ConfigError(f"emit_plotdata must be true or false, got {self.emit_plotdata!r}")
         if self.g_lip is not None:
-            # explicit override feeds the scenario so the oracles, the
-            # surrogates, and the budgets all share one Lipschitz bound
+            # an explicit override becomes the scenario's g_lip, the run's
+            # one Lipschitz bound: coco1's penalty and every budget read it
             self.scenario = replace(self.scenario,
                                     params={**self.scenario.params, "g_lip": self.g_lip})
 
@@ -571,11 +570,6 @@ def sweep(config: RunConfig) -> list:
 # ---------------------------------------------------------------------------
 # verification: re-derive the summary from the persisted CSV
 
-def _rel_close(a, b):
-    """``|a - b| <= VERIFY_REL_TOL * max(1, |a|, |b|)``, entry by entry on arrays."""
-    return np.abs(a - b) <= VERIFY_REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-
-
 def _read_json(path: str) -> dict:
     try:
         with open(path) as f:
@@ -611,19 +605,12 @@ def load_run(out_dir: str):
     return summary, cfg, dict(zip(names, data.T))
 
 
-def _same(a, b) -> bool:
-    """Summary values agree: numbers within ``VERIFY_REL_TOL`` (plain float
-    arithmetic), anything else equal and of the same type."""
-    if type(a) in (int, float) and type(b) in (int, float):
-        return abs(a - b) <= VERIFY_REL_TOL * max(1.0, abs(a), abs(b))
-    return type(a) is type(b) and a == b
-
-
 def verify_run(out_dir: str) -> list:
     """Rebuild the summary from rounds.csv and config.json as ``run`` builds
-    it, and diff it with summary.json key by key (``wall_clock_sec`` aside);
-    returns the discrepancies. Raises ConfigError if a file of the run
-    cannot be read or its config is invalid."""
+    it, and diff it with summary.json key by key (``wall_clock_sec`` aside):
+    each value must be equal, bit for bit, and of the same type. Returns the
+    discrepancies. Raises ConfigError if a file of the run cannot be read or
+    its config is invalid."""
     try:
         summary, cfg, rows = load_run(out_dir)
     except HarnessError as exc:
@@ -645,10 +632,11 @@ def verify_run(out_dir: str) -> list:
             return problems
     if not np.array_equal(rows["t"], np.arange(1, len(f_col) + 1)):
         problems.append(f"t column is not 1..{len(f_col)}")
+    # every check is exact, as ``run`` writes each value's shortest repr;
     # written so that a NaN fails each check
-    if not (np.abs(gplus_col - np.maximum(g_col, 0.0)) <= 1e-12).all():
+    if not (gplus_col == np.maximum(g_col, 0.0)).all():
         problems.append("gplus column is not max(0, g)")
-    if not np.allclose(running_sum(gplus_col)[1:], q_col, rtol=VERIFY_REL_TOL, atol=1e-9):
+    if not (running_sum(gplus_col)[1:] == q_col).all():
         problems.append("Q column does not match the running violation sum")
     norms = rows["grad_norm_surrogate"]
     if not (np.isfinite(norms) & (norms >= 0.0)).all():
@@ -662,8 +650,8 @@ def verify_run(out_dir: str) -> list:
         stop = min(start + ORACLE_BLOCK, n_rounds + 1)
         block = slice(start - 1, stop - 1)
         _, f_re, g_re, costs = _evaluate_block(scenario, comparators, start, stop, xs)
-        f_bad = ~_rel_close(f_re, f_col[block])
-        bad = f_bad | ~_rel_close(g_re, g_col[block])
+        f_bad = f_re != f_col[block]
+        bad = f_bad | (g_re != g_col[block])
         mismatch = bool(bad.any())
         end = int(np.argmax(bad)) if mismatch else stop - start
         if mismatch:
@@ -678,8 +666,8 @@ def verify_run(out_dir: str) -> list:
     totals = RunTotals.of(q_col, np.concatenate(fx), norms.tolist(),
                           comparators, {n: np.concatenate(c) for n, c in comp_costs.items()})
     expected = _summarize(config, scenario, _init_state(config, scenario), comparators, totals)
-    problems += [f"{key} mismatch" for key in expected
-                 if key in summary and not _same(summary[key], expected[key])]
+    problems += [f"{key} mismatch" for key, value in expected.items() if key in summary
+                 and (type(summary[key]) is not type(value) or summary[key] != value)]
     problems += [f"{key} missing from summary.json" for key in expected if key not in summary]
     problems += [f"{key} not expected in summary.json" for key in summary
                  if key not in expected and key != "wall_clock_sec"]

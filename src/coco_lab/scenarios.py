@@ -49,7 +49,7 @@ def _unit_offset(x, center):
 class _Linear:
     """``x @ a + shift``."""
 
-    __slots__ = ("a", "shift", "lipschitz_bound")
+    __slots__ = ("a", "shift")
 
     def value(self, x):
         return np.asarray(x, dtype=float) @ self.a + self.shift
@@ -72,7 +72,7 @@ class _Linear:
 class _Radial:
     """``||x - center|| - radius``."""
 
-    __slots__ = ("center", "radius", "lipschitz_bound")
+    __slots__ = ("center", "radius")
 
     def value(self, x):
         return _norm(np.asarray(x, dtype=float) - self.center) - self.radius
@@ -108,8 +108,8 @@ class AffineCost(_Linear):
 
     __slots__ = ()
 
-    def __init__(self, a, b, lipschitz_bound):
-        self.a, self.shift, self.lipschitz_bound = a, b, lipschitz_bound
+    def __init__(self, a, b):
+        self.a, self.shift = a, b
 
     b = property(lambda self: self.shift)
 
@@ -119,8 +119,8 @@ class NormCost(_Radial):
 
     __slots__ = ()
 
-    def __init__(self, center, lipschitz_bound):
-        self.center, self.radius, self.lipschitz_bound = center, 0.0, lipschitz_bound
+    def __init__(self, center):
+        self.center, self.radius = center, 0.0
 
 
 class HalfspaceConstraint(_Linear, _Constraint):
@@ -128,8 +128,8 @@ class HalfspaceConstraint(_Linear, _Constraint):
 
     __slots__ = ("decision_geometry", "_region")
 
-    def __init__(self, a, b, decision_geometry, lipschitz_bound):
-        self.a, self.shift, self.lipschitz_bound = a, -b, lipschitz_bound
+    def __init__(self, a, b, decision_geometry):
+        self.a, self.shift = a, -b
         self.decision_geometry, self._region = decision_geometry, None
 
     b = property(lambda self: -self.shift)
@@ -143,8 +143,8 @@ class BallConstraint(_Radial, _Constraint):
 
     __slots__ = ("decision_geometry", "_region")
 
-    def __init__(self, center, radius, decision_geometry, lipschitz_bound):
-        self.center, self.radius, self.lipschitz_bound = center, radius, lipschitz_bound
+    def __init__(self, center, radius, decision_geometry):
+        self.center, self.radius = center, radius
         self.decision_geometry, self._region = decision_geometry, None
 
     def _sublevel_set(self):
@@ -154,10 +154,10 @@ class BallConstraint(_Radial, _Constraint):
 class BoxConstraint(_Constraint):
     """Constraint ``max_i max(lower_i - x_i, x_i - upper_i) <= 0``."""
 
-    __slots__ = ("lower", "upper", "lipschitz_bound", "decision_geometry", "_region")
+    __slots__ = ("lower", "upper", "decision_geometry", "_region")
 
-    def __init__(self, lower, upper, decision_geometry, lipschitz_bound):
-        self.lower, self.upper, self.lipschitz_bound = lower, upper, lipschitz_bound
+    def __init__(self, lower, upper, decision_geometry):
+        self.lower, self.upper = lower, upper
         self.decision_geometry, self._region = decision_geometry, None
 
     def _sublevel_set(self):
@@ -190,10 +190,10 @@ class ConstantConstraint(_Constraint):
     """Constraint identically equal to ``level <= 0``: its feasible region
     is the whole decision set."""
 
-    __slots__ = ("level", "lipschitz_bound", "decision_geometry", "_region")
+    __slots__ = ("level", "decision_geometry", "_region")
 
-    def __init__(self, level, decision_geometry, lipschitz_bound):
-        self.level, self.lipschitz_bound = level, lipschitz_bound
+    def __init__(self, level, decision_geometry):
+        self.level = level
         self.decision_geometry = self._region = decision_geometry
 
     def value(self, x):
@@ -259,15 +259,12 @@ def _each_value(oracles, points) -> list:
     return [float(o.value(p)) for o, p in zip(oracles, points)]
 
 
-def affine_cost(a, b: float = 0.0, lipschitz_bound: float | None = None) -> AffineCost:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    lip = float(np.linalg.norm(a)) if lipschitz_bound is None else lipschitz_bound
-    return AffineCost(a, float(b), lip)
+def affine_cost(a, b: float = 0.0) -> AffineCost:
+    return AffineCost(np.atleast_1d(np.asarray(a, dtype=float)), float(b))
 
 
-def norm_cost(center, lipschitz_bound: float | None = None) -> NormCost:
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    return NormCost(c, 1.0 if lipschitz_bound is None else lipschitz_bound)
+def norm_cost(center) -> NormCost:
+    return NormCost(np.atleast_1d(np.asarray(center, dtype=float)))
 
 
 def _nonempty(oracle):
@@ -275,35 +272,28 @@ def _nonempty(oracle):
     return oracle
 
 
-def halfspace_constraint(a, b: float, decision_geometry: GeometricSet,
-                         lipschitz_bound: float | None = None) -> HalfspaceConstraint:
+def halfspace_constraint(a, b: float, decision_geometry: GeometricSet) -> HalfspaceConstraint:
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    lip = float(np.linalg.norm(a)) if lipschitz_bound is None else lipschitz_bound
-    return _nonempty(HalfspaceConstraint(a, float(b), decision_geometry, lip))
+    return _nonempty(HalfspaceConstraint(a, float(b), decision_geometry))
 
 
-def ball_constraint(center, radius: float, decision_geometry: GeometricSet,
-                    lipschitz_bound: float | None = None) -> BallConstraint:
+def ball_constraint(center, radius: float, decision_geometry: GeometricSet) -> BallConstraint:
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    return _nonempty(BallConstraint(c, float(radius), decision_geometry,
-                                    1.0 if lipschitz_bound is None else lipschitz_bound))
+    return _nonempty(BallConstraint(c, float(radius), decision_geometry))
 
 
-def box_constraint(lower, upper, decision_geometry: GeometricSet,
-                   lipschitz_bound: float | None = None) -> BoxConstraint:
+def box_constraint(lower, upper, decision_geometry: GeometricSet) -> BoxConstraint:
     lo = np.atleast_1d(np.asarray(lower, dtype=float))
     hi = np.atleast_1d(np.asarray(upper, dtype=float))
-    return _nonempty(BoxConstraint(lo, hi, decision_geometry,
-                                   1.0 if lipschitz_bound is None else lipschitz_bound))
+    return _nonempty(BoxConstraint(lo, hi, decision_geometry))
 
 
-def constant_constraint(level: float, decision_geometry: GeometricSet,
-                        lipschitz_bound: float = 0.0) -> ConstantConstraint:
+def constant_constraint(level: float, decision_geometry: GeometricSet) -> ConstantConstraint:
     """Constraint identically equal to ``level``; for ``level <= 0`` the
     feasible region is the whole decision set."""
     if level > 0:
         raise ValueError("a constant positive constraint has an empty feasible region")
-    return ConstantConstraint(level, decision_geometry, lipschitz_bound)
+    return ConstantConstraint(level, decision_geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +437,9 @@ class AlternatingScenario(Scenario):
         geom = Box([-p["radius"]], [p["radius"]])
         super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"],
                          minimizer_path=0.0, feasible_path=0.0)
-        self._cost = norm_cost([0.0], lipschitz_bound=self.g_lip)
-        self._odd = halfspace_constraint([1.0], 1.0, geom, lipschitz_bound=self.g_lip)
-        self._even = halfspace_constraint([-1.0], 1.0, geom, lipschitz_bound=self.g_lip)
+        self._cost = norm_cost([0.0])
+        self._odd = halfspace_constraint([1.0], 1.0, geom)
+        self._even = halfspace_constraint([-1.0], 1.0, geom)
 
     def generate(self, t):
         self._check_round(t)
@@ -480,9 +470,9 @@ class DisjointAlternatingScenario(Scenario):
         T = spec.horizon
         super().__init__(spec, DecisionSet(geom, 3.0), p["g_lip"],
                          minimizer_path=2.0 * (T - 1), feasible_path=float(T - 1))
-        self._cost = norm_cost([0.0], lipschitz_bound=self.g_lip)
-        self._odd = ball_constraint([0.5], 0.5, geom, lipschitz_bound=self.g_lip)
-        self._even = ball_constraint([2.5], 0.5, geom, lipschitz_bound=self.g_lip)
+        self._cost = norm_cost([0.0])
+        self._odd = ball_constraint([0.5], 0.5, geom)
+        self._even = ball_constraint([2.5], 0.5, geom)
 
     def generate(self, t):
         self._check_round(t)
@@ -509,8 +499,8 @@ class StaticScenario(Scenario):
         geom = Box([-p["radius"]], [p["radius"]])
         super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"],
                          minimizer_path=0.0, feasible_path=0.0)
-        self._cost = affine_cost([-1.0], 0.0, lipschitz_bound=self.g_lip)
-        self._constraint = halfspace_constraint([1.0], 1.0, geom, lipschitz_bound=self.g_lip)
+        self._cost = affine_cost([-1.0], 0.0)
+        self._constraint = halfspace_constraint([1.0], 1.0, geom)
 
     def generate(self, t):
         self._check_round(t)
@@ -558,9 +548,9 @@ class TrackingBallScenario(Scenario):
 
     def generate(self, t):
         self._check_round(t)
-        return (AffineCost(self._directions[t - 1], 0.0, self.g_lip),
+        return (AffineCost(self._directions[t - 1], 0.0),
                 BallConstraint(self._centers[t - 1], self._ball_radius,
-                               self.decision_set.geometry, self.g_lip))
+                               self.decision_set.geometry))
 
     def oracle_block(self, start, stop):
         n, rows = len(self._rounds(start, stop)), slice(start - 1, stop - 1)
@@ -592,13 +582,13 @@ class OcoMixScenario(Scenario):
         self._anchors = radii[:, None] * np.stack(
             [np.cos(anchor_angles), np.sin(anchor_angles)], axis=1)
         self._comparator_phase = rng.uniform(0.0, 2.0 * math.pi)
-        self._constraint = constant_constraint(-1.0, geom, lipschitz_bound=self.g_lip)
+        self._constraint = constant_constraint(-1.0, geom)
 
     def generate(self, t):
         self._check_round(t)
         if t % 2 == 1:
-            return AffineCost(self._directions[t - 1], 0.0, self.g_lip), self._constraint
-        return NormCost(self._anchors[t - 1], self.g_lip), self._constraint
+            return AffineCost(self._directions[t - 1], 0.0), self._constraint
+        return NormCost(self._anchors[t - 1]), self._constraint
 
     def oracle_block(self, start, stop):
         t = self._rounds(start, stop)
@@ -628,8 +618,8 @@ class TrivialScenario(Scenario):
         geom = Box([-1.0], [1.0])
         super().__init__(spec, DecisionSet(geom, 2.0), p["g_lip"],
                          minimizer_path=0.0, feasible_path=0.0)
-        self._cost = affine_cost([0.0], 0.0, lipschitz_bound=self.g_lip)
-        self._constraint = constant_constraint(-1.0, geom, lipschitz_bound=self.g_lip)
+        self._cost = affine_cost([0.0], 0.0)
+        self._constraint = constant_constraint(-1.0, geom)
 
     def generate(self, t):
         self._check_round(t)

@@ -125,7 +125,7 @@ def test_criterion_2_penalized_argmin_lands_in_feasible_set():
             else:
                 lo = rng.uniform(-1.5, 0.0, d)
                 constraint = box_constraint(lo, lo + rng.uniform(0.4, 1.5, d), geom)
-            g_lip = max(cost.lipschitz_bound, constraint.lipschitz_bound)
+            g_lip = 1.0
             region = constraint.feasible_region
             x_hat = grid_argmin(
                 lambda x: np.asarray(cost.value(x)) + 2.0 * g_lip * dist(x, region),

@@ -73,28 +73,53 @@ def test_penalized_cost_regret_dominates_plain_regret():
 
 def test_coco1_surrogate_subgradient_examples():
     ds, cost, constraint = interval_instance()
+    state = Coco1State.create(ds, 1, 1.0)
     # strictly feasible: only the cost gradient survives
-    g = coco1_surrogate_subgradient(cost, constraint, np.array([0.0]))
+    g = coco1_surrogate_subgradient(state, cost, constraint, np.array([0.0]))
     assert g == pytest.approx(np.array([1.0]))
     # violating point x=2: 1 (cost) + 1 (constraint) + 2*G (distance unit)
-    g = coco1_surrogate_subgradient(cost, constraint, np.array([2.0]))
+    g = coco1_surrogate_subgradient(state, cost, constraint, np.array([2.0]))
     assert g == pytest.approx(np.array([4.0]))
 
 
-def always_projecting_surrogate(cost, constraint, x, g_val=None):
+def test_coco1_surrogate_penalty_scales_with_the_states_g_lip():
+    # the distance penalty is 2G with G the state's g_lip, whatever the oracles
+    ds, cost, constraint = interval_instance()
+    x = np.array([2.0])
+    one, three = (coco1_surrogate_subgradient(Coco1State.create(ds, 1, g), cost, constraint, x)
+                  for g in (1.0, 3.0))
+    assert np.array_equal(three - one,
+                          2.0 * (3.0 - 1.0) * dist_subgradient(x, constraint.feasible_region))
+    assert three == pytest.approx(np.array([8.0]))
+
+
+@pytest.mark.parametrize("create", [
+    lambda ds, bad: Coco1State.create(ds, 10, bad),
+    lambda ds, bad: Coco2State.create(ds, 10, bad),
+    lambda ds, bad: Coco2State.create(ds, 10, 1.0, v=bad),
+    lambda ds, bad: coco2_default_v(bad, ds.diameter, 10),
+], ids=["coco1-g_lip", "coco2-g_lip", "coco2-v", "default_v-g_lip"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_learner_parameters_must_be_finite(create, bad):
+    ds, _, _ = interval_instance()
+    with pytest.raises(ValueError, match=repr(bad)):
+        create(ds, bad)
+
+
+def always_projecting_surrogate(state, cost, constraint, x, g_val=None):
     """coco1's surrogate subgradient with the distance term projected on
     every call, feasible ``x`` included."""
     if g_val is None:
         g_val = float(constraint.value(x))
-    g_lip = max(cost.lipschitz_bound, constraint.lipschitz_bound)
     grad = np.array(cost.subgradient(x), dtype=float)
     if g_val > 0.0:
         grad += np.asarray(constraint.subgradient(x), dtype=float)
-    grad += 2.0 * g_lip * dist_subgradient(x, constraint.feasible_region)
+    grad += 2.0 * state.g_lip * dist_subgradient(x, constraint.feasible_region)
     return grad
 
 
 SQUARE = Box([-2.0, -2.0], [2.0, 2.0])
+SQUARE_STATE = Coco1State.create(DecisionSet(SQUARE, 4.0 * math.sqrt(2.0)), 1, 1.0)
 
 
 @pytest.mark.parametrize("g_val", [None, math.nan])
@@ -110,11 +135,11 @@ def test_coco1_surrogate_subgradient_is_the_always_projecting_one_bitwise(
         monkeypatch, constraint, x, g_val):
     x = np.array(x)
     cost = affine_cost([-0.0, 1.0])
-    expected = always_projecting_surrogate(cost, constraint, x, g_val)
+    expected = always_projecting_surrogate(SQUARE_STATE, cost, constraint, x, g_val)
     calls = []
     monkeypatch.setattr(coco, "dist_subgradient",
                         lambda *args: calls.append(args) or dist_subgradient(*args))
-    got = coco1_surrogate_subgradient(cost, constraint, x, g_val)
+    got = coco1_surrogate_subgradient(SQUARE_STATE, cost, constraint, x, g_val)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     g = float(constraint.value(x))
     # the region is read on a violation and on a NaN g_val, and only there
@@ -193,11 +218,10 @@ def test_coco1_surrogate_gradient_norm_capped_at_4g():
         b /= np.linalg.norm(b)
         cost = affine_cost(a * rng.uniform(0.2, 1.0))
         constraint = halfspace_constraint(b, rng.uniform(-0.5, 1.0), geom)
-        g_lip = max(cost.lipschitz_bound, constraint.lipschitz_bound)
         for _ in range(20):
             x = rng.uniform(-2, 2, 2)
-            g = coco1_surrogate_subgradient(cost, constraint, x)
-            assert np.linalg.norm(g) <= 4.0 * g_lip + 1e-9
+            g = coco1_surrogate_subgradient(SQUARE_STATE, cost, constraint, x)
+            assert np.linalg.norm(g) <= 4.0 * SQUARE_STATE.g_lip + 1e-9
 
 
 def test_coco1_round_bookkeeping():
@@ -224,7 +248,7 @@ def test_coco1_trajectory_matches_reference_loop():
         _, played, _ = coco1_round(state, cost, constraint)
         _, ref_played = ahag_round(
             ref, types.SimpleNamespace(
-                subgradient=lambda p: coco1_surrogate_subgradient(cost, constraint, p)))
+                subgradient=lambda p: coco1_surrogate_subgradient(state, cost, constraint, p)))
         assert np.array_equal(played, ref_played)
 
 

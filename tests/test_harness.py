@@ -113,10 +113,13 @@ def test_verify_names_missing_unexpected_and_retyped_keys(tmp_path):
     path = os.path.join(out, "summary.json")
     summary = json.loads(open(path).read())
     del summary["dimension"], summary["wall_clock_sec"]
-    summary.update({"extra": 1.0, "all_bounds_satisfied": 1, "mode": "known_path"})
+    # a number must keep its type: 20 read back as 20.0, 1.0 as 1
+    summary.update({"extra": 1.0, "all_bounds_satisfied": 1, "mode": "known_path",
+                    "horizon": 20.0, "g_lip": 1})
     with open(path, "w") as f:
         json.dump(summary, f)
-    assert verify_run(out) == ["mode mismatch", "all_bounds_satisfied mismatch",
+    assert verify_run(out) == ["horizon mismatch", "g_lip mismatch",
+                               "mode mismatch", "all_bounds_satisfied mismatch",
                                "dimension missing from summary.json",
                                "extra not expected in summary.json"]
 
@@ -235,7 +238,7 @@ class _BrokenStatic(StaticScenario):
         grad = cost.subgradient if self.bad_grad is None \
             else (lambda x: np.array(self.bad_grad))
         return CostOracle(value=lambda x: np.nan if self.bad_value(x) else good(x),
-                          subgradient=grad, lipschitz_bound=cost.lipschitz_bound), constraint
+                          subgradient=grad), constraint
 
 
 @pytest.mark.parametrize("algorithm,bad_value,what", [
@@ -288,10 +291,8 @@ class _FailsFrom(StaticScenario):
             return self.infeasible_value if infeasible and float(x[0]) in self.infeasible_at \
                 else constraint.value(x)
 
-        return (CostOracle(value=value, subgradient=subgradient,
-                           lipschitz_bound=cost.lipschitz_bound),
+        return (CostOracle(value=value, subgradient=subgradient),
                 ConstraintOracle(value=constraint_value, subgradient=constraint.subgradient,
-                                 lipschitz_bound=constraint.lipschitz_bound,
                                  feasible_region=constraint.feasible_region))
 
 
@@ -494,6 +495,34 @@ def test_verify_reports_the_first_mismatching_round(monkeypatch, tmp_path, block
     _tamper(out, changes)
     problems = verify_run(out)
     assert [p for p in problems if "column mismatch" in p] == [expect]
+
+
+def _one_ulp_up(text):
+    return repr(math.nextafter(float(text), math.inf))
+
+
+@pytest.mark.parametrize("column,expect", [
+    ("f", "f column mismatch at round 5"),
+    ("Q", "Q column does not match the running violation sum"),
+], ids=["f", "Q"])
+def test_verify_catches_a_one_ulp_change_of_a_cell(tmp_path, column, expect):
+    # verify compares to the bit: no tolerance hides a changed last digit
+    out = str(tmp_path / "t")
+    run(cfg("static", T=20, algorithm="coco2", out_dir=out))
+    assert harness.load_run(out)[2][column][4] != 0.0
+    _edit(out, {(column, 5): _one_ulp_up})
+    assert expect in verify_run(out)
+
+
+@pytest.mark.parametrize("key,direction", [("final_ccv", math.inf), ("sum_cost", -math.inf)])
+def test_verify_catches_a_one_ulp_change_of_a_summary_number(tmp_path, key, direction):
+    out = str(tmp_path / "t")
+    run(cfg("static", T=20, algorithm="coco2", out_dir=out))
+    path = os.path.join(out, "summary.json")
+    summary = json.loads(open(path).read())
+    with open(path, "w") as f:
+        json.dump({**summary, key: math.nextafter(summary[key], direction)}, f)
+    assert verify_run(out) == [f"{key} mismatch"]
 
 
 @pytest.mark.parametrize("t", ["4", "5.5"], ids=["repeated", "fractional"])

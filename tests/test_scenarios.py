@@ -181,17 +181,17 @@ def family_oracle(draw, family, d):
     vec = hnp.arrays(float, d, elements=NUMBERS)
     geom = Box(np.full(d, -1e4), np.full(d, 1e4))
     if family is AffineCost:
-        return AffineCost(draw(vec), draw(NUMBERS), 1.0)
+        return AffineCost(draw(vec), draw(NUMBERS))
     if family is NormCost:
-        return NormCost(draw(vec), 1.0)
+        return NormCost(draw(vec))
     if family is HalfspaceConstraint:
-        return HalfspaceConstraint(draw(vec), draw(NUMBERS), geom, 1.0)
+        return HalfspaceConstraint(draw(vec), draw(NUMBERS), geom)
     if family is BallConstraint:
-        return BallConstraint(draw(vec), draw(st.floats(0.0, 1e3)), geom, 1.0)
+        return BallConstraint(draw(vec), draw(st.floats(0.0, 1e3)), geom)
     if family is BoxConstraint:
         a, b = draw(vec), draw(vec)
-        return BoxConstraint(np.minimum(a, b), np.maximum(a, b), geom, 1.0)
-    return ConstantConstraint(draw(st.floats(-1e3, 0.0)), geom, 0.0)
+        return BoxConstraint(np.minimum(a, b), np.maximum(a, b), geom)
+    return ConstantConstraint(draw(st.floats(-1e3, 0.0)), geom)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -210,12 +210,11 @@ def test_family_kernel_is_each_rounds_value_bitwise(family, d, data):
 def test_oracle_values_mixes_families_and_plain_oracles():
     rng = np.random.default_rng(21)
     geom = Box([-5.0, -5.0], [5.0, 5.0])
-    plain = CostOracle(value=lambda x: float(np.sum(x ** 3)), subgradient=None,
-                       lipschitz_bound=1.0)
-    oracles = [AffineCost(rng.normal(size=2), 0.5, 1.0), plain,
-               NormCost(rng.normal(size=2), 1.0), plain,
-               BallConstraint(rng.normal(size=2), 1.0, geom, 1.0),
-               AffineCost(rng.normal(size=2), -1.0, 1.0)]
+    plain = CostOracle(value=lambda x: float(np.sum(x ** 3)), subgradient=None)
+    oracles = [AffineCost(rng.normal(size=2), 0.5), plain,
+               NormCost(rng.normal(size=2)), plain,
+               BallConstraint(rng.normal(size=2), 1.0, geom),
+               AffineCost(rng.normal(size=2), -1.0)]
     points = rng.normal(size=(len(oracles), 2))
     values = OracleStack(oracles).values(points)
     assert same_bits(values, [float(o.value(p)) for o, p in zip(oracles, points)])
@@ -231,8 +230,7 @@ def _mixed_block():
 
 
 def _plain(oracle):
-    return CostOracle(value=oracle.value, subgradient=oracle.subgradient,
-                      lipschitz_bound=oracle.lipschitz_bound)
+    return CostOracle(value=oracle.value, subgradient=oracle.subgradient)
 
 
 @pytest.mark.parametrize("block", ["oco-mix-costs", "oco-mix-constraints", "plain-rows"])
@@ -305,7 +303,7 @@ class _Shifted(StaticScenario):
 
     def generate(self, t):
         cost, constraint = super().generate(t)
-        return (AffineCost(np.array([-2.0]), 1.0, 1.0) if t % 2 == 0 else cost), constraint
+        return (AffineCost(np.array([-2.0]), 1.0) if t % 2 == 0 else cost), constraint
 
 
 def test_scenario_that_overrides_only_generate_gets_blocks_of_its_own_oracles():

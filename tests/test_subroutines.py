@@ -544,7 +544,7 @@ def reference_ball_project(ball, x):
 def reference_surrogate(algorithm, state, cost, constraint, x):
     """The coco1 or coco2 surrogate gradient, each evaluating ``g(x)`` itself."""
     if algorithm == "coco1":
-        g_lip = max(cost.lipschitz_bound, constraint.lipschitz_bound)
+        g_lip = state.g_lip
         grad = np.array(cost.subgradient(x), dtype=float)
         if float(constraint.value(x)) > 0.0:
             grad += np.asarray(constraint.subgradient(x), dtype=float)
@@ -561,6 +561,8 @@ def reference_rows(config):
     algorithm = config.algorithm
     scenario = build_scenario(config.scenario)
     state = harness._init_state(config, scenario)
+    # coco1's G is the scenario's, the run's one Lipschitz bound
+    assert algorithm != "coco1" or state.g_lip == scenario.g_lip
     meta = algorithm in ("coco1", "coco2")
     learner = state.subroutine if meta else state
     rows, q = [], 0.0
@@ -580,10 +582,11 @@ def reference_rows(config):
     return rows
 
 
+@pytest.mark.parametrize("g_lip", [1.0, 2.5])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_run_matches_reference_round_loop_bitwise(monkeypatch, name, algorithm):
-    config = RunConfig(ScenarioSpec(name, 300, seed=3), algorithm)
+def test_run_matches_reference_round_loop_bitwise(monkeypatch, name, algorithm, g_lip):
+    config = RunConfig(ScenarioSpec(name, 300, seed=3), algorithm, g_lip=g_lip)
     record = run(config)
     with monkeypatch.context() as patch:
         patch.setattr(Ball, "project", reference_ball_project)
