@@ -31,8 +31,9 @@ class DecisionSet:
     diameter: float
 
     def __post_init__(self):
-        if not self.diameter > 0:
-            raise ValueError("decision set diameter must be positive")
+        if not (math.isfinite(self.diameter) and self.diameter > 0):
+            raise ValueError(f"decision set diameter must be finite and positive, "
+                             f"got {self.diameter!r}")
         if not membership(np.zeros(self.geometry.dim), self.geometry, tol=1e-9):
             raise ValueError("decision set must contain the origin")
 

@@ -21,9 +21,11 @@ derives gplus and Q, and every comparator's cost and feasibility, one
 kernel pass per family and point set (``_evaluate_block``). A stack gives
 values or raises; a block that raises or shows a non-finite value or an
 infeasible comparator is replayed round by round with ``generate(t)``'s
-own oracles, which names the first failure. ``verify_run`` recomputes f,
-g and the comparator costs from ``rounds.csv`` with the same block
-evaluation and builds no oracle of a round.
+own oracles, which names the first failure. ``verify_run`` makes the same
+block pass without the learner: it loads ``rounds.csv``'s plays and
+gradient norms into a record, fills it block by block as ``run`` does
+(``_evaluate_block``, then ``_fill_block``), builds no oracle of a round,
+and rebuilds the summary from that record's totals.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import os
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -126,9 +128,11 @@ class RunConfig:
         field (``seed``, the scenario's seed)."""
         overrides = {k: v for k, v in overrides.items() if v is not None}
         try:
+            _check_keys("config", raw, [f.name for f in fields(cls)])
             sc = raw["scenario"]
             if not isinstance(sc, dict):
                 raise ConfigError(f"scenario must be a JSON object, got {sc!r}")
+            _check_keys("scenario", sc, [f.name for f in fields(ScenarioSpec)])
             horizon = sc.get("horizon", 1000)
             seed = overrides.pop("seed", sc.get("seed", 0))
             for name, value in (("horizon", horizon), ("seed", seed)):
@@ -136,14 +140,21 @@ class RunConfig:
                     raise ConfigError(f"{name} must be an integer, got {value!r}")
             spec = ScenarioSpec(name=sc["name"], horizon=horizon, seed=seed,
                                 params=dict(sc.get("params", {})))
-            fields = {k: raw.get(k) for k in
-                      ("comparators", "v", "g_lip", "path_estimate", "horizons", "out_dir")}
+            knobs = {k: raw.get(k) for k in
+                     ("comparators", "v", "g_lip", "path_estimate", "horizons", "out_dir")}
             return cls(scenario=spec, algorithm=raw["algorithm"], **{
-                **fields, "emit_plotdata": raw.get("emit_plotdata", False), **overrides})
+                **knobs, "emit_plotdata": raw.get("emit_plotdata", False), **overrides})
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad config: {exc!r}") from exc
+
+
+def _check_keys(where: str, raw: dict, known: list):
+    """A key that nothing reads is a configuration error, not a silent default."""
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}; {where} reads {', '.join(known)}")
 
 
 def _is_integer(value) -> bool:
@@ -186,7 +197,7 @@ def run(config: RunConfig) -> RunRecord:
     # finiteness checks as a numerical failure, not as a numpy warning
     with np.errstate(over="ignore"):
         _play(config.algorithm, scenario, state, record)
-    summary = _summarize(config, scenario, state, comparators, _record_totals(record))
+    summary = _summarize(config, scenario, state, comparators, RunTotals.of(record))
     summary["wall_clock_sec"] = time.perf_counter() - t0
     record.summary = summary
     if config.out_dir is not None:
@@ -227,12 +238,20 @@ def _play(algorithm: str, scenario: Scenario, state, record: RunRecord):
             clean, cause = False, exc
         if not clean:
             _raise_first_failure(scenario, record, start, stop, played, cause)
-        for name, values in costs.items():
-            record.comparator_costs[name][rows] = values
-        try:
-            record.fill(f, g, state.q if meta else None)
-        except ValueError as exc:
-            raise HarnessError(str(exc)) from exc
+        _fill_block(record, rows, f, g, costs, state.q if meta else None)
+
+
+def _fill_block(record: RunRecord, rows: slice, f, g, costs: dict, q: float | None = None):
+    """Record a block of rounds, whose x and gradient-norm rows are written:
+    each comparator's costs, then f and g, from which ``RunRecord.fill``
+    derives gplus and Q. ``q`` is the learner's CCV after the block, if it
+    keeps one."""
+    for name, values in costs.items():
+        record.comparator_costs[name][rows] = values
+    try:
+        record.fill(f, g, q)
+    except ValueError as exc:
+        raise HarnessError(str(exc)) from exc
 
 
 def _evaluate_block(scenario: Scenario, comparators: dict, start: int, stop: int, plays):
@@ -327,21 +346,16 @@ class RunTotals:
     path: dict  # comparator name -> path length up to each of its points
 
     @classmethod
-    def of(cls, q, f, grad_norm, comparators: dict, comparator_costs: dict) -> RunTotals:
-        """The totals of the recorded columns and each comparator's costs."""
-        return cls(len(q), np.concatenate(([0.0], q)), running_sum(f),
-                   running_sum([g ** 2 for g in grad_norm]),
-                   {name: running_sum(c) for name, c in comparator_costs.items()},
-                   {name: path_prefix(comp.points) for name, comp in comparators.items()})
+    def of(cls, record: RunRecord) -> RunTotals:
+        """The totals of a record's rounds and of each comparator's costs."""
+        n = record.horizon
+        return cls(n, np.concatenate(([0.0], record.Q[:n])), running_sum(record.f[:n]),
+                   running_sum([g ** 2 for g in record.grad_norm[:n].tolist()]),
+                   {name: running_sum(c[:n]) for name, c in record.comparator_costs.items()},
+                   {name: path_prefix(comp.points) for name, comp in record.comparators.items()})
 
     def regret(self, name: str) -> np.ndarray:
         return self.cost - self.comparator_cost[name]
-
-
-def _record_totals(record: RunRecord) -> RunTotals:
-    n = record.horizon
-    return RunTotals.of(record.Q[:n], record.f[:n], record.grad_norm[:n].tolist(),
-                        record.comparators, record.comparator_costs)
 
 
 def _summarize(config, scenario, state, comparators: dict, totals: RunTotals) -> dict:
@@ -472,7 +486,7 @@ def plotdata_csv_text(record: RunRecord) -> str:
     prefix. Each series ends on its value in the summary, bit for bit."""
     if not record.horizon:
         return "series,t,value\n"
-    totals = _record_totals(record)
+    totals = RunTotals.of(record)
     ts = list(map(str, range(1, totals.horizon + 1)))
     lines = ["series,t,value", *_series("ccv", ts, totals.ccv[1:])]
     for name in record.comparators:
@@ -608,64 +622,56 @@ def load_run(out_dir: str):
 def verify_run(out_dir: str) -> list:
     """Rebuild the summary from rounds.csv and config.json as ``run`` builds
     it, and diff it with summary.json key by key (``wall_clock_sec`` aside):
-    each value must be equal, bit for bit, and of the same type. Returns the
-    discrepancies. Raises ConfigError if a file of the run cannot be read or
-    its config is invalid."""
+    each value must be equal, bit for bit, and of the same type. The
+    recorded plays and gradient norms go into a record, which ``run``'s own
+    block pass fills without the learner; the file's f, g, gplus and Q must
+    be the record's, and only the first cell that is not is reported.
+    Returns the discrepancies. Raises ConfigError if a file of the run
+    cannot be read or its config is invalid."""
     try:
-        summary, cfg, rows = load_run(out_dir)
+        summary, cfg, table = load_run(out_dir)
     except HarnessError as exc:
         return [str(exc)]
     config = RunConfig.from_json(cfg)
     scenario = _build_scenario(config.scenario)
     comparators = _resolve_comparators(config, scenario)
     columns = _rounds_columns(scenario.dimension)
-    if list(rows) != columns:
-        return [f"rounds.csv columns {list(rows)} != {columns}"]
+    if list(table) != columns:
+        return [f"rounds.csv columns {list(table)} != {columns}"]
     problems = []
-    xs = np.stack([rows[f"x_{i}"] for i in range(scenario.dimension)], axis=1)
-    f_col, g_col = rows["f"], rows["g"]
-    gplus_col, q_col = rows["gplus"], rows["Q"]
-
-    if len(f_col) != scenario.horizon:
-        problems.append(f"row count {len(f_col)} != horizon {scenario.horizon}")
-        if len(f_col) == 0:
+    n_rows = len(table["t"])
+    if n_rows != scenario.horizon:
+        problems.append(f"row count {n_rows} != horizon {scenario.horizon}")
+        if n_rows == 0:
             return problems
-    if not np.array_equal(rows["t"], np.arange(1, len(f_col) + 1)):
-        problems.append(f"t column is not 1..{len(f_col)}")
-    # every check is exact, as ``run`` writes each value's shortest repr;
-    # written so that a NaN fails each check
-    if not (gplus_col == np.maximum(g_col, 0.0)).all():
-        problems.append("gplus column is not max(0, g)")
-    if not (running_sum(gplus_col)[1:] == q_col).all():
-        problems.append("Q column does not match the running violation sum")
-    norms = rows["grad_norm_surrogate"]
+    if not np.array_equal(table["t"], np.arange(1, n_rows + 1)):
+        problems.append(f"t column is not 1..{n_rows}")
+    norms = table["grad_norm_surrogate"]
     if not (np.isfinite(norms) & (norms >= 0.0)).all():
         problems.append("grad_norm_surrogate column holds a value that is not a norm")
 
-    # f, g and the comparator costs are recomputed one block of rounds at a
-    # time; the sums run over the rounds before the first mismatch
-    fx, comp_costs = [], {n: [] for n in comparators}
-    n_rounds = min(scenario.horizon, len(f_col))
-    for start in range(1, n_rounds + 1, ORACLE_BLOCK):
-        stop = min(start + ORACLE_BLOCK, n_rounds + 1)
-        block = slice(start - 1, stop - 1)
-        _, f_re, g_re, costs = _evaluate_block(scenario, comparators, start, stop, xs)
-        f_bad = f_re != f_col[block]
-        bad = f_bad | (g_re != g_col[block])
-        mismatch = bool(bad.any())
-        end = int(np.argmax(bad)) if mismatch else stop - start
-        if mismatch:
-            column = "f" if f_bad[end] else "g"
-            problems.append(f"{column} column mismatch at round {start + end}")
-        fx.append(f_re[:end])
-        for n, values in costs.items():
-            comp_costs[n].append(values[:end])
-        if mismatch:
-            break
+    n = min(scenario.horizon, n_rows)
+    record = RunRecord(scenario.dimension, n, comparators,
+                       {name: np.empty(n) for name in comparators})
+    record.x[:] = np.stack([table[f"x_{i}"][:n] for i in range(scenario.dimension)], axis=1)
+    record.grad_norm[:] = norms[:n]
+    for start in range(1, n + 1, ORACLE_BLOCK):
+        stop = min(start + ORACLE_BLOCK, n + 1)
+        _, f, g, costs = _evaluate_block(scenario, comparators, start, stop, record.x)
+        _fill_block(record, slice(start - 1, stop - 1), f, g, costs)
+    # every check is exact, as ``run`` writes each value's shortest repr;
+    # written so that a NaN fails it
+    bad = np.stack([table[c][:n] != getattr(record, c)[:n] for c in ("f", "g", "gplus", "Q")])
+    if bad.any():
+        t = int(np.argmax(bad.any(axis=0)))
+        problems.append((f"f column mismatch at round {t + 1}",
+                         f"g column mismatch at round {t + 1}",
+                         "gplus column is not max(0, g)",
+                         "Q column does not match the running violation sum")[
+                             int(np.argmax(bad[:, t]))])
 
-    totals = RunTotals.of(q_col, np.concatenate(fx), norms.tolist(),
-                          comparators, {n: np.concatenate(c) for n, c in comp_costs.items()})
-    expected = _summarize(config, scenario, _init_state(config, scenario), comparators, totals)
+    expected = _summarize(config, scenario, _init_state(config, scenario), comparators,
+                          RunTotals.of(record))
     problems += [f"{key} mismatch" for key, value in expected.items() if key in summary
                  and (type(summary[key]) is not type(value) or summary[key] != value)]
     problems += [f"{key} missing from summary.json" for key in expected if key not in summary]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -76,6 +78,9 @@ def test_decision_set_requires_origin_and_positive_diameter():
         DecisionSet(Box([1.0], [2.0]), 1.0)
     with pytest.raises(ValueError, match="diameter"):
         DecisionSet(Box([-1.0], [1.0]), 0.0)
+    # an infinite diameter would give the ensemble infinitely many experts
+    with pytest.raises(ValueError, match="diameter must be finite and positive, got inf"):
+        DecisionSet(Box([-1.0], [1.0]), math.inf)
     ds = DecisionSet(Ball(np.zeros(2), 3.0), 6.0)
     assert ds.dim == 2
 

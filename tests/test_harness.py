@@ -555,6 +555,36 @@ def test_verify_reports_a_non_finite_cell(tmp_path, cell, text, expect):
     assert expect in verify_run(out)
 
 
+@pytest.mark.parametrize("column,expect", [
+    ("f", "f column mismatch at round 5"),
+    ("g", "g column mismatch at round 5"),
+    ("gplus", "gplus column is not max(0, g)"),
+    ("Q", "Q column does not match the running violation sum"),
+], ids=["f", "g", "gplus", "Q"])
+def test_verify_reports_one_changed_cell_as_one_problem(tmp_path, column, expect):
+    # the summary is rebuilt from the recomputed columns, not the file's: a
+    # changed cell does not also show up as changed sums and regrets
+    out = str(tmp_path / "t")
+    run(cfg("tracking-ball", T=30, seed=1, algorithm="coco1", out_dir=out))
+    _tamper(out, {(column, 5): 0.5})
+    assert verify_run(out) == [expect]
+
+
+def test_verify_derives_its_columns_through_the_records_fill(monkeypatch, tmp_path):
+    out = str(tmp_path / "t")
+    run(cfg("tracking-ball", T=30, seed=1, algorithm="coco1", out_dir=out))
+    filled = []
+    original = RunRecord.fill
+
+    def spy(self, f, g, q=None):
+        filled.append(len(f))
+        return original(self, f, g, q)
+
+    monkeypatch.setattr(RunRecord, "fill", spy)
+    assert verify_run(out) == []
+    assert sum(filled) == 30
+
+
 @pytest.mark.parametrize("algorithm", ["coco2", "ahag"])
 def test_recorded_gradient_norm_is_the_stepped_gradients_norm(monkeypatch, algorithm):
     # a difference of the running squared-norm sum loses digits once the sum
@@ -920,6 +950,23 @@ def test_scenario_param_that_is_not_a_finite_positive_radius_is_config_error(
     assert main(["run", "--config", config]) == 2
     assert message in capsys.readouterr().err
     assert not played  # rejected before any round is played
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"V": 3.0}, "unknown config keys ['V']; config reads scenario, algorithm, comparators, v,"),
+    ({"scenario": {"name": "static", "horizn": 20}},
+     "unknown scenario keys ['horizn']; scenario reads name, horizon, seed, params"),
+], ids=["top-level", "scenario"])
+def test_config_key_that_nothing_reads_is_config_error(monkeypatch, tmp_path, capsys, config,
+                                                       message):
+    # a misspelt key would otherwise run with the default it meant to replace
+    played = []
+    monkeypatch.setattr(harness, "_play", lambda *args: played.append(args))
+    assert main(["run", "--config", write_config(tmp_path, **config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not played  # rejected before any round is played
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig.from_json({"scenario": {"name": "static"}, "algorithm": "coco2", **config})
 
 
 def test_scenario_that_is_not_a_json_object_is_config_error(tmp_path, capsys):
