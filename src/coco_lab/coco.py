@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgets import coco2_gamma, num_experts
-from .core import ConstraintOracle, CostOracle, DecisionSet, ccv_update
+from .core import ConstraintOracle, CostOracle, DecisionSet, ccv_update, is_finite_real
 from .geometry import GeometricSet, dist, dist_subgradient
 from .subroutines import AhagState, ahag_round, ahag_step  # noqa: F401  ahag_round re-exported
 
@@ -77,7 +77,7 @@ class Coco1State:
 
 
 def _check_positive(name: str, value: float):
-    if not (math.isfinite(value) and value > 0):
+    if not (is_finite_real(value) and value > 0):
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 

@@ -9,6 +9,7 @@ comparator sequences and by the cumulative constraint violation (CCV).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,6 +18,16 @@ import numpy as np
 from .geometry import GeometricSet, membership
 
 FEASIBILITY_TOL = 1e-9
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a bool: a horizon, a seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A finite real number that is not a bool: a bound, a weight, a radius."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -31,7 +42,7 @@ class DecisionSet:
     diameter: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.diameter) and self.diameter > 0):
+        if not (is_finite_real(self.diameter) and self.diameter > 0):
             raise ValueError(f"decision set diameter must be finite and positive, "
                              f"got {self.diameter!r}")
         if not membership(np.zeros(self.geometry.dim), self.geometry, tol=1e-9):
@@ -89,9 +100,6 @@ class ComparatorSequence:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return cls(points=pts, path_length=path_length(pts), feasible=feasible, name=name)
 
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
 
 class RunRecord:
     """A run's trajectory as preallocated columns, plus the summary filled
@@ -101,19 +109,19 @@ class RunRecord:
     ``Q`` and ``grad_norm`` have shape ``(capacity,)``. The first
     ``horizon`` rows are recorded: each round writes its row of ``x`` and
     ``grad_norm``, and ``fill`` then completes a block of rounds at once.
-    The harness also keeps the comparators it scored (name ->
-    ``ComparatorSequence``) and each one's per-round cost (name -> array).
+    The record also keeps the comparators it scores (name ->
+    ``ComparatorSequence``) and a column of each one's per-round cost
+    (name -> array of shape ``(capacity,)``), which the harness writes.
     """
 
-    def __init__(self, dimension: int, capacity: int = 0, comparators: dict | None = None,
-                 comparator_costs: dict | None = None):
+    def __init__(self, dimension: int, capacity: int = 0, comparators: dict | None = None):
         self.dimension = dimension
         self.x = np.empty((capacity, dimension))
         self.f, self.g, self.gplus, self.Q, self.grad_norm = np.empty((5, capacity))
         self.horizon = 0
         self.summary = {}
         self.comparators = {} if comparators is None else comparators
-        self.comparator_costs = {} if comparator_costs is None else comparator_costs
+        self.comparator_costs = {name: np.empty(capacity) for name in self.comparators}
 
     def fill(self, f, g, q: float | None = None):
         """Record the next ``len(f)`` rounds, whose ``x`` and ``grad_norm``

@@ -32,18 +32,17 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import budgets
 from .coco import Coco1State, Coco2State, coco1_round, coco2_round
-from .core import FEASIBILITY_TOL, RunRecord, path_prefix, running_sum
+from .core import FEASIBILITY_TOL, RunRecord, is_finite_real, is_integer, path_prefix, running_sum
 from .geometry import membership
 from .scenarios import Scenario, ScenarioSpec, build_scenario
 from .subroutines import (
@@ -86,7 +85,7 @@ class RunConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.horizons is not None:
             hs = list(self.horizons)
-            if not all(_is_integer(h) for h in hs):
+            if not all(is_integer(h) for h in hs):
                 raise ConfigError(f"horizons must be integers, got {hs}")
             if any(h2 <= h1 for h1, h2 in zip(hs, hs[1:])):
                 raise ConfigError("horizons must be strictly increasing")
@@ -101,8 +100,7 @@ class RunConfig:
                 continue
             if self.algorithm != owner:
                 raise ConfigError(f"{name} applies only to {owner}, not {self.algorithm}")
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value) or value < 0 or (value == 0 and name == "v"):
+            if not is_finite_real(value) or value < 0 or (value == 0 and name == "v"):
                 raise ConfigError(f"{name} must be a finite number {sign}, got {value!r}")
         if self.comparators is not None and (
                 not isinstance(self.comparators, (list, tuple))
@@ -124,8 +122,11 @@ class RunConfig:
     @classmethod
     def from_json(cls, raw, **overrides) -> RunConfig:
         """The configuration a parsed ``config.json`` holds, a user's or the
-        one ``persist`` writes. Each override that is not None replaces its
-        field (``seed``, the scenario's seed)."""
+        one ``persist`` writes. Its keys are this class's fields and its
+        ``scenario`` object's keys ``ScenarioSpec``'s; a key left out takes
+        its field's default, and each field checks its own value. Each
+        override that is not None replaces its field (``seed``, the
+        scenario's seed)."""
         overrides = {k: v for k, v in overrides.items() if v is not None}
         try:
             _check_keys("config", raw, [f.name for f in fields(cls)])
@@ -133,20 +134,14 @@ class RunConfig:
             if not isinstance(sc, dict):
                 raise ConfigError(f"scenario must be a JSON object, got {sc!r}")
             _check_keys("scenario", sc, [f.name for f in fields(ScenarioSpec)])
-            horizon = sc.get("horizon", 1000)
-            seed = overrides.pop("seed", sc.get("seed", 0))
-            for name, value in (("horizon", horizon), ("seed", seed)):
-                if not _is_integer(value):
-                    raise ConfigError(f"{name} must be an integer, got {value!r}")
-            spec = ScenarioSpec(name=sc["name"], horizon=horizon, seed=seed,
-                                params=dict(sc.get("params", {})))
-            knobs = {k: raw.get(k) for k in
-                     ("comparators", "v", "g_lip", "path_estimate", "horizons", "out_dir")}
-            return cls(scenario=spec, algorithm=raw["algorithm"], **{
-                **knobs, "emit_plotdata": raw.get("emit_plotdata", False), **overrides})
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            if "seed" in overrides:
+                sc = {**sc, "seed": overrides.pop("seed")}
+            return cls(**{**raw, "scenario": ScenarioSpec(**sc), **overrides})
+        except ConfigError:
+            raise
+        except ValueError as exc:  # a field's own check, which names the value
+            raise ConfigError(str(exc)) from exc
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad config: {exc!r}") from exc
 
 
@@ -155,10 +150,6 @@ def _check_keys(where: str, raw: dict, known: list):
     unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ConfigError(f"unknown {where} keys {unknown}; {where} reads {', '.join(known)}")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _resolve_comparators(config: RunConfig, scenario: Scenario) -> dict:
@@ -190,8 +181,7 @@ def run(config: RunConfig) -> RunRecord:
             raise ConfigError(f"comparator {name!r} leaves the decision set")
 
     t0 = time.perf_counter()
-    record = RunRecord(scenario.dimension, scenario.horizon, comparators,
-                       {name: np.empty(scenario.horizon) for name in comparators})
+    record = RunRecord(scenario.dimension, scenario.horizon, comparators)
     state = _init_state(config, scenario)
     # an overflow (a gradient near 1e200 squared) is reported by the
     # finiteness checks as a numerical failure, not as a numpy warning
@@ -503,16 +493,17 @@ def plotdata_csv_text(record: RunRecord) -> str:
 
 
 def persist(record: RunRecord, config: RunConfig, out_dir: str):
+    """Write the run's files to ``out_dir``: ``rounds.csv``, ``summary.json``,
+    ``plotdata.csv`` if the config asks for it, and ``config.json``, which
+    holds every field of ``config`` but the two that only say how it was
+    invoked (``horizons`` and ``out_dir``). ``RunConfig.from_json`` reads it
+    back to the same config less those two."""
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "rounds.csv"), rounds_csv_text(record))
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   json.dumps(record.summary, sort_keys=True, indent=2) + "\n")
-    # what RunConfig.from_json reads back
-    cfg = {k: getattr(config, k) for k in ("algorithm", "v", "g_lip", "path_estimate",
-                                           "emit_plotdata")}
-    cfg["scenario"] = {"name": config.scenario.name, "horizon": record.horizon,
-                       "seed": config.scenario.seed, "params": config.scenario.params}
-    cfg["comparators"] = None if config.comparators is None else list(config.comparators)
+    cfg = asdict(config)
+    del cfg["horizons"], cfg["out_dir"]
     _atomic_write(os.path.join(out_dir, "config.json"),
                   json.dumps(cfg, sort_keys=True, indent=2) + "\n")
     if config.emit_plotdata:
@@ -651,8 +642,7 @@ def verify_run(out_dir: str) -> list:
         problems.append("grad_norm_surrogate column holds a value that is not a norm")
 
     n = min(scenario.horizon, n_rows)
-    record = RunRecord(scenario.dimension, n, comparators,
-                       {name: np.empty(n) for name in comparators})
+    record = RunRecord(scenario.dimension, n, comparators)
     record.x[:] = np.stack([table[f"x_{i}"][:n] for i in range(scenario.dimension)], axis=1)
     record.grad_norm[:] = norms[:n]
     for start in range(1, n + 1, ORACLE_BLOCK):

@@ -11,12 +11,11 @@ budget inequalities can be checked without grid search at large horizons.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ComparatorSequence, DecisionSet, path_length
+from .core import ComparatorSequence, DecisionSet, is_finite_real, is_integer, path_length
 from .geometry import Ball, Box, GeometricSet, Halfspace, Intersection, _norm
 
 
@@ -304,11 +303,14 @@ class ScenarioSpec:
     """Serializable handle: scenario name, horizon, seed, and parameter overrides."""
 
     name: str
-    horizon: int
+    horizon: int = 1000
     seed: int = 0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, value in (("horizon", self.horizon), ("seed", self.seed)):
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
 
@@ -320,9 +322,8 @@ class Scenario:
 
     def __init__(self, spec: ScenarioSpec, decision_set: DecisionSet, g_lip: float,
                  minimizer_path: float | None = None, feasible_path: float | None = None):
-        # every oracle is 1-Lipschitz; a bool is not a bound
-        if isinstance(g_lip, bool) or not isinstance(g_lip, numbers.Real) \
-                or not (math.isfinite(g_lip) and g_lip >= 1.0):
+        # every oracle is 1-Lipschitz
+        if not (is_finite_real(g_lip) and g_lip >= 1.0):
             raise ValueError(f"g_lip must be a finite Lipschitz bound >= 1, got {g_lip!r}")
         self.spec = spec
         self.decision_set = decision_set
@@ -396,8 +397,7 @@ def _params(spec: ScenarioSpec, **defaults) -> dict:
     for name, value in p.items():
         if name == "g_lip":
             continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or not math.isfinite(value):
+        if not is_finite_real(value):
             raise ValueError(f"param {name} must be a finite number, got {value!r}")
         if name.endswith("radius") and not value > 0:
             raise ValueError(f"param {name} must be positive, got {value!r}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budgets import num_experts
-from .core import DecisionSet
+from .core import DecisionSet, is_finite_real
 
 KNOWN_PATH = "known_path"
 PATH_FREE = "path_free"
@@ -48,8 +48,9 @@ class AdaGradState:
     numerator: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.path_estimate is not None and np.any(np.asarray(self.path_estimate) < 0):
-            raise ValueError("path estimate must be nonnegative")
+        for p in np.ravel([] if self.path_estimate is None else self.path_estimate).tolist():
+            if not (is_finite_real(p) and p >= 0):
+                raise ValueError(f"path estimate must be a finite nonnegative number, got {p!r}")
         if self.point is None:
             self.point = np.zeros(self.decision_set.dim)
         else:

@@ -99,7 +99,8 @@ def test_coco1_surrogate_penalty_scales_with_the_states_g_lip():
     lambda ds, bad: Coco2State.create(ds, 10, 1.0, v=bad),
     lambda ds, bad: coco2_default_v(bad, ds.diameter, 10),
 ], ids=["coco1-g_lip", "coco2-g_lip", "coco2-v", "default_v-g_lip"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True],
+                         ids=["nan", "inf", "-inf", "bool"])
 def test_learner_parameters_must_be_finite(create, bad):
     ds, _, _ = interval_instance()
     with pytest.raises(ValueError, match=repr(bad)):

@@ -81,6 +81,8 @@ def test_decision_set_requires_origin_and_positive_diameter():
     # an infinite diameter would give the ensemble infinitely many experts
     with pytest.raises(ValueError, match="diameter must be finite and positive, got inf"):
         DecisionSet(Box([-1.0], [1.0]), math.inf)
+    with pytest.raises(ValueError, match="diameter must be finite and positive, got True"):
+        DecisionSet(Box([-1.0], [1.0]), True)
     ds = DecisionSet(Ball(np.zeros(2), 3.0), 6.0)
     assert ds.dim == 2
 
@@ -96,7 +98,7 @@ def test_decision_set_projection_pairs_within_diameter():
 def test_comparator_sequence_from_points():
     comp = ComparatorSequence.from_points([[0.0], [1.0], [0.0]], feasible=True, name="zig")
     assert comp.path_length == pytest.approx(2.0)
-    assert len(comp) == 3
+    assert comp.points.shape == (3, 1)
 
 
 def test_comparator_feasibility_validated_against_constraints():

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -912,6 +913,9 @@ def test_horizon_or_seed_that_is_not_an_integer_is_config_error(tmp_path, capsys
                                               **scenario})
     assert main(["run", "--config", config]) == 2
     assert message in capsys.readouterr().err
+    # a library caller gets the same check, not a TypeError from inside run
+    with pytest.raises(ValueError, match=message):
+        ScenarioSpec(**{"name": "static", "horizon": 20, "seed": 0, **scenario})
 
 
 def test_cli_horizons_flag_that_is_not_integers_is_config_error(tmp_path, capsys):
@@ -967,6 +971,31 @@ def test_config_key_that_nothing_reads_is_config_error(monkeypatch, tmp_path, ca
     assert not played  # rejected before any round is played
     with pytest.raises(ConfigError, match=re.escape(message)):
         RunConfig.from_json({"scenario": {"name": "static"}, "algorithm": "coco2", **config})
+
+
+@dataclass
+class TracedConfig(RunConfig):
+    """A config with one field more, as a later switch would add it."""
+
+    trace: bool = False
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(ScenarioSpec("tracking-ball", 40, seed=2, params={"ring_radius": 1.0}), "coco2",
+              comparators=["minimizer-path"], v=3.0, g_lip=1.5, horizons=[10, 20, 40],
+              out_dir="run", emit_plotdata=True),
+    RunConfig(ScenarioSpec("oco-mix", 30, seed=1), "adagrad", path_estimate=2.0,
+              horizons=[10, 20, 30], out_dir="run"),
+    TracedConfig(ScenarioSpec("static", 20), "coco1", g_lip=2.0, out_dir="run", trace=True),
+], ids=["coco2", "adagrad", "new-field"])
+def test_config_json_reads_back_to_the_config_less_how_it_was_invoked(tmp_path, config):
+    # a field added to RunConfig is parsed and written with no other edit
+    out = str(tmp_path / "run")
+    run(replace(config, out_dir=out))
+    with open(os.path.join(out, "config.json")) as f:
+        saved = json.load(f)
+    assert set(saved) == {f.name for f in fields(config)} - {"horizons", "out_dir"}
+    assert type(config).from_json(saved) == replace(config, horizons=None, out_dir=None)
 
 
 def test_scenario_that_is_not_a_json_object_is_config_error(tmp_path, capsys):

@@ -70,6 +70,16 @@ def test_adagrad_mode_follows_path_estimate():
         AdaGradState(ds, path_estimate=-0.5)
 
 
+@pytest.mark.parametrize("bad,shown", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (True, "True"),
+    (np.array([[0.0], [math.nan]]), "nan")], ids=["nan", "inf", "-inf", "bool", "column"])
+def test_adagrad_path_estimate_must_be_a_finite_real(bad, shown):
+    # a NaN estimate made a NaN step size, and the iterate left the set
+    ds = DecisionSet(Box([-1.0], [1.0]), 2.0)
+    with pytest.raises(ValueError, match=f"path estimate must be .*, got {shown}$"):
+        AdaGradState(ds, path_estimate=bad)
+
+
 def test_adagrad_dimension_mismatch():
     st = AdaGradState(decision_set=unit_interval_set())
     with pytest.raises(ValueError, match="dimension"):
