@@ -92,7 +92,7 @@ def _round(state: Coco1State | Coco2State, cost: CostOracle, constraint: Constra
     state.q = ccv_update(state.q, g_val)
     grad = np.asarray(surrogate_subgradient(state, cost, constraint, x, g_val), dtype=float)
     _, played = ahag_step(state.subroutine, grad)
-    return state, played, math.sqrt(grad @ grad)
+    return state, played, math.sqrt(state.subroutine.experts.last_grad_sq)
 
 
 def coco1_round(state: Coco1State, cost: CostOracle, constraint: ConstraintOracle):

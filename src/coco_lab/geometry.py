@@ -10,7 +10,10 @@ alternating projection scheme, which converges to the exact Euclidean
 projection for closed convex sets.
 
 Every operation accepts a single point of shape ``(d,)`` or a batch of
-shape ``(n, d)`` and returns a result of matching shape.
+shape ``(n, d)`` and returns a result of matching shape. A ball's
+operations and the distance subgradient work a single point of fewer than
+8 coordinates in Python floats, with the bits of the array path
+(``_floats``).
 """
 
 from __future__ import annotations
@@ -40,6 +43,57 @@ def _norm(v, keepdims=False):
     """``np.linalg.norm(v, axis=-1, keepdims=keepdims)`` for a float array,
     bit for bit: numpy's own code for that case, without its wrapper."""
     return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=keepdims))
+
+
+# numpy's ``add.reduce`` adds fewer terms than this to +0.0 from left to
+# right, as the loop in ``_norm_floats`` does; from 8 terms on it sums in
+# pairwise blocks
+_SHORT = 8
+
+
+def _floats(a, minus=None):
+    """The coordinates of ``a``, less those of the array ``minus`` if given,
+    as Python floats when ``a`` is one point of fewer than ``_SHORT``
+    coordinates (of ``minus``'s shape); None otherwise.
+
+    A point's geometry then skips numpy's per-call cost and keeps its bits:
+    add, subtract, multiply, divide and sqrt are correctly rounded in numpy
+    and in Python alike, and ``_norm`` of such a point is the square root
+    of its squares summed in order (``_norm_floats``).
+    """
+    if a.ndim != 1 or a.shape[0] >= _SHORT:
+        return None
+    if minus is None:
+        return a.tolist()
+    if minus.shape != a.shape:
+        return None
+    return [p - q for p, q in zip(a.tolist(), minus.tolist())]
+
+
+def _norm_floats(v) -> float:
+    """``_norm`` of a point that ``_floats`` gives."""
+    s = 0.0
+    for c in v:
+        s += c * c
+    return math.sqrt(s)
+
+
+def _distance(a, b):
+    """``_norm(a - b)``, a Python float for a point that ``_floats`` takes."""
+    delta = _floats(a, b)
+    return _norm(a - b) if delta is None else _norm_floats(delta)
+
+
+def _unit_offset(a, b, tol: float) -> np.ndarray:
+    """``(a - b) / _norm(a - b)``, or zeros where that norm is at most
+    ``tol`` or NaN."""
+    delta = _floats(a, b)
+    if delta is not None:
+        n = _norm_floats(delta)
+        return np.array([c / n for c in delta] if n > tol else [0.0] * len(delta))
+    delta = a - b
+    n = _norm(delta, keepdims=True)
+    return np.divide(delta, n, out=np.zeros_like(delta), where=n > tol)
 
 
 def _as_batch(x):
@@ -121,6 +175,12 @@ class Ball(GeometricSet):
 
     def project(self, x):
         a = np.asarray(x, dtype=float)
+        delta = _floats(a, self.center)
+        if delta is not None:
+            r = self.radius
+            n = _norm_floats(delta)
+            scale = r / (n if n > r else r)  # np.fmax's r for a NaN n
+            return np.array([c + d * scale for c, d in zip(self.center.tolist(), delta)])
         delta = a - self.center
         n = _norm(delta, keepdims=True)
         # 1.0 when n <= r or n is NaN, else r / n: the bits of
@@ -129,8 +189,7 @@ class Ball(GeometricSet):
         return self.center + delta * scale
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        a = np.asarray(x, dtype=float)
-        return _norm(a - self.center) <= self.radius + tol
+        return _distance(np.asarray(x, dtype=float), self.center) <= self.radius + tol
 
 
 @dataclass(frozen=True)
@@ -231,7 +290,16 @@ class Intersection(GeometricSet):
         raise ValueError(f"empty intersection (Dykstra residual {best:.3e})")
 
     def project(self, x):
-        pts, single = _as_batch(x)
+        a = np.asarray(x, dtype=float)
+        if a.ndim == 1 and isinstance(self._exact, Ball):
+            # a single point goes to the ball as it is, with the bits of a
+            # batch of one
+            out = self._exact.project(a)
+            if not self.contains(out, _RESIDUAL_TOL):
+                raise ProjectionError("closed-form projection left the set",
+                                      self._residual(out))
+            return out
+        pts, single = _as_batch(a)
         if self._exact is None:
             out, converged, moved = _dykstra(pts, self.components)
             residual = self._residual(out)
@@ -389,7 +457,8 @@ def _settled(start, x, components, before, after, tol) -> bool:
 def project(x, s: GeometricSet):
     """Euclidean projection of ``x`` onto ``s``."""
     pts = np.asarray(x, dtype=float)
-    if not np.isfinite(pts).all():
+    v = _floats(pts)
+    if not (np.isfinite(pts).all() if v is None else all(map(math.isfinite, v))):
         raise ValueError("cannot project a non-finite point")
     return s.project(pts)
 
@@ -416,8 +485,4 @@ def dist_subgradient(x, s: GeometricSet):
     is returned, which is a valid subgradient on and inside the set.
     """
     a = np.asarray(x, dtype=float)
-    p = project(a, s)
-    delta = a - p
-    n = _norm(delta, keepdims=True)
-    out = np.divide(delta, n, out=np.zeros_like(delta), where=n > ZERO_DIST_TOL)
-    return out
+    return _unit_offset(a, project(a, s), ZERO_DIST_TOL)

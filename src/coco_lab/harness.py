@@ -306,7 +306,7 @@ def _round_step(algorithm: str):
         x = state.point if adagrad else state.combined_point
         grad = np.asarray(cost.subgradient(x), dtype=float)
         (adagrad_step if adagrad else ahag_step)(state, grad)
-        return x, math.sqrt(grad @ grad)
+        return x, math.sqrt((state if adagrad else state.experts).last_grad_sq)
     return step
 
 

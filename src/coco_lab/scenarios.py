@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ComparatorSequence, DecisionSet, is_finite_real, is_integer, path_length
-from .geometry import Ball, Box, GeometricSet, Halfspace, Intersection, _norm
+from .geometry import (Ball, Box, GeometricSet, Halfspace, Intersection, _distance, _norm,
+                       _unit_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +38,6 @@ def _rows_dot(points, vectors):
     matmul takes one BLAS dot per row, as the 1-d product does; a row sum
     or a matrix-vector product adds in another order."""
     return (points[:, None, :] @ vectors[:, :, None])[:, 0, 0]
-
-
-def _unit_offset(x, center):
-    delta = np.asarray(x, dtype=float) - center
-    n = _norm(delta, keepdims=True)
-    return np.divide(delta, n, out=np.zeros_like(delta), where=n > 1e-12)
 
 
 class _Linear:
@@ -74,10 +69,10 @@ class _Radial:
     __slots__ = ("center", "radius")
 
     def value(self, x):
-        return _norm(np.asarray(x, dtype=float) - self.center) - self.radius
+        return _distance(np.asarray(x, dtype=float), self.center) - self.radius
 
     def subgradient(self, x):
-        return _unit_offset(x, self.center)
+        return _unit_offset(np.asarray(x, dtype=float), self.center, 1e-12)
 
     @staticmethod
     def stack(oracles):
@@ -313,6 +308,8 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be a JSON object, got {self.params!r}")
 
 
 class Scenario:

@@ -46,6 +46,8 @@ class AdaGradState:
     point: np.ndarray = None
     grad_sq_sum: float = 0.0
     numerator: float | np.ndarray = field(init=False, repr=False, compare=False)
+    # the last gradient's squared norm, which the caller records as its norm
+    last_grad_sq: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for p in np.ravel([] if self.path_estimate is None else self.path_estimate).tolist():
@@ -78,10 +80,11 @@ def adagrad_step(state: AdaGradState, gradient) -> tuple[AdaGradState, np.ndarra
     g = np.asarray(gradient, dtype=float)
     if g.shape != state.point.shape[-1:]:
         raise ValueError(f"gradient dimension {g.shape} != point dimension {state.point.shape}")
-    s = state.grad_sq_sum + float(g @ g)
+    g_sq = float(g @ g)
+    s = state.grad_sq_sum + g_sq
     if not math.isfinite(s):
         raise ValueError(f"non-finite gradient {g}: squared-norm sum {s}")
-    state.grad_sq_sum = s
+    state.grad_sq_sum, state.last_grad_sq = s, g_sq
     if s > 0.0:
         step = state.numerator / math.sqrt(2.0 * s)
         state.point = state.decision_set.project(state.point - step * g)

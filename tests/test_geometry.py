@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import pickle
 
 import numpy as np
@@ -363,10 +365,23 @@ def points(draw, d, elements=st.floats(-1e3, 1e3)):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5).flatmap(points), st.booleans())
+@given(st.integers(1, 10).flatmap(points), st.booleans())
 def test_norm_helper_is_linalg_norm_bitwise(v, keepdims):
     assert same_bits(geometry._norm(v, keepdims=keepdims),
                      np.linalg.norm(v, axis=-1, keepdims=keepdims))
+    if geometry._floats(v) is not None:
+        assert same_bits(geometry._norm_floats(v.tolist()), geometry._norm(v))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=7))
+def test_numpy_sums_fewer_than_8_terms_from_left_to_right(values):
+    # the premise of geometry's float path for a point of fewer than 8
+    # coordinates: numpy adds them to +0.0 in order (so a lone -0.0 sums to
+    # +0.0); from 8 terms on it sums in pairwise blocks
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(np.array(values))
+    assert same_bits(total, functools.reduce(operator.add, values, 0.0))
 
 
 signed = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 1.0]), st.floats(-3.0, 3.0))
@@ -427,6 +442,44 @@ def test_ball_project_matches_where_form_bitwise(instance, seed):
                 assert same_bits(ball.project(pts), reference_ball_project(ball, pts))
             # a batch is its rows projected one by one
             assert same_bits(ball.project(edge), np.array([ball.project(p) for p in edge]))
+
+
+# coordinates where a float path could part from the array path: NaN,
+# infinities, signed zeros, and magnitudes whose squares underflow or overflow
+EXTREME = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                     1e-200, -1e-200, 1e200, -1e200]),
+                    st.floats(-1e3, 1e3), st.floats())
+
+
+def outcome(f, x):
+    """The bits of ``f(x)``, or the type and message of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return bits(f(x)).tolist()
+    except (ValueError, ProjectionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda d: st.tuples(
+    hnp.arrays(float, d, elements=st.floats(-3.0, 3.0)), st.floats(1e-3, 1e3),
+    hnp.arrays(float, d, elements=EXTREME))), st.integers(0, 2 ** 32 - 1))
+def test_single_point_is_its_batch_row_bitwise(instance, seed):
+    # a point of fewer than 8 coordinates takes the float path, a batch and
+    # a longer point the array path
+    center, radius, x = instance
+    for ball in (Ball(center, radius), Ball(np.zeros_like(center), radius)):
+        # nested in a larger ball, so the intersection's closed form is
+        # ``ball`` (in one dimension, the interval ``ball`` as a ``Box``)
+        outer = Ball(np.zeros_like(center), np.linalg.norm(center) + 2.0 * radius)
+        region = Intersection((outer, ball))
+        assert region._exact is ball or ball.dim == 1
+        ops = [ball.project, ball.contains, region.project, region.contains,
+               *(functools.partial(f, s=s) for f in (project, dist_subgradient)
+                 for s in (ball, region))]
+        for p in (x, *ball_edge_points(ball, np.random.default_rng(seed))):
+            for op in ops:
+                assert outcome(op, p) == outcome(lambda b: op(b)[0], p[None, :])
 
 
 @st.composite

@@ -934,6 +934,15 @@ def test_unknown_scenario_param_is_config_error(tmp_path, capsys, name, params):
         build_scenario(ScenarioSpec(name, horizon=20, params=params))
 
 
+@pytest.mark.parametrize("params", [None, [["radius", 2.0]]], ids=["null", "pairs"])
+def test_scenario_params_that_are_not_an_object_are_config_error(tmp_path, capsys, params):
+    config = write_config(tmp_path, scenario={"name": "static", "horizon": 20, "params": params})
+    assert main(["run", "--config", config]) == 2
+    assert f"params must be a JSON object, got {params!r}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="params must be a JSON object"):
+        ScenarioSpec("static", horizon=20, params=params)
+
+
 @pytest.mark.parametrize("name,params,message", [
     ("static", {"radius": math.inf}, "param radius must be a finite number, got inf"),
     ("oco-mix", {"set_radius": math.inf}, "param set_radius must be a finite number, got inf"),

@@ -207,6 +207,34 @@ def test_family_kernel_is_each_rounds_value_bitwise(family, d, data):
     assert same_bits(OracleStack(oracles).values(points), expect)
 
 
+# coordinates where a float path could part from the array path: NaN,
+# infinities, signed zeros, and magnitudes whose squares underflow or overflow
+EXTREME = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0,
+                                     1e-200, -1e-200, 1e200, -1e200]), NUMBERS, st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda d: st.tuples(
+    hnp.arrays(float, d, elements=NUMBERS), hnp.arrays(float, d, elements=EXTREME),
+    hnp.arrays(float, d, elements=NUMBERS))))
+def test_radial_single_point_is_its_batch_row_bitwise(instance):
+    # a point of fewer than 8 coordinates takes the float path, a batch and
+    # a longer point the array path
+    center, x, y = instance
+    d = len(center)
+    geom = Box(np.full(d, -1e4), np.full(d, 1e4))
+    # at the subgradient's zero threshold 1e-12 and at the radius 1, and one
+    # ulp either side of each, along the first axis of an origin-centred oracle
+    dists = [t for r in (1e-12, 1.0) for t in (np.nextafter(r, 0.0), r, np.nextafter(r, 2.0))]
+    edge = [dist * np.eye(d)[0] for dist in dists]
+    for c, points in ((center, [x, y]), (np.zeros(d), [x, y, *edge])):
+        for oracle in (NormCost(c), BallConstraint(c, 1.0, geom)):
+            for f in (oracle.value, oracle.subgradient):
+                for p in points:
+                    with np.errstate(all="ignore"):
+                        assert same_bits(f(p), f(p[None, :])[0])
+
+
 def test_oracle_values_mixes_families_and_plain_oracles():
     rng = np.random.default_rng(21)
     geom = Box([-5.0, -5.0], [5.0, 5.0])

@@ -93,12 +93,14 @@ def test_adagrad_rejects_non_finite_gradient_without_moving(bad):
     # overflow g @ g to inf; each must raise and leave the state as it was
     ds = DecisionSet(Box([-1.0, -1.0], [1.0, 1.0]), 2.0 * math.sqrt(2.0))
     st = AdaGradState(decision_set=ds, path_estimate=3.0)
-    adagrad_step(st, np.array([0.3, -0.4]))
+    g = np.array([0.3, -0.4])
+    adagrad_step(st, g)
     point, s = st.point.copy(), st.grad_sq_sum
+    assert st.last_grad_sq == float(g @ g) == s  # the norm the harness records
     with pytest.raises(ValueError, match="non-finite"):
         adagrad_step(st, np.array(bad))
     assert np.array_equal(st.point, point)
-    assert st.grad_sq_sum == s
+    assert st.grad_sq_sum == st.last_grad_sq == s
 
 
 def test_adagrad_step_sizes_non_increasing_and_iterates_feasible():
