@@ -10,10 +10,11 @@ alternating projection scheme, which converges to the exact Euclidean
 projection for closed convex sets.
 
 Every operation accepts a single point of shape ``(d,)`` or a batch of
-shape ``(n, d)`` and returns a result of matching shape. A ball's
-operations and the distance subgradient work a single point of fewer than
-8 coordinates in Python floats, with the bits of the array path
-(``_floats``).
+shape ``(n, d)`` and returns a result of matching shape; so does every
+closed form, a lens included, and an intersection hands the point or batch
+to it as given. A ball's operations and the distance subgradient work a
+single point of fewer than 8 coordinates in Python floats, with the bits of
+the array path (``_floats``).
 """
 
 from __future__ import annotations
@@ -94,15 +95,6 @@ def _unit_offset(a, b, tol: float) -> np.ndarray:
     delta = a - b
     n = _norm(delta, keepdims=True)
     return np.divide(delta, n, out=np.zeros_like(delta), where=n > tol)
-
-
-def _as_batch(x):
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 1:
-        return a[None, :], True
-    if a.ndim == 2:
-        return a, False
-    raise ValueError(f"expected point of shape (d,) or batch (n, d), got {a.shape}")
 
 
 class GeometricSet:
@@ -241,7 +233,9 @@ class Intersection(GeometricSet):
     projected in closed form: nested balls onto the inner ball, overlapping
     ones onto their lens, boxes onto their common box. They are rejected at
     construction when the balls lie more than 1e-6 apart or a lower end
-    exceeds its upper end by more than 1e-6. Every other
+    exceeds its upper end by more than 1e-6. A closed form's ``project``
+    takes the point or batch as given and returns that shape, which the
+    intersection checks for membership at 1e-8. Every other
     intersection is projected by Dykstra's scheme, and construction probes
     it for non-emptiness: if no component anchor lies in all components,
     Dykstra is run from a few deterministic starts and the intersection is
@@ -268,10 +262,6 @@ class Intersection(GeometricSet):
     def dim(self) -> int:
         return self.components[0].dim
 
-    def _residual(self, x) -> float:
-        return max(float(np.max(np.linalg.norm(np.atleast_2d(x - c.project(x)), axis=-1)))
-                   for c in self.components)
-
     def _probe_nonempty(self):
         anchors = [c.anchor() for c in self.components]
         for a in anchors:
@@ -284,36 +274,32 @@ class Intersection(GeometricSet):
         best = np.inf
         for s in starts:
             x, _, _ = _dykstra(s[None, :], self.components)
-            best = min(best, self._residual(x[0]))
+            best = min(best, _residual(x, self.components))
             if best <= _EMPTY_PROBE_TOL:
                 return
         raise ValueError(f"empty intersection (Dykstra residual {best:.3e})")
 
     def project(self, x):
         a = np.asarray(x, dtype=float)
-        if a.ndim == 1 and isinstance(self._exact, Ball):
-            # a single point goes to the ball as it is, with the bits of a
-            # batch of one
+        if a.ndim not in (1, 2):
+            raise ValueError(f"expected point of shape (d,) or batch (n, d), got {a.shape}")
+        if self._exact is not None:
             out = self._exact.project(a)
-            if not self.contains(out, _RESIDUAL_TOL):
-                raise ProjectionError("closed-form projection left the set",
-                                      self._residual(out))
-            return out
-        pts, single = _as_batch(a)
-        if self._exact is None:
-            out, converged, moved = _dykstra(pts, self.components)
-            residual = self._residual(out)
-            if not converged or residual > _RESIDUAL_TOL:
-                raise ProjectionError("projection did not converge", max(residual, moved))
-        else:
-            out = self._exact.project(pts)
             # for balls and 1-d sets, membership at the tolerance is the
             # residual test: the distance to each component is at most it;
-            # for boxes it bounds each coordinate's distance
-            if not self.contains(out, _RESIDUAL_TOL).all():
+            # for boxes it bounds each coordinate's distance. A ball's single
+            # point answers a Python bool, which needs no numpy call
+            ok = self.contains(out, _RESIDUAL_TOL)
+            if not (ok if out.ndim == 1 else ok.all()):
                 raise ProjectionError("closed-form projection left the set",
-                                      self._residual(out))
-        return out[0] if single else out
+                                      _residual(out, self.components))
+            return out
+        # Dykstra works on a batch
+        out, converged, moved = _dykstra(np.atleast_2d(a), self.components)
+        residual = _residual(out, self.components)
+        if not converged or residual > _RESIDUAL_TOL:
+            raise ProjectionError("projection did not converge", max(residual, moved))
+        return out[0] if a.ndim == 1 else out
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         a = np.asarray(x, dtype=float)
@@ -375,8 +361,8 @@ class _Lens:
     """``b1 ∩ b2`` for two overlapping balls ``gap`` apart, neither inside
     the other.
 
-    A point goes to its projection onto one ball when that lies in the
-    other ball; otherwise both constraints are active and it goes to the
+    A point, or each row of a batch, goes to its projection onto one ball
+    when that lies in the other ball; otherwise both constraints are active and it goes to the
     nearest point of the rim, the sphere of radius ``h`` around ``mid`` in
     the hyperplane orthogonal to the axis ``u``.
     """
@@ -389,24 +375,24 @@ class _Lens:
         self.h = math.sqrt(max(r1 * r1 - a * a, 0.0))
         self.mid = b1.center + a * self.u
 
-    def project(self, pts):
-        out = self.b1.project(pts)
-        done = self.b2.contains(out, tol=0.0)
-        if np.all(done):
+    def project(self, x):
+        out = self.b1.project(x)
+        done = np.asarray(self.b2.contains(out, tol=0.0))
+        if done.all():
             return out
-        other = self.b2.project(pts)
-        out = np.where(done[:, None], out, other)
+        other = self.b2.project(x)
+        out = np.where(done[..., None], out, other)
         done |= self.b1.contains(other, tol=0.0)
-        if np.all(done):
+        if done.all():
             return out
-        w = pts - self.b1.center
+        w = x - self.b1.center
         # a row sum, not ``@``: BLAS orders the sum differently for a batch
         w -= np.sum(w * self.u, axis=-1, keepdims=True) * self.u
         n = _norm(w, keepdims=True)
         # a point on the axis gets here only when the rim is the single
         # point ``mid`` (tangent balls) or by rounding, and goes to ``mid``
         direction = np.divide(w, n, out=np.zeros_like(w), where=n > 0)
-        return np.where(done[:, None], out, self.mid + self.h * direction)
+        return np.where(done[..., None], out, self.mid + self.h * direction)
 
 
 def _dykstra(pts, components):
@@ -435,13 +421,16 @@ def _dykstra(pts, components):
             x = y
         moved = float(np.max(_norm(x - prev)))
         if moved < DYKSTRA_MOVE_TOL:
-            residual = max(
-                float(np.max(_norm(x - c.project(x)))) for c in components
-            )
-            if residual <= _RESIDUAL_TOL and _settled(start, x, components, before,
-                                                      corrections, DYKSTRA_MOVE_TOL):
+            if _residual(x, components) <= _RESIDUAL_TOL and _settled(
+                    start, x, components, before, corrections, DYKSTRA_MOVE_TOL):
                 return x, True, moved
     return x, False, moved
+
+
+def _residual(x, components) -> float:
+    """The largest distance from a point, or from any row of a batch, to a
+    component."""
+    return max(float(np.max(_norm(x - c.project(x)))) for c in components)
 
 
 def _settled(start, x, components, before, after, tol) -> bool:

@@ -308,6 +308,8 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not isinstance(self.params, dict):
             raise ValueError(f"params must be a JSON object, got {self.params!r}")
 

@@ -168,6 +168,18 @@ def test_projection_error_carries_residual():
     assert "1.250e-01" in str(err)
 
 
+@pytest.mark.parametrize("components", [
+    (Ball(np.zeros(2), 3.0), Ball([1.5, 0.0], 1.0)),
+    (Ball(np.zeros(2), 1.0), Ball([1.0, 0.0], 1.0)),
+    (Box([-1.0, -1.0], [1.0, 1.0]), Halfspace([1.0, 1.0], 0.5)),
+], ids=["nested-balls", "lens", "dykstra"])
+def test_intersection_projects_only_a_point_or_a_batch(components):
+    region = Intersection(components)
+    for x in (np.zeros((2, 3, 2)), 0.0):
+        with pytest.raises(ValueError, match=r"expected point of shape \(d,\) or batch"):
+            region.project(x)
+
+
 def test_non_finite_point_rejected():
     with pytest.raises(ValueError):
         project(np.array([np.nan, 0.0]), Ball(np.zeros(2), 1.0))
@@ -469,17 +481,40 @@ def test_single_point_is_its_batch_row_bitwise(instance, seed):
     # a longer point the array path
     center, radius, x = instance
     for ball in (Ball(center, radius), Ball(np.zeros_like(center), radius)):
+        rng = np.random.default_rng(seed)
         # nested in a larger ball, so the intersection's closed form is
         # ``ball`` (in one dimension, the interval ``ball`` as a ``Box``)
         outer = Ball(np.zeros_like(center), np.linalg.norm(center) + 2.0 * radius)
-        region = Intersection((outer, ball))
-        assert region._exact is ball or ball.dim == 1
-        ops = [ball.project, ball.contains, region.project, region.contains,
-               *(functools.partial(f, s=s) for f in (project, dist_subgradient)
-                 for s in (ball, region))]
-        for p in (x, *ball_edge_points(ball, np.random.default_rng(seed))):
-            for op in ops:
-                assert outcome(op, p) == outcome(lambda b: op(b)[0], p[None, :])
+        nested = Intersection((outer, ball))
+        assert nested._exact is ball or ball.dim == 1
+        regions = [(nested, [x, *ball_edge_points(ball, rng)])]
+        if ball.dim >= 2:
+            # overlapping, neither inside the other: the closed form is a lens
+            other = Ball(ball.center + radius * np.eye(ball.dim)[0], radius)
+            lens = Intersection((ball, other))
+            assert isinstance(lens._exact, geometry._Lens)
+            regions.append((lens, [x, *ball_edge_points(ball, rng),
+                                   *ball_edge_points(other, rng),
+                                   *lens_rim_points(lens._exact, rng)]))
+        for region, pts in regions:
+            ops = [ball.project, ball.contains, region.project, region.contains,
+                   *(functools.partial(f, s=s) for f in (project, dist_subgradient)
+                     for s in (ball, region))]
+            for p in pts:
+                for op in ops:
+                    assert outcome(op, p) == outcome(lambda b: op(b)[0], p[None, :])
+
+
+def lens_rim_points(lens, rng):
+    """The lens's centre ``mid``, a point of its rim, that point with every
+    coordinate one ulp up and one ulp down, and points 3h and 1000h from
+    ``mid`` in the rim's plane, which project onto the rim."""
+    v = rng.normal(size=lens.u.shape[0])
+    v -= (v @ lens.u) * lens.u
+    v /= np.linalg.norm(v)
+    rim = lens.mid + lens.h * v
+    return [lens.mid, rim, np.nextafter(rim, np.inf), np.nextafter(rim, -np.inf),
+            lens.mid + 3.0 * lens.h * v, lens.mid + 1e3 * lens.h * v]
 
 
 @st.composite

@@ -13,7 +13,7 @@ import pytest
 import coco_lab
 from coco_lab import coco, harness, subroutines
 from coco_lab.cli import main
-from coco_lab.core import ConstraintOracle, CostOracle, RunRecord
+from coco_lab.core import ComparatorSequence, ConstraintOracle, CostOracle, RunRecord
 from coco_lab.harness import (
     ALGORITHMS,
     ConfigError,
@@ -661,7 +661,48 @@ def test_cli_sweep(tmp_path, capsys):
     payload = json.loads((tmp_path / "sw" / "sweep.json").read_text())
     assert payload["horizons"] == [20, 40, 80]
     assert "slope" in payload
+    # regret with no --comparator is each horizon's regret against the
+    # scenario's first comparator by name: static's interior-static, whose
+    # regrets are negative and so fit no slope
+    out = tmp_path / "rg"
+    with pytest.warns(UserWarning, match="degenerate"):
+        assert main(["sweep", "--config", config, "--out", str(out), "--metric", "regret"]) == 0
+    payload = json.loads((out / "sweep.json").read_text())
+    summaries = [json.loads((out / f"T{h}" / "summary.json").read_text()) for h in (20, 40, 80)]
+    assert payload["values"] == [s["regret__interior-static"] for s in summaries]
+    assert payload["values"] != [s["regret__minimizer-path"] for s in summaries]
     capsys.readouterr()
+
+
+class _OfferingStatic(StaticScenario):
+    """static, offering as its comparators the points ``offered`` maps each
+    name to, given the horizon."""
+
+    offered = {}
+
+    def comparators(self):
+        return {name: ComparatorSequence.from_points(points(self.horizon), True, name)
+                for name, points in self.offered.items()}
+
+
+@pytest.mark.parametrize("offered,chosen,message", [
+    ({"interior-static": lambda T: np.zeros((T, 1))}, [],
+     "at least one comparator must be registered"),
+    ({"short": lambda T: np.zeros((T - 1, 1))}, None, "comparator 'short' has wrong shape (19, 1)"),
+    ({"outside": lambda T: np.full((T, 1), 4.0)}, None,
+     "comparator 'outside' leaves the decision set"),
+], ids=["none-chosen", "wrong-shape", "outside-the-decision-set"])
+def test_comparator_a_run_cannot_score_is_config_error(monkeypatch, tmp_path, capsys, offered,
+                                                       chosen, message):
+    monkeypatch.setattr(_OfferingStatic, "offered", offered)
+    monkeypatch.setitem(SCENARIOS, "offering-static", _OfferingStatic)
+    played = []
+    monkeypatch.setattr(harness, "_play", lambda *args: played.append(args))
+    extra = {} if chosen is None else {"comparators": chosen}
+    config = write_config(tmp_path, scenario={"name": "offering-static", "horizon": 20}, **extra)
+    assert main(["run", "--config", config]) == 2
+    assert message in capsys.readouterr().err
+    assert not played  # rejected before any round is played
 
 
 def test_cli_sweep_unknown_comparator_is_config_error(tmp_path, capsys):
@@ -671,6 +712,21 @@ def test_cli_sweep_unknown_comparator_is_config_error(tmp_path, capsys):
                  "--comparator", "nope"]) == 2
     assert "unknown comparator" in capsys.readouterr().err
     assert not out.exists()  # rejected before any run started
+
+
+def test_atomic_write_that_fails_keeps_the_target_and_leaves_no_temporary_file(monkeypatch,
+                                                                             tmp_path):
+    target = tmp_path / "summary.json"
+    target.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        harness._atomic_write(str(target), "new\n")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
 def test_cli_non_finite_gradient_is_numerical_failure(tmp_path, monkeypatch, capsys):
@@ -918,6 +974,34 @@ def test_horizon_or_seed_that_is_not_an_integer_is_config_error(tmp_path, capsys
         ScenarioSpec(**{"name": "static", "horizon": 20, "seed": 0, **scenario})
 
 
+@pytest.mark.parametrize("name", ["static", "tracking-ball"])
+@pytest.mark.parametrize("scenario,message", [
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"horizon": 0}, "horizon must be at least 1")], ids=["negative-seed", "zero-horizon"])
+def test_horizon_or_seed_out_of_range_is_config_error(monkeypatch, tmp_path, capsys, name,
+                                                      scenario, message):
+    # a negative seed ran static, and failed tracking-ball with numpy's
+    # message, which named no field
+    played = []
+    monkeypatch.setattr(harness, "_play", lambda *args: played.append(args))
+    config = write_config(tmp_path, scenario={"name": name, "horizon": 20, "seed": 0,
+                                              **scenario})
+    assert main(["run", "--config", config]) == 2
+    assert message in capsys.readouterr().err
+    assert not played  # rejected before any round is played
+    with pytest.raises(ValueError, match=message):
+        ScenarioSpec(**{"name": name, "horizon": 20, "seed": 0, **scenario})
+
+
+@pytest.mark.parametrize("horizons", [[0, 20, 40], [-5, 20, 40]], ids=["zero", "negative"])
+def test_horizons_below_one_are_config_errors(monkeypatch, tmp_path, capsys, horizons):
+    played = []
+    monkeypatch.setattr(harness, "_play", lambda *args: played.append(args))
+    assert main(["sweep", "--config", write_config(tmp_path, horizons=horizons)]) == 2
+    assert "horizons must be positive" in capsys.readouterr().err
+    assert not played  # rejected before any round is played
+
+
 def test_cli_horizons_flag_that_is_not_integers_is_config_error(tmp_path, capsys):
     assert main(["sweep", "--config", write_config(tmp_path), "--horizons", "10,x,40"]) == 2
     assert "--horizons" in capsys.readouterr().err
@@ -951,9 +1035,10 @@ def test_scenario_params_that_are_not_an_object_are_config_error(tmp_path, capsy
     ("static", {"radius": True}, "param radius must be a finite number, got True"),
     ("tracking-ball", {"ball_radius": 0}, "param ball_radius must be positive, got 0"),
     ("tracking-ball", {"ball_radius": -1}, "param ball_radius must be positive, got -1"),
+    ("tracking-ball", {"ring_radius": 2.5}, "feasible balls must stay inside the decision set"),
 ], ids=["static-inf-radius", "oco-mix-inf-set-radius", "tracking-ball-inf-set-radius",
         "static-bool-radius", "tracking-ball-zero-ball-radius",
-        "tracking-ball-negative-ball-radius"])
+        "tracking-ball-negative-ball-radius", "tracking-ball-ball-outside-the-set"])
 def test_scenario_param_that_is_not_a_finite_positive_radius_is_config_error(
         monkeypatch, tmp_path, capsys, name, params, message):
     played = []

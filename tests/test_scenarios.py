@@ -21,7 +21,9 @@ from coco_lab.scenarios import (
     Scenario,
     ScenarioSpec,
     StaticScenario,
+    box_constraint,
     build_scenario,
+    constant_constraint,
     make_scenario,
 )
 
@@ -153,6 +155,35 @@ def test_minimizer_comparator_matches_declared_path():
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError, match="unknown scenario"):
         build_scenario(ScenarioSpec(name="nope", horizon=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    hnp.arrays(float, d, elements=st.floats(-3.0, 3.0)),
+    hnp.arrays(float, d, elements=st.floats(0.1, 3.0)),
+    hnp.arrays(float, (4, d), elements=st.floats(-1.5, 2.5)))))
+def test_box_constraint_subgradient_is_a_signed_unit_vector_on_the_largest_margin(instance):
+    lo, width, steps = instance
+    hi = lo + width
+    constraint = box_constraint(lo, hi, Box(np.full_like(lo, -10.0), np.full_like(lo, 10.0)))
+    # the first point inside the box, the others anywhere around it
+    pts = lo + np.vstack([np.clip(steps[:1], 0.0, 1.0), steps[1:]]) * width
+    for x in pts:
+        s = constraint.subgradient(x)
+        margins = np.maximum(lo - x, x - hi)
+        (i,) = np.flatnonzero(s)  # zero on every other coordinate
+        assert abs(s[i]) == 1.0 and margins[i] == margins.max()
+        # a subgradient of the convex value: its linearization stays below it
+        for y in pts:
+            assert constraint.value(y) >= constraint.value(x) + s @ (y - x) - 1e-12
+
+
+def test_constant_positive_constraint_is_rejected():
+    geom = Box([-1.0], [1.0])
+    with pytest.raises(ValueError, match="a constant positive constraint has an empty "
+                                         "feasible region"):
+        constant_constraint(0.5, geom)
+    assert constant_constraint(0.0, geom).value(np.zeros(1)) == 0.0
 
 
 def test_oco_mix_comparator_paths_span_orders():
