@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import GeometricSet, membership
+from .geometry import GeometricSet, _rows_dot, membership
 
 FEASIBILITY_TOL = 1e-9
 
@@ -170,14 +170,14 @@ def path_prefix(points) -> np.ndarray:
     ``i`` adds the first ``i`` step lengths in order, so a singleton or a
     constant sequence has zero path.
 
-    Each step's length is the bits of ``np.linalg.norm(step)``: one BLAS dot
-    product per row, which a stacked matmul makes and a row sum does not.
+    Each step's length is the bits of ``np.linalg.norm(step)``: the square
+    root of ``_rows_dot``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("empty comparator")
     steps = np.diff(pts, axis=0)
-    return running_sum(np.sqrt((steps[:, None, :] @ steps[:, :, None]).ravel()))
+    return running_sum(np.sqrt(_rows_dot(steps, steps)))
 
 
 def path_length(points) -> float:

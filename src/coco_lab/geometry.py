@@ -71,6 +71,15 @@ def _floats(a, minus=None):
     return [p - q for p, q in zip(a.tolist(), minus.tolist())]
 
 
+def _rows_dot(a, b):
+    """``a[i] @ b[i]`` for every row ``i`` of ``a``, bit for bit, where ``b``
+    has a row for each row of ``a`` or is one vector for them all: a stacked
+    matmul takes one BLAS dot product per row, as the 1-d product does; a row
+    sum or a matrix-vector product adds in another order. A single point
+    ``a`` gives a 0-d array."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _norm_floats(v) -> float:
     """``_norm`` of a point that ``_floats`` gives."""
     s = 0.0
@@ -204,23 +213,17 @@ class Halfspace(GeometricSet):
     def dim(self) -> int:
         return self.normal.shape[0]
 
-    def _inner(self, a):
-        # one BLAS dot product per row, as ``x @ normal`` takes for one
-        # point; on a batch ``a @ normal`` is a matrix-vector product,
-        # which sums in another order
-        return (a[..., None, :] @ self.normal)[..., 0]
-
     def project(self, x):
         a = np.asarray(x, dtype=float)
         nsq = float(self.normal @ self.normal)
-        viol = (self._inner(a) - self.offset) / nsq
+        viol = (_rows_dot(a, self.normal) - self.offset) / nsq
         return a - np.maximum(viol, 0.0)[..., None] * self.normal
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         # tolerance applied to the signed distance so membership is
         # invariant under rescaling of the normal
         a = np.asarray(x, dtype=float)
-        margin = (self._inner(a) - self.offset) / math.sqrt(self.normal @ self.normal)
+        margin = (_rows_dot(a, self.normal) - self.offset) / math.sqrt(self.normal @ self.normal)
         return margin <= tol
 
 

@@ -11,21 +11,20 @@ Artifacts per run directory:
 Files are written atomically (temp file + rename). Reruns of an identical
 configuration produce byte-identical CSVs.
 
-A run's record is a set of columns (``RunRecord``). Each round writes only
-the learner's play x_t and the norm of the gradient it stepped on. ``run``
-plays a block of ``ORACLE_BLOCK`` rounds, then takes the block's costs and
-constraints from the scenario as one ``OracleStack`` each
-(``Scenario.oracle_block``, which a built-in scenario reads off its own
-arrays); the stacks give the learner's f and g, from which the record
-derives gplus and Q, and every comparator's cost and feasibility, one
-kernel pass per family and point set (``_evaluate_block``). A stack gives
-values or raises; a block that raises or shows a non-finite value or an
-infeasible comparator is replayed round by round with ``generate(t)``'s
-own oracles, which names the first failure. ``verify_run`` makes the same
-block pass without the learner: it loads ``rounds.csv``'s plays and
-gradient norms into a record, fills it block by block as ``run`` does
-(``_evaluate_block``, then ``_fill_block``), builds no oracle of a round,
-and rebuilds the summary from that record's totals.
+A run's record is a set of columns (``RunRecord``), and ``_play`` is the one
+pass that fills it. Each round writes only the learner's play x_t and the
+norm of the gradient it stepped on. ``_play`` takes a block of
+``ORACLE_BLOCK`` rounds, then its costs and constraints from the scenario
+as one ``OracleStack`` each (``Scenario.oracle_block``, which a built-in
+scenario reads off its own arrays): the stacks give f and g at the plays,
+from which the record derives gplus and Q, and every comparator's cost and
+feasibility. A block that raises, or shows a non-finite value or an
+infeasible comparator, is replayed round by round with ``generate(t)``'s
+own oracles, which names the first failure. ``run`` has its learner play
+each block first; ``verify_run`` loads ``rounds.csv``'s plays and gradient
+norms into a record and makes the same pass, so a play that is not finite
+fails it as it fails a run, and rebuilds the summary from that record's
+totals.
 """
 
 from __future__ import annotations
@@ -183,10 +182,7 @@ def run(config: RunConfig) -> RunRecord:
     t0 = time.perf_counter()
     record = RunRecord(scenario.dimension, scenario.horizon, comparators)
     state = _init_state(config, scenario)
-    # an overflow (a gradient near 1e200 squared) is reported by the
-    # finiteness checks as a numerical failure, not as a numpy warning
-    with np.errstate(over="ignore"):
-        _play(config.algorithm, scenario, state, record)
+    _play(scenario, record, config.algorithm, state)
     summary = _summarize(config, scenario, state, comparators, RunTotals.of(record))
     summary["wall_clock_sec"] = time.perf_counter() - t0
     record.summary = summary
@@ -195,20 +191,21 @@ def run(config: RunConfig) -> RunRecord:
     return record
 
 
-def _play(algorithm: str, scenario: Scenario, state, record: RunRecord):
-    """Play every round into ``record``. Only one block's oracles are alive
-    at a time."""
-    step = _round_step(algorithm)
+# an overflow (a gradient near 1e200 squared) is reported by the finiteness
+# checks as a numerical failure, not as a numpy warning
+@np.errstate(over="ignore")
+def _play(scenario: Scenario, record: RunRecord, algorithm: str | None = None, state=None):
+    """Fill every row of ``record``, one block of rounds at a time (see the
+    module docstring). With ``algorithm``, its learner (``state``) plays each
+    round of a block first; without, the x and gradient-norm rows are
+    already written. Raises a block's first failure as a ``HarnessError``."""
+    step = None if algorithm is None else _round_step(algorithm)
     meta = algorithm in ("coco1", "coco2")
     xs, norms = record.x, record.grad_norm
-    # the learner plays a block of rounds, then its f and g and every
-    # comparator's cost and feasibility are evaluated on the rounds it
-    # played from the scenario's stacks of their oracles; a block that
-    # shows any failure is replayed round by round to name the first one
-    for start in range(1, scenario.horizon + 1, ORACLE_BLOCK):
+    for start in range(1, len(xs) + 1, ORACLE_BLOCK):
         played = cause = None
-        stop = min(start + ORACLE_BLOCK, scenario.horizon + 1)
-        for t in range(start, stop):
+        stop = min(start + ORACLE_BLOCK, len(xs) + 1)
+        for t in range(start, stop if step else start):
             try:
                 xs[t - 1], norms[t - 1] = step(state, *scenario.generate(t))
             except Exception as exc:
@@ -216,11 +213,14 @@ def _play(algorithm: str, scenario: Scenario, state, record: RunRecord):
                 break
         rows = slice(start - 1, stop - 1)
         try:
-            constraints, f, g, costs = _evaluate_block(scenario, record.comparators,
-                                                       start, stop, xs)
+            costs, constraints = scenario.oracle_block(start, stop)
+            f, g = costs.values(xs[rows]), constraints.values(xs[rows])
+            comparator_costs = {name: costs.values(comp.points[rows])
+                                for name, comp in record.comparators.items()}
             # the conditions the replay raises on; a NaN constraint value at
             # a comparator is not a violation in either
-            clean = played is None and np.isfinite(np.concatenate((f, g, *costs.values()))).all()
+            clean = played is None and np.isfinite(
+                np.concatenate((f, g, *comparator_costs.values()))).all()
             clean = clean and not any(
                 (constraints.values(comp.points[rows]) > FEASIBILITY_TOL).any()
                 for comp in record.comparators.values() if comp.feasible)
@@ -228,31 +228,12 @@ def _play(algorithm: str, scenario: Scenario, state, record: RunRecord):
             clean, cause = False, exc
         if not clean:
             _raise_first_failure(scenario, record, start, stop, played, cause)
-        _fill_block(record, rows, f, g, costs, state.q if meta else None)
-
-
-def _fill_block(record: RunRecord, rows: slice, f, g, costs: dict, q: float | None = None):
-    """Record a block of rounds, whose x and gradient-norm rows are written:
-    each comparator's costs, then f and g, from which ``RunRecord.fill``
-    derives gplus and Q. ``q`` is the learner's CCV after the block, if it
-    keeps one."""
-    for name, values in costs.items():
-        record.comparator_costs[name][rows] = values
-    try:
-        record.fill(f, g, q)
-    except ValueError as exc:
-        raise HarnessError(str(exc)) from exc
-
-
-def _evaluate_block(scenario: Scenario, comparators: dict, start: int, stop: int, plays):
-    """Rounds ``start <= t < stop`` evaluated at once: the block's constraint
-    ``OracleStack``, f and g at the plays (row ``t - 1`` of ``plays`` is
-    round ``t``'s), and every comparator's costs (name -> array). Raises
-    what an oracle raises."""
-    costs, constraints = scenario.oracle_block(start, stop)
-    rows = slice(start - 1, stop - 1)
-    return constraints, costs.values(plays[rows]), constraints.values(plays[rows]), {
-        name: costs.values(comp.points[rows]) for name, comp in comparators.items()}
+        for name, values in comparator_costs.items():
+            record.comparator_costs[name][rows] = values
+        try:
+            record.fill(f, g, state.q if meta else None)
+        except ValueError as exc:
+            raise HarnessError(str(exc)) from exc
 
 
 def _raise_first_failure(scenario: Scenario, record: RunRecord, start: int, stop: int,
@@ -615,10 +596,12 @@ def verify_run(out_dir: str) -> list:
     it, and diff it with summary.json key by key (``wall_clock_sec`` aside):
     each value must be equal, bit for bit, and of the same type. The
     recorded plays and gradient norms go into a record, which ``run``'s own
-    block pass fills without the learner; the file's f, g, gplus and Q must
-    be the record's, and only the first cell that is not is reported.
-    Returns the discrepancies. Raises ConfigError if a file of the run
-    cannot be read or its config is invalid."""
+    block pass (``_play``) fills without the learner; a failure it raises,
+    such as a play that is not finite, is one problem that ends the check.
+    The file's f, g, gplus and Q must be the record's, and only the first
+    cell that is not is reported. Returns the discrepancies. Raises
+    ConfigError if a file of the run cannot be read or its config is
+    invalid."""
     try:
         summary, cfg, table = load_run(out_dir)
     except HarnessError as exc:
@@ -645,10 +628,10 @@ def verify_run(out_dir: str) -> list:
     record = RunRecord(scenario.dimension, n, comparators)
     record.x[:] = np.stack([table[f"x_{i}"][:n] for i in range(scenario.dimension)], axis=1)
     record.grad_norm[:] = norms[:n]
-    for start in range(1, n + 1, ORACLE_BLOCK):
-        stop = min(start + ORACLE_BLOCK, n + 1)
-        _, f, g, costs = _evaluate_block(scenario, comparators, start, stop, record.x)
-        _fill_block(record, slice(start - 1, stop - 1), f, g, costs)
+    try:
+        _play(scenario, record)
+    except HarnessError as exc:
+        return problems + [str(exc)]
     # every check is exact, as ``run`` writes each value's shortest repr;
     # written so that a NaN fails it
     bad = np.stack([table[c][:n] != getattr(record, c)[:n] for c in ("f", "g", "gplus", "Q")])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ComparatorSequence, DecisionSet, is_finite_real, is_integer, path_length
 from .geometry import (Ball, Box, GeometricSet, Halfspace, Intersection, _distance, _norm,
-                       _unit_offset)
+                       _rows_dot, _unit_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -32,13 +32,6 @@ from .geometry import (Ball, Box, GeometricSet, Halfspace, Intersection, _distan
 # serves any number of point sets. Two shapes carry four families:
 # ``x @ a - b`` is computed as ``x @ a + (-b)`` and ``||x - c||`` as
 # ``||x - c|| - 0.0``, which in IEEE arithmetic give the same bits.
-
-def _rows_dot(points, vectors):
-    """``points[i] @ vectors[i]`` for every row, bit for bit: a stacked
-    matmul takes one BLAS dot per row, as the 1-d product does; a row sum
-    or a matrix-vector product adds in another order."""
-    return (points[:, None, :] @ vectors[:, :, None])[:, 0, 0]
-
 
 class _Linear:
     """``x @ a + shift``."""

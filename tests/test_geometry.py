@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -162,6 +162,59 @@ def test_empty_intersection_rejected_at_construction():
         Intersection((Box([0.0, 0.0], [1.0, 1.0]), Box([2.0, 2.0], [3.0, 3.0])))
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: Box([0.0, 0.0], [1.0]), "box bounds must be vectors of equal length"),
+    (lambda: Box([0.0, 2.0], [1.0, 1.0]), "box lower bound exceeds upper bound"),
+    (lambda: Ball(np.zeros((2, 2)), 1.0), "ball center must be a vector"),
+    (lambda: Ball([0.0], 0.0), "ball radius must be positive"),
+    (lambda: Halfspace(np.ones((2, 2)), 1.0), "halfspace normal must be a vector"),
+    (lambda: Halfspace([0.0, 0.0], 1.0), "halfspace normal must be nonzero"),
+    (lambda: Intersection(()), "intersection needs at least one component"),
+    (lambda: Intersection((Box([-1.0], [1.0]), Ball([0.0, 0.0], 1.0))),
+     "intersection components must share a dimension"),
+], ids=["box-shapes", "box-order", "ball-center", "ball-radius", "halfspace-shape",
+        "halfspace-zero", "intersection-empty", "intersection-dimensions"])
+def test_malformed_set_rejected_at_construction(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def three_sets(d):
+    """A box, a ball and a halfspace around the origin: no closed form."""
+    return (Box(-np.ones(d), np.ones(d)), Ball([0.3, 0.2, 0.1][:d], 1.0),
+            Halfspace(np.ones(d), 0.5))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_three_component_intersection_projects_by_dykstra(d):
+    region = Intersection(three_sets(d))
+    rng = np.random.default_rng(d)
+    xs = rng.uniform(-4.0, 4.0, size=(6, d))
+    ps = region.project(xs)
+    assert np.all(membership(ps, region, tol=1e-8))
+    # the projection inequality against members, as for the closed forms
+    cand = rng.uniform(-4.0, 4.0, size=(400, d))
+    ys = np.vstack([region.project(rng.uniform(-4.0, 4.0, size=(32, d))),
+                    cand[np.asarray(region.contains(cand, tol=0.0))]])
+    for x, p in zip(xs, ps):
+        assert np.max((ys - p) @ (x - p)) <= 1e-9 * (1.0 + np.linalg.norm(x))
+
+
+def test_nested_one_d_intersection_projects_by_dykstra():
+    # an interval inside an intersection is not a primitive: no closed form
+    inner = Intersection((Box([-1.0], [1.0]), Ball([0.5], 1.0)))
+    region = Intersection((inner, Halfspace([1.0], 0.8)))
+    np.testing.assert_allclose(region.project(np.array([[2.0], [-3.0], [0.1]])),
+                               [[0.8], [-0.5], [0.1]], rtol=0, atol=1e-8)
+
+
+def test_dykstra_out_of_sweeps_is_a_projection_error(monkeypatch):
+    region = Intersection(three_sets(2))
+    monkeypatch.setattr(geometry, "DYKSTRA_MAX_SWEEPS", 1)
+    with pytest.raises(ProjectionError, match="projection did not converge"):
+        region.project(np.array([4.0, 3.0]))
+
+
 def test_projection_error_carries_residual():
     err = ProjectionError("projection did not converge", 0.125)
     assert err.residual == 0.125
@@ -292,11 +345,18 @@ def test_exact_projection_properties(instance, n, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(lenses(), st.floats(2e-6, 3.0))
+# centres 1e-161 apart: the square of the gap is subnormal, and an axis
+# divided by its unscaled norm comes out 0.99206 long
+@example(((Ball([0.0], 1.5), Ball([1.08027491e-161], 0.25)), 0.0), 0.0078125)
 def test_separated_balls_are_empty(instance, extra):
     (b1, b2), _ = instance
     axis = b2.center - b1.center
-    n = np.linalg.norm(axis)
-    axis = axis / n if n > 0 else np.eye(b1.dim)[0]
+    scale = np.max(np.abs(axis))
+    if scale > 0:
+        axis = axis / scale  # a largest coordinate of 1: the norm cannot underflow
+        axis = axis / np.linalg.norm(axis)
+    else:
+        axis = np.eye(b1.dim)[0]
     far = Ball(b1.center + (b1.radius + b2.radius + extra) * axis, b2.radius)
     with pytest.raises(ValueError, match="empty intersection"):
         Intersection((b1, far))

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import coco_lab
-from coco_lab import coco, harness, subroutines
+from coco_lab import budgets, coco, harness, subroutines
 from coco_lab.cli import main
-from coco_lab.core import ComparatorSequence, ConstraintOracle, CostOracle, RunRecord
+from coco_lab.core import (ComparatorSequence, ConstraintOracle, CostOracle, RunRecord,
+                           path_length)
 from coco_lab.harness import (
     ALGORITHMS,
     ConfigError,
@@ -202,6 +203,15 @@ def test_loglog_slope_degenerate_metric_warns_and_returns_zero():
 def test_sweep_requires_three_horizons():
     with pytest.raises(ConfigError, match="3 horizons"):
         sweep_slope(cfg(horizons=[10, 20]), "ccv")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: sweep_slope(cfg(horizons=[10, 20, 40]), "bogus"), "unknown metric 'bogus'"),
+    (lambda: sweep(cfg()), "sweep requires a horizons list"),
+], ids=["metric", "no-horizons"])
+def test_sweep_rejects_an_unknown_metric_and_no_horizons(call, message):
+    with pytest.raises(ConfigError, match=message):
+        call()
 
 
 def test_sweep_runs_each_horizon(tmp_path):
@@ -571,6 +581,22 @@ def test_verify_reports_one_changed_cell_as_one_problem(tmp_path, column, expect
     assert verify_run(out) == [expect]
 
 
+@pytest.mark.parametrize("block", [harness.ORACLE_BLOCK, 4], ids=["block", "small-block"])
+@pytest.mark.parametrize("algorithm", ["coco1", "adagrad"])
+@pytest.mark.parametrize("scenario,round_,text", [("tracking-ball", 5, "nan"), ("static", 7, "inf")],
+                         ids=["nan", "inf"])
+def test_verify_reports_a_play_that_is_not_finite_as_its_rounds_one_failure(
+        monkeypatch, tmp_path, block, algorithm, scenario, round_, text):
+    # verify runs run's clean check and replay: the play's round is named,
+    # and the f column and the sums and flags it feeds are not reported too
+    monkeypatch.setattr(harness, "ORACLE_BLOCK", block)
+    out = str(tmp_path / "t")
+    run(cfg(scenario, T=30, seed=1, algorithm=algorithm, out_dir=out))
+    _edit(out, {("x_0", round_): lambda _: text})
+    assert verify_run(out) == [f"oracle failure at round {round_}: "
+                               "constraint value must be finite"]
+
+
 def test_verify_derives_its_columns_through_the_records_fill(monkeypatch, tmp_path):
     out = str(tmp_path / "t")
     run(cfg("tracking-ball", T=30, seed=1, algorithm="coco1", out_dir=out))
@@ -602,6 +628,53 @@ def test_recorded_gradient_norm_is_the_stepped_gradients_norm(monkeypatch, algor
     recorded = record.grad_norm[:record.horizon]
     assert len(stepped) == len(recorded)
     np.testing.assert_allclose(recorded, stepped, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scenario", ["tracking-ball", "static", "oco-mix"])
+@pytest.mark.parametrize("algorithm,path_estimate", [
+    ("adagrad", None), ("adagrad", 50.0), ("ahag", None), ("coco1", None), ("coco2", None),
+], ids=["adagrad", "adagrad-known-path", "ahag", "coco1", "coco2"])
+def test_each_budget_takes_the_runs_own_inputs(scenario, algorithm, path_estimate):
+    # each budget is the budgets function of inputs rebuilt here: S from the
+    # recorded norms, each comparator's path, the expert count, the declared
+    # paths and coco2's default V
+    T = 300
+    record = run(RunConfig(ScenarioSpec(scenario, horizon=T, seed=0), algorithm,
+                           path_estimate=path_estimate))
+    sc = build_scenario(ScenarioSpec(scenario, horizon=T, seed=0))
+    diameter, g_lip = sc.decision_set.diameter, sc.g_lip
+    grad_sq = 0.0
+    for norm in record.grad_norm[:T].tolist():
+        grad_sq += norm ** 2
+    n = budgets.num_experts(diameter, T)
+    gamma = budgets.coco2_gamma(g_lip, diameter, n)
+    v = coco.coco2_default_v(g_lip, diameter, T)
+    expected = {}
+    for name, comp in record.comparators.items():
+        path = path_length(comp.points)
+        if algorithm == "adagrad" and path_estimate is None:
+            expected[name] = budgets.adagrad_path_free_rhs(diameter, path, grad_sq)
+        elif algorithm == "adagrad" and path <= path_estimate:
+            expected[name] = budgets.adagrad_known_path_rhs(diameter, path_estimate, grad_sq)
+        elif algorithm == "ahag" or (algorithm == "coco1" and comp.feasible):
+            expected[name] = budgets.ensemble_rhs(diameter, n, path, grad_sq)
+        elif algorithm == "coco2" and comp.feasible:
+            expected[name] = budgets.coco2_regret_rhs(gamma, v, path, T)
+    rhs = {key[len("bound_rhs__"):]: value for key, value in record.summary.items()
+           if key.startswith("bound_rhs__")}
+    assert rhs and rhs == expected
+    assert all(type(value) is float for value in rhs.values())
+    # the CCV budget takes a path the scenario declares, where it declares one
+    ccv_path = {"coco1": sc.minimizer_path_length(),
+                "coco2": sc.feasible_path_length()}.get(algorithm)
+    if ccv_path is None:
+        assert "ccv_bound_rhs" not in record.summary
+    elif algorithm == "coco1":
+        assert record.summary["ccv_bound_rhs"] == budgets.ensemble_rhs(
+            diameter, n, ccv_path, grad_sq)
+    else:
+        assert record.summary["ccv_bound_rhs"] == budgets.coco2_ccv_rhs(
+            gamma, v, g_lip, diameter, ccv_path, T)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ def test_grid_spec_validation():
         GridSpec([0.0, 0.0], [400.0, 400.0], 0.1)
     with pytest.raises(ValueError, match="mesh"):
         GridSpec([0.0], [1.0], 0.0)
+    with pytest.raises(ValueError, match="vectors of equal length"):
+        GridSpec([0.0, 0.0], [1.0], 0.1)
+    with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+        GridSpec([0.0, 2.0], [1.0, 1.0], 0.1)
     grid = GridSpec([0.0], [1.0], 0.25)
     assert np.allclose(grid.points().ravel(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -152,6 +156,18 @@ def test_min_feasible_path_mesh_refinement_control():
     _, coarse = min_feasible_path(cons, GridSpec([0.0], [3.0], h))
     _, fine = min_feasible_path(cons, GridSpec([0.0], [3.0], h / 2.0))
     assert fine <= coarse + 1e-9 or fine - coarse <= 1 * h * 12
+
+
+def test_path_oracles_reject_inputs_that_are_not_a_run():
+    grid = GridSpec([0.0], [1.0], 0.1)
+    geom = Box([-3.0], [3.0])
+    with pytest.raises(ValueError, match="pair up round by round"):
+        constrained_minimizer_path([norm_cost([0.5])], [], grid)
+    with pytest.raises(ValueError, match="empty run"):
+        min_feasible_path([], grid)
+    with pytest.raises(ValueError, match="empty grid-region intersection"):
+        min_feasible_path([ball_constraint([0.5], 0.2, geom),
+                           ball_constraint([2.5], 0.2, geom)], grid)
 
 
 def test_min_feasible_path_horizon_cap():

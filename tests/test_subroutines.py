@@ -231,6 +231,15 @@ def test_adahedge_rejects_infinite_loss(bad):
     assert np.array_equal(st.weights, np.full(2, 0.5))
 
 
+def test_hedge_needs_an_expert_and_a_loss_for_each():
+    with pytest.raises(ValueError, match="need at least one expert"):
+        HedgeState.uniform(0)
+    st = HedgeState.uniform(3)
+    with pytest.raises(ValueError, match="loss vector length does not match"):
+        adahedge_step(st, np.array([0.0, 1.0]))
+    assert np.array_equal(st.weights, np.full(3, 1.0 / 3.0))
+
+
 @settings(max_examples=500, deadline=None)
 @given(hst.lists(hst.one_of(hst.floats(-1e3, 1e3), hst.sampled_from([-np.inf, 0.0, -2.5])),
                  min_size=1, max_size=16).filter(lambda v: any(np.isfinite(v))))
