@@ -48,8 +48,41 @@ def _norm(v, keepdims=False):
 
 # numpy's ``add.reduce`` adds fewer terms than this to +0.0 from left to
 # right, as the loop in ``_norm_floats`` does; from 8 terms on it sums in
-# pairwise blocks
+# pairwise blocks (``_sum``)
 _SHORT = 8
+# the longest vector numpy sums in one block of 8 running sums
+_BLOCK = 128
+
+
+def _sum(v) -> float:
+    """``np.add.reduce`` of the list of floats ``v``, bit for bit: +0.0 plus
+    numpy's pairwise sum of ``v``."""
+    return 0.0 + _pairwise_sum(v)
+
+
+def _pairwise_sum(v) -> float:
+    """numpy's pairwise sum: fewer than ``_SHORT`` terms from left to right,
+    up to ``_BLOCK`` terms in 8 running sums (entry ``i`` goes to sum
+    ``i % 8``, and the terms past the last multiple of 8 are added after
+    the sums are joined), and a longer list as the sum of two halves split
+    at a multiple of 8."""
+    n = len(v)
+    if n < _SHORT:
+        s = -0.0
+        for x in v:
+            s += x
+        return s
+    if n <= _BLOCK:
+        body = n - n % 8
+        r = v[:8]
+        for i in range(8, body, 8):
+            r = [p + q for p, q in zip(r, v[i:i + 8])]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in v[body:]:
+            s += x
+        return s
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
 
 
 def _floats(a, minus=None):

@@ -597,7 +597,8 @@ def verify_run(out_dir: str) -> list:
     each value must be equal, bit for bit, and of the same type. The
     recorded plays and gradient norms go into a record, which ``run``'s own
     block pass (``_play``) fills without the learner; a failure it raises,
-    such as a play that is not finite, is one problem that ends the check.
+    such as a play that is not finite, is one problem that ends the check,
+    and so is a gradient norm that is not finite and nonnegative.
     The file's f, g, gplus and Q must be the record's, and only the first
     cell that is not is reported. Returns the discrepancies. Raises
     ConfigError if a file of the run cannot be read or its config is
@@ -622,7 +623,8 @@ def verify_run(out_dir: str) -> list:
         problems.append(f"t column is not 1..{n_rows}")
     norms = table["grad_norm_surrogate"]
     if not (np.isfinite(norms) & (norms >= 0.0)).all():
-        problems.append("grad_norm_surrogate column holds a value that is not a norm")
+        # the summary's sums rest on this column: it is not rebuilt from it
+        return problems + ["grad_norm_surrogate column holds a value that is not a norm"]
 
     n = min(scenario.horizon, n_rows)
     record = RunRecord(scenario.dimension, n, comparators)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .budgets import num_experts
 from .core import DecisionSet, is_finite_real
+from .geometry import _sum
 
 KNOWN_PATH = "known_path"
 PATH_FREE = "path_free"
@@ -115,25 +116,26 @@ class HedgeState:
         return self.cum_losses.shape[0]
 
 
-def _hedge_weights(cum_losses: np.ndarray, cum_mix_gap: float) -> np.ndarray:
-    n = cum_losses.shape[0]
+def _hedge_weights(cum_losses: list, cum_mix_gap: float) -> np.ndarray:
+    n = len(cum_losses)
     eta = math.log(n) / cum_mix_gap if cum_mix_gap > 0.0 else math.inf
+    low = min(cum_losses)
     if not math.isfinite(eta):
-        mask = cum_losses == np.minimum.reduce(cum_losses)
-        return mask / np.add.reduce(mask)
-    u = np.exp(-eta * (cum_losses - np.minimum.reduce(cum_losses)))
-    return u / np.add.reduce(u)
+        k = cum_losses.count(low)
+        return np.array([1.0 / k if c == low else 0.0 for c in cum_losses])
+    u = np.exp([-eta * (c - low) for c in cum_losses]).tolist()
+    total = _sum(u)
+    return np.array([x / total for x in u])
 
 
-def _log_sum_exp(a: np.ndarray) -> float:
+def _log_sum_exp(a) -> float:
     """``log(sum(exp(a)))`` with the largest entries split out of the sum,
-    for ``a`` with at least one finite entry. Reproduces
-    ``scipy.special.logsumexp`` bit for bit (the numpy ``log1p``, not
-    ``math.log1p``, is needed for that)."""
-    a_max = np.maximum.reduce(a)
-    top = a == a_max
-    m = np.count_nonzero(top)
-    s = np.add.reduce(np.exp(np.where(top, -np.inf, a) - a_max))
+    for a list or 1-d array ``a`` with at least one finite entry.
+    Reproduces ``scipy.special.logsumexp`` bit for bit (the numpy ``exp``,
+    ``log`` and ``log1p``, not ``math``'s, are needed for that)."""
+    a_max = max(a)
+    m = list(a).count(a_max)
+    s = _sum(np.exp([(-math.inf if x == a_max else x) - a_max for x in a]).tolist())
     if m == 1:
         # dividing by 1 and adding log(1) = 0 to log1p(s) >= +0.0 change no bit
         return np.log1p(s) + a_max
@@ -147,30 +149,39 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
     The learning rate is ``ln(N) / gap`` (infinite while the gap is zero,
     in which case the weights are uniform over the argmin of the cumulative
     losses and the mix loss is the minimum loss on the support).
+
+    The step works in Python floats, with the bits of numpy's array code.
+    It keeps numpy for the dot product ``w @ losses`` (BLAS may fuse its
+    multiply-adds), for ``exp``, ``log`` and ``log1p`` (``math``'s differ
+    in the last bit), each on a whole list, and for the state's arrays.
+    The sums are ``geometry._sum``.
     """
     losses = np.asarray(loss_vector, dtype=float)
     if losses.shape != state.cum_losses.shape:
         raise ValueError("loss vector length does not match the number of experts")
-    if not np.isfinite(losses).all():
+    loss = losses.tolist()
+    if not all(map(math.isfinite, loss)):
         raise ValueError(f"NaN or infinite loss in {losses}")
     w = state.weights
     expected = float(w @ losses)
+    weights = w.tolist()
     n = state.num_experts
     eta = math.log(n) / state.cum_mix_gap if state.cum_mix_gap > 0.0 else math.inf
     if not math.isfinite(eta) or eta <= 0.0:
-        mix = float(losses[w > 0].min())
+        mix = min(x for x, p in zip(loss, weights) if p > 0.0)
     else:
-        if np.minimum.reduce(w) > 0.0:  # every log finite, nothing to mask
-            a = np.log(w) - eta * losses
+        if min(weights) > 0.0:  # every log finite, nothing to mask
+            log_w = np.log(w).tolist()
         else:
-            a = np.log(w, out=np.full(n, -np.inf), where=w > 0.0) - eta * losses
-            a[w <= 0.0] = -np.inf  # zero-weight experts contribute nothing
+            log_w = np.log(w, out=np.full(n, -np.inf), where=w > 0.0).tolist()
+        # zero-weight experts contribute nothing
+        a = [lw - eta * x if p > 0.0 else -math.inf for lw, x, p in zip(log_w, loss, weights)]
         mix = float(-_log_sum_exp(a) / eta)
     # Jensen guarantees expected >= mix; clamp float dust so the gap stays monotone.
     gap = max(0.0, expected - mix)
     state.cum_mix_gap += gap
     state.cum_losses = state.cum_losses + losses
-    state.weights = _hedge_weights(state.cum_losses, state.cum_mix_gap)
+    state.weights = _hedge_weights(state.cum_losses.tolist(), state.cum_mix_gap)
     return state
 
 

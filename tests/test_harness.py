@@ -563,7 +563,7 @@ def test_verify_reports_a_non_finite_cell(tmp_path, cell, text, expect):
     out = str(tmp_path / "t")
     run(cfg("tracking-ball", T=30, seed=1, algorithm="coco1", out_dir=out))
     _edit(out, {(cell, 4): lambda _: text})
-    assert expect in verify_run(out)
+    assert verify_run(out) == [expect]
 
 
 @pytest.mark.parametrize("column,expect", [

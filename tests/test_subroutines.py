@@ -13,7 +13,7 @@ from coco_lab.budgets import (
     ensemble_rhs,
 )
 from coco_lab.core import DecisionSet
-from coco_lab.geometry import Ball, Box, dist_subgradient, membership
+from coco_lab.geometry import Ball, Box, _sum, dist_subgradient, membership
 from coco_lab.harness import ALGORITHMS, RunConfig, run
 from coco_lab.scenarios import SCENARIOS, ScenarioSpec, affine_cost, build_scenario, make_scenario
 from coco_lab.subroutines import (
@@ -363,6 +363,71 @@ def test_adahedge_step_matches_reference_with_underflowed_weights():
         reference_adahedge_step(old, losses)
         assert same_hedge_state(new, old)
     assert zero_weight_rounds == 50
+
+
+@pytest.mark.parametrize("spread,gap", [(1.0, 1.0), (1e3, 1.0), (1e3, 1e-3)])
+def test_adahedge_step_matches_reference_above_128_experts(spread, gap):
+    # above 128 terms numpy splits a sum into halves: both of the step's
+    # sums take that path here
+    new, old = hedge_states(200, spread, gap, seed=6)
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        losses = rng.uniform(-1.0, 1.0, 200) * rng.integers(0, 2, 200)
+        adahedge_step(new, losses)
+        reference_adahedge_step(old, losses)
+        assert same_hedge_state(new, old)
+
+
+def test_adahedge_step_matches_reference_where_math_log_differs():
+    # on an AVX-512 host, math.log of round 2's weights differs from
+    # numpy's in the last bit here, and the step's state with it
+    new, old = hedge_states(9, 1.0, 1.0, seed=930)
+    rng = np.random.default_rng(931)
+    for _ in range(3):
+        losses = rng.uniform(-1.0, 1.0, 9) * rng.integers(0, 2, 9)
+        adahedge_step(new, losses)
+        reference_adahedge_step(old, losses)
+        assert same_hedge_state(new, old)
+
+
+# The premises of the hedge's float path: numpy's exp, log and log1p give an
+# array entry the bits of the call on that entry alone, so the step can call
+# them on a list; and ``_sum`` is numpy's ``add.reduce`` for every length.
+
+def same_float_bits(a, b):
+    return ((math.isnan(a) and math.isnan(b))
+            or np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64))
+
+
+edge_floats = hst.one_of(hst.floats(allow_nan=False),
+                         hst.sampled_from([-np.inf, np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                                           2.2250738585072014e-308, 710.0, -746.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.sampled_from([np.exp, np.log, np.log1p]), hst.lists(edge_floats, min_size=1, max_size=40))
+def test_numpy_exp_log_log1p_give_each_entry_its_own_bits(f, values):
+    with np.errstate(all="ignore"):
+        whole = f(values).tolist()
+        alone = [float(f(x)) for x in values]
+        one_entry = [float(f(np.array([x]))[0]) for x in values]
+    assert all(same_float_bits(a, b) and same_float_bits(a, c)
+               for a, b, c in zip(whole, alone, one_entry))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.integers(0, 300).flatmap(lambda n: hst.lists(
+    hst.one_of(hst.floats(allow_nan=False), hst.sampled_from([-np.inf, np.inf, 0.0, -0.0]),
+               hst.floats(-1.0, 1.0)),
+    min_size=n, max_size=n)))
+@example([-0.0])  # numpy adds the sum to +0.0
+@example([1.0] * 7 + [2.0 ** 53])  # the first length that numpy sums in 8 running sums
+@example([2.0 ** 53] + [1.0] * 128)  # the first length that numpy splits into halves
+@example([np.inf] * 140 + [-np.inf])  # inf - inf in the second half
+def test_sum_is_numpy_add_reduce_bitwise(values):
+    with np.errstate(all="ignore"):
+        total = np.add.reduce(np.array(values, dtype=float))
+    assert same_float_bits(_sum(values), float(total))
 
 
 def test_adahedge_static_regret_bound_on_streams():
