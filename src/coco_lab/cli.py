@@ -48,6 +48,8 @@ def _horizon_list(text: str) -> list:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config, args)
+    if config.horizons is not None:
+        raise ConfigError("run plays the scenario's one horizon; only sweep reads horizons")
     record = run(config)
     print(json.dumps(record.summary, sort_keys=True, indent=2))
     return EXIT_OK if record.summary["all_bounds_satisfied"] else EXIT_BOUND_VIOLATION
@@ -91,22 +93,22 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="constrained online convex optimization lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one configuration")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--emit-plotdata", action="store_true", dest="emit_plotdata")
+    # the flags that run and sweep share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", required=True)
+    shared.add_argument("--out", default=None)
+    shared.add_argument("--seed", type=int, default=None)
+    shared.add_argument("--emit-plotdata", action="store_true", dest="emit_plotdata")
+
+    p_run = sub.add_parser("run", parents=[shared], help="execute one configuration")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run across horizons and fit a slope")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
+    p_sweep = sub.add_parser("sweep", parents=[shared],
+                             help="run across horizons and fit a slope")
     p_sweep.add_argument("--horizons", type=_horizon_list, default=None,
                          help="comma-separated list")
     p_sweep.add_argument("--metric", choices=("ccv", "regret"), default="ccv")
     p_sweep.add_argument("--comparator", default=None)
-    p_sweep.add_argument("--emit-plotdata", action="store_true", dest="emit_plotdata")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_report = sub.add_parser("report", help="print a persisted summary")

@@ -2,12 +2,11 @@
 
 Supported sets are axis-aligned boxes, Euclidean balls, halfspaces, and
 finite intersections of those. Projections onto the primitives are closed
-form, and so are projections onto two of them whose intersection has a
-closed form: two balls in any dimension (a lens), two boxes in any
-dimension (a box) and any two primitives in one dimension (an interval).
-Every other intersection uses Dykstra's
-alternating projection scheme, which converges to the exact Euclidean
-projection for closed convex sets.
+form, and so are projections onto two of them by one of two rules: two
+boxes, where a 1-d ball or halfspace counts as the box it is, meet in a
+box; two balls meet in the inner ball or a lens. Every other intersection
+uses Dykstra's alternating projection scheme, which converges to the exact
+Euclidean projection for closed convex sets.
 
 Every operation accepts a single point of shape ``(d,)`` or a batch of
 shape ``(n, d)`` and returns a result of matching shape; so does every
@@ -264,12 +263,12 @@ class Halfspace(GeometricSet):
 class Intersection(GeometricSet):
     """Finite intersection of convex sets.
 
-    Two balls in any dimension, two boxes in any dimension and any two of
-    ``Box``, ``Ball`` and ``Halfspace`` in one dimension (an interval) are
-    projected in closed form: nested balls onto the inner ball, overlapping
-    ones onto their lens, boxes onto their common box. They are rejected at
-    construction when the balls lie more than 1e-6 apart or a lower end
-    exceeds its upper end by more than 1e-6. A closed form's ``project``
+    Two components are projected in closed form by one of two rules. Two
+    boxes, where a 1-d ``Ball`` or ``Halfspace`` counts as the box it is,
+    go onto their common box, which is rejected at construction when a
+    lower end exceeds its upper end by more than 1e-6. Two balls go onto
+    the inner ball when one holds the other, else onto their lens, and are
+    rejected when they lie more than 1e-6 apart. A closed form's ``project``
     takes the point or batch as given and returns that shape, which the
     intersection checks for membership at 1e-8. Every other
     intersection is projected by Dykstra's scheme, and construction probes
@@ -321,10 +320,11 @@ class Intersection(GeometricSet):
             raise ValueError(f"expected point of shape (d,) or batch (n, d), got {a.shape}")
         if self._exact is not None:
             out = self._exact.project(a)
-            # for balls and 1-d sets, membership at the tolerance is the
-            # residual test: the distance to each component is at most it;
-            # for boxes it bounds each coordinate's distance. A ball's single
-            # point answers a Python bool, which needs no numpy call
+            # for two balls, and for boxes in one dimension, membership at
+            # the tolerance is the residual test: the distance to each
+            # component is at most it; for boxes in more it bounds each
+            # coordinate's distance. A ball's single point answers a Python
+            # bool, which needs no numpy call
             ok = self.contains(out, _RESIDUAL_TOL)
             if not (ok if out.ndim == 1 else ok.all()):
                 raise ProjectionError("closed-form projection left the set",
@@ -346,30 +346,24 @@ class Intersection(GeometricSet):
 
 
 def _closed_form(components):
-    """A set equal to the intersection of two balls, of two boxes, or of
-    two 1-d primitives, whose projection is closed form: the inner one of
-    nested balls, a ``_Lens``, or a ``Box``. None for any other
-    intersection. Raises ``ValueError`` when such an intersection is empty."""
+    """A set equal to the intersection of two components, by one of two
+    rules, whose projection is closed form: two boxes, a 1-d ``Ball`` or
+    ``Halfspace`` counted as the box it is (``_bounds``), give their common
+    ``Box``; two balls give the inner one when nested, else a ``_Lens``.
+    None for any other intersection. Raises ``ValueError`` when such an
+    intersection is empty."""
     if len(components) != 2:
         return None
-    c1, c2 = components
-    if c1.dim == 1:
-        e1, e2 = _interval(c1), _interval(c2)
-        if e1 is None or e2 is None:
-            return None
-        lo, hi = max(e1[0], e2[0]), min(e1[1], e2[1])
-        if lo > hi + _EMPTY_PROBE_TOL:
-            raise ValueError(f"empty intersection (lower end {lo - hi:.3e} above upper end)")
-        return Box([lo], [max(lo, hi)])
-    if isinstance(c1, Box) and isinstance(c2, Box):
-        lo, hi = np.maximum(c1.lower, c2.lower), np.minimum(c1.upper, c2.upper)
+    e1, e2 = map(_bounds, components)
+    if e1 is not None and e2 is not None:
+        lo, hi = np.maximum(e1[0], e2[0]), np.minimum(e1[1], e2[1])
         if np.any(lo > hi + _EMPTY_PROBE_TOL):
             raise ValueError(f"empty intersection (lower end {np.max(lo - hi):.3e} "
                              "above upper end)")
         return Box(lo, np.maximum(lo, hi))
-    if not (isinstance(c1, Ball) and isinstance(c2, Ball)):
-        return None
     b1, b2 = components
+    if not (isinstance(b1, Ball) and isinstance(b2, Ball)):
+        return None
     v = b2.center - b1.center
     gap = math.sqrt(v @ v)
     if gap > b1.radius + b2.radius + _EMPTY_PROBE_TOL:
@@ -381,15 +375,18 @@ def _closed_form(components):
     return _Lens(b1, b2, gap)
 
 
-def _interval(s):
-    """``(lo, hi)`` of a 1-d ``Box``, ``Ball`` or ``Halfspace``; None otherwise."""
+def _bounds(s):
+    """``(lower, upper)`` arrays of a ``Box``, or of the box that a 1-d
+    ``Ball`` or ``Halfspace`` is; None for any other set."""
     if isinstance(s, Box):
-        return s.lower[0], s.upper[0]
+        return s.lower, s.upper
+    if s.dim != 1:
+        return None
     if isinstance(s, Ball):
-        return s.center[0] - s.radius, s.center[0] + s.radius
+        return s.center - s.radius, s.center + s.radius
     if isinstance(s, Halfspace):
-        end = s.offset / s.normal[0]
-        return (-np.inf, end) if s.normal[0] > 0 else (end, np.inf)
+        end = s.offset / s.normal
+        return (np.full(1, -np.inf), end) if s.normal[0] > 0 else (end, np.full(1, np.inf))
     return None
 
 

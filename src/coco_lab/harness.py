@@ -114,7 +114,12 @@ class RunConfig:
             raise ConfigError(f"emit_plotdata must be true or false, got {self.emit_plotdata!r}")
         if self.g_lip is not None:
             # an explicit override becomes the scenario's g_lip, the run's
-            # one Lipschitz bound: coco1's penalty and every budget read it
+            # one Lipschitz bound: coco1's penalty and every budget read it.
+            # config.json holds it in both places, so equal values load
+            given = self.scenario.params.get("g_lip", self.g_lip)
+            if given != self.g_lip:
+                raise ConfigError(f"g_lip {self.g_lip!r} disagrees with the scenario's "
+                                  f"params g_lip {given!r}; set one, or both equal")
             self.scenario = replace(self.scenario,
                                     params={**self.scenario.params, "g_lip": self.g_lip})
 

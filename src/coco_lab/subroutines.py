@@ -148,7 +148,9 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
 
     The learning rate is ``ln(N) / gap`` (infinite while the gap is zero,
     in which case the weights are uniform over the argmin of the cumulative
-    losses and the mix loss is the minimum loss on the support).
+    losses and the mix loss is the minimum loss on the support). A loss that
+    is not finite, or that overflows a cumulative loss or the gap, raises
+    ``ValueError`` and leaves the state as it was.
 
     The step works in Python floats, with the bits of numpy's array code.
     It keeps numpy for the dot product ``w @ losses`` (BLAS may fuse its
@@ -178,10 +180,13 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
         a = [lw - eta * x if p > 0.0 else -math.inf for lw, x, p in zip(log_w, loss, weights)]
         mix = float(-_log_sum_exp(a) / eta)
     # Jensen guarantees expected >= mix; clamp float dust so the gap stays monotone.
-    gap = max(0.0, expected - mix)
-    state.cum_mix_gap += gap
-    state.cum_losses = state.cum_losses + losses
-    state.weights = _hedge_weights(state.cum_losses.tolist(), state.cum_mix_gap)
+    cum_mix_gap = state.cum_mix_gap + max(0.0, expected - mix)
+    cum_losses = state.cum_losses + losses
+    cum = cum_losses.tolist()
+    if not (math.isfinite(cum_mix_gap) and all(map(math.isfinite, cum))):
+        raise ValueError(f"cumulative loss or mixability gap overflows: {cum}, {cum_mix_gap}")
+    state.cum_mix_gap, state.cum_losses = cum_mix_gap, cum_losses
+    state.weights = _hedge_weights(cum, cum_mix_gap)
     return state
 
 

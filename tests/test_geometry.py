@@ -362,6 +362,42 @@ def test_separated_balls_are_empty(instance, extra):
         Intersection((b1, far))
 
 
+@st.composite
+def nearly_concentric_balls(draw):
+    """Two balls in 2 to 4 dimensions whose centres lie 1e-170 to 1e-150
+    apart, where the squared gap is subnormal or zero; equal radii or not."""
+    d = draw(st.integers(2, 4))
+    c1 = draw(hnp.arrays(float, d, elements=st.floats(-1e-150, 1e-150)))
+    axis = draw(hnp.arrays(float, d, elements=st.floats(-1.0, 1.0)).filter(
+        lambda a: np.max(np.abs(a)) > 0.1))
+    c2 = c1 + axis * 10.0 ** draw(st.integers(-170, -150))
+    r1 = draw(radii)
+    r2 = r1 if draw(st.booleans()) else draw(radii)
+    return Ball(c1, r1), Ball(c2, r2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nearly_concentric_balls(), st.integers(0, 2 ** 32 - 1))
+# 1e-161 apart the gap reads 9.94e-162, and 1e-162 apart it reads 0
+@example((Ball([0.0, 0.0], 1.0), Ball([1e-161, 0.0], 1.0)), 0)
+@example((Ball([0.0, 0.0], 1.0), Ball([1e-162, 0.0], 1.0)), 0)
+@example((Ball([0.0, 0.0, 0.0], 1.5), Ball([0.0, 1e-161, 0.0], 0.25)), 0)
+@example((Ball([0.0, 0.0, 0.0], 0.25), Ball([0.0, 1e-162, 0.0], 1.5)), 0)
+def test_nearly_concentric_balls_project_onto_one_ball(balls, seed):
+    # the gap ``math.sqrt(v @ v)`` underflows, but only by far less than
+    # the 1e-6 slack of the emptiness and nesting tests
+    b1, b2 = balls
+    region = Intersection(balls)
+    assert not isinstance(region._exact, geometry._Lens)
+    if b1.radius == b2.radius:
+        assert region._exact in (b1, b2)
+    else:
+        assert region._exact is min(balls, key=lambda b: b.radius)
+    xs = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(8, b1.dim))
+    for ps in (region.project(xs), np.array([region.project(x) for x in xs])):
+        assert np.all(membership(ps, b1, tol=1e-8)) and np.all(membership(ps, b2, tol=1e-8))
+
+
 @settings(max_examples=100, deadline=None)
 @given(one_d_primitive(0.0), st.sampled_from(["box", "ball", "halfspace"]),
        st.floats(2e-6, 3.0), st.booleans())

@@ -952,6 +952,34 @@ def test_g_lip_below_the_oracles_bound_is_config_error(tmp_path, capsys, g_lip):
     assert main(["run", "--config", write_config(tmp_path, g_lip=[1])]) == 2
 
 
+def test_g_lip_that_disagrees_with_the_scenarios_is_config_error(tmp_path, capsys):
+    scenario = {"name": "static", "horizon": 20, "seed": 0, "params": {"g_lip": 3.0}}
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", write_config(tmp_path, g_lip=2.0, scenario=scenario),
+                 "--out", out]) == 2
+    assert "g_lip 2.0 disagrees with the scenario's params g_lip 3.0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    with pytest.raises(ConfigError, match="disagrees"):
+        RunConfig(ScenarioSpec("static", 20, params={"g_lip": 3.0}), "coco2", g_lip=2.0)
+    # equal values, as every config.json holds them, load
+    assert main(["run", "--config", write_config(tmp_path, g_lip=3.0, scenario=scenario)]) == 0
+    assert RunConfig.from_json({"scenario": scenario, "algorithm": "coco2", "g_lip": 3.0}) == \
+        RunConfig(ScenarioSpec(**scenario), "coco2", g_lip=3.0)
+
+
+def test_run_rejects_a_config_with_horizons(monkeypatch, tmp_path, capsys):
+    config = write_config(tmp_path, horizons=[20, 40, 80])
+    played = []
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_play", lambda *args: played.append(args))
+        assert main(["run", "--config", config]) == 2
+    assert "only sweep reads horizons" in capsys.readouterr().err
+    assert not played  # rejected before any round is played
+    # sweep reads them, and the library's run takes such a config
+    assert main(["sweep", "--config", config]) == 0
+    assert run(RunConfig.from_json(json.loads(open(config).read()))).summary["horizon"] == 40
+
+
 @pytest.mark.parametrize("config", [{"g_lip": True}, {"g_lip": "2.0"},
                                     {"scenario": {"name": "static", "horizon": 20,
                                                   "params": {"g_lip": True}}},

@@ -231,6 +231,21 @@ def test_adahedge_rejects_infinite_loss(bad):
     assert np.array_equal(st.weights, np.full(2, 0.5))
 
 
+@pytest.mark.parametrize("loss", [[1e308, 1e308], [1e308, 1e308, 0.0]], ids=["two", "three"])
+def test_adahedge_rejects_an_overflowing_cumulative_loss_without_moving(loss):
+    # two finite losses of 1e308 sum to inf: two experts' weights would
+    # become nan one step later, and of three the overflowed two would get
+    # weight 0; the step must raise and leave the state as it was
+    st = HedgeState.uniform(len(loss))
+    adahedge_step(st, np.array(loss))
+    cum, gap, weights = st.cum_losses.copy(), st.cum_mix_gap, st.weights.copy()
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        adahedge_step(st, np.array(loss))
+    assert np.array_equal(st.cum_losses, cum)
+    assert st.cum_mix_gap == gap
+    assert np.array_equal(st.weights, weights)
+
+
 def test_hedge_needs_an_expert_and_a_loss_for_each():
     with pytest.raises(ValueError, match="need at least one expert"):
         HedgeState.uniform(0)

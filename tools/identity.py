@@ -1,0 +1,88 @@
+"""Print a sha256 digest of every file that a fixed set of runs writes, so
+that two versions of coco_lab can be checked for byte identity:
+
+    python tools/identity.py --src path/to/old/src > old.txt
+    python tools/identity.py --src src > new.txt
+    diff old.txt new.txt
+
+The runs are every scenario × algorithm at (horizon, seed) = (300, 3) and
+(2000, 7), and adagrad × tracking-ball with path estimates 0.5 and 3.0 at
+(400, 5), each writing ``plotdata.csv`` too. Every run directory must
+verify clean (``verify_run``); the tool exits 1 otherwise. A digest line
+is ``<sha256>  <run>/<file>``, and ``summary.json`` is hashed without
+``wall_clock_sec``, the one value that changes between reruns. The runs
+are written under a temporary directory, which is removed at the end.
+
+numpy's CPU dispatch (its SIMD loops for exp, log and the like) can change
+the last bit of a result, so compare only outputs made on one machine.
+``--max-horizon`` caps every horizon, for a quick run of the tool itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+
+def runs(max_horizon: int):
+    """``(name, config)`` of every run, a config as ``config.json`` holds it."""
+    from coco_lab.harness import ALGORITHMS
+    from coco_lab.scenarios import SCENARIOS
+
+    def config(name, algorithm, horizon, seed, **extra):
+        return {"scenario": {"name": name, "horizon": min(horizon, max_horizon), "seed": seed},
+                "algorithm": algorithm, "emit_plotdata": True, **extra}
+
+    for horizon, seed in ((300, 3), (2000, 7)):
+        for name in sorted(SCENARIOS):
+            for algorithm in ALGORITHMS:
+                yield f"{algorithm}-{name}-s{seed}", config(name, algorithm, horizon, seed)
+    for estimate in (0.5, 3.0):
+        yield f"adagrad-tracking-ball-P{estimate}-s5", config(
+            "tracking-ball", "adagrad", 400, 5, path_estimate=estimate)
+
+
+def digest(path: str) -> str:
+    with open(path, "rb") as f:
+        data = f.read()
+    if os.path.basename(path) == "summary.json":
+        summary = json.loads(data)
+        del summary["wall_clock_sec"]
+        data = json.dumps(summary, sort_keys=True, indent=2).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True,
+                        help="the directory that holds the coco_lab package to run")
+    parser.add_argument("--max-horizon", type=int, default=2000,
+                        help="cap every run's horizon (default 2000: no cap)")
+    args = parser.parse_args(argv)
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    import coco_lab
+    from coco_lab.harness import RunConfig, run, verify_run
+
+    if os.path.dirname(os.path.abspath(coco_lab.__file__)) != os.path.join(src, "coco_lab"):
+        print(f"coco_lab was imported from {coco_lab.__file__}, not from {src}", file=sys.stderr)
+        return 2
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="coco-identity-") as root:
+        for name, raw in runs(args.max_horizon):
+            out = os.path.join(root, name)
+            run(RunConfig.from_json(raw, out_dir=out))
+            for problem in verify_run(out):
+                print(f"{name}: VERIFY FAIL: {problem}", file=sys.stderr)
+                failed = True
+            for file in sorted(os.listdir(out)):
+                print(f"{digest(os.path.join(out, file))}  {name}/{file}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
