@@ -88,55 +88,75 @@ class ConstraintOracle:
 
 @dataclass(frozen=True)
 class ComparatorSequence:
-    """A benchmark action sequence with its path length and feasibility flag."""
+    """A benchmark action sequence with its feasibility flag and its path,
+    ``path_prefix(points)`` computed once: entry ``t - 1`` is the path
+    length after round ``t``, and ``path_length`` its last entry."""
 
     points: np.ndarray  # (T, d)
-    path_length: float
+    path: np.ndarray  # (T,)
     feasible: bool
     name: str = ""
 
     @classmethod
     def from_points(cls, points, feasible: bool, name: str = "") -> "ComparatorSequence":
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return cls(points=pts, path_length=path_length(pts), feasible=feasible, name=name)
+        return cls(points=pts, path=path_prefix(pts), feasible=feasible, name=name)
+
+    @property
+    def path_length(self) -> float:
+        return float(self.path[-1])
 
 
 class RunRecord:
-    """A run's trajectory as preallocated columns, plus the summary filled
-    in by the harness.
+    """A run's trajectory and running sums as preallocated columns, plus
+    the summary filled in by the harness.
 
-    ``x`` has shape ``(capacity, dimension)``; ``f``, ``g``, ``gplus``,
-    ``Q`` and ``grad_norm`` have shape ``(capacity,)``. The first
-    ``horizon`` rows are recorded: each round writes its row of ``x`` and
-    ``grad_norm``, and ``fill`` then completes a block of rounds at once.
-    The record also keeps the comparators it scores (name ->
-    ``ComparatorSequence``) and a column of each one's per-round cost
-    (name -> array of shape ``(capacity,)``), which the harness writes.
+    ``x`` has shape ``(capacity, dimension)``, every other column
+    ``(capacity,)``. The first ``horizon`` rows are recorded: each round
+    writes its row of ``x`` and ``grad_norm``, the harness each scored
+    comparator's cost (``comparators`` and ``comparator_costs``, by name),
+    and ``fill`` completes a block of rounds: ``f``, ``g``, ``gplus``, and
+    the running sums, whose entry ``t - 1`` covers rounds 1..t: ``Q`` of
+    gplus, ``cost_sum`` of f, ``S`` of the squared gradient norms and
+    ``comparator_cost_sum`` (by name) of each comparator's costs.
     """
 
     def __init__(self, dimension: int, capacity: int = 0, comparators: dict | None = None):
         self.dimension = dimension
-        self.x = np.empty((capacity, dimension))
-        self.f, self.g, self.gplus, self.Q, self.grad_norm = np.empty((5, capacity))
+        self.x = np.zeros((capacity, dimension))
+        self.f, self.g, self.gplus, self.Q, self.cost_sum, self.S, self.grad_norm = \
+            np.zeros((7, capacity))
         self.horizon = 0
         self.summary = {}
         self.comparators = {} if comparators is None else comparators
-        self.comparator_costs = {name: np.empty(capacity) for name in self.comparators}
+        self.comparator_costs = {name: np.zeros(capacity) for name in self.comparators}
+        self.comparator_cost_sum = {name: np.zeros(capacity) for name in self.comparators}
 
     def fill(self, f, g, q: float | None = None):
-        """Record the next ``len(f)`` rounds, whose ``x`` and ``grad_norm``
-        rows are written, with their values ``f`` and ``g``: ``gplus`` is
-        ``max(0.0, g)`` and ``Q`` the running violation sum carried on from
-        the rounds before, each with the bits of ``g_plus`` and
-        ``ccv_update``. ``q``, if given, is the learner's own CCV after these
-        rounds, which must be the last ``Q`` bit for bit."""
+        """Record the next ``len(f)`` rounds, whose ``x``, ``grad_norm`` and
+        comparator cost rows are written, with their values ``f`` and ``g``.
+        ``gplus`` has the bits of ``g_plus``; each running sum carries on
+        from its entry before these rounds in round order (``Q`` with the
+        bits of ``ccv_update``; ``S`` of each norm squared with ``**``).
+        ``q``, if given, is the learner's own CCV after these rounds, which
+        must be the last ``Q`` bit for bit."""
         start = self.horizon
         stop = start + len(f)
+        rows = slice(start, stop)
         g = np.asarray(g, dtype=float)
         gplus = np.where(g > 0.0, g, 0.0)
-        self.f[start:stop], self.g[start:stop], self.gplus[start:stop] = f, g, gplus
+        self.f[rows], self.g[rows], self.gplus[rows] = f, g, gplus
         q_before = self.Q[start - 1] if start else 0.0
-        self.Q[start:stop] = np.cumsum(np.concatenate(([q_before], gplus)))[1:]
+        try:
+            squares = [n ** 2 for n in self.grad_norm[rows].tolist()]
+        except OverflowError:
+            raise ValueError(f"a squared gradient norm overflows in rounds "
+                             f"{start + 1}..{stop}") from None
+        sums = [(self.Q, gplus), (self.cost_sum, self.f[rows]), (self.S, squares)]
+        sums += [(self.comparator_cost_sum[name], costs[rows])
+                 for name, costs in self.comparator_costs.items()]
+        for column, values in sums:
+            column[rows] = running_sum(values, column[start - 1] if start else 0.0)[1:]
         if q is not None and q != self.Q[stop - 1]:
             if q < q_before:
                 raise ValueError(f"CCV decreased at round {stop}")
@@ -144,11 +164,14 @@ class RunRecord:
                              f"{float(self.Q[stop - 1])!r} at round {stop}")
         self.horizon = stop
 
+    def regret(self, name: str) -> np.ndarray:
+        """The running regret against comparator ``name``: entry ``t - 1``
+        is the cost sum less the comparator's after round ``t``."""
+        return self.cost_sum[:self.horizon] - self.comparator_cost_sum[name][:self.horizon]
+
     def surrogate_grad_sq_sum(self) -> float:
-        """Sum of the squared surrogate gradient norms, added in round order.
-        Kept only because perfbench's tracer wraps it by name (the harness
-        reads S_t from ``RunTotals.grad_sq``)."""
-        return float(running_sum([n ** 2 for n in self.grad_norm[:self.horizon].tolist()])[-1])
+        """S_T: the last entry of the ``S`` column, 0.0 before any round."""
+        return float(self.S[self.horizon - 1]) if self.horizon else 0.0
 
 
 def g_plus(g_value: float) -> float:
@@ -158,11 +181,13 @@ def g_plus(g_value: float) -> float:
     return max(0.0, float(g_value))
 
 
-def running_sum(values) -> np.ndarray:
-    """Every prefix sum of ``values``: entry ``i`` is ``0.0`` plus the first ``i``
-    values, added in order as a running ``+=`` adds them (``np.cumsum`` is
-    sequential; ``np.sum`` and, from Python 3.12, the builtin ``sum`` are not)."""
-    return np.cumsum(np.concatenate(([0.0], values)))
+def running_sum(values, start: float = 0.0) -> np.ndarray:
+    """Every prefix sum of ``values`` carried on from ``start``: entry ``i`` is
+    ``start`` plus the first ``i`` values, added in order as a running ``+=``
+    adds them (``np.cumsum`` is sequential; ``np.sum`` and, from Python 3.12,
+    the builtin ``sum`` are not). So a sum carried on from an earlier
+    prefix's last entry has the bits of the sum taken at once."""
+    return np.cumsum(np.concatenate(([start], values)))
 
 
 def path_prefix(points) -> np.ndarray:

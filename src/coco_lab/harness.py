@@ -20,11 +20,12 @@ scenario reads off its own arrays): the stacks give f and g at the plays,
 from which the record derives gplus and Q, and every comparator's cost and
 feasibility. A block that raises, or shows a non-finite value or an
 infeasible comparator, is replayed round by round with ``generate(t)``'s
-own oracles, which names the first failure. ``run`` has its learner play
-each block first; ``verify_run`` loads ``rounds.csv``'s plays and gradient
-norms into a record and makes the same pass, so a play that is not finite
-fails it as it fails a run, and rebuilds the summary from that record's
-totals.
+own oracles, which names the first failure. The record carries its
+running sums on block by block, which the summary and ``plotdata.csv``
+read. ``run`` has its learner play each block first; ``verify_run`` loads
+``rounds.csv``'s plays and gradient norms into a record and makes the same
+pass, so a play that is not finite fails it as it fails a run, and
+rebuilds the summary from that record.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import budgets
 from .coco import Coco1State, Coco2State, coco1_round, coco2_round
-from .core import FEASIBILITY_TOL, RunRecord, is_finite_real, is_integer, path_prefix, running_sum
+from .core import FEASIBILITY_TOL, RunRecord, is_finite_real, is_integer
 from .geometry import membership
 from .scenarios import Scenario, ScenarioSpec, build_scenario
 from .subroutines import (
@@ -188,7 +189,7 @@ def run(config: RunConfig) -> RunRecord:
     record = RunRecord(scenario.dimension, scenario.horizon, comparators)
     state = _init_state(config, scenario)
     _play(scenario, record, config.algorithm, state)
-    summary = _summarize(config, scenario, state, comparators, RunTotals.of(record))
+    summary = _summarize(config, scenario, state, record)
     summary["wall_clock_sec"] = time.perf_counter() - t0
     record.summary = summary
     if config.out_dir is not None:
@@ -308,36 +309,11 @@ def _init_state(config: RunConfig, scenario: Scenario):
     return Coco2State.create(ds, T, g, v=config.v)
 
 
-@dataclass(frozen=True)
-class RunTotals:
-    """A run's running sums in round order. Entry ``t`` of each array covers
-    rounds 1..t, so entry 0 is 0.0: the summary reads the last entries and
-    ``plotdata.csv`` every one after the first."""
-
-    horizon: int
-    ccv: np.ndarray  # the Q column
-    cost: np.ndarray  # sum of f_t(x_t)
-    grad_sq: np.ndarray  # sum of the squared recorded gradient norms, S_t
-    comparator_cost: dict  # comparator name -> sum of f_t(u_t)
-    path: dict  # comparator name -> path length up to each of its points
-
-    @classmethod
-    def of(cls, record: RunRecord) -> RunTotals:
-        """The totals of a record's rounds and of each comparator's costs."""
-        n = record.horizon
-        return cls(n, np.concatenate(([0.0], record.Q[:n])), running_sum(record.f[:n]),
-                   running_sum([g ** 2 for g in record.grad_norm[:n].tolist()]),
-                   {name: running_sum(c[:n]) for name, c in record.comparator_costs.items()},
-                   {name: path_prefix(comp.points) for name, comp in record.comparators.items()})
-
-    def regret(self, name: str) -> np.ndarray:
-        return self.cost - self.comparator_cost[name]
-
-
-def _summarize(config, scenario, state, comparators: dict, totals: RunTotals) -> dict:
-    """The run summary; ``state`` gives only the learner's parameters."""
-    algo, T = config.algorithm, totals.horizon
-    grad_sq = float(totals.grad_sq[-1])
+def _summarize(config, scenario, state, record: RunRecord) -> dict:
+    """The run summary, from the last entries of the record's running sums;
+    ``state`` gives only the learner's parameters."""
+    algo, T = config.algorithm, record.horizon
+    grad_sq = record.surrogate_grad_sq_sum()
     summary = {
         "algorithm": algo,
         "scenario": scenario.name,
@@ -346,8 +322,8 @@ def _summarize(config, scenario, state, comparators: dict, totals: RunTotals) ->
         "dimension": scenario.dimension,
         "g_lip": scenario.g_lip,
         "diameter": scenario.decision_set.diameter,
-        "final_ccv": float(totals.ccv[-1]),
-        "sum_cost": float(totals.cost[-1]),
+        "final_ccv": float(record.Q[T - 1]),
+        "sum_cost": float(record.cost_sum[T - 1]),
         "surrogate_grad_sq_sum": grad_sq,
     }
     if algo == "adagrad":
@@ -361,9 +337,9 @@ def _summarize(config, scenario, state, comparators: dict, totals: RunTotals) ->
     # descent covers comparators whose path fits its estimate
     reach = state.path_estimate + 1e-12 if summary.get("mode") == KNOWN_PATH else math.inf
     flags = []
-    for name, comp in comparators.items():
-        path = float(totals.path[name][-1])
-        regret = float(totals.regret(name)[-1])
+    for name, comp in record.comparators.items():
+        path = comp.path_length
+        regret = float(record.regret(name)[-1])
         summary[f"path_length__{name}"] = path
         summary[f"feasible__{name}"] = comp.feasible
         summary[f"regret__{name}"] = regret
@@ -394,9 +370,10 @@ def _budget(summary: dict, path: float, t: int, grad_sq_sum: float, ccv: bool = 
 
     ``grad_sq_sum`` is the squared gradient norm accumulated over those
     rounds. The run summary, the plot trajectories and verification all
-    evaluate budgets here, on entries of the same ``RunTotals``: a number
-    each for the summary, or arrays of every prefix for a trajectory, whose
-    entries have the bits of the number (``budgets``).
+    evaluate budgets here, on entries of the record's ``S`` column and of
+    each comparator's ``path``: a number each for the summary, or arrays of
+    every prefix for a trajectory, whose entries have the bits of the
+    number (``budgets``).
     """
     algo = summary["algorithm"]
     diam = summary["diameter"]
@@ -457,23 +434,19 @@ def _series(name: str, ts: list, values) -> list:
 
 
 def plotdata_csv_text(record: RunRecord) -> str:
-    """Long-format trajectories of the run's totals: running CCV, running
-    regret per comparator, and the matching budget RHS evaluated on each
-    prefix. Each series ends on its value in the summary, bit for bit."""
-    if not record.horizon:
-        return "series,t,value\n"
-    totals = RunTotals.of(record)
-    ts = list(map(str, range(1, totals.horizon + 1)))
-    lines = ["series,t,value", *_series("ccv", ts, totals.ccv[1:])]
-    for name in record.comparators:
-        regret = _series(f"regret__{name}", ts, totals.regret(name)[1:])
+    """Long-format trajectories of the record's running sums: CCV, regret
+    per comparator, and the matching budget RHS evaluated on each prefix.
+    Each series ends on its value in the summary, bit for bit."""
+    n = record.horizon
+    ts = list(map(str, range(1, n + 1)))
+    lines = ["series,t,value", *_series("ccv", ts, record.Q[:n])]
+    for name, comp in record.comparators.items():
+        regret = _series(f"regret__{name}", ts, record.regret(name))
         if f"bound_rhs__{name}" not in record.summary:
             lines += regret
             continue
-        # the comparator's path after round t is entry t - 1 of its prefix
         rhs = _series(f"bound_rhs__{name}", ts, _budget(
-            record.summary, totals.path[name], np.arange(1, totals.horizon + 1),
-            totals.grad_sq[1:]))
+            record.summary, comp.path[:n], np.arange(1, n + 1), record.S[:n]))
         lines += [line for pair in zip(regret, rhs) for line in pair]
     return "\n".join(lines) + "\n"
 
@@ -650,8 +623,7 @@ def verify_run(out_dir: str) -> list:
                          "Q column does not match the running violation sum")[
                              int(np.argmax(bad[:, t]))])
 
-    expected = _summarize(config, scenario, _init_state(config, scenario), comparators,
-                          RunTotals.of(record))
+    expected = _summarize(config, scenario, _init_state(config, scenario), record)
     problems += [f"{key} mismatch" for key, value in expected.items() if key in summary
                  and (type(summary[key]) is not type(value) or summary[key] != value)]
     problems += [f"{key} missing from summary.json" for key in expected if key not in summary]

@@ -16,6 +16,7 @@ Three layers:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,11 +182,11 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
         mix = float(-_log_sum_exp(a) / eta)
     # Jensen guarantees expected >= mix; clamp float dust so the gap stays monotone.
     cum_mix_gap = state.cum_mix_gap + max(0.0, expected - mix)
-    cum_losses = state.cum_losses + losses
-    cum = cum_losses.tolist()
+    # Python floats overflow to inf with no numpy warning, for the check below
+    cum = list(map(operator.add, state.cum_losses.tolist(), loss))
     if not (math.isfinite(cum_mix_gap) and all(map(math.isfinite, cum))):
         raise ValueError(f"cumulative loss or mixability gap overflows: {cum}, {cum_mix_gap}")
-    state.cum_mix_gap, state.cum_losses = cum_mix_gap, cum_losses
+    state.cum_mix_gap, state.cum_losses = cum_mix_gap, np.array(cum)
     state.weights = _hedge_weights(cum, cum_mix_gap)
     return state
 

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import coco_lab
-from coco_lab import budgets, coco, harness, subroutines
+from coco_lab import budgets, coco, core, harness, subroutines
 from coco_lab.cli import main
 from coco_lab.core import (ComparatorSequence, ConstraintOracle, CostOracle, RunRecord,
-                           path_length)
+                           path_length, path_prefix, running_sum)
 from coco_lab.harness import (
     ALGORITHMS,
     ConfigError,
@@ -441,6 +441,65 @@ def test_block_size_does_not_change_a_run(monkeypatch, tmp_path):
     assert texts[0] == texts[1]
 
 
+def reference_totals(record):
+    """A record's running sums as they were formed in one pass after the
+    run, before the record carried them on block by block (``RunTotals.of``):
+    ``(ccv, cost, grad_sq, comparator_cost, path)``, the last two by
+    comparator name. Entry ``t`` covers rounds 1..t, so entry 0 is 0.0,
+    and a path entry ``i`` covers the first ``i`` steps."""
+    n = record.horizon
+    return (np.concatenate(([0.0], record.Q[:n])), running_sum(record.f[:n]),
+            running_sum([g ** 2 for g in record.grad_norm[:n].tolist()]),
+            {name: running_sum(c[:n]) for name, c in record.comparator_costs.items()},
+            {name: path_prefix(comp.points) for name, comp in record.comparators.items()})
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("block", [harness.ORACLE_BLOCK, 1, 7], ids=["block", "one", "seven"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_running_columns_are_the_one_pass_totals_bitwise(monkeypatch, scenario, algorithm,
+                                                         block):
+    # a sum carried on from the previous block's last entry adds in the
+    # same order as one pass over the run; blocks of 1 and 7 cross many edges
+    monkeypatch.setattr(harness, "ORACLE_BLOCK", block)
+    record = run(cfg(scenario, T=300, seed=3, algorithm=algorithm))
+    ccv, cost, grad_sq, comparator_cost, path = reference_totals(record)
+    assert record.horizon == 300
+    for column, expect in ((record.Q, ccv), (record.cost_sum, cost), (record.S, grad_sq)):
+        assert _bits(column) == _bits(expect[1:])
+    assert record.surrogate_grad_sq_sum() == record.summary["surrogate_grad_sq_sum"]
+    assert _bits(record.surrogate_grad_sq_sum()) == _bits(grad_sq[-1])
+    for name, comp in record.comparators.items():
+        assert _bits(record.comparator_cost_sum[name]) == _bits(comparator_cost[name][1:])
+        assert _bits(record.regret(name)) == _bits((cost - comparator_cost[name])[1:])
+        assert _bits(comp.path) == _bits(path[name])
+        assert _bits(comp.path_length) == _bits(path[name][-1])
+
+
+def test_each_path_prefix_is_computed_once(monkeypatch, tmp_path):
+    # two for the scenario's declared paths and one per comparator, in a
+    # run that writes plotdata.csv and again in its verification
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return path_prefix(points)
+
+    monkeypatch.setattr(core, "path_prefix", counted)
+    monkeypatch.setattr(harness, "path_prefix", counted, raising=False)
+    out = str(tmp_path / "run")
+    record = run(cfg("tracking-ball", T=300, seed=3, algorithm="coco1", out_dir=out,
+                     emit_plotdata=True))
+    assert len(record.comparators) == 2 and calls == [300] * 4
+    calls.clear()
+    assert verify_run(out) == []
+    assert calls == [300] * 4
+
+
 @pytest.mark.parametrize("algorithm", ["coco1", "coco2"])
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_coco_state_q_is_the_q_column_at_every_block_end(monkeypatch, scenario, algorithm):
@@ -564,6 +623,15 @@ def test_verify_reports_a_non_finite_cell(tmp_path, cell, text, expect):
     run(cfg("tracking-ball", T=30, seed=1, algorithm="coco1", out_dir=out))
     _edit(out, {(cell, 4): lambda _: text})
     assert verify_run(out) == [expect]
+
+
+def test_verify_reports_a_norm_whose_square_overflows(tmp_path):
+    # a finite norm whose square overflows a float is one problem, not a
+    # Python OverflowError out of verify
+    out = str(tmp_path / "t")
+    run(cfg("tracking-ball", T=30, seed=1, algorithm="coco1", out_dir=out))
+    _edit(out, {("grad_norm_surrogate", 4): lambda _: "1e200"})
+    assert verify_run(out) == ["a squared gradient norm overflows in rounds 1..30"]
 
 
 @pytest.mark.parametrize("column,expect", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,18 @@ def test_adahedge_rejects_an_overflowing_cumulative_loss_without_moving(loss):
     assert np.array_equal(st.cum_losses, cum)
     assert st.cum_mix_gap == gap
     assert np.array_equal(st.weights, weights)
+
+
+def test_adahedge_overflow_is_its_own_error_not_a_numpy_warning():
+    # outside a run no np.errstate holds: under an "error" filter the step
+    # must still raise its own ValueError, not numpy's overflow warning
+    st = HedgeState.uniform(2)
+    adahedge_step(st, [1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            adahedge_step(st, [1e308, 1e308])
+    assert st.cum_losses.tolist() == [1e308, 1e308]
 
 
 def test_hedge_needs_an_expert_and_a_loss_for_each():

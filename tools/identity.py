@@ -13,6 +13,12 @@ is ``<sha256>  <run>/<file>``, and ``summary.json`` is hashed without
 ``wall_clock_sec``, the one value that changes between reruns. The runs
 are written under a temporary directory, which is removed at the end.
 
+In 1-d, coco1 reads only the sign of the offset to a feasible region's
+projection, so the run files cannot show a change to a 1-d closed form's
+values. So the tool also prints one line ``<sha256>  regions/<scenario>``
+per built-in scenario: the digest of the ``repr`` of a fixed grid of
+points projected onto the feasible region of each of its first rounds.
+
 numpy's CPU dispatch (its SIMD loops for exp, log and the like) can change
 the last bit of a result, so compare only outputs made on one machine.
 ``--max-horizon`` caps every horizon, for a quick run of the tool itself.
@@ -44,6 +50,24 @@ def runs(max_horizon: int):
     for estimate in (0.5, 3.0):
         yield f"adagrad-tracking-ball-P{estimate}-s5", config(
             "tracking-ball", "adagrad", 400, 5, path_estimate=estimate)
+
+
+def regions(max_horizon: int):
+    """``(scenario, text)`` of every built-in scenario at (300, 3): a line
+    per projection of each grid point onto each of the first 16 rounds'
+    feasible regions. The grid has 9 points per axis, from -1.5 to 1.5
+    diameters, so it lies inside and outside each region."""
+    import numpy as np
+    from coco_lab.scenarios import SCENARIOS, ScenarioSpec, build_scenario
+
+    for name in sorted(SCENARIOS):
+        scenario = build_scenario(ScenarioSpec(name, horizon=min(300, max_horizon), seed=3))
+        axis = np.linspace(-1.5, 1.5, 9) * scenario.decision_set.diameter
+        grid = np.stack(np.meshgrid(*[axis] * scenario.dimension), axis=-1)
+        points = grid.reshape(-1, scenario.dimension)
+        yield name, "\n".join(
+            repr(scenario.generate(t)[1].feasible_region.project(point).tolist())
+            for t in range(1, min(16, scenario.horizon) + 1) for point in points)
 
 
 def digest(path: str) -> str:
@@ -81,6 +105,8 @@ def main(argv=None) -> int:
                 failed = True
             for file in sorted(os.listdir(out)):
                 print(f"{digest(os.path.join(out, file))}  {name}/{file}")
+    for name, text in regions(args.max_horizon):
+        print(f"{hashlib.sha256(text.encode()).hexdigest()}  regions/{name}")
     return 1 if failed else 0
 
 
