@@ -28,7 +28,10 @@ def num_experts(diameter: float, horizon: int) -> int:
     """Number of doubling path-length guesses needed to cover [0, D*T]."""
     if diameter <= 0 or horizon < 1:
         raise ValueError("need positive diameter and horizon >= 1")
-    return int(math.ceil(0.5 * math.log2(1.0 + diameter * horizon))) + 1
+    guesses = 0.5 * math.log2(1.0 + diameter * horizon)
+    if not math.isfinite(guesses):
+        raise ValueError(f"diameter {diameter!r} times horizon {horizon} overflows")
+    return int(math.ceil(guesses)) + 1
 
 
 def ahag_constant(diameter: float, n_experts: int) -> float:

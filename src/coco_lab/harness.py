@@ -298,22 +298,37 @@ def _round_step(algorithm: str):
 
 
 def _init_state(config: RunConfig, scenario: Scenario):
+    """The learner's state; one that cannot be built (a step size or a
+    default V that overflows) is a configuration error."""
     ds, T, g = scenario.decision_set, scenario.horizon, scenario.g_lip
-    if config.algorithm == "adagrad":
-        return AdaGradState(ds, None if config.path_estimate is None
-                            else float(config.path_estimate))
-    if config.algorithm == "ahag":
-        return AhagState.create(ds, T)
-    if config.algorithm == "coco1":
-        return Coco1State.create(ds, T, g)
-    return Coco2State.create(ds, T, g, v=config.v)
+    try:
+        if config.algorithm == "adagrad":
+            return AdaGradState(ds, None if config.path_estimate is None
+                                else float(config.path_estimate))
+        if config.algorithm == "ahag":
+            return AhagState.create(ds, T)
+        if config.algorithm == "coco1":
+            return Coco1State.create(ds, T, g)
+        return Coco2State.create(ds, T, g, v=config.v)
+    except ValueError as exc:
+        raise ConfigError(f"cannot build the {config.algorithm} learner "
+                          f"with g_lip {g!r}: {exc}") from exc
 
 
 def _summarize(config, scenario, state, record: RunRecord) -> dict:
     """The run summary, from the last entries of the record's running sums;
-    ``state`` gives only the learner's parameters."""
+    ``state`` gives only the learner's parameters. A summary value that is
+    not finite, such as a budget too large for a float, is a
+    ``HarnessError`` that names the first one."""
     algo, T = config.algorithm, record.horizon
     grad_sq = record.surrogate_grad_sq_sum()
+
+    def budget(path: float, ccv: bool = False) -> float:
+        try:
+            return _budget(summary, path, T, grad_sq, ccv)
+        except OverflowError:  # a float ``**`` that overflows raises
+            return math.inf
+
     summary = {
         "algorithm": algo,
         "scenario": scenario.name,
@@ -344,7 +359,7 @@ def _summarize(config, scenario, state, record: RunRecord) -> dict:
         summary[f"feasible__{name}"] = comp.feasible
         summary[f"regret__{name}"] = regret
         if comp.feasible if meta else path <= reach:
-            rhs = _budget(summary, path, T, grad_sq)
+            rhs = budget(path)
             summary[f"bound_rhs__{name}"] = rhs
             ok = regret <= rhs * (1.0 + 1e-12) + 1e-12
             summary[f"bound_ok__{name}"] = bool(ok)
@@ -353,7 +368,7 @@ def _summarize(config, scenario, state, record: RunRecord) -> dict:
     ccv_path = (scenario.minimizer_path_length() if algo == "coco1" else
                 scenario.feasible_path_length() if algo == "coco2" else None)
     if ccv_path is not None:
-        ccv_rhs = _budget(summary, ccv_path, T, grad_sq, ccv=True)
+        ccv_rhs = budget(ccv_path, ccv=True)
         summary["ccv_bound_path"] = ccv_path
         summary["ccv_bound_rhs"] = ccv_rhs
         ok = summary["final_ccv"] <= ccv_rhs * (1.0 + 1e-12) + 1e-12
@@ -361,6 +376,10 @@ def _summarize(config, scenario, state, record: RunRecord) -> dict:
         flags.append(bool(ok))
 
     summary["all_bounds_satisfied"] = bool(all(flags)) if flags else True
+    bad = next((key for key, value in summary.items()
+                if isinstance(value, float) and not math.isfinite(value)), None)
+    if bad is not None:
+        raise HarnessError(f"summary value {bad} is not finite: {summary[bad]!r}")
     return summary
 
 
@@ -460,7 +479,7 @@ def persist(record: RunRecord, config: RunConfig, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "rounds.csv"), rounds_csv_text(record))
     _atomic_write(os.path.join(out_dir, "summary.json"),
-                  json.dumps(record.summary, sort_keys=True, indent=2) + "\n")
+                  json.dumps(record.summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
     cfg = asdict(config)
     del cfg["horizons"], cfg["out_dir"]
     _atomic_write(os.path.join(out_dir, "config.json"),
@@ -623,7 +642,10 @@ def verify_run(out_dir: str) -> list:
                          "Q column does not match the running violation sum")[
                              int(np.argmax(bad[:, t]))])
 
-    expected = _summarize(config, scenario, _init_state(config, scenario), record)
+    try:
+        expected = _summarize(config, scenario, _init_state(config, scenario), record)
+    except HarnessError as exc:
+        return problems + [str(exc)]
     problems += [f"{key} mismatch" for key, value in expected.items() if key in summary
                  and (type(summary[key]) is not type(value) or summary[key] != value)]
     problems += [f"{key} missing from summary.json" for key in expected if key not in summary]

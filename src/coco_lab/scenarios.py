@@ -3,9 +3,9 @@
 Each scenario fixes a decision set, a Lipschitz bound, and deterministic
 per-round cost/constraint oracle pairs. Randomness only enters through the
 seed-derived parameters (phases, directions, anchor points); a round's
-oracles are a pure function of ``(seed, t)``. Where the geometry permits,
-scenarios also declare exact minimizer-path and feasible-path lengths so
-budget inequalities can be checked without grid search at large horizons.
+oracles are a pure function of ``(seed, t)``. Scenarios also declare their
+comparators and, where the geometry permits, name the two whose exact path
+lengths the CCV budgets take, which so need no grid search at large horizons.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ComparatorSequence, DecisionSet, is_finite_real, is_integer, path_length
+from .core import ComparatorSequence, DecisionSet, is_finite_real, is_integer
 from .geometry import (Ball, Box, GeometricSet, Halfspace, Intersection, _distance, _norm,
                        _rows_dot, _unit_offset)
 
@@ -309,17 +309,27 @@ class ScenarioSpec:
 
 class Scenario:
     """Deterministic instance: oracle pairs per round plus declared ground
-    truth, the exact path lengths ``minimizer_path`` and ``feasible_path``
-    (None where unknown)."""
+    truth. ``comparators`` maps names to the ``(T, d)`` points of
+    round-feasible comparators, each made a ``ComparatorSequence`` once.
+    ``minimizer_path`` names the one of per-round constrained minimizers and
+    ``feasible_path`` a round-feasible one, whose exact path lengths the CCV
+    budgets take (None where unknown; a name not declared is a ValueError)."""
 
     def __init__(self, spec: ScenarioSpec, decision_set: DecisionSet, g_lip: float,
-                 minimizer_path: float | None = None, feasible_path: float | None = None):
+                 comparators: dict | None = None, minimizer_path: str | None = None,
+                 feasible_path: str | None = None):
         # every oracle is 1-Lipschitz
         if not (is_finite_real(g_lip) and g_lip >= 1.0):
             raise ValueError(f"g_lip must be a finite Lipschitz bound >= 1, got {g_lip!r}")
         self.spec = spec
         self.decision_set = decision_set
         self.g_lip = float(g_lip)
+        self._comparators = {name: ComparatorSequence.from_points(points, True, name)
+                             for name, points in (comparators or {}).items()}
+        for path in (minimizer_path, feasible_path):
+            if path is not None and path not in self._comparators:
+                raise ValueError(f"path {path!r} is not a declared comparator; "
+                                 f"{spec.name!r} declares {sorted(self._comparators)}")
         self._minimizer_path = minimizer_path
         self._feasible_path = feasible_path
 
@@ -365,16 +375,20 @@ class Scenario:
         return np.arange(start, stop)
 
     def comparators(self) -> dict:
-        raise NotImplementedError
+        """The declared comparators by name, in a new dict."""
+        return dict(self._comparators)
+
+    def _path_length(self, name: str | None):
+        return None if name is None else self._comparators[name].path_length
 
     def minimizer_path_length(self):
         """Exact path length of the per-round constrained cost minimizers, if known."""
-        return self._minimizer_path
+        return self._path_length(self._minimizer_path)
 
     def feasible_path_length(self):
         """Exact path length of a declared round-feasible comparator (an upper
         bound on the minimum feasible path), if known."""
-        return self._feasible_path
+        return self._path_length(self._feasible_path)
 
 
 def _params(spec: ScenarioSpec, **defaults) -> dict:
@@ -411,12 +425,6 @@ def _fixed(oracles, which) -> list:
     return [(slice(None), family, rows)]
 
 
-def _feasible_comparators(points_by_name: dict) -> dict:
-    """Round-feasible comparator sequences, by name, from their points."""
-    return {name: ComparatorSequence.from_points(points, True, name)
-            for name, points in points_by_name.items()}
-
-
 class AlternatingScenario(Scenario):
     """1-d instance whose constraint flips between two overlapping halfspaces.
 
@@ -427,8 +435,11 @@ class AlternatingScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = _params(spec, radius=3.0)
         geom = Box([-p["radius"]], [p["radius"]])
+        T = spec.horizon
         super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"],
-                         minimizer_path=0.0, feasible_path=0.0)
+                         {"minimizer-path": np.zeros((T, 1)),
+                          "static-boundary": np.ones((T, 1))},
+                         minimizer_path="minimizer-path", feasible_path="minimizer-path")
         self._cost = norm_cost([0.0])
         self._odd = halfspace_constraint([1.0], 1.0, geom)
         self._even = halfspace_constraint([-1.0], 1.0, geom)
@@ -442,11 +453,6 @@ class AlternatingScenario(Scenario):
         return _block(len(t), _fixed([self._cost], np.zeros_like(t)),
                       _fixed([self._even, self._odd], t % 2))
 
-    def comparators(self):
-        T = self.horizon
-        return _feasible_comparators({"minimizer-path": np.zeros((T, 1)),
-                                      "static-boundary": np.ones((T, 1))})
-
 
 class DisjointAlternatingScenario(Scenario):
     """1-d instance alternating between the disjoint intervals [0,1] and [2,3].
@@ -459,9 +465,11 @@ class DisjointAlternatingScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = _params(spec)
         geom = Box([0.0], [3.0])
-        T = spec.horizon
+        odd = np.arange(1, spec.horizon + 1)[:, None] % 2 == 1
         super().__init__(spec, DecisionSet(geom, 3.0), p["g_lip"],
-                         minimizer_path=2.0 * (T - 1), feasible_path=float(T - 1))
+                         {"min-feasible-path": np.where(odd, 1.0, 2.0),
+                          "minimizer-path": np.where(odd, 0.0, 2.0)},
+                         minimizer_path="minimizer-path", feasible_path="min-feasible-path")
         self._cost = norm_cost([0.0])
         self._odd = ball_constraint([0.5], 0.5, geom)
         self._even = ball_constraint([2.5], 0.5, geom)
@@ -471,11 +479,6 @@ class DisjointAlternatingScenario(Scenario):
         return self._cost, (self._odd if t % 2 == 1 else self._even)
 
     oracle_block = AlternatingScenario.oracle_block
-
-    def comparators(self):
-        odd = np.arange(1, self.horizon + 1)[:, None] % 2 == 1
-        return _feasible_comparators({"min-feasible-path": np.where(odd, 1.0, 2.0),
-                                      "minimizer-path": np.where(odd, 0.0, 2.0)})
 
 
 class StaticScenario(Scenario):
@@ -489,8 +492,11 @@ class StaticScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = _params(spec, radius=3.0)
         geom = Box([-p["radius"]], [p["radius"]])
+        T = spec.horizon
         super().__init__(spec, DecisionSet(geom, 2.0 * p["radius"]), p["g_lip"],
-                         minimizer_path=0.0, feasible_path=0.0)
+                         {"minimizer-path": np.ones((T, 1)),
+                          "interior-static": np.zeros((T, 1))},
+                         minimizer_path="minimizer-path", feasible_path="minimizer-path")
         self._cost = affine_cost([-1.0], 0.0)
         self._constraint = halfspace_constraint([1.0], 1.0, geom)
 
@@ -502,11 +508,6 @@ class StaticScenario(Scenario):
         first = np.zeros_like(self._rounds(start, stop))
         return _block(len(first), _fixed([self._cost], first),
                       _fixed([self._constraint], first))
-
-    def comparators(self):
-        T = self.horizon
-        return _feasible_comparators({"minimizer-path": np.ones((T, 1)),
-                                      "interior-static": np.zeros((T, 1))})
 
 
 class TrackingBallScenario(Scenario):
@@ -523,6 +524,9 @@ class TrackingBallScenario(Scenario):
                     ring_loops=1.0, cost_loops=3.0)
         if p["ring_radius"] + p["ball_radius"] > p["set_radius"]:
             raise ValueError("feasible balls must stay inside the decision set")
+        for name in ("ring_loops", "cost_loops"):  # an angle that overflows has no cos
+            if not math.isfinite(2.0 * math.pi * p[name]):
+                raise ValueError(f"param {name} makes angles that overflow, got {p[name]!r}")
         T = spec.horizon
         rng = np.random.default_rng(spec.seed)
         phase_c, phase_a = rng.uniform(0.0, 2.0 * math.pi, size=2)
@@ -532,11 +536,11 @@ class TrackingBallScenario(Scenario):
         self._ball_radius = p["ball_radius"]
         self._centers = p["ring_radius"] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         self._directions = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        self._minimizers = self._centers - self._ball_radius * self._directions
         geom = Ball(np.zeros(2), p["set_radius"])
         super().__init__(spec, DecisionSet(geom, 2.0 * p["set_radius"]), p["g_lip"],
-                         minimizer_path=path_length(self._minimizers),
-                         feasible_path=path_length(self._centers))
+                         {"center-path": self._centers,
+                          "minimizer-path": self._centers - self._ball_radius * self._directions},
+                         minimizer_path="minimizer-path", feasible_path="center-path")
 
     def generate(self, t):
         self._check_round(t)
@@ -550,10 +554,6 @@ class TrackingBallScenario(Scenario):
             n, [(slice(None), AffineCost, (self._directions[rows], np.zeros(n)))],
             [(slice(None), BallConstraint, (self._centers[rows], np.full(n, self._ball_radius)))])
 
-    def comparators(self):
-        return _feasible_comparators({"center-path": self._centers,
-                                      "minimizer-path": self._minimizers})
-
 
 class OcoMixScenario(Scenario):
     """2-d unconstrained-style stream: rotating linear and norm costs with an
@@ -563,8 +563,6 @@ class OcoMixScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = _params(spec, set_radius=2.0)
         geom = Ball(np.zeros(2), p["set_radius"])
-        super().__init__(spec, DecisionSet(geom, 2.0 * p["set_radius"]), p["g_lip"],
-                         feasible_path=0.0)
         T = spec.horizon
         rng = np.random.default_rng(spec.seed)
         angles = rng.uniform(0.0, 2.0 * math.pi, size=T)
@@ -573,7 +571,12 @@ class OcoMixScenario(Scenario):
         anchor_angles = rng.uniform(0.0, 2.0 * math.pi, size=T)
         self._anchors = radii[:, None] * np.stack(
             [np.cos(anchor_angles), np.sin(anchor_angles)], axis=1)
-        self._comparator_phase = rng.uniform(0.0, 2.0 * math.pi)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        slow, fast = (np.stack([np.cos(a), np.sin(a)], axis=1)
+                      for a in (phase + step * np.arange(T) for step in (1.0 / math.sqrt(T), 1.0)))
+        super().__init__(spec, DecisionSet(geom, 2.0 * p["set_radius"]), p["g_lip"],
+                         {"static-center": np.zeros((T, 2)), "slow-circle": slow,
+                          "fast-circle": fast}, feasible_path="static-center")
         self._constraint = constant_constraint(-1.0, geom)
 
     def generate(self, t):
@@ -589,17 +592,6 @@ class OcoMixScenario(Scenario):
                  (even, NormCost, (self._anchors[start - 1 + even], np.zeros(len(even))))]
         return _block(len(t), costs, _fixed([self._constraint], np.zeros_like(t)))
 
-    def _circle(self, step):
-        T = self.horizon
-        angles = self._comparator_phase + step * np.arange(T)
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-    def comparators(self):
-        T = self.horizon
-        return _feasible_comparators({"static-center": np.zeros((T, 2)),
-                                      "slow-circle": self._circle(1.0 / math.sqrt(T)),
-                                      "fast-circle": self._circle(1.0)})
-
 
 class TrivialScenario(Scenario):
     """Inert instance (zero cost, strictly satisfied constraint): every metric
@@ -608,8 +600,10 @@ class TrivialScenario(Scenario):
     def __init__(self, spec: ScenarioSpec):
         p = _params(spec)
         geom = Box([-1.0], [1.0])
+        # the zero cost makes every point a minimizer
         super().__init__(spec, DecisionSet(geom, 2.0), p["g_lip"],
-                         minimizer_path=0.0, feasible_path=0.0)
+                         {"static-center": np.zeros((spec.horizon, 1))},
+                         minimizer_path="static-center", feasible_path="static-center")
         self._cost = affine_cost([0.0], 0.0)
         self._constraint = constant_constraint(-1.0, geom)
 
@@ -618,9 +612,6 @@ class TrivialScenario(Scenario):
         return self._cost, self._constraint
 
     oracle_block = StaticScenario.oracle_block
-
-    def comparators(self):
-        return _feasible_comparators({"static-center": np.zeros((self.horizon, 1))})
 
 
 SCENARIOS = {

@@ -40,7 +40,8 @@ class AdaGradState:
     the iterate stays put (the step size is undefined at ``S_t = 0`` and no
     movement is needed). ``point`` may be a batch ``(N, d)`` of iterates
     stepping on one gradient, with a ``path_estimate`` column ``(N, 1)``.
-    The numerator ``(D+1) * sqrt(1 + P)`` is fixed when the state is made.
+    The numerator ``(D+1) * sqrt(1 + P)`` is fixed when the state is made,
+    and one that overflows is a ``ValueError``.
     """
 
     decision_set: DecisionSet
@@ -60,7 +61,11 @@ class AdaGradState:
         else:
             self.point = np.asarray(self.point, dtype=float)
         scale = 1.0 if self.path_estimate is None else np.sqrt(1.0 + self.path_estimate)
-        self.numerator = (self.diameter + 1.0) * scale
+        with np.errstate(over="ignore"):  # checked below, with no numpy warning
+            self.numerator = (self.diameter + 1.0) * scale
+        if not np.isfinite(self.numerator).all():
+            raise ValueError(f"step numerator (D+1) sqrt(1+P) overflows for diameter "
+                             f"{self.diameter!r}")
 
     @property
     def mode(self) -> str:
@@ -210,9 +215,11 @@ class AhagState:
     @classmethod
     def create(cls, decision_set: DecisionSet, horizon: int) -> "AhagState":
         n = num_experts(decision_set.diameter, horizon)
-        # guess rho = 2**i for sqrt(1+P), i.e. a path estimate of rho**2 - 1
-        experts = AdaGradState(decision_set,
-                               path_estimate=4.0 ** np.arange(n, dtype=float)[:, None] - 1.0,
+        # guess rho = 2**i for sqrt(1+P), i.e. a path estimate of rho**2 - 1; one
+        # that overflows is rejected by AdaGradState
+        with np.errstate(over="ignore"):
+            guesses = 4.0 ** np.arange(n, dtype=float)[:, None] - 1.0
+        experts = AdaGradState(decision_set, path_estimate=guesses,
                                point=np.zeros((n, decision_set.dim)))
         return cls(
             experts=experts,

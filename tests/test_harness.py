@@ -13,14 +13,16 @@ import pytest
 import coco_lab
 from coco_lab import budgets, coco, core, harness, subroutines
 from coco_lab.cli import main
-from coco_lab.core import (ComparatorSequence, ConstraintOracle, CostOracle, RunRecord,
-                           path_length, path_prefix, running_sum)
+from coco_lab.core import (ComparatorSequence, ConstraintOracle, CostOracle, DecisionSet,
+                           RunRecord, path_length, path_prefix, running_sum)
+from coco_lab.geometry import Box
 from coco_lab.harness import (
     ALGORITHMS,
     ConfigError,
     HarnessError,
     RunConfig,
     loglog_slope,
+    persist,
     run,
     sweep,
     sweep_slope,
@@ -29,6 +31,7 @@ from coco_lab.harness import (
 from coco_lab.scenarios import (
     SCENARIOS,
     AffineCost,
+    Scenario,
     ScenarioSpec,
     StaticScenario,
     TrackingBallScenario,
@@ -481,8 +484,8 @@ def test_running_columns_are_the_one_pass_totals_bitwise(monkeypatch, scenario, 
 
 
 def test_each_path_prefix_is_computed_once(monkeypatch, tmp_path):
-    # two for the scenario's declared paths and one per comparator, in a
-    # run that writes plotdata.csv and again in its verification
+    # one per comparator, whose paths are also the scenario's declared CCV
+    # paths, in a run that writes plotdata.csv and again in its verification
     calls = []
 
     def counted(points):
@@ -494,10 +497,10 @@ def test_each_path_prefix_is_computed_once(monkeypatch, tmp_path):
     out = str(tmp_path / "run")
     record = run(cfg("tracking-ball", T=300, seed=3, algorithm="coco1", out_dir=out,
                      emit_plotdata=True))
-    assert len(record.comparators) == 2 and calls == [300] * 4
+    assert len(record.comparators) == 2 and calls == [300] * 2
     calls.clear()
     assert verify_run(out) == []
-    assert calls == [300] * 4
+    assert calls == [300] * 2
 
 
 @pytest.mark.parametrize("algorithm", ["coco1", "coco2"])
@@ -844,6 +847,74 @@ def test_comparator_a_run_cannot_score_is_config_error(monkeypatch, tmp_path, ca
     assert main(["run", "--config", config]) == 2
     assert message in capsys.readouterr().err
     assert not played  # rejected before any round is played
+
+
+class _Misnamed(Scenario):
+    """A scenario whose feasible CCV path names no comparator it declares."""
+
+    def __init__(self, spec):
+        super().__init__(spec, DecisionSet(Box([-1.0], [1.0]), 2.0), 1.0,
+                         {"origin": np.zeros((spec.horizon, 1))}, feasible_path="center")
+
+
+def test_a_ccv_path_that_names_no_comparator_is_config_error(monkeypatch):
+    monkeypatch.setitem(SCENARIOS, "misnamed", _Misnamed)
+    with pytest.raises(ConfigError, match="bad scenario: path 'center' is not a declared "
+                                          r"comparator; 'misnamed' declares \['origin'\]"):
+        run(cfg("misnamed", T=5))
+
+
+# each config fails on an input no learner or budget can take: the exit code
+# names the failure, and no traceback or numpy warning reaches the output
+@pytest.mark.parametrize("config,code,message", [
+    ({"scenario": {"name": "trivial", "horizon": 1, "params": {"g_lip": 1e154}},
+      "algorithm": "coco2"}, 3, "summary value bound_rhs__static-center is not finite: inf"),
+    ({"scenario": {"name": "disjoint-alternating", "horizon": 7, "seed": 3},
+      "algorithm": "adagrad", "path_estimate": 1e308}, 3,
+     "summary value bound_rhs__min-feasible-path is not finite: nan"),
+    ({"scenario": {"name": "trivial", "horizon": 20, "params": {"g_lip": 1e308}},
+      "algorithm": "coco2"}, 2, "cannot build the coco2 learner with g_lip 1e+308: V must be"),
+    ({"scenario": {"name": "alternating", "horizon": 50, "params": {"radius": 1e300}},
+      "algorithm": "coco1"}, 2, "step numerator (D+1) sqrt(1+P) overflows"),
+    ({"scenario": {"name": "oco-mix", "horizon": 50, "params": {"set_radius": 1e300}},
+      "algorithm": "coco1"}, 2, "step numerator (D+1) sqrt(1+P) overflows"),
+    ({"scenario": {"name": "tracking-ball", "horizon": 50, "params": {"ring_loops": 1e308}},
+      "algorithm": "coco1"}, 2, "param ring_loops makes angles that overflow"),
+], ids=["coco2-budget-overflows", "adagrad-budget-nan", "coco2-v-inf", "coco1-step-overflows",
+        "coco1-oco-mix-step-overflows", "tracking-ball-angle-inf"])
+def test_cli_input_no_learner_or_budget_can_take_has_its_exit_code(tmp_path, capsys, config,
+                                                                  code, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert message in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_persist_writes_summary_json_as_strict_json(tmp_path):
+    record = run(cfg("static", T=5))
+    record.summary["final_ccv"] = math.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        persist(record, cfg("static", T=5), str(tmp_path))
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_verify_of_a_budget_that_is_not_finite_is_one_problem(tmp_path):
+    out = str(tmp_path / "run")
+    run(cfg("disjoint-alternating", T=7, seed=3, algorithm="adagrad", path_estimate=1.0,
+            out_dir=out))
+    _edit_config(out, path_estimate=1e308)
+    assert verify_run(out) == ["summary value bound_rhs__min-feasible-path is not finite: nan"]
+
+
+def _edit_config(out, **changes):
+    path = os.path.join(out, "config.json")
+    config = json.loads(open(path).read())
+    open(path, "w").write(json.dumps({**config, **changes}))
 
 
 def test_cli_sweep_unknown_comparator_is_config_error(tmp_path, capsys):

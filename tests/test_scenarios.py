@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from coco_lab.core import CostOracle
+from coco_lab.core import CostOracle, DecisionSet
 from coco_lab.geometry import Box, membership
 from coco_lab.oracles import GridSpec, constrained_minimizer_path, min_feasible_path
 from coco_lab.scenarios import (
@@ -150,6 +151,63 @@ def test_minimizer_comparator_matches_declared_path():
         sc = make_scenario(name, 30, seed=8)
         comp = sc.comparators()["minimizer-path"]
         assert comp.path_length == pytest.approx(sc.minimizer_path_length())
+
+
+# (minimizer, feasible) path lengths as each scenario declared them in
+# numbers before they were the paths of named comparators: 0.0, 2.0 * (T - 1),
+# float(T - 1) and, for tracking-ball, core.path_length of its minimizers
+# and of its centers
+DECLARED_PATHS = {
+    ("tracking-ball", 2, 0): (4.588900481158686, 3.0),
+    ("tracking-ball", 2, 3): (2.453080516894193, 3.0000000000000004),
+    ("tracking-ball", 7, 0): (11.986297510239812, 7.809907304116046),
+    ("tracking-ball", 7, 3): (14.544571848739086, 7.809907304116045),
+    ("tracking-ball", 300, 0): (19.956965199976292, 9.393190352272464),
+    ("tracking-ball", 300, 3): (19.993703162019195, 9.39319035227245),
+    **{("disjoint-alternating", T, seed): paths for seed in (0, 3) for T, paths in (
+        (2, (2.0, 1.0)), (7, (12.0, 6.0)), (300, (598.0, 299.0)))},
+    **{("oco-mix", T, seed): (None, 0.0) for T in (1, 2, 7, 300) for seed in (0, 3)},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("T", [1, 2, 7, 300])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_declared_paths_keep_their_bits(name, T, seed):
+    sc = make_scenario(name, T, seed=seed)
+    declared = (sc.minimizer_path_length(), sc.feasible_path_length())
+    expected = DECLARED_PATHS.get((name, T, seed), (0.0, 0.0))
+    assert [None if v is None else (type(v), v.hex()) for v in declared] == \
+        [None if v is None else (float, v.hex()) for v in expected]
+
+
+@pytest.mark.parametrize("path", ["minimizer_path", "feasible_path"])
+def test_a_path_that_names_no_declared_comparator_is_rejected(path):
+    spec = ScenarioSpec("static", horizon=4)
+    ds = DecisionSet(Box([-1.0], [1.0]), 2.0)
+    with pytest.raises(ValueError, match="path 'nope' is not a declared comparator; "
+                                         r"'static' declares \['origin'\]"):
+        Scenario(spec, ds, 1.0, {"origin": np.zeros((4, 1))}, **{path: "nope"})
+    sc = Scenario(spec, ds, 1.0, {"origin": np.zeros((4, 1))}, **{path: "origin"})
+    assert sc.comparators()["origin"].name == "origin"
+
+
+def test_comparators_are_built_once_and_handed_out_in_a_new_dict():
+    sc = make_scenario("tracking-ball", 20, seed=1)
+    first, second = sc.comparators(), sc.comparators()
+    assert first is not second and list(first) == ["center-path", "minimizer-path"]
+    assert all(first[name] is second[name] for name in first)
+    first.clear()
+    assert list(sc.comparators()) == list(second)
+
+
+def test_tracking_ball_angles_that_overflow_are_rejected_without_a_warning():
+    for name in ("ring_loops", "cost_loops"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"param {name} makes angles that overflow, "
+                                                 "got 1e\\+308"):
+                make_scenario("tracking-ball", 10, **{name: 1e308})
 
 
 def test_unknown_scenario_rejected():

@@ -81,6 +81,19 @@ def test_adagrad_path_estimate_must_be_a_finite_real(bad, shown):
         AdaGradState(ds, path_estimate=bad)
 
 
+@pytest.mark.parametrize("radius,horizon,message", [
+    (1e300, 50, r"step numerator \(D\+1\) sqrt\(1\+P\) overflows for diameter 2e\+300"),
+    (2.5e307, 2, "path estimate must be .*, got inf"),
+    (1e307, 10, r"diameter 2e\+307 times horizon 10 overflows"),
+], ids=["numerator", "path-estimate", "expert-count"])
+def test_ensemble_whose_steps_overflow_is_rejected_without_a_warning(radius, horizon, message):
+    ds = DecisionSet(Box([-radius], [radius]), 2.0 * radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            AhagState.create(ds, horizon)
+
+
 def test_adagrad_dimension_mismatch():
     st = AdaGradState(decision_set=unit_interval_set())
     with pytest.raises(ValueError, match="dimension"):
