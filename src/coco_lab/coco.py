@@ -49,17 +49,25 @@ def coco1_surrogate_subgradient(state: Coco1State, cost: CostOracle,
     the region is read, and projected onto, only when ``g(x) > 0`` or
     ``g(x)`` is NaN. The zero is still added, with the sign the projecting
     path gives it, so a ``-0.0`` cost component comes out ``+0.0`` either way.
+    The region projected onto is the constraint's ``projection_region``: a
+    built-in family's closed form, derived from its own numbers, where one
+    applies.
     """
     if g_val is None:
         g_val = float(constraint.value(x))
-    grad = np.array(cost.subgradient(x), dtype=float)
     if g_val <= 0.0:  # x is in the feasible region
+        grad = np.array(cost.subgradient(x), dtype=float)
         grad += 2.0 * state.g_lip * 0.0
         return grad
+    # the terms summed in Python floats as (cost + constraint) + 2G * distance,
+    # numpy's elementwise bits
+    grad = np.asarray(cost.subgradient(x), dtype=float).tolist()
     if g_val > 0.0:  # not NaN
-        grad += np.asarray(constraint.subgradient(x), dtype=float)
-    grad += 2.0 * state.g_lip * dist_subgradient(x, constraint.feasible_region)
-    return grad
+        grad = [p + q for p, q in zip(
+            grad, np.asarray(constraint.subgradient(x), dtype=float).tolist())]
+    w = 2.0 * state.g_lip
+    dist = dist_subgradient(x, constraint.projection_region).tolist()
+    return np.array([p + w * q for p, q in zip(grad, dist)])
 
 
 @dataclass

@@ -78,12 +78,18 @@ class ConstraintOracle:
     ``{x in decision set : value(x) <= 0}``, kept as an explicit geometric
     object so distances and projections onto it stay closed form. coco1
     reads it only on rounds whose play has ``value(x_t) > 0``: a play in the
-    decision set that reads ``<= 0`` is taken to lie in it.
+    decision set that reads ``<= 0`` is taken to lie in it. It projects onto
+    ``projection_region``, which a built-in constraint family makes the
+    region's closed form (``geometry.ClosedForm``) where one applies.
     """
 
     value: Callable
     subgradient: Callable
     feasible_region: GeometricSet
+
+    @property
+    def projection_region(self) -> GeometricSet:
+        return self.feasible_region
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ Supported sets are axis-aligned boxes, Euclidean balls, halfspaces, and
 finite intersections of those. Projections onto the primitives are closed
 form, and so are projections onto two of them by one of two rules: two
 boxes, where a 1-d ball or halfspace counts as the box it is, meet in a
-box; two balls meet in the inner ball or a lens. Every other intersection
-uses Dykstra's alternating projection scheme, which converges to the exact
-Euclidean projection for closed convex sets.
+box; two balls meet in the inner ball or a lens. The rules read each set's
+kind and two fields (``_closed_form``), so a region's ``ClosedForm`` can
+also be had from the numbers of its two sets, with no set object built.
+Every other intersection uses Dykstra's alternating projection scheme,
+which converges to the exact Euclidean projection for closed convex sets.
 
 Every operation accepts a single point of shape ``(d,)`` or a batch of
 shape ``(n, d)`` and returns a result of matching shape; so does every
@@ -131,11 +133,16 @@ def _unit_offset(a, b, tol: float) -> np.ndarray:
     ``tol`` or NaN."""
     delta = _floats(a, b)
     if delta is not None:
-        n = _norm_floats(delta)
-        return np.array([c / n for c in delta] if n > tol else [0.0] * len(delta))
+        return _unit_floats(delta, tol)
     delta = a - b
     n = _norm(delta, keepdims=True)
     return np.divide(delta, n, out=np.zeros_like(delta), where=n > tol)
+
+
+def _unit_floats(delta, tol: float) -> np.ndarray:
+    """``_unit_offset`` of a point whose offset ``delta`` ``_floats`` gives."""
+    n = _norm_floats(delta)
+    return np.array([c / n for c in delta] if n > tol else [0.0] * len(delta))
 
 
 class GeometricSet:
@@ -176,14 +183,10 @@ class Box(GeometricSet):
         return self.lower.shape[0]
 
     def project(self, x):
-        # np.clip's values, without its wrapper; a signed zero tied with a
-        # bound comes out as np.clip gives it for one point, also in a batch
-        return np.minimum(np.maximum(np.asarray(x, dtype=float), self.lower), self.upper)
+        return _box_project(np.asarray(x, dtype=float), self.lower, self.upper)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        a = np.asarray(x, dtype=float)
-        ok = (a >= self.lower - tol) & (a <= self.upper + tol)
-        return np.all(ok, axis=-1)
+        return _in_box(np.asarray(x, dtype=float), self.lower, self.upper, tol)
 
 
 @dataclass(frozen=True)
@@ -207,22 +210,10 @@ class Ball(GeometricSet):
         return self.center.shape[0]
 
     def project(self, x):
-        a = np.asarray(x, dtype=float)
-        delta = _floats(a, self.center)
-        if delta is not None:
-            r = self.radius
-            n = _norm_floats(delta)
-            scale = r / (n if n > r else r)  # np.fmax's r for a NaN n
-            return np.array([c + d * scale for c, d in zip(self.center.tolist(), delta)])
-        delta = a - self.center
-        n = _norm(delta, keepdims=True)
-        # 1.0 when n <= r or n is NaN, else r / n: the bits of
-        # ``np.where(n > r, r / max(n, 1e-300), 1.0)`` for any r >= 1e-300
-        scale = self.radius / np.fmax(n, self.radius)
-        return self.center + delta * scale
+        return _ball_project(np.asarray(x, dtype=float), self.center, self.radius)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        return _distance(np.asarray(x, dtype=float), self.center) <= self.radius + tol
+        return _in_ball(np.asarray(x, dtype=float), self.center, self.radius, tol)
 
 
 @dataclass(frozen=True)
@@ -246,35 +237,75 @@ class Halfspace(GeometricSet):
         return self.normal.shape[0]
 
     def project(self, x):
-        a = np.asarray(x, dtype=float)
-        nsq = float(self.normal @ self.normal)
-        viol = (_rows_dot(a, self.normal) - self.offset) / nsq
-        return a - np.maximum(viol, 0.0)[..., None] * self.normal
+        return _halfspace_project(np.asarray(x, dtype=float), self.normal, self.offset)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        # tolerance applied to the signed distance so membership is
-        # invariant under rescaling of the normal
-        a = np.asarray(x, dtype=float)
-        margin = (_rows_dot(a, self.normal) - self.offset) / math.sqrt(self.normal @ self.normal)
-        return margin <= tol
+        return _in_halfspace(np.asarray(x, dtype=float), self.normal, self.offset, tol)
+
+
+# The primitives' projections and membership tests, on a point or batch
+# ``a`` (a float array) and the set's two fields: ``Box``'s, ``Ball``'s and
+# ``Halfspace``'s methods, and a region's closed form (``ClosedForm``),
+# which has the fields but no set object.
+
+def _box_project(a, lower, upper):
+    # np.clip's values, without its wrapper; a signed zero tied with a
+    # bound comes out as np.clip gives it for one point, also in a batch
+    return np.minimum(np.maximum(a, lower), upper)
+
+
+def _in_box(a, lower, upper, tol):
+    return np.all((a >= lower - tol) & (a <= upper + tol), axis=-1)
+
+
+def _ball_project(a, center, radius):
+    delta = _floats(a, center)
+    if delta is not None:
+        return np.array(_ball_floats(center.tolist(), delta, radius))
+    delta = a - center
+    n = _norm(delta, keepdims=True)
+    # 1.0 when n <= r or n is NaN, else r / n: the bits of
+    # ``np.where(n > r, r / max(n, 1e-300), 1.0)`` for any r >= 1e-300
+    return center + delta * (radius / np.fmax(n, radius))
+
+
+def _ball_floats(center, delta, radius):
+    """``_ball_project`` of a point whose offset from the center ``_floats``
+    gives, as Python floats; ``center`` is the center's coordinates."""
+    n = _norm_floats(delta)
+    scale = radius / (n if n > radius else radius)  # np.fmax's radius for a NaN n
+    return [c + d * scale for c, d in zip(center, delta)]
+
+
+def _in_ball(a, center, radius, tol):
+    return _distance(a, center) <= radius + tol
+
+
+def _halfspace_project(a, normal, offset):
+    viol = (_rows_dot(a, normal) - offset) / float(normal @ normal)
+    return a - np.maximum(viol, 0.0)[..., None] * normal
+
+
+def _in_halfspace(a, normal, offset, tol):
+    # tolerance applied to the signed distance so membership is invariant
+    # under rescaling of the normal
+    return (_rows_dot(a, normal) - offset) / math.sqrt(normal @ normal) <= tol
 
 
 @dataclass(frozen=True)
 class Intersection(GeometricSet):
     """Finite intersection of convex sets.
 
-    Two components are projected in closed form by one of two rules. Two
-    boxes, where a 1-d ``Ball`` or ``Halfspace`` counts as the box it is,
-    go onto their common box, which is rejected at construction when a
-    lower end exceeds its upper end by more than 1e-6. Two balls go onto
-    the inner ball when one holds the other, else onto their lens, and are
-    rejected when they lie more than 1e-6 apart. A closed form's ``project``
-    takes the point or batch as given and returns that shape, which the
-    intersection checks for membership at 1e-8. Every other
-    intersection is projected by Dykstra's scheme, and construction probes
-    it for non-emptiness: if no component anchor lies in all components,
-    Dykstra is run from a few deterministic starts and the intersection is
-    rejected when the residual distance to the components stays above 1e-6.
+    Two Box, Ball or Halfspace components are projected in closed form
+    where one of ``_closed_form``'s two rules applies: their common box, the
+    inner ball or a lens, which is kept as ``_exact`` (the inner ball is
+    that component itself). A closed form's projection takes the point or
+    batch as given and returns that shape, which is checked for membership
+    in both components at 1e-8 (``_checked``). Every other intersection is
+    projected by Dykstra's scheme, and construction probes it for
+    non-emptiness: if no component anchor lies in all components, Dykstra
+    is run from a few deterministic starts and the intersection is rejected
+    when the residual distance to the components stays above 1e-6.
     """
 
     components: tuple
@@ -287,9 +318,13 @@ class Intersection(GeometricSet):
             if c.dim != comps[0].dim:
                 raise ValueError("intersection components must share a dimension")
         object.__setattr__(self, "components", comps)
+        parts = tuple(map(_fields, comps))
+        target = _closed_form(*parts) if len(parts) == 2 else None
+        object.__setattr__(self, "_parts", parts)
         # a set equal to this one with a closed-form projection; None
         # means Dykstra
-        object.__setattr__(self, "_exact", _closed_form(comps))
+        object.__setattr__(self, "_exact", None if target is None
+                           else _set_of(target, comps, parts))
         if self._exact is None:
             self._probe_nonempty()
 
@@ -319,17 +354,7 @@ class Intersection(GeometricSet):
         if a.ndim not in (1, 2):
             raise ValueError(f"expected point of shape (d,) or batch (n, d), got {a.shape}")
         if self._exact is not None:
-            out = self._exact.project(a)
-            # for two balls, and for boxes in one dimension, membership at
-            # the tolerance is the residual test: the distance to each
-            # component is at most it; for boxes in more it bounds each
-            # coordinate's distance. A ball's single point answers a Python
-            # bool, which needs no numpy call
-            ok = self.contains(out, _RESIDUAL_TOL)
-            if not (ok if out.ndim == 1 else ok.all()):
-                raise ProjectionError("closed-form projection left the set",
-                                      _residual(out, self.components))
-            return out
+            return _checked(self._exact.project(a), self._parts)
         # Dykstra works on a batch
         out, converged, moved = _dykstra(np.atleast_2d(a), self.components)
         residual = _residual(out, self.components)
@@ -345,54 +370,159 @@ class Intersection(GeometricSet):
         return result
 
 
-def _closed_form(components):
-    """A set equal to the intersection of two components, by one of two
-    rules, whose projection is closed form: two boxes, a 1-d ``Ball`` or
-    ``Halfspace`` counted as the box it is (``_bounds``), give their common
-    ``Box``; two balls give the inner one when nested, else a ``_Lens``.
-    None for any other intersection. Raises ``ValueError`` when such an
-    intersection is empty."""
-    if len(components) != 2:
+# A primitive set's fields are ``(kind, p, q)`` with ``kind(p, q)`` the set:
+# a Box's lower and upper ends, a Ball's center and radius, a Halfspace's
+# normal and offset. The closed-form rules read two sets' fields, so they
+# serve an ``Intersection`` of set objects and a constraint oracle's own
+# numbers (``ClosedForm``) alike.
+
+def _fields(s):
+    """The fields of a ``Box``, ``Ball`` or ``Halfspace``; None for any other set."""
+    if isinstance(s, Box):
+        return Box, s.lower, s.upper
+    if isinstance(s, Ball):
+        return Ball, s.center, s.radius
+    if isinstance(s, Halfspace):
+        return Halfspace, s.normal, s.offset
+    return None
+
+
+def _closed_form(first, second):
+    """The closed form of the intersection of two sets given by their fields
+    (either may be None, a set that is no primitive), by one of two rules:
+    two boxes, a 1-d ball or halfspace counted as the box it is
+    (``_bounds``), give their common box's fields ``(Box, lower, upper)``;
+    two balls give the inner one's own fields when nested, else
+    ``(_Lens, lens, None)``. None for any other pair. Raises ``ValueError``
+    when such an intersection is empty."""
+    if first is None or second is None:
         return None
-    e1, e2 = map(_bounds, components)
+    e1, e2 = _bounds(first), _bounds(second)
     if e1 is not None and e2 is not None:
         lo, hi = np.maximum(e1[0], e2[0]), np.minimum(e1[1], e2[1])
         if np.any(lo > hi + _EMPTY_PROBE_TOL):
             raise ValueError(f"empty intersection (lower end {np.max(lo - hi):.3e} "
                              "above upper end)")
-        return Box(lo, np.maximum(lo, hi))
-    b1, b2 = components
-    if not (isinstance(b1, Ball) and isinstance(b2, Ball)):
+        return Box, lo, np.maximum(lo, hi)
+    if not (first[0] is Ball and second[0] is Ball):
         return None
-    v = b2.center - b1.center
+    (_, c1, r1), (_, c2, r2) = first, second
+    v = c2 - c1
     gap = math.sqrt(v @ v)
-    if gap > b1.radius + b2.radius + _EMPTY_PROBE_TOL:
-        raise ValueError(f"empty intersection (balls {gap - b1.radius - b2.radius:.3e} apart)")
-    if gap + b1.radius <= b2.radius:
-        return b1
-    if gap + b2.radius <= b1.radius:
-        return b2
-    return _Lens(b1, b2, gap)
+    if gap > r1 + r2 + _EMPTY_PROBE_TOL:
+        raise ValueError(f"empty intersection (balls {gap - r1 - r2:.3e} apart)")
+    if gap + r1 <= r2:
+        return first
+    if gap + r2 <= r1:
+        return second
+    return _Lens, _Lens(c1, r1, c2, r2, gap), None
 
 
-def _bounds(s):
-    """``(lower, upper)`` arrays of a ``Box``, or of the box that a 1-d
-    ``Ball`` or ``Halfspace`` is; None for any other set."""
-    if isinstance(s, Box):
-        return s.lower, s.upper
-    if s.dim != 1:
+def _bounds(fields):
+    """``(lower, upper)`` arrays of a box given by its fields, or of the box
+    that a 1-d ball or halfspace is; None for any other set."""
+    kind, p, q = fields
+    if kind is Box:
+        return p, q
+    if p.shape[0] != 1:
         return None
-    if isinstance(s, Ball):
-        return s.center - s.radius, s.center + s.radius
-    if isinstance(s, Halfspace):
-        end = s.offset / s.normal
-        return (np.full(1, -np.inf), end) if s.normal[0] > 0 else (end, np.full(1, np.inf))
-    return None
+    if kind is Ball:
+        return p - q, p + q
+    end = q / p  # a halfspace
+    return (np.full(1, -np.inf), end) if p[0] > 0 else (end, np.full(1, np.inf))
+
+
+def _set_of(target, components, parts):
+    """The set object of the closed form ``target`` of ``components``, whose
+    fields are ``parts``: the component whose fields it is, the lens, or a
+    new ``Box``."""
+    for c, fields in zip(components, parts):
+        if fields is target:
+            return c
+    kind, p, q = target
+    return p if kind is _Lens else kind(p, q)
+
+
+def _project_onto(fields, a):
+    """The projection of the point or batch ``a`` onto the set of ``fields``
+    (a lens's included)."""
+    kind, p, q = fields
+    if kind is Ball:
+        return _ball_project(a, p, q)
+    if kind is Box:
+        return _box_project(a, p, q)
+    if kind is Halfspace:
+        return _halfspace_project(a, p, q)
+    return p.project(a)
+
+
+def _checked(out, parts):
+    """``out``, a closed form's projection, when it lies in the set of each
+    of ``parts``'s fields at 1e-8; else ``ProjectionError`` with its largest
+    distance to one. For two balls, and for boxes in one dimension,
+    membership at the tolerance is the residual test: the distance to each
+    set is at most it; for boxes in more it bounds each coordinate's
+    distance. A ball's single point answers a Python bool, which needs no
+    numpy call."""
+    for kind, p, q in parts:
+        inside = _in_ball if kind is Ball else _in_box if kind is Box else _in_halfspace
+        ok = inside(out, p, q, _RESIDUAL_TOL)
+        if not (ok if out.ndim == 1 else ok.all()):
+            residual = max(float(np.max(_norm(out - _project_onto(f, out)))) for f in parts)
+            raise ProjectionError("closed-form projection left the set", residual)
+    return out
+
+
+class ClosedForm:
+    """A region's closed form, ``_closed_form``'s target of two sets' fields,
+    with those fields as its ``parts``: ``project`` puts a point or batch on
+    the target and checks it as ``Intersection.project`` does (``_checked``).
+    It keeps the arrays it is given and builds no set object, so a
+    constraint oracle can derive its feasible region's closed form from its
+    own numbers (``closed_form``). A short point onto a ball target is
+    worked in Python floats (``_point``)."""
+
+    __slots__ = ("target", "parts")
+
+    def __init__(self, target, parts):
+        self.target, self.parts = target, parts
+
+    def project(self, x):
+        a = np.asarray(x, dtype=float)
+        out = self._point(a)
+        if out is None:
+            return _checked(_project_onto(self.target, a), self.parts)
+        return np.array(out)
+
+    def _point(self, a):
+        """The checked projection of ``a`` as Python floats, when ``a`` is a
+        point that ``_floats`` takes and the target is a ball (the ball
+        rule's inner ball: both parts are balls); None otherwise. The bits
+        are ``_ball_project``'s, and the check is ``_checked``'s, which
+        raises for a projection that fails it."""
+        kind, center, radius = self.target
+        delta = _floats(a, center) if kind is Ball else None
+        if delta is None:
+            return None
+        out = _ball_floats(center.tolist(), delta, radius)
+        for _, c, r in self.parts:
+            # ``_in_ball``'s test, on the floats ``_distance`` takes
+            if not _norm_floats([p - q for p, q in zip(out, c.tolist())]) <= r + _RESIDUAL_TOL:
+                _checked(np.array(out), self.parts)
+        return out
+
+
+def closed_form(first, second):
+    """The ``ClosedForm`` of the intersection of two sets given by their
+    fields; None where neither rule applies. Raises ``ValueError`` when such an
+    intersection is empty."""
+    target = _closed_form(first, second)
+    return None if target is None else ClosedForm(target, (first, second))
 
 
 class _Lens:
-    """``b1 ∩ b2`` for two overlapping balls ``gap`` apart, neither inside
-    the other.
+    """The intersection of the balls ``(c1, r1)`` and ``(c2, r2)``, whose
+    centres lie ``gap`` apart, neither inside the other.
 
     A point, or each row of a batch, goes to its projection onto one ball
     when that lies in the other ball; otherwise both constraints are active and it goes to the
@@ -400,25 +530,24 @@ class _Lens:
     the hyperplane orthogonal to the axis ``u``.
     """
 
-    def __init__(self, b1: Ball, b2: Ball, gap: float):
-        r1, r2 = b1.radius, b2.radius
+    def __init__(self, c1, r1, c2, r2, gap: float):
         a = (gap * gap + r1 * r1 - r2 * r2) / (2.0 * gap)
-        self.b1, self.b2 = b1, b2
-        self.u = (b2.center - b1.center) / gap
+        self.c1, self.r1, self.c2, self.r2 = c1, r1, c2, r2
+        self.u = (c2 - c1) / gap
         self.h = math.sqrt(max(r1 * r1 - a * a, 0.0))
-        self.mid = b1.center + a * self.u
+        self.mid = c1 + a * self.u
 
     def project(self, x):
-        out = self.b1.project(x)
-        done = np.asarray(self.b2.contains(out, tol=0.0))
+        out = _ball_project(x, self.c1, self.r1)
+        done = np.asarray(_in_ball(out, self.c2, self.r2, 0.0))
         if done.all():
             return out
-        other = self.b2.project(x)
+        other = _ball_project(x, self.c2, self.r2)
         out = np.where(done[..., None], out, other)
-        done |= self.b1.contains(other, tol=0.0)
+        done |= _in_ball(other, self.c1, self.r1, 0.0)
         if done.all():
             return out
-        w = x - self.b1.center
+        w = x - self.c1
         # a row sum, not ``@``: BLAS orders the sum differently for a batch
         w -= np.sum(w * self.u, axis=-1, keepdims=True) * self.u
         n = _norm(w, keepdims=True)
@@ -476,12 +605,18 @@ def _settled(start, x, components, before, after, tol) -> bool:
     return bool(ok.all())
 
 
-def project(x, s: GeometricSet):
-    """Euclidean projection of ``x`` onto ``s``."""
-    pts = np.asarray(x, dtype=float)
+def _finite(pts):
+    """``_floats(pts)``, once every coordinate of ``pts`` is checked finite."""
     v = _floats(pts)
     if not (np.isfinite(pts).all() if v is None else all(map(math.isfinite, v))):
         raise ValueError("cannot project a non-finite point")
+    return v
+
+
+def project(x, s: GeometricSet | ClosedForm):
+    """Euclidean projection of ``x`` onto ``s``, a set or a region's closed form."""
+    pts = np.asarray(x, dtype=float)
+    _finite(pts)
     return s.project(pts)
 
 
@@ -499,12 +634,20 @@ def dist(x, s: GeometricSet):
     return float(d) if a.ndim == 1 else d
 
 
-def dist_subgradient(x, s: GeometricSet):
-    """Subgradient of the distance-to-set function at ``x``.
+def dist_subgradient(x, s: GeometricSet | ClosedForm):
+    """Subgradient of the distance-to-set function at ``x``, for a set or a
+    region's closed form ``s``.
 
     Outside the set this is the unit vector pointing from the projection of
     ``x`` back to ``x``; within ``ZERO_DIST_TOL`` of the set the zero vector
-    is returned, which is a valid subgradient on and inside the set.
+    is returned, which is a valid subgradient on and inside the set. A
+    point that ``_floats`` takes stays in Python floats from the finiteness
+    check to the unit vector when ``s`` is a closed form onto a ball
+    (``ClosedForm._point``): no array is made between them.
     """
     a = np.asarray(x, dtype=float)
-    return _unit_offset(a, project(a, s), ZERO_DIST_TOL)
+    v = _finite(a)
+    out = s._point(a) if isinstance(s, ClosedForm) else None
+    if out is None:
+        return _unit_offset(a, s.project(a), ZERO_DIST_TOL)
+    return _unit_floats([p - q for p, q in zip(v, out)], ZERO_DIST_TOL)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ComparatorSequence, DecisionSet, is_finite_real, is_integer
-from .geometry import (Ball, Box, GeometricSet, Halfspace, Intersection, _distance, _norm,
-                       _rows_dot, _unit_offset)
+from .geometry import (Ball, Box, ClosedForm, GeometricSet, Halfspace, Intersection, _distance,
+                       _fields, _norm, _rows_dot, _unit_offset, closed_form)
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +78,28 @@ class _Radial:
 
 
 class _Constraint:
-    """Mixin: the feasible region, an ``Intersection`` of ``decision_geometry``
-    with the sublevel set, is built when first read."""
+    """Mixin: the feasible region of ``decision_geometry`` and the sublevel
+    set, whose fields (``geometry._fields``) the family gives from its own
+    numbers (``_fields``). ``feasible_region``, an ``Intersection``, is built
+    when first read; ``projection_region`` is the region's ``ClosedForm``,
+    derived from the two sets' fields when first read, or ``feasible_region``
+    where no closed form applies."""
 
     __slots__ = ()
 
     @property
     def feasible_region(self) -> GeometricSet:
         if self._region is None:
-            self._region = Intersection((self.decision_geometry, self._sublevel_set()))
+            kind, p, q = self._fields()
+            self._region = Intersection((self.decision_geometry, kind(p, q)))
         return self._region
+
+    @property
+    def projection_region(self) -> ClosedForm | GeometricSet:
+        if self._form is None:
+            form = closed_form(_fields(self.decision_geometry), self._fields())
+            self._form = self.feasible_region if form is None else form
+        return self._form
 
 
 class AffineCost(_Linear):
@@ -113,42 +125,42 @@ class NormCost(_Radial):
 class HalfspaceConstraint(_Linear, _Constraint):
     """Constraint ``a @ x - b <= 0``."""
 
-    __slots__ = ("decision_geometry", "_region")
+    __slots__ = ("decision_geometry", "_region", "_form")
 
     def __init__(self, a, b, decision_geometry):
         self.a, self.shift = a, -b
-        self.decision_geometry, self._region = decision_geometry, None
+        self.decision_geometry, self._region, self._form = decision_geometry, None, None
 
     b = property(lambda self: -self.shift)
 
-    def _sublevel_set(self):
-        return Halfspace(self.a, self.b)
+    def _fields(self):
+        return Halfspace, self.a, self.b
 
 
 class BallConstraint(_Radial, _Constraint):
     """Constraint ``||x - center|| - radius <= 0``."""
 
-    __slots__ = ("decision_geometry", "_region")
+    __slots__ = ("decision_geometry", "_region", "_form")
 
     def __init__(self, center, radius, decision_geometry):
         self.center, self.radius = center, radius
-        self.decision_geometry, self._region = decision_geometry, None
+        self.decision_geometry, self._region, self._form = decision_geometry, None, None
 
-    def _sublevel_set(self):
-        return Ball(self.center, self.radius)
+    def _fields(self):
+        return Ball, self.center, float(self.radius)
 
 
 class BoxConstraint(_Constraint):
     """Constraint ``max_i max(lower_i - x_i, x_i - upper_i) <= 0``."""
 
-    __slots__ = ("lower", "upper", "decision_geometry", "_region")
+    __slots__ = ("lower", "upper", "decision_geometry", "_region", "_form")
 
     def __init__(self, lower, upper, decision_geometry):
         self.lower, self.upper = lower, upper
-        self.decision_geometry, self._region = decision_geometry, None
+        self.decision_geometry, self._region, self._form = decision_geometry, None, None
 
-    def _sublevel_set(self):
-        return Box(self.lower, self.upper)
+    def _fields(self):
+        return Box, self.lower, self.upper
 
     def value(self, x):
         a = np.asarray(x, dtype=float)
@@ -177,11 +189,11 @@ class ConstantConstraint(_Constraint):
     """Constraint identically equal to ``level <= 0``: its feasible region
     is the whole decision set."""
 
-    __slots__ = ("level", "decision_geometry", "_region")
+    __slots__ = ("level", "decision_geometry", "_region", "_form")
 
     def __init__(self, level, decision_geometry):
         self.level = level
-        self.decision_geometry = self._region = decision_geometry
+        self.decision_geometry = self._region = self._form = decision_geometry
 
     def value(self, x):
         a = np.asarray(x, dtype=float)
@@ -524,6 +536,11 @@ class TrackingBallScenario(Scenario):
                     ring_loops=1.0, cost_loops=3.0)
         if p["ring_radius"] + p["ball_radius"] > p["set_radius"]:
             raise ValueError("feasible balls must stay inside the decision set")
+        # a path's steps and a play's norm square coordinates up to the
+        # decision set's diameter, 2 set_radius; the other radii are smaller
+        if not math.isfinite(2.0 * p["set_radius"] * (2.0 * p["set_radius"])):
+            raise ValueError(f"param set_radius makes a decision set whose squared diameter "
+                             f"overflows, got {p['set_radius']!r}")
         for name in ("ring_loops", "cost_loops"):  # an angle that overflows has no cos
             if not math.isfinite(2.0 * math.pi * p[name]):
                 raise ValueError(f"param {name} makes angles that overflow, got {p[name]!r}")

@@ -1,5 +1,7 @@
 import math
+import re
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from coco_lab import coco
+from coco_lab import coco, geometry, harness
 from coco_lab.budgets import coco2_ccv_rhs, coco2_regret_rhs, ensemble_rhs
 from coco_lab.coco import (
     Coco1State,
@@ -21,9 +23,13 @@ from coco_lab.coco import (
     coco2_surrogate_subgradient,
 )
 from coco_lab.core import DecisionSet, RunRecord, g_plus, running_sum
-from coco_lab.geometry import Ball, Box, Halfspace, dist_subgradient, membership
+from coco_lab.geometry import (Ball, Box, ClosedForm, Halfspace, Intersection, ProjectionError,
+                               dist, dist_subgradient, membership)
 from coco_lab.harness import RunConfig, run
 from coco_lab.scenarios import (
+    BallConstraint,
+    BoxConstraint,
+    HalfspaceConstraint,
     ScenarioSpec,
     affine_cost,
     ball_constraint,
@@ -421,6 +427,163 @@ def test_coco1_projects_once_per_violating_round_only(monkeypatch, name):
     violating = xs[g > 0.0]
     assert 0 < len(violating) < record.horizon
     assert np.array_equal(np.array(points).view(np.uint64), violating.view(np.uint64))
+
+
+def test_coco1_round_builds_no_set_object(monkeypatch):
+    # a violating round projects onto its region's closed form, derived from
+    # the constraint's own numbers: no Ball or Intersection is built on a round
+    built = {Ball: 0, Intersection: 0}
+    in_round = []
+    for cls in built:
+        def counting(self, cls=cls, init=cls.__post_init__):
+            built[cls] += bool(in_round)
+            init(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    original = harness.coco1_round
+
+    def counted_round(*args):
+        in_round.append(True)
+        try:
+            return original(*args)
+        finally:
+            in_round.pop()
+    monkeypatch.setattr(harness, "coco1_round", counted_round)
+    record = run(RunConfig(ScenarioSpec("tracking-ball", 500, seed=0), "coco1"))
+    assert np.count_nonzero(record.g[:record.horizon] > 0.0) > 100
+    assert built == {Ball: 0, Intersection: 0}
+
+
+EQUIVALENCE_GEOMETRIES = (Box([-2.0], [3.0]), Box([-2.0, -1.0], [1.5, 2.0]),
+                          Box([-1.0, -2.0, -0.5], [2.0, 1.0, 1.5]), Ball([0.3, -0.2], 1.5))
+
+
+@st.composite
+def constraint_makers(draw):
+    """A function that builds a new ball, halfspace or box constraint on a
+    1-d, 2-d or 3-d box or a 2-d ball decision set. A 1-d ball or halfspace
+    on the 1-d box is a box; a ball on the ball decision set lies nested in
+    it, holds it, cuts a lens, touches it from outside (a tangent lens) or
+    lies just apart. These closed forms may be empty: the constraint is
+    built directly, so that an empty region is refused only where it is
+    read. The other pairs, a ball or halfspace on a box in 2-d or 3-d, a
+    halfspace on the ball and a box on the ball, go to Dykstra, and hold a
+    point of the decision set (Dykstra's emptiness probe is slow)."""
+    geom = draw(st.sampled_from(EQUIVALENCE_GEOMETRIES))
+    vectors = hnp.arrays(float, geom.dim, elements=st.floats(-4.0, 4.0))
+    reach = hnp.arrays(float, geom.dim, elements=st.floats(0.0, 3.0))
+    z = geom.project(draw(vectors))
+    kind = draw(st.sampled_from(["ball", "halfspace", "box"]))
+    closed = geom.dim == 1 or (kind, type(geom)) in {("box", Box), ("ball", Ball)}
+    miss = closed and draw(st.booleans())  # the region may be empty
+    if kind == "halfspace":
+        a = draw(vectors.filter(lambda a: np.linalg.norm(a) > 0.1))
+        b = draw(st.floats(-4.0, 4.0)) if miss else float(a @ z) + draw(st.floats(0.0, 3.0))
+        return lambda: HalfspaceConstraint(a, b, geom)
+    if kind == "box":
+        lo = draw(vectors) if miss else z - draw(reach)
+        hi = lo + draw(reach) if miss else z + draw(reach)
+        return lambda: BoxConstraint(lo, hi, geom)
+    r = draw(st.floats(0.05, 3.0))
+    if isinstance(geom, Ball):
+        big = geom.radius
+        gap = draw(st.one_of(
+            st.floats(0.0, 1.0).map(lambda f: f * abs(big - r)),  # nested either way
+            st.floats(0.0, 1.0).map(lambda f: abs(big - r) + f * (big + r - abs(big - r))),
+            st.just(big + r),  # tangent from outside
+            st.floats(1e-5, 1.0).map(lambda e: big + r + e)))  # apart
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        center = geom.center + gap * np.array([math.cos(angle), math.sin(angle)])
+    elif miss:
+        center = draw(vectors)
+    else:
+        center = z + draw(vectors) / 4.0
+        r += float(np.linalg.norm(z - center))
+    return lambda: BallConstraint(center, r, geom)
+
+
+def widened(closed_form):
+    """``geometry._closed_form`` with its result moved 1e-6 outside its
+    region: each box end, ball radius and lens radius 1e-6 further out."""
+    def form(first, second):
+        target = closed_form(first, second)
+        if target is None:
+            return None
+        kind, p, q = target
+        if kind is Box:
+            return Box, p - 1e-6, q + 1e-6
+        if kind is Ball:
+            return Ball, p, q + 1e-6
+        gap = float(np.linalg.norm(p.c2 - p.c1))
+        return kind, geometry._Lens(p.c1, p.r1 + 1e-6, p.c2, p.r2 + 1e-6, gap), None
+    return form
+
+
+def outcome(f, *args):
+    """The bits of ``f(*args)``, or the type and message of what it raises."""
+    try:
+        return np.asarray(f(*args)).view(np.uint64).tolist()
+    except (ValueError, ProjectionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(constraint_makers(), hnp.arrays(float, 3, elements=st.sampled_from(
+    [-0.0, 0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0)), st.integers(0, 2 ** 32 - 1))
+def test_coco1_closed_form_is_the_feasible_region_path_bitwise(make, cost_vector, seed):
+    # coco1 projects onto the closed form its constraint derives from its own
+    # numbers; the reference projects through ``feasible_region``, an
+    # Intersection. They agree bit for bit and error for error
+    constraint, twin = make(), make()
+    geom = constraint.decision_geometry
+    cost = affine_cost(cost_vector[:geom.dim])
+    state = Coco1State.create(DecisionSet(geom, 10.0), 1, 1.5)
+    try:
+        exact = constraint.feasible_region._exact is not None
+    except ValueError as exc:  # an empty region: the same error
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            twin.projection_region
+        return
+    assert isinstance(twin.projection_region, ClosedForm) == exact
+    rng = np.random.default_rng(seed)
+    # Dykstra pairs project onto the one Intersection on both paths, by a
+    # slow scheme: a few points check the sum
+    outside = rng.uniform(-5.0, 5.0, size=(6 if exact else 2, geom.dim))
+    signed_zeros = np.where(rng.random(geom.dim) < 0.5, -0.0, outside[0])
+    # the rim: the outside points projected (Dykstra may fail to converge),
+    # and 1e-7 further out, where the distance subgradient is a unit vector
+    rim = [(outcome(constraint.feasible_region.project, x), x) for x in outside]
+    rim = [(np.array(p).view(float), x) for p, x in rim if isinstance(p, list)]
+    near = [r + 1e-7 * (x - r) / np.linalg.norm(x - r) for r, x in rim if np.any(x != r)]
+    points = [-np.zeros(geom.dim), *geom.project(np.array(
+        [signed_zeros, *outside, *(r for r, _ in rim), *near]))]
+    for bad in (math.nan, math.inf):  # refused before either path projects
+        for region in (twin.projection_region, constraint.feasible_region):
+            with pytest.raises(ValueError, match="^cannot project a non-finite point$"):
+                dist_subgradient(np.full(geom.dim, bad), region)
+    # a short point onto a closed form takes the float path, a batch the
+    # array path (Dykstra moves every row of a batch until all converge)
+    assert not exact or (outcome(twin.projection_region.project, np.array(points)) == outcome(
+        lambda xs: np.array([twin.projection_region.project(x) for x in xs]), np.array(points)))
+    for x in points:
+        # the surrogate reads only the direction to the projection (in 1-d,
+        # its sign), so the projections are compared too
+        assert (outcome(twin.projection_region.project, x)
+                == outcome(constraint.feasible_region.project, x))
+        # g(x) read by the surrogate itself where x violates, and a NaN g_val
+        # at every point, both of which project. (Where g(x) <= 0 the
+        # surrogate reads no region; that the distance term is zero there
+        # fails by 1e-8 at the rim of two balls that barely touch, whose
+        # lens the closed form draws too thin)
+        for g_val in (None, math.nan) if float(constraint.value(x)) > 0.0 else (math.nan,):
+            assert (outcome(coco1_surrogate_subgradient, state, cost, twin, x, g_val)
+                    == outcome(always_projecting_surrogate, state, cost, constraint, x, g_val))
+    if exact:  # the closed form moved outside its region fails its check on both paths
+        far = [x for x in points if dist(x, constraint.feasible_region) > 1e-2]
+        with mock.patch.object(geometry, "_closed_form", widened(geometry._closed_form)):
+            for x in far:
+                for path in (coco1_surrogate_subgradient, always_projecting_surrogate):
+                    with pytest.raises(ProjectionError, match="closed-form projection left"):
+                        path(state, cost, make(), x, None)
 
 
 def test_feasible_rounds_reduce_to_unconstrained_learning():

@@ -880,8 +880,12 @@ def test_a_ccv_path_that_names_no_comparator_is_config_error(monkeypatch):
       "algorithm": "coco1"}, 2, "step numerator (D+1) sqrt(1+P) overflows"),
     ({"scenario": {"name": "tracking-ball", "horizon": 50, "params": {"ring_loops": 1e308}},
       "algorithm": "coco1"}, 2, "param ring_loops makes angles that overflow"),
+    ({"scenario": {"name": "tracking-ball", "horizon": 20,
+                   "params": {"set_radius": 1e300, "ring_radius": 1e299}},
+      "algorithm": "adagrad"}, 2,
+     "param set_radius makes a decision set whose squared diameter overflows, got 1e+300"),
 ], ids=["coco2-budget-overflows", "adagrad-budget-nan", "coco2-v-inf", "coco1-step-overflows",
-        "coco1-oco-mix-step-overflows", "tracking-ball-angle-inf"])
+        "coco1-oco-mix-step-overflows", "tracking-ball-angle-inf", "tracking-ball-extent-inf"])
 def test_cli_input_no_learner_or_budget_can_take_has_its_exit_code(tmp_path, capsys, config,
                                                                   code, message):
     path = tmp_path / "config.json"
