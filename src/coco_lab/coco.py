@@ -49,9 +49,8 @@ def coco1_surrogate_subgradient(state: Coco1State, cost: CostOracle,
     the region is read, and projected onto, only when ``g(x) > 0`` or
     ``g(x)`` is NaN. The zero is still added, with the sign the projecting
     path gives it, so a ``-0.0`` cost component comes out ``+0.0`` either way.
-    The region projected onto is the constraint's ``projection_region``: a
-    built-in family's closed form, derived from its own numbers, where one
-    applies.
+    A built-in family's feasible region is its closed form, derived from its
+    own numbers, where one applies.
     """
     if g_val is None:
         g_val = float(constraint.value(x))
@@ -66,7 +65,7 @@ def coco1_surrogate_subgradient(state: Coco1State, cost: CostOracle,
         grad = [p + q for p, q in zip(
             grad, np.asarray(constraint.subgradient(x), dtype=float).tolist())]
     w = 2.0 * state.g_lip
-    dist = dist_subgradient(x, constraint.projection_region).tolist()
+    dist = dist_subgradient(x, constraint.feasible_region).tolist()
     return np.array([p + w * q for p, q in zip(grad, dist)])
 
 

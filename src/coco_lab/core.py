@@ -76,20 +76,16 @@ class ConstraintOracle:
 
     ``feasible_region`` is the sublevel set within the decision set,
     ``{x in decision set : value(x) <= 0}``, kept as an explicit geometric
-    object so distances and projections onto it stay closed form. coco1
-    reads it only on rounds whose play has ``value(x_t) > 0``: a play in the
-    decision set that reads ``<= 0`` is taken to lie in it. It projects onto
-    ``projection_region``, which a built-in constraint family makes the
-    region's closed form (``geometry.ClosedForm``) where one applies.
+    object so distances and projections onto it stay closed form (a
+    built-in constraint family gives a ``geometry.ClosedForm`` where one
+    applies). coco1 reads it, and projects onto it, only on rounds whose
+    play has ``value(x_t) > 0``: a play in the decision set that reads
+    ``<= 0`` is taken to lie in it.
     """
 
     value: Callable
     subgradient: Callable
     feasible_region: GeometricSet
-
-    @property
-    def projection_region(self) -> GeometricSet:
-        return self.feasible_region
 
 
 @dataclass(frozen=True)

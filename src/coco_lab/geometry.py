@@ -5,17 +5,16 @@ finite intersections of those. Projections onto the primitives are closed
 form, and so are projections onto two of them by one of two rules: two
 boxes, where a 1-d ball or halfspace counts as the box it is, meet in a
 box; two balls meet in the inner ball or a lens. The rules read each set's
-kind and two fields (``_closed_form``), so a region's ``ClosedForm`` can
-also be had from the numbers of its two sets, with no set object built.
-Every other intersection uses Dykstra's alternating projection scheme,
-which converges to the exact Euclidean projection for closed convex sets.
+kind and two fields, so their region, a ``ClosedForm``, needs no set
+object. Every other intersection uses Dykstra's alternating projection
+scheme, which converges to the exact Euclidean projection for closed
+convex sets.
 
 Every operation accepts a single point of shape ``(d,)`` or a batch of
-shape ``(n, d)`` and returns a result of matching shape; so does every
-closed form, a lens included, and an intersection hands the point or batch
-to it as given. A ball's operations and the distance subgradient work a
-single point of fewer than 8 coordinates in Python floats, with the bits of
-the array path (``_floats``).
+shape ``(n, d)`` and returns a result of matching shape; a region's
+projection refuses any other shape. A ball's operations and the distance
+subgradient work a single point of fewer than 8 coordinates in Python
+floats, with the bits of the array path (``_floats``).
 """
 
 from __future__ import annotations
@@ -148,6 +147,7 @@ def _unit_floats(delta, tol: float) -> np.ndarray:
 class GeometricSet:
     """Closed convex set exposing projection, membership and distance oracles."""
 
+    __slots__ = ()
     dim: int
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -163,7 +163,8 @@ class GeometricSet:
 
 @dataclass(frozen=True)
 class Box(GeometricSet):
-    """Axis-aligned box { x : lower <= x <= upper } (coordinatewise)."""
+    """Axis-aligned box { x : lower <= x <= upper } (coordinatewise). An end
+    may be infinite (a 1-d halfspace is such a box), but not NaN."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -173,6 +174,8 @@ class Box(GeometricSet):
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be vectors of equal length")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("box lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
@@ -200,10 +203,15 @@ class Ball(GeometricSet):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if c.ndim != 1:
             raise ValueError("ball center must be a vector")
+        if not np.isfinite(c).all():
+            raise ValueError("ball center must be finite")
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
+        r = float(self.radius)
+        if not math.isfinite(r):
+            raise ValueError("ball radius must be finite")
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", r)
 
     @property
     def dim(self) -> int:
@@ -218,7 +226,8 @@ class Ball(GeometricSet):
 
 @dataclass(frozen=True)
 class Halfspace(GeometricSet):
-    """Halfspace { x : <normal, x> <= offset }."""
+    """Halfspace { x : <normal, x> <= offset }; the offset may be infinite,
+    but not NaN."""
 
     normal: np.ndarray
     offset: float
@@ -227,10 +236,15 @@ class Halfspace(GeometricSet):
         a = np.atleast_1d(np.asarray(self.normal, dtype=float))
         if a.ndim != 1:
             raise ValueError("halfspace normal must be a vector")
+        if not np.isfinite(a).all():
+            raise ValueError("halfspace normal must be finite")
         if not np.linalg.norm(a) > 0:
             raise ValueError("halfspace normal must be nonzero")
+        b = float(self.offset)
+        if math.isnan(b):
+            raise ValueError("halfspace offset must not be NaN")
         object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", b)
 
     @property
     def dim(self) -> int:
@@ -245,8 +259,7 @@ class Halfspace(GeometricSet):
 
 # The primitives' projections and membership tests, on a point or batch
 # ``a`` (a float array) and the set's two fields: ``Box``'s, ``Ball``'s and
-# ``Halfspace``'s methods, and a region's closed form (``ClosedForm``),
-# which has the fields but no set object.
+# ``Halfspace``'s methods, and through ``_KERNELS`` a ``ClosedForm``'s.
 
 def _box_project(a, lower, upper):
     # np.clip's values, without its wrapper; a signed zero tied with a
@@ -292,20 +305,32 @@ def _in_halfspace(a, normal, offset, tol):
     return (_rows_dot(a, normal) - offset) / math.sqrt(normal @ normal) <= tol
 
 
+# kind -> (projection, membership test)
+_KERNELS = {Box: (_box_project, _in_box), Ball: (_ball_project, _in_ball),
+            Halfspace: (_halfspace_project, _in_halfspace)}
+
+_DIM_MISMATCH = "intersection components must share a dimension"
+
+
+def _point_or_batch(x):
+    """``x`` as a float array, a point ``(d,)`` or a batch ``(n, d)``."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim not in (1, 2):
+        raise ValueError(f"expected point of shape (d,) or batch (n, d), got {a.shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class Intersection(GeometricSet):
     """Finite intersection of convex sets.
 
-    Two Box, Ball or Halfspace components are projected in closed form
-    where one of ``_closed_form``'s two rules applies: their common box, the
-    inner ball or a lens, which is kept as ``_exact`` (the inner ball is
-    that component itself). A closed form's projection takes the point or
-    batch as given and returns that shape, which is checked for membership
-    in both components at 1e-8 (``_checked``). Every other intersection is
-    projected by Dykstra's scheme, and construction probes it for
-    non-emptiness: if no component anchor lies in all components, Dykstra
-    is run from a few deterministic starts and the intersection is rejected
-    when the residual distance to the components stays above 1e-6.
+    Two Box, Ball or Halfspace components whose intersection has a closed
+    form (``closed_form``) keep it as ``_exact`` and are projected by it.
+    Every other intersection is projected by Dykstra's scheme, and
+    construction probes it for non-emptiness: if no component anchor lies
+    in all components, Dykstra is run from a few deterministic starts and
+    the intersection is rejected when the residual distance to the
+    components stays above 1e-6.
     """
 
     components: tuple
@@ -314,17 +339,12 @@ class Intersection(GeometricSet):
         comps = tuple(self.components)
         if not comps:
             raise ValueError("intersection needs at least one component")
-        for c in comps[1:]:
-            if c.dim != comps[0].dim:
-                raise ValueError("intersection components must share a dimension")
+        if any(c.dim != comps[0].dim for c in comps):
+            raise ValueError(_DIM_MISMATCH)
         object.__setattr__(self, "components", comps)
-        parts = tuple(map(_fields, comps))
-        target = _closed_form(*parts) if len(parts) == 2 else None
-        object.__setattr__(self, "_parts", parts)
-        # a set equal to this one with a closed-form projection; None
-        # means Dykstra
-        object.__setattr__(self, "_exact", None if target is None
-                           else _set_of(target, comps, parts))
+        # the region's closed form; None means Dykstra
+        object.__setattr__(self, "_exact", closed_form(*map(_fields, comps))
+                           if len(comps) == 2 else None)
         if self._exact is None:
             self._probe_nonempty()
 
@@ -350,11 +370,9 @@ class Intersection(GeometricSet):
         raise ValueError(f"empty intersection (Dykstra residual {best:.3e})")
 
     def project(self, x):
-        a = np.asarray(x, dtype=float)
-        if a.ndim not in (1, 2):
-            raise ValueError(f"expected point of shape (d,) or batch (n, d), got {a.shape}")
         if self._exact is not None:
-            return _checked(self._exact.project(a), self._parts)
+            return self._exact.project(x)
+        a = _point_or_batch(x)
         # Dykstra works on a batch
         out, converged, moved = _dykstra(np.atleast_2d(a), self.components)
         residual = _residual(out, self.components)
@@ -372,9 +390,7 @@ class Intersection(GeometricSet):
 
 # A primitive set's fields are ``(kind, p, q)`` with ``kind(p, q)`` the set:
 # a Box's lower and upper ends, a Ball's center and radius, a Halfspace's
-# normal and offset. The closed-form rules read two sets' fields, so they
-# serve an ``Intersection`` of set objects and a constraint oracle's own
-# numbers (``ClosedForm``) alike.
+# normal and offset.
 
 def _fields(s):
     """The fields of a ``Box``, ``Ball`` or ``Halfspace``; None for any other set."""
@@ -388,15 +404,12 @@ def _fields(s):
 
 
 def _closed_form(first, second):
-    """The closed form of the intersection of two sets given by their fields
-    (either may be None, a set that is no primitive), by one of two rules:
-    two boxes, a 1-d ball or halfspace counted as the box it is
-    (``_bounds``), give their common box's fields ``(Box, lower, upper)``;
-    two balls give the inner one's own fields when nested, else
-    ``(_Lens, lens, None)``. None for any other pair. Raises ``ValueError``
-    when such an intersection is empty."""
-    if first is None or second is None:
-        return None
+    """The closed form of the intersection of two sets given by their fields,
+    by one of two rules: two boxes, a 1-d ball or halfspace counted as the
+    box it is (``_bounds``), give their common box's fields
+    ``(Box, lower, upper)``; two balls give the inner one's own fields when
+    nested, else ``(_Lens, lens, None)``. None for any other pair. Raises
+    ``ValueError`` when such an intersection is empty."""
     e1, e2 = _bounds(first), _bounds(second)
     if e1 is not None and e2 is not None:
         lo, hi = np.maximum(e1[0], e2[0]), np.minimum(e1[1], e2[1])
@@ -432,67 +445,53 @@ def _bounds(fields):
     return (np.full(1, -np.inf), end) if p[0] > 0 else (end, np.full(1, np.inf))
 
 
-def _set_of(target, components, parts):
-    """The set object of the closed form ``target`` of ``components``, whose
-    fields are ``parts``: the component whose fields it is, the lens, or a
-    new ``Box``."""
-    for c, fields in zip(components, parts):
-        if fields is target:
-            return c
-    kind, p, q = target
-    return p if kind is _Lens else kind(p, q)
-
-
 def _project_onto(fields, a):
     """The projection of the point or batch ``a`` onto the set of ``fields``
     (a lens's included)."""
     kind, p, q = fields
-    if kind is Ball:
-        return _ball_project(a, p, q)
-    if kind is Box:
-        return _box_project(a, p, q)
-    if kind is Halfspace:
-        return _halfspace_project(a, p, q)
-    return p.project(a)
+    return p.project(a) if kind is _Lens else _KERNELS[kind][0](a, p, q)
 
 
 def _checked(out, parts):
     """``out``, a closed form's projection, when it lies in the set of each
-    of ``parts``'s fields at 1e-8; else ``ProjectionError`` with its largest
-    distance to one. For two balls, and for boxes in one dimension,
-    membership at the tolerance is the residual test: the distance to each
-    set is at most it; for boxes in more it bounds each coordinate's
-    distance. A ball's single point answers a Python bool, which needs no
-    numpy call."""
+    of ``parts``'s fields at 1e-8 (for a box in d >= 2, each coordinate
+    within 1e-8); else ``ProjectionError`` with its largest distance to
+    one. A ball's single point answers a Python bool, with no numpy call."""
     for kind, p, q in parts:
-        inside = _in_ball if kind is Ball else _in_box if kind is Box else _in_halfspace
-        ok = inside(out, p, q, _RESIDUAL_TOL)
+        ok = _KERNELS[kind][1](out, p, q, _RESIDUAL_TOL)
         if not (ok if out.ndim == 1 else ok.all()):
             residual = max(float(np.max(_norm(out - _project_onto(f, out)))) for f in parts)
             raise ProjectionError("closed-form projection left the set", residual)
     return out
 
 
-class ClosedForm:
-    """A region's closed form, ``_closed_form``'s target of two sets' fields,
-    with those fields as its ``parts``: ``project`` puts a point or batch on
-    the target and checks it as ``Intersection.project`` does (``_checked``).
-    It keeps the arrays it is given and builds no set object, so a
-    constraint oracle can derive its feasible region's closed form from its
-    own numbers (``closed_form``). A short point onto a ball target is
-    worked in Python floats (``_point``)."""
+class ClosedForm(GeometricSet):
+    """The intersection of two primitive sets given by their fields
+    (``parts``), built from those arrays alone. ``project`` puts a point or
+    batch on ``target``, the common box, inner ball or lens that
+    ``_closed_form`` gives, and checks it (``_checked``); a short point onto
+    a ball target is worked in Python floats (``_point``)."""
 
     __slots__ = ("target", "parts")
 
     def __init__(self, target, parts):
         self.target, self.parts = target, parts
 
+    @property
+    def dim(self) -> int:
+        return self.parts[0][1].shape[0]
+
     def project(self, x):
-        a = np.asarray(x, dtype=float)
+        a = _point_or_batch(x)
         out = self._point(a)
         if out is None:
             return _checked(_project_onto(self.target, a), self.parts)
         return np.array(out)
+
+    def contains(self, x, tol=MEMBERSHIP_TOL):
+        a = np.asarray(x, dtype=float)
+        (k1, p1, q1), (k2, p2, q2) = self.parts
+        return _KERNELS[k1][1](a, p1, q1, tol) & _KERNELS[k2][1](a, p2, q2, tol)
 
     def _point(self, a):
         """The checked projection of ``a`` as Python floats, when ``a`` is a
@@ -514,8 +513,13 @@ class ClosedForm:
 
 def closed_form(first, second):
     """The ``ClosedForm`` of the intersection of two sets given by their
-    fields; None where neither rule applies. Raises ``ValueError`` when such an
-    intersection is empty."""
+    fields; None where either is None (a set that is no primitive) or
+    neither rule applies. Raises ``ValueError`` when the two differ in
+    dimension or such an intersection is empty."""
+    if first is None or second is None:
+        return None
+    if first[1].shape != second[1].shape:
+        raise ValueError(_DIM_MISMATCH)
     target = _closed_form(first, second)
     return None if target is None else ClosedForm(target, (first, second))
 
@@ -613,8 +617,8 @@ def _finite(pts):
     return v
 
 
-def project(x, s: GeometricSet | ClosedForm):
-    """Euclidean projection of ``x`` onto ``s``, a set or a region's closed form."""
+def project(x, s: GeometricSet):
+    """Euclidean projection of ``x`` onto ``s``."""
     pts = np.asarray(x, dtype=float)
     _finite(pts)
     return s.project(pts)
@@ -634,9 +638,8 @@ def dist(x, s: GeometricSet):
     return float(d) if a.ndim == 1 else d
 
 
-def dist_subgradient(x, s: GeometricSet | ClosedForm):
-    """Subgradient of the distance-to-set function at ``x``, for a set or a
-    region's closed form ``s``.
+def dist_subgradient(x, s: GeometricSet):
+    """Subgradient of the distance-to-set function at ``x``.
 
     Outside the set this is the unit vector pointing from the projection of
     ``x`` back to ``x``; within ``ZERO_DIST_TOL`` of the set the zero vector

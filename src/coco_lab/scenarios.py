@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ComparatorSequence, DecisionSet, is_finite_real, is_integer
-from .geometry import (Ball, Box, ClosedForm, GeometricSet, Halfspace, Intersection, _distance,
-                       _fields, _norm, _rows_dot, _unit_offset, closed_form)
+from .geometry import (Ball, Box, GeometricSet, Halfspace, Intersection, _distance, _fields,
+                       _norm, _rows_dot, _unit_offset, closed_form)
 
 
 # ---------------------------------------------------------------------------
@@ -78,28 +78,25 @@ class _Radial:
 
 
 class _Constraint:
-    """Mixin: the feasible region of ``decision_geometry`` and the sublevel
-    set, whose fields (``geometry._fields``) the family gives from its own
-    numbers (``_fields``). ``feasible_region``, an ``Intersection``, is built
-    when first read; ``projection_region`` is the region's ``ClosedForm``,
-    derived from the two sets' fields when first read, or ``feasible_region``
-    where no closed form applies."""
+    """Mixin: ``feasible_region``, the region of ``decision_geometry`` and
+    the sublevel set, whose fields (``geometry._fields``) the family gives
+    from its own numbers (``_fields``), derived when first read."""
 
     __slots__ = ()
 
     @property
     def feasible_region(self) -> GeometricSet:
         if self._region is None:
-            kind, p, q = self._fields()
-            self._region = Intersection((self.decision_geometry, kind(p, q)))
+            self._region = self._derive_region()
         return self._region
 
-    @property
-    def projection_region(self) -> ClosedForm | GeometricSet:
-        if self._form is None:
-            form = closed_form(_fields(self.decision_geometry), self._fields())
-            self._form = self.feasible_region if form is None else form
-        return self._form
+    def _derive_region(self, sublevel=None):
+        """The region's ``geometry.ClosedForm``, built from the two sets'
+        fields alone, where one applies; else their ``Intersection``, with
+        ``sublevel`` as the sublevel set if given."""
+        kind, p, q = fields = self._fields()
+        return (closed_form(_fields(self.decision_geometry), fields)
+                or Intersection((self.decision_geometry, sublevel or kind(p, q))))
 
 
 class AffineCost(_Linear):
@@ -125,11 +122,11 @@ class NormCost(_Radial):
 class HalfspaceConstraint(_Linear, _Constraint):
     """Constraint ``a @ x - b <= 0``."""
 
-    __slots__ = ("decision_geometry", "_region", "_form")
+    __slots__ = ("decision_geometry", "_region")
 
     def __init__(self, a, b, decision_geometry):
         self.a, self.shift = a, -b
-        self.decision_geometry, self._region, self._form = decision_geometry, None, None
+        self.decision_geometry, self._region = decision_geometry, None
 
     b = property(lambda self: -self.shift)
 
@@ -140,11 +137,11 @@ class HalfspaceConstraint(_Linear, _Constraint):
 class BallConstraint(_Radial, _Constraint):
     """Constraint ``||x - center|| - radius <= 0``."""
 
-    __slots__ = ("decision_geometry", "_region", "_form")
+    __slots__ = ("decision_geometry", "_region")
 
     def __init__(self, center, radius, decision_geometry):
         self.center, self.radius = center, radius
-        self.decision_geometry, self._region, self._form = decision_geometry, None, None
+        self.decision_geometry, self._region = decision_geometry, None
 
     def _fields(self):
         return Ball, self.center, float(self.radius)
@@ -153,11 +150,11 @@ class BallConstraint(_Radial, _Constraint):
 class BoxConstraint(_Constraint):
     """Constraint ``max_i max(lower_i - x_i, x_i - upper_i) <= 0``."""
 
-    __slots__ = ("lower", "upper", "decision_geometry", "_region", "_form")
+    __slots__ = ("lower", "upper", "decision_geometry", "_region")
 
     def __init__(self, lower, upper, decision_geometry):
         self.lower, self.upper = lower, upper
-        self.decision_geometry, self._region, self._form = decision_geometry, None, None
+        self.decision_geometry, self._region = decision_geometry, None
 
     def _fields(self):
         return Box, self.lower, self.upper
@@ -189,11 +186,11 @@ class ConstantConstraint(_Constraint):
     """Constraint identically equal to ``level <= 0``: its feasible region
     is the whole decision set."""
 
-    __slots__ = ("level", "decision_geometry", "_region", "_form")
+    __slots__ = ("level", "decision_geometry", "_region")
 
     def __init__(self, level, decision_geometry):
         self.level = level
-        self.decision_geometry = self._region = self._form = decision_geometry
+        self.decision_geometry = self._region = decision_geometry
 
     def value(self, x):
         a = np.asarray(x, dtype=float)
@@ -267,7 +264,10 @@ def norm_cost(center) -> NormCost:
 
 
 def _nonempty(oracle):
-    oracle.feasible_region  # an empty region is rejected here, not on first use
+    # the sublevel set is built first, which checks its fields; an empty
+    # region is then rejected here, not on first use
+    kind, p, q = oracle._fields()
+    oracle._region = oracle._derive_region(kind(p, q))
     return oracle
 
 

@@ -22,7 +22,7 @@ from coco_lab.coco import (
     coco2_round,
     coco2_surrogate_subgradient,
 )
-from coco_lab.core import DecisionSet, RunRecord, g_plus, running_sum
+from coco_lab.core import ConstraintOracle, DecisionSet, RunRecord, g_plus, running_sum
 from coco_lab.geometry import (Ball, Box, ClosedForm, Halfspace, Intersection, ProjectionError,
                                dist, dist_subgradient, membership)
 from coco_lab.harness import RunConfig, run
@@ -530,60 +530,67 @@ def outcome(f, *args):
 @given(constraint_makers(), hnp.arrays(float, 3, elements=st.sampled_from(
     [-0.0, 0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0)), st.integers(0, 2 ** 32 - 1))
 def test_coco1_closed_form_is_the_feasible_region_path_bitwise(make, cost_vector, seed):
-    # coco1 projects onto the closed form its constraint derives from its own
-    # numbers; the reference projects through ``feasible_region``, an
-    # Intersection. They agree bit for bit and error for error
-    constraint, twin = make(), make()
+    # coco1 projects onto the feasible region its constraint derives from its
+    # own numbers, a closed form where one applies; the reference projects
+    # onto the Intersection of the decision set and the family's own set
+    # object, on every call. They agree bit for bit and error for error
+    constraint = make()
     geom = constraint.decision_geometry
     cost = affine_cost(cost_vector[:geom.dim])
     state = Coco1State.create(DecisionSet(geom, 10.0), 1, 1.5)
+
+    def reference_of(c):
+        kind, p, q = c._fields()
+        return ConstraintOracle(c.value, c.subgradient, Intersection((geom, kind(p, q))))
     try:
-        exact = constraint.feasible_region._exact is not None
+        reference = reference_of(constraint)
     except ValueError as exc:  # an empty region: the same error
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            twin.projection_region
+            constraint.feasible_region
         return
-    assert isinstance(twin.projection_region, ClosedForm) == exact
+    region, ref_region = constraint.feasible_region, reference.feasible_region
+    exact = ref_region._exact is not None
+    assert isinstance(region, ClosedForm) == exact
     rng = np.random.default_rng(seed)
-    # Dykstra pairs project onto the one Intersection on both paths, by a
-    # slow scheme: a few points check the sum
+    # Dykstra pairs project onto an Intersection on both paths, by a slow
+    # scheme: a few points check the sum
     outside = rng.uniform(-5.0, 5.0, size=(6 if exact else 2, geom.dim))
     signed_zeros = np.where(rng.random(geom.dim) < 0.5, -0.0, outside[0])
     # the rim: the outside points projected (Dykstra may fail to converge),
     # and 1e-7 further out, where the distance subgradient is a unit vector
-    rim = [(outcome(constraint.feasible_region.project, x), x) for x in outside]
+    rim = [(outcome(ref_region.project, x), x) for x in outside]
     rim = [(np.array(p).view(float), x) for p, x in rim if isinstance(p, list)]
     near = [r + 1e-7 * (x - r) / np.linalg.norm(x - r) for r, x in rim if np.any(x != r)]
     points = [-np.zeros(geom.dim), *geom.project(np.array(
         [signed_zeros, *outside, *(r for r, _ in rim), *near]))]
     for bad in (math.nan, math.inf):  # refused before either path projects
-        for region in (twin.projection_region, constraint.feasible_region):
+        for r in (region, ref_region):
             with pytest.raises(ValueError, match="^cannot project a non-finite point$"):
-                dist_subgradient(np.full(geom.dim, bad), region)
+                dist_subgradient(np.full(geom.dim, bad), r)
     # a short point onto a closed form takes the float path, a batch the
     # array path (Dykstra moves every row of a batch until all converge)
-    assert not exact or (outcome(twin.projection_region.project, np.array(points)) == outcome(
-        lambda xs: np.array([twin.projection_region.project(x) for x in xs]), np.array(points)))
+    assert not exact or (outcome(region.project, np.array(points)) == outcome(
+        lambda xs: np.array([region.project(x) for x in xs]), np.array(points)))
     for x in points:
         # the surrogate reads only the direction to the projection (in 1-d,
         # its sign), so the projections are compared too
-        assert (outcome(twin.projection_region.project, x)
-                == outcome(constraint.feasible_region.project, x))
+        assert outcome(region.project, x) == outcome(ref_region.project, x)
         # g(x) read by the surrogate itself where x violates, and a NaN g_val
         # at every point, both of which project. (Where g(x) <= 0 the
         # surrogate reads no region; that the distance term is zero there
         # fails by 1e-8 at the rim of two balls that barely touch, whose
         # lens the closed form draws too thin)
         for g_val in (None, math.nan) if float(constraint.value(x)) > 0.0 else (math.nan,):
-            assert (outcome(coco1_surrogate_subgradient, state, cost, twin, x, g_val)
-                    == outcome(always_projecting_surrogate, state, cost, constraint, x, g_val))
+            assert (outcome(coco1_surrogate_subgradient, state, cost, constraint, x, g_val)
+                    == outcome(always_projecting_surrogate, state, cost, reference, x, g_val))
     if exact:  # the closed form moved outside its region fails its check on both paths
-        far = [x for x in points if dist(x, constraint.feasible_region) > 1e-2]
+        far = [x for x in points if dist(x, ref_region) > 1e-2]
         with mock.patch.object(geometry, "_closed_form", widened(geometry._closed_form)):
             for x in far:
-                for path in (coco1_surrogate_subgradient, always_projecting_surrogate):
+                for path, c in ((coco1_surrogate_subgradient, make()),
+                                (always_projecting_surrogate, reference_of(make()))):
                     with pytest.raises(ProjectionError, match="closed-form projection left"):
-                        path(state, cost, make(), x, None)
+                        path(state, cost, c, x, None)
 
 
 def test_feasible_rounds_reduce_to_unconstrained_learning():

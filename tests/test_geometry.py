@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from coco_lab import geometry
+from coco_lab.core import DecisionSet
 from coco_lab.geometry import (
     Ball,
     Box,
@@ -21,6 +22,7 @@ from coco_lab.geometry import (
     membership,
     project,
 )
+from coco_lab.scenarios import ball_constraint, box_constraint, halfspace_constraint
 
 
 def random_sets(rng, d):
@@ -172,11 +174,48 @@ def test_empty_intersection_rejected_at_construction():
     (lambda: Intersection(()), "intersection needs at least one component"),
     (lambda: Intersection((Box([-1.0], [1.0]), Ball([0.0, 0.0], 1.0))),
      "intersection components must share a dimension"),
+    # a closed form of fields that differ in dimension would broadcast
+    (lambda: ball_constraint([0.0], 1.0, Box([-1.0, -1.0], [1.0, 1.0])),
+     "intersection components must share a dimension"),
 ], ids=["box-shapes", "box-order", "ball-center", "ball-radius", "halfspace-shape",
-        "halfspace-zero", "intersection-empty", "intersection-dimensions"])
+        "halfspace-zero", "intersection-empty", "intersection-dimensions",
+        "constraint-dimensions"])
 def test_malformed_set_rejected_at_construction(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
+
+
+ON_1D_BOX = Box([-1.0], [1.0])
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Ball([0.0, 0.0], math.inf), "ball radius must be finite"),
+    (lambda: Ball([math.nan, 0.0], 1.0), "ball center must be finite"),
+    (lambda: Ball([0.0, -math.inf], 1.0), "ball center must be finite"),
+    (lambda: Box([math.nan], [1.0]), "box bounds must not be NaN"),
+    (lambda: Box([0.0], [math.nan]), "box bounds must not be NaN"),
+    (lambda: Halfspace([1.0], math.nan), "halfspace offset must not be NaN"),
+    (lambda: Halfspace([math.inf], 1.0), "halfspace normal must be finite"),
+    (lambda: Halfspace([math.nan, 1.0], 1.0), "halfspace normal must be finite"),
+    (lambda: DecisionSet(Ball([0.0, 0.0], math.inf), 2.0), "ball radius must be finite"),
+    (lambda: ball_constraint([0.0], math.inf, ON_1D_BOX), "ball radius must be finite"),
+    (lambda: halfspace_constraint([1.0], math.nan, ON_1D_BOX),
+     "halfspace offset must not be NaN"),
+    (lambda: box_constraint([math.nan], [1.0], ON_1D_BOX), "box bounds must not be NaN"),
+], ids=["ball-radius", "ball-center-nan", "ball-center-inf", "box-lower", "box-upper",
+        "halfspace-offset", "halfspace-normal-inf", "halfspace-normal-nan", "decision-set",
+        "ball-constraint", "halfspace-constraint", "box-constraint"])
+def test_a_field_that_is_not_finite_is_refused(make, message):
+    # it would project every point to NaN; a factory refuses it as a set would
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_an_infinite_box_end_or_halfspace_offset_is_a_set():
+    # a 1-d halfspace is a box with an infinite end
+    assert Box([-math.inf], [1.0]).project(np.array([-5.0, 5.0])[:, None]).tolist() == [
+        [-5.0], [1.0]]
+    assert Halfspace([1.0], math.inf).project([5.0]).tolist() == [5.0]
 
 
 def three_sets(d):
@@ -231,6 +270,27 @@ def test_intersection_projects_only_a_point_or_a_batch(components):
     for x in (np.zeros((2, 3, 2)), 0.0):
         with pytest.raises(ValueError, match=r"expected point of shape \(d,\) or batch"):
             region.project(x)
+
+
+@pytest.mark.parametrize("first,second", [
+    ((Ball, np.zeros(2), 3.0), (Ball, np.array([0.5, 0.0]), 1.0)),
+    ((Ball, np.zeros(2), 1.0), (Ball, np.array([1.0, 0.0]), 1.0)),
+    ((Box, np.array([-1.0]), np.array([1.0])), (Halfspace, np.array([1.0]), 0.5)),
+], ids=["nested-balls", "lens", "box"])
+def test_closed_form_is_a_set_that_projects_only_a_point_or_a_batch(first, second):
+    # a region's closed form has its Intersection's dimension and membership,
+    # and refuses what the Intersection refuses rather than broadcasting a
+    # scalar or a (2, 2, 2) array
+    form = geometry.closed_form(first, second)
+    region = Intersection((first[0](*first[1:]), second[0](*second[1:])))
+    xs = np.random.default_rng(0).uniform(-3.0, 3.0, size=(50, region.dim))
+    assert form.dim == region.dim
+    assert np.array_equal(form.contains(xs), region.contains(xs))
+    assert [bool(form.contains(x)) for x in xs] == [bool(region.contains(x)) for x in xs]
+    for x in (np.zeros((2, 2, 2)), 2.0):
+        with pytest.raises(ValueError, match=r"^expected point of shape \(d,\) or batch "
+                                             r"\(n, d\), got "):
+            form.project(x)
 
 
 def test_non_finite_point_rejected():
@@ -388,11 +448,12 @@ def test_nearly_concentric_balls_project_onto_one_ball(balls, seed):
     # the 1e-6 slack of the emptiness and nesting tests
     b1, b2 = balls
     region = Intersection(balls)
-    assert not isinstance(region._exact, geometry._Lens)
+    # the closed form's target is one ball's own fields, not a lens
+    target, parts = region._exact.target, region._exact.parts
     if b1.radius == b2.radius:
-        assert region._exact in (b1, b2)
+        assert target is parts[0] or target is parts[1]
     else:
-        assert region._exact is min(balls, key=lambda b: b.radius)
+        assert target is parts[0 if b1.radius < b2.radius else 1]
     xs = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(8, b1.dim))
     for ps in (region.project(xs), np.array([region.project(x) for x in xs])):
         assert np.all(membership(ps, b1, tol=1e-8)) and np.all(membership(ps, b2, tol=1e-8))
@@ -579,19 +640,20 @@ def test_single_point_is_its_batch_row_bitwise(instance, seed):
     for ball in (Ball(center, radius), Ball(np.zeros_like(center), radius)):
         rng = np.random.default_rng(seed)
         # nested in a larger ball, so the intersection's closed form is
-        # ``ball`` (in one dimension, the interval ``ball`` as a ``Box``)
+        # ``ball``'s own fields (in one dimension, the interval ``ball`` as a box)
         outer = Ball(np.zeros_like(center), np.linalg.norm(center) + 2.0 * radius)
         nested = Intersection((outer, ball))
-        assert nested._exact is ball or ball.dim == 1
+        assert nested._exact.target is nested._exact.parts[1] or ball.dim == 1
         regions = [(nested, [x, *ball_edge_points(ball, rng)])]
         if ball.dim >= 2:
             # overlapping, neither inside the other: the closed form is a lens
             other = Ball(ball.center + radius * np.eye(ball.dim)[0], radius)
             lens = Intersection((ball, other))
-            assert isinstance(lens._exact, geometry._Lens)
+            kind, shape, _ = lens._exact.target
+            assert kind is geometry._Lens
             regions.append((lens, [x, *ball_edge_points(ball, rng),
                                    *ball_edge_points(other, rng),
-                                   *lens_rim_points(lens._exact, rng)]))
+                                   *lens_rim_points(shape, rng)]))
         for region, pts in regions:
             ops = [ball.project, ball.contains, region.project, region.contains,
                    *(functools.partial(f, s=s) for f in (project, dist_subgradient)
