@@ -1,14 +1,17 @@
 """Convex set primitives with exact Euclidean projections.
 
 Supported sets are axis-aligned boxes, Euclidean balls, halfspaces, and
-finite intersections of those. Projections onto the primitives are closed
-form, and so are projections onto two of them by one of two rules: two
-boxes, where a 1-d ball or halfspace counts as the box it is, meet in a
-box; two balls meet in the inner ball or a lens. The rules read each set's
-kind and two fields, so their region, a ``ClosedForm``, needs no set
-object. Every other intersection uses Dykstra's alternating projection
-scheme, which converges to the exact Euclidean projection for closed
-convex sets.
+finite intersections of those. Each primitive kind is one row of
+``_KERNELS``: the check of its two fields beside its projection and
+membership kernels. Every route to a kind's numbers runs that check: the
+set's constructor, the kind's constraint factory and a constraint's region
+(``scenarios``). Projections onto two primitives are closed form by one of
+two rules: two boxes, where a 1-d ball or halfspace counts as the box it
+is, meet in a box; two balls meet in the inner ball or a lens. The rules
+read each set's kind and two fields, so their region, a ``ClosedForm``,
+needs no set object. Every other intersection uses Dykstra's alternating
+projection scheme, which converges to the exact Euclidean projection for
+closed convex sets.
 
 Every operation accepts a single point of shape ``(d,)`` or a batch of
 shape ``(n, d)`` and returns a result of matching shape; a region's
@@ -20,6 +23,7 @@ floats, with the bits of the array path (``_floats``).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +153,7 @@ class GeometricSet:
 
     __slots__ = ()
     dim: int
+    fields = None  # a primitive's ``(kind, p, q)``; None for any other set
 
     def project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -161,105 +166,78 @@ class GeometricSet:
         return self.project(np.zeros(self.dim))
 
 
+class _Primitive(GeometricSet):
+    """A ``Box``, ``Ball`` or ``Halfspace``: a frozen dataclass of two fields,
+    converted by its kind's check (``_KERNELS``) and kept as ``fields``,
+    ``(kind, p, q)`` with ``kind(p, q)`` the set."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        kind, (first, second) = type(self), self.__dataclass_fields__
+        p, q = _KERNELS[kind].check(getattr(self, first), getattr(self, second))
+        vars(self).update({first: p, second: q, "fields": (kind, p, q)})  # frozen: no setattr
+
+    @property
+    def dim(self) -> int:
+        return self.fields[1].shape[0]
+
+    def contains(self, x, tol=MEMBERSHIP_TOL):
+        kind, p, q = self.fields
+        return _KERNELS[kind].contains(np.asarray(x, dtype=float), p, q, tol)
+
+
 @dataclass(frozen=True)
-class Box(GeometricSet):
+class Box(_Primitive):
     """Axis-aligned box { x : lower <= x <= upper } (coordinatewise). An end
     may be infinite (a 1-d halfspace is such a box), but not NaN."""
 
     lower: np.ndarray
     upper: np.ndarray
 
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("box bounds must be vectors of equal length")
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ValueError("box bounds must not be NaN")
-        if np.any(lo > hi):
-            raise ValueError("box lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
     def project(self, x):
         return _box_project(np.asarray(x, dtype=float), self.lower, self.upper)
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return _in_box(np.asarray(x, dtype=float), self.lower, self.upper, tol)
-
 
 @dataclass(frozen=True)
-class Ball(GeometricSet):
+class Ball(_Primitive):
     """Euclidean ball { x : ||x - center|| <= radius }."""
 
     center: np.ndarray
     radius: float
 
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if c.ndim != 1:
-            raise ValueError("ball center must be a vector")
-        if not np.isfinite(c).all():
-            raise ValueError("ball center must be finite")
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
-        r = float(self.radius)
-        if not math.isfinite(r):
-            raise ValueError("ball radius must be finite")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", r)
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
     def project(self, x):
         return _ball_project(np.asarray(x, dtype=float), self.center, self.radius)
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return _in_ball(np.asarray(x, dtype=float), self.center, self.radius, tol)
-
 
 @dataclass(frozen=True)
-class Halfspace(GeometricSet):
+class Halfspace(_Primitive):
     """Halfspace { x : <normal, x> <= offset }; the offset may be infinite,
     but not NaN."""
 
     normal: np.ndarray
     offset: float
 
-    def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.normal, dtype=float))
-        if a.ndim != 1:
-            raise ValueError("halfspace normal must be a vector")
-        if not np.isfinite(a).all():
-            raise ValueError("halfspace normal must be finite")
-        if not np.linalg.norm(a) > 0:
-            raise ValueError("halfspace normal must be nonzero")
-        b = float(self.offset)
-        if math.isnan(b):
-            raise ValueError("halfspace offset must not be NaN")
-        object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", b)
-
-    @property
-    def dim(self) -> int:
-        return self.normal.shape[0]
-
     def project(self, x):
         return _halfspace_project(np.asarray(x, dtype=float), self.normal, self.offset)
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return _in_halfspace(np.asarray(x, dtype=float), self.normal, self.offset, tol)
 
+# Each primitive kind's row of ``_KERNELS``: the check that converts its two
+# fields and refuses, naming the field, one that is malformed or would
+# project a point to NaN; and its projection and membership test on a point
+# or batch ``a`` (a float array) and the checked fields.
 
-# The primitives' projections and membership tests, on a point or batch
-# ``a`` (a float array) and the set's two fields: ``Box``'s, ``Ball``'s and
-# ``Halfspace``'s methods, and through ``_KERNELS`` a ``ClosedForm``'s.
+def _box_fields(lower, upper):
+    lo = np.atleast_1d(np.asarray(lower, dtype=float))
+    hi = np.atleast_1d(np.asarray(upper, dtype=float))
+    if lo.shape != hi.shape or lo.ndim != 1:
+        raise ValueError("box bounds must be vectors of equal length")
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError("box bounds must not be NaN")
+    if np.any(lo > hi):
+        raise ValueError("box lower bound exceeds upper bound")
+    return lo, hi
+
 
 def _box_project(a, lower, upper):
     # np.clip's values, without its wrapper; a signed zero tied with a
@@ -269,6 +247,20 @@ def _box_project(a, lower, upper):
 
 def _in_box(a, lower, upper, tol):
     return np.all((a >= lower - tol) & (a <= upper + tol), axis=-1)
+
+
+def _ball_fields(center, radius):
+    # a short center in Python floats: tracking-ball checks one per round
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.ndim != 1:
+        raise ValueError("ball center must be a vector")
+    _finite(c, "ball center must be finite")
+    if not radius > 0:
+        raise ValueError("ball radius must be positive")
+    r = float(radius)
+    if not math.isfinite(r):
+        raise ValueError("ball radius must be finite")
+    return c, r
 
 
 def _ball_project(a, center, radius):
@@ -294,6 +286,20 @@ def _in_ball(a, center, radius, tol):
     return _distance(a, center) <= radius + tol
 
 
+def _halfspace_fields(normal, offset):
+    a = np.atleast_1d(np.asarray(normal, dtype=float))
+    if a.ndim != 1:
+        raise ValueError("halfspace normal must be a vector")
+    _finite(a, "halfspace normal must be finite")
+    # the projection divides by ``a @ a``, which is 0 for [1e-170, 0] too
+    if not np.linalg.norm(a) > 0:
+        raise ValueError("halfspace normal must be nonzero")
+    b = float(offset)
+    if math.isnan(b):
+        raise ValueError("halfspace offset must not be NaN")
+    return a, b
+
+
 def _halfspace_project(a, normal, offset):
     viol = (_rows_dot(a, normal) - offset) / float(normal @ normal)
     return a - np.maximum(viol, 0.0)[..., None] * normal
@@ -305,9 +311,10 @@ def _in_halfspace(a, normal, offset, tol):
     return (_rows_dot(a, normal) - offset) / math.sqrt(normal @ normal) <= tol
 
 
-# kind -> (projection, membership test)
-_KERNELS = {Box: (_box_project, _in_box), Ball: (_ball_project, _in_ball),
-            Halfspace: (_halfspace_project, _in_halfspace)}
+_Kind = namedtuple("_Kind", "check project contains")
+_KERNELS = {Box: _Kind(_box_fields, _box_project, _in_box),
+            Ball: _Kind(_ball_fields, _ball_project, _in_ball),
+            Halfspace: _Kind(_halfspace_fields, _halfspace_project, _in_halfspace)}
 
 _DIM_MISMATCH = "intersection components must share a dimension"
 
@@ -343,7 +350,7 @@ class Intersection(GeometricSet):
             raise ValueError(_DIM_MISMATCH)
         object.__setattr__(self, "components", comps)
         # the region's closed form; None means Dykstra
-        object.__setattr__(self, "_exact", closed_form(*map(_fields, comps))
+        object.__setattr__(self, "_exact", closed_form(*(c.fields for c in comps))
                            if len(comps) == 2 else None)
         if self._exact is None:
             self._probe_nonempty()
@@ -386,21 +393,6 @@ class Intersection(GeometricSet):
         for c in self.components[1:]:
             result = result & c.contains(a, tol)
         return result
-
-
-# A primitive set's fields are ``(kind, p, q)`` with ``kind(p, q)`` the set:
-# a Box's lower and upper ends, a Ball's center and radius, a Halfspace's
-# normal and offset.
-
-def _fields(s):
-    """The fields of a ``Box``, ``Ball`` or ``Halfspace``; None for any other set."""
-    if isinstance(s, Box):
-        return Box, s.lower, s.upper
-    if isinstance(s, Ball):
-        return Ball, s.center, s.radius
-    if isinstance(s, Halfspace):
-        return Halfspace, s.normal, s.offset
-    return None
 
 
 def _closed_form(first, second):
@@ -449,7 +441,7 @@ def _project_onto(fields, a):
     """The projection of the point or batch ``a`` onto the set of ``fields``
     (a lens's included)."""
     kind, p, q = fields
-    return p.project(a) if kind is _Lens else _KERNELS[kind][0](a, p, q)
+    return p.project(a) if kind is _Lens else _KERNELS[kind].project(a, p, q)
 
 
 def _checked(out, parts):
@@ -458,7 +450,7 @@ def _checked(out, parts):
     within 1e-8); else ``ProjectionError`` with its largest distance to
     one. A ball's single point answers a Python bool, with no numpy call."""
     for kind, p, q in parts:
-        ok = _KERNELS[kind][1](out, p, q, _RESIDUAL_TOL)
+        ok = _KERNELS[kind].contains(out, p, q, _RESIDUAL_TOL)
         if not (ok if out.ndim == 1 else ok.all()):
             residual = max(float(np.max(_norm(out - _project_onto(f, out)))) for f in parts)
             raise ProjectionError("closed-form projection left the set", residual)
@@ -491,7 +483,7 @@ class ClosedForm(GeometricSet):
     def contains(self, x, tol=MEMBERSHIP_TOL):
         a = np.asarray(x, dtype=float)
         (k1, p1, q1), (k2, p2, q2) = self.parts
-        return _KERNELS[k1][1](a, p1, q1, tol) & _KERNELS[k2][1](a, p2, q2, tol)
+        return _KERNELS[k1].contains(a, p1, q1, tol) & _KERNELS[k2].contains(a, p2, q2, tol)
 
     def _point(self, a):
         """The checked projection of ``a`` as Python floats, when ``a`` is a
@@ -609,11 +601,12 @@ def _settled(start, x, components, before, after, tol) -> bool:
     return bool(ok.all())
 
 
-def _finite(pts):
-    """``_floats(pts)``, once every coordinate of ``pts`` is checked finite."""
+def _finite(pts, message="cannot project a non-finite point"):
+    """``_floats(pts)``, once every coordinate of ``pts`` is checked finite;
+    else ``ValueError(message)``."""
     v = _floats(pts)
     if not (np.isfinite(pts).all() if v is None else all(map(math.isfinite, v))):
-        raise ValueError("cannot project a non-finite point")
+        raise ValueError(message)
     return v
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ComparatorSequence, DecisionSet, is_finite_real, is_integer
-from .geometry import (Ball, Box, GeometricSet, Halfspace, Intersection, _distance, _fields,
-                       _norm, _rows_dot, _unit_offset, closed_form)
+from .geometry import (_KERNELS, Ball, Box, GeometricSet, Halfspace, Intersection, _distance,
+                       _finite, _norm, _rows_dot, _unit_offset, closed_form)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +79,10 @@ class _Radial:
 
 class _Constraint:
     """Mixin: ``feasible_region``, the region of ``decision_geometry`` and
-    the sublevel set, whose fields (``geometry._fields``) the family gives
-    from its own numbers (``_fields``), derived when first read."""
+    the sublevel set, whose fields (a ``geometry`` set's ``fields``) the
+    family gives from its own numbers (``_fields``), derived when first
+    read. The fields pass their kind's check first, so a constraint built
+    with its class is refused there, with its factory's message."""
 
     __slots__ = ()
 
@@ -90,13 +92,12 @@ class _Constraint:
             self._region = self._derive_region()
         return self._region
 
-    def _derive_region(self, sublevel=None):
-        """The region's ``geometry.ClosedForm``, built from the two sets'
-        fields alone, where one applies; else their ``Intersection``, with
-        ``sublevel`` as the sublevel set if given."""
-        kind, p, q = fields = self._fields()
-        return (closed_form(_fields(self.decision_geometry), fields)
-                or Intersection((self.decision_geometry, sublevel or kind(p, q))))
+    def _derive_region(self):
+        """The region's ``ClosedForm`` of the checked fields, else their ``Intersection``."""
+        kind, p, q = self._fields()
+        p, q = _KERNELS[kind].check(p, q)
+        return (closed_form(self.decision_geometry.fields, (kind, p, q))
+                or Intersection((self.decision_geometry, kind(p, q))))
 
 
 class AffineCost(_Linear):
@@ -144,7 +145,7 @@ class BallConstraint(_Radial, _Constraint):
         self.decision_geometry, self._region = decision_geometry, None
 
     def _fields(self):
-        return Ball, self.center, float(self.radius)
+        return Ball, self.center, self.radius
 
 
 class BoxConstraint(_Constraint):
@@ -160,8 +161,7 @@ class BoxConstraint(_Constraint):
         return Box, self.lower, self.upper
 
     def value(self, x):
-        a = np.asarray(x, dtype=float)
-        return np.max(np.maximum(self.lower - a, a - self.upper), axis=-1)
+        return self.evaluate((self.lower, self.upper), np.asarray(x, dtype=float))
 
     def subgradient(self, x):
         a = np.asarray(x, dtype=float)
@@ -255,41 +255,46 @@ def _each_value(oracles, points) -> list:
     return [float(o.value(p)) for o, p in zip(oracles, points)]
 
 
+# The factories convert their numbers and refuse a malformed one, naming its
+# field: a cost's that is not finite, a constraint's by its kind's check and
+# its empty region (``_nonempty``). A class checks nothing when it is built.
+
 def affine_cost(a, b: float = 0.0) -> AffineCost:
-    return AffineCost(np.atleast_1d(np.asarray(a, dtype=float)), float(b))
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.asarray(b, dtype=float)
+    _finite(a, "affine cost a must be finite")
+    _finite(b, "affine cost b must be finite")
+    return AffineCost(a, float(b))
 
 
 def norm_cost(center) -> NormCost:
-    return NormCost(np.atleast_1d(np.asarray(center, dtype=float)))
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    _finite(center, "norm cost center must be finite")
+    return NormCost(center)
 
 
 def _nonempty(oracle):
-    # the sublevel set is built first, which checks its fields; an empty
-    # region is then rejected here, not on first use
-    kind, p, q = oracle._fields()
-    oracle._region = oracle._derive_region(kind(p, q))
+    oracle.feasible_region  # an empty region is refused here, not on first use
     return oracle
 
 
 def halfspace_constraint(a, b: float, decision_geometry: GeometricSet) -> HalfspaceConstraint:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    return _nonempty(HalfspaceConstraint(a, float(b), decision_geometry))
+    return _nonempty(HalfspaceConstraint(*_KERNELS[Halfspace].check(a, b), decision_geometry))
 
 
 def ball_constraint(center, radius: float, decision_geometry: GeometricSet) -> BallConstraint:
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    return _nonempty(BallConstraint(c, float(radius), decision_geometry))
+    return _nonempty(BallConstraint(*_KERNELS[Ball].check(center, radius), decision_geometry))
 
 
 def box_constraint(lower, upper, decision_geometry: GeometricSet) -> BoxConstraint:
-    lo = np.atleast_1d(np.asarray(lower, dtype=float))
-    hi = np.atleast_1d(np.asarray(upper, dtype=float))
-    return _nonempty(BoxConstraint(lo, hi, decision_geometry))
+    return _nonempty(BoxConstraint(*_KERNELS[Box].check(lower, upper), decision_geometry))
 
 
 def constant_constraint(level: float, decision_geometry: GeometricSet) -> ConstantConstraint:
     """Constraint identically equal to ``level``; for ``level <= 0`` the
     feasible region is the whole decision set."""
+    level = float(level)
+    if not math.isfinite(level):
+        raise ValueError("constant constraint level must be finite")
     if level > 0:
         raise ValueError("a constant positive constraint has an empty feasible region")
     return ConstantConstraint(level, decision_geometry)

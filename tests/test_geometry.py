@@ -22,7 +22,16 @@ from coco_lab.geometry import (
     membership,
     project,
 )
-from coco_lab.scenarios import ball_constraint, box_constraint, halfspace_constraint
+from coco_lab.scenarios import (
+    BallConstraint,
+    HalfspaceConstraint,
+    affine_cost,
+    ball_constraint,
+    box_constraint,
+    constant_constraint,
+    halfspace_constraint,
+    norm_cost,
+)
 
 
 def random_sets(rng, d):
@@ -202,11 +211,29 @@ ON_1D_BOX = Box([-1.0], [1.0])
     (lambda: halfspace_constraint([1.0], math.nan, ON_1D_BOX),
      "halfspace offset must not be NaN"),
     (lambda: box_constraint([math.nan], [1.0], ON_1D_BOX), "box bounds must not be NaN"),
+    # a constraint built with its class is refused where its region is first
+    # read, by the check its factory runs, and with no numpy warning
+    (lambda: BallConstraint(np.zeros(2), -1.0, Ball(np.zeros(2), 3.0)).feasible_region,
+     "ball radius must be positive"),
+    (lambda: HalfspaceConstraint(np.array([0.0]), 1.0, ON_1D_BOX).feasible_region,
+     "halfspace normal must be nonzero"),
+    (lambda: BallConstraint(np.array([math.nan, 0.0]), 1.0, Ball(np.zeros(2), 3.0))
+     .feasible_region, "ball center must be finite"),
+    (lambda: constant_constraint(math.nan, ON_1D_BOX), "constant constraint level must be finite"),
+    (lambda: constant_constraint(-math.inf, ON_1D_BOX),
+     "constant constraint level must be finite"),
+    (lambda: affine_cost([math.nan], 0.0), "affine cost a must be finite"),
+    (lambda: affine_cost([1.0], math.inf), "affine cost b must be finite"),
+    (lambda: norm_cost([math.inf]), "norm cost center must be finite"),
 ], ids=["ball-radius", "ball-center-nan", "ball-center-inf", "box-lower", "box-upper",
         "halfspace-offset", "halfspace-normal-inf", "halfspace-normal-nan", "decision-set",
-        "ball-constraint", "halfspace-constraint", "box-constraint"])
+        "ball-constraint", "halfspace-constraint", "box-constraint",
+        "class-ball-radius", "class-halfspace-normal", "class-ball-center",
+        "constant-nan", "constant-minus-inf", "affine-a", "affine-b", "norm-center"])
+@pytest.mark.filterwarnings("error")
 def test_a_field_that_is_not_finite_is_refused(make, message):
-    # it would project every point to NaN; a factory refuses it as a set would
+    # it would project every point to NaN; a factory refuses it as a set
+    # would, and a class-built constraint's region too
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
 

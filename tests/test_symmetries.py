@@ -9,6 +9,12 @@ the losses, and so is coco2's default V = gamma sqrt(T). A power of two
 multiplies exactly barring overflow and underflow, so each summary value
 scales by an exact power of two, and a constraint's feasible region, a
 sublevel set, does not move.
+
+Reflecting a 1-d instance through the origin, x -> -x, negates the plays.
+The learner starts at 0 and moves by sums of gradients, which negate
+exactly; a box's projection clips at ends that negate and swap; the hedge
+sees the same losses. So every play is the negation of the original's,
+and every summary value, none of which has a sign in x, is equal.
 """
 
 from dataclasses import replace
@@ -16,7 +22,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coco_lab.core import ConstraintOracle, CostOracle
+from coco_lab.core import ConstraintOracle, CostOracle, DecisionSet
+from coco_lab.geometry import Box
 from coco_lab.harness import ALGORITHMS, RunConfig, run, verify_run
 from coco_lab.scenarios import SCENARIOS, Scenario, ScenarioSpec, build_scenario
 
@@ -80,3 +87,58 @@ def test_scaling_losses_and_g_lip_by_a_power_of_two_scales_the_run_exactly(
                 expected = value if isinstance(value, (bool, str)) else ratio(key, algorithm, s) * value
                 assert scaled.summary[key] == expected, (k, key)
         assert verify_run(str(out)) == []
+
+
+def mirror(fields):
+    """The reflection through the origin of the 1-d box of ``fields``."""
+    kind, lo, hi = fields
+    assert kind is Box and lo.shape == (1,)
+    return Box(-hi, -lo)
+
+
+def reflected_scenario(name: str):
+    """A ``Scenario`` class that plays the 1-d built-in ``name`` reflected
+    through the origin: each oracle reads -x and its subgradient is negated,
+    the decision box and each round's region (a 1-d closed form, whose
+    target is a box) are mirrored, and so are the comparators."""
+
+    class Reflected(Scenario):
+        def __init__(self, spec):
+            inner = build_scenario(replace(spec, name=name))
+            decision = DecisionSet(mirror(inner.decision_set.geometry.fields),
+                                   inner.decision_set.diameter)
+            super().__init__(spec, decision, inner.g_lip,
+                             {n: -c.points for n, c in inner.comparators().items()},
+                             minimizer_path=inner._minimizer_path,
+                             feasible_path=inner._feasible_path)
+            self._inner = inner
+
+        def generate(self, t):
+            cost, constraint = self._inner.generate(t)
+            return (CostOracle(lambda x: cost.value(-x), lambda x: -cost.subgradient(-x)),
+                    ConstraintOracle(lambda x: constraint.value(-x),
+                                     lambda x: -constraint.subgradient(-x),
+                                     mirror(constraint.feasible_region.target)))
+
+    return Reflected
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("name", ["alternating", "disjoint-alternating", "static"])
+def test_reflecting_a_1d_instance_negates_the_plays_exactly(
+        monkeypatch, tmp_path, name, algorithm):
+    spec = ScenarioSpec(name, 300, seed=1)
+    base = run(RunConfig(spec, algorithm))
+    monkeypatch.setitem(SCENARIOS, f"-{name}", reflected_scenario(name))
+    out = tmp_path / f"-{name}"
+    reflected = run(RunConfig(replace(spec, name=f"-{name}"), algorithm, out_dir=str(out)))
+    # a zero may come out as -0.0 either way; every other play's bits negate
+    nonzero = base.x != 0.0
+    assert np.array_equal(reflected.x[nonzero].view(np.uint64),
+                          (-base.x[nonzero]).view(np.uint64))
+    assert np.array_equal(reflected.x, -base.x)
+    assert set(reflected.summary) == set(base.summary)
+    for key, value in base.summary.items():
+        if key not in ("scenario", "wall_clock_sec"):
+            assert reflected.summary[key] == value, key
+    assert verify_run(str(out)) == []
