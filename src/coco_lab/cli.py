@@ -78,7 +78,13 @@ def _cmd_report(args) -> int:
                 print(f"VERIFY FAIL: {p}", file=sys.stderr)
             return EXIT_NUMERICAL
         print("verify OK: summary reproduced from rounds.csv")
-    return EXIT_OK if summary.get("all_bounds_satisfied", False) else EXIT_BOUND_VIOLATION
+    # after verify, whose exit code 3 names a tampered run first
+    if "all_bounds_satisfied" not in summary:
+        raise ConfigError("summary.json has no all_bounds_satisfied")
+    ok = summary["all_bounds_satisfied"]
+    if not isinstance(ok, bool):
+        raise ConfigError(f"summary.json's all_bounds_satisfied must be true or false, got {ok!r}")
+    return EXIT_OK if ok else EXIT_BOUND_VIOLATION
 
 
 def _cmd_list_scenarios(_args) -> int:

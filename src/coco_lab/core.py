@@ -90,19 +90,19 @@ class ConstraintOracle:
 
 @dataclass(frozen=True)
 class ComparatorSequence:
-    """A benchmark action sequence with its feasibility flag and its path,
-    ``path_prefix(points)`` computed once: entry ``t - 1`` is the path
-    length after round ``t``, and ``path_length`` its last entry."""
+    """A benchmark action sequence, feasible on every round by contract (a
+    run checks it on each), with its path ``path_prefix(points)`` computed
+    once: entry ``t - 1`` is the path length after round ``t``, and
+    ``path_length`` its last entry. Its name is its key in the table that
+    holds it."""
 
     points: np.ndarray  # (T, d)
     path: np.ndarray  # (T,)
-    feasible: bool
-    name: str = ""
 
     @classmethod
-    def from_points(cls, points, feasible: bool, name: str = "") -> "ComparatorSequence":
+    def from_points(cls, points) -> "ComparatorSequence":
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return cls(points=pts, path=path_prefix(pts), feasible=feasible, name=name)
+        return cls(points=pts, path=path_prefix(pts))
 
     @property
     def path_length(self) -> float:

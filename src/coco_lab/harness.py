@@ -45,13 +45,7 @@ from .coco import Coco1State, Coco2State, coco1_round, coco2_round
 from .core import FEASIBILITY_TOL, RunRecord, is_finite_real, is_integer
 from .geometry import membership
 from .scenarios import Scenario, ScenarioSpec, build_scenario
-from .subroutines import (
-    KNOWN_PATH,
-    AdaGradState,
-    AhagState,
-    adagrad_step,
-    ahag_step,
-)
+from .subroutines import KNOWN_PATH, AdaGradState, AhagState, adagrad_step, ahag_round
 
 ALGORITHMS = ("adagrad", "ahag", "coco1", "coco2")
 # rounds whose oracles are held at once while comparators are scored, so a
@@ -229,7 +223,7 @@ def _play(scenario: Scenario, record: RunRecord, algorithm: str | None = None, s
                 np.concatenate((f, g, *comparator_costs.values()))).all()
             clean = clean and not any(
                 (constraints.values(comp.points[rows]) > FEASIBILITY_TOL).any()
-                for comp in record.comparators.values() if comp.feasible)
+                for comp in record.comparators.values())
         except Exception as exc:
             clean, cause = False, exc
         if not clean:
@@ -266,7 +260,7 @@ def _raise_first_failure(scenario: Scenario, record: RunRecord, start: int, stop
                 value = float(cost.value(comp.points[t - 1]))
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite cost {value} at comparator {name!r}")
-                if comp.feasible and float(constraint.value(comp.points[t - 1])) > FEASIBILITY_TOL:
+                if float(constraint.value(comp.points[t - 1])) > FEASIBILITY_TOL:
                     raise HarnessError(f"comparator {name!r} marked feasible violates round {t}")
         except HarnessError:
             raise
@@ -287,13 +281,14 @@ def _round_step(algorithm: str):
         return lambda state, cost, constraint: coco1_round(state, cost, constraint)[1:]
     if algorithm == "coco2":
         return lambda state, cost, constraint: coco2_round(state, cost, constraint)[1:]
-    adagrad = algorithm == "adagrad"
+    if algorithm == "ahag":
+        return lambda state, cost, constraint: (
+            ahag_round(state, cost)[1], math.sqrt(state.experts.last_grad_sq))
 
     def step(state, cost, constraint):
-        x = state.point if adagrad else state.combined_point
-        grad = np.asarray(cost.subgradient(x), dtype=float)
-        (adagrad_step if adagrad else ahag_step)(state, grad)
-        return x, math.sqrt((state if adagrad else state.experts).last_grad_sq)
+        x = state.point
+        adagrad_step(state, np.asarray(cost.subgradient(x), dtype=float))
+        return x, math.sqrt(state.last_grad_sq)
     return step
 
 
@@ -317,9 +312,13 @@ def _init_state(config: RunConfig, scenario: Scenario):
 
 def _summarize(config, scenario, state, record: RunRecord) -> dict:
     """The run summary, from the last entries of the record's running sums;
-    ``state`` gives only the learner's parameters. A summary value that is
-    not finite, such as a budget too large for a float, is a
-    ``HarnessError`` that names the first one."""
+    ``state`` gives only the learner's parameters. A regret budget covers a
+    comparator exactly when its path is within the learner's reach (known-
+    path descent reaches its estimate, every other learner any path).
+    ``feasible__<name>`` is always true: ``_play`` has checked that
+    comparator on every round. A summary value that is not finite, such as
+    a budget too large for a float, is a ``HarnessError`` that names the
+    first one."""
     algo, T = config.algorithm, record.horizon
     grad_sq = record.surrogate_grad_sq_sum()
 
@@ -347,18 +346,15 @@ def _summarize(config, scenario, state, record: RunRecord) -> dict:
             summary["path_estimate"] = state.path_estimate
     if algo == "coco2":
         summary["v"] = state.v_param
-    meta = algo in ("coco1", "coco2")
-    # the meta-algorithms' analysis covers feasible comparators; known-path
-    # descent covers comparators whose path fits its estimate
     reach = state.path_estimate + 1e-12 if summary.get("mode") == KNOWN_PATH else math.inf
     flags = []
     for name, comp in record.comparators.items():
         path = comp.path_length
         regret = float(record.regret(name)[-1])
         summary[f"path_length__{name}"] = path
-        summary[f"feasible__{name}"] = comp.feasible
+        summary[f"feasible__{name}"] = True
         summary[f"regret__{name}"] = regret
-        if comp.feasible if meta else path <= reach:
+        if path <= reach:
             rhs = budget(path)
             summary[f"bound_rhs__{name}"] = rhs
             ok = regret <= rhs * (1.0 + 1e-12) + 1e-12

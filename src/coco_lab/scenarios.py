@@ -327,7 +327,8 @@ class ScenarioSpec:
 class Scenario:
     """Deterministic instance: oracle pairs per round plus declared ground
     truth. ``comparators`` maps names to the ``(T, d)`` points of
-    round-feasible comparators, each made a ``ComparatorSequence`` once.
+    comparators feasible on every round, each made a ``ComparatorSequence``
+    once; a run checks each against every round's constraint.
     ``minimizer_path`` names the one of per-round constrained minimizers and
     ``feasible_path`` a round-feasible one, whose exact path lengths the CCV
     budgets take (None where unknown; a name not declared is a ValueError)."""
@@ -341,7 +342,7 @@ class Scenario:
         self.spec = spec
         self.decision_set = decision_set
         self.g_lip = float(g_lip)
-        self._comparators = {name: ComparatorSequence.from_points(points, True, name)
+        self._comparators = {name: ComparatorSequence.from_points(points)
                              for name, points in (comparators or {}).items()}
         for path in (minimizer_path, feasible_path):
             if path is not None and path not in self._comparators:

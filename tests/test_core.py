@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -96,16 +97,17 @@ def test_decision_set_projection_pairs_within_diameter():
 
 
 def test_comparator_sequence_from_points():
-    comp = ComparatorSequence.from_points([[0.0], [1.0], [0.0]], feasible=True, name="zig")
+    comp = ComparatorSequence.from_points([[0.0], [1.0], [0.0]])
     assert comp.path_length == pytest.approx(2.0)
     assert comp.points.shape == (3, 1)
+    # a comparator is its points and its path: round-feasible by contract,
+    # named by the key of the table that holds it
+    assert [f.name for f in fields(ComparatorSequence)] == ["points", "path"]
 
 
 def test_comparator_feasibility_validated_against_constraints():
     sc = make_scenario("alternating", 6)
     for comp in sc.comparators().values():
-        if not comp.feasible:
-            continue
         for t in range(1, sc.horizon + 1):
             _, constraint = sc.generate(t)
             assert float(constraint.value(comp.points[t - 1])) <= 1e-9

@@ -727,9 +727,9 @@ def test_each_budget_takes_the_runs_own_inputs(scenario, algorithm, path_estimat
             expected[name] = budgets.adagrad_path_free_rhs(diameter, path, grad_sq)
         elif algorithm == "adagrad" and path <= path_estimate:
             expected[name] = budgets.adagrad_known_path_rhs(diameter, path_estimate, grad_sq)
-        elif algorithm == "ahag" or (algorithm == "coco1" and comp.feasible):
+        elif algorithm in ("ahag", "coco1"):
             expected[name] = budgets.ensemble_rhs(diameter, n, path, grad_sq)
-        elif algorithm == "coco2" and comp.feasible:
+        elif algorithm == "coco2":
             expected[name] = budgets.coco2_regret_rhs(gamma, v, path, T)
     rhs = {key[len("bound_rhs__"):]: value for key, value in record.summary.items()
            if key.startswith("bound_rhs__")}
@@ -746,6 +746,37 @@ def test_each_budget_takes_the_runs_own_inputs(scenario, algorithm, path_estimat
     else:
         assert record.summary["ccv_bound_rhs"] == budgets.coco2_ccv_rhs(
             gamma, v, g_lip, diameter, ccv_path, T)
+
+
+def _holds(value, rhs):
+    """The summary's budget check, on arrays of prefixes."""
+    return value <= rhs * (1.0 + 1e-12) + 1e-12
+
+
+@pytest.mark.parametrize("T", [50, 300])
+def test_every_budget_holds_at_every_prefix(T):
+    # each budget the summary checks at T also holds after every round t <= T:
+    # a covered comparator's regret against its budget at its own path's
+    # prefix, and coco1's and coco2's CCV against the CCV budget at the
+    # prefix of the path the scenario declares for it
+    ts = np.arange(1, T + 1)
+    for name in SCENARIOS:
+        for seed in range(3):
+            sc = build_scenario(ScenarioSpec(name, horizon=T, seed=seed))
+            ccv_paths = {"coco1": sc._minimizer_path, "coco2": sc._feasible_path}
+            for algorithm in ALGORITHMS:
+                record = run(cfg(name, T=T, seed=seed, algorithm=algorithm))
+                summary, S = record.summary, record.S[:T]
+                instance = (algorithm, name, seed)
+                for comp_name, comp in record.comparators.items():
+                    if f"bound_rhs__{comp_name}" in summary:
+                        rhs = harness._budget(summary, comp.path, ts, S)
+                        assert _holds(record.regret(comp_name), rhs).all(), (instance, comp_name)
+                ccv_path = ccv_paths.get(algorithm)
+                if ccv_path is not None:
+                    rhs = harness._budget(summary, record.comparators[ccv_path].path, ts, S,
+                                          ccv=True)
+                    assert _holds(record.Q[:T], rhs).all(), instance
 
 
 # ---------------------------------------------------------------------------
@@ -786,15 +817,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     rigged.mkdir()
     (rigged / "summary.json").write_text(json.dumps({"all_bounds_satisfied": False}))
     assert main(["report", str(rigged)]) == 1
+    # 2: a summary whose flag is missing or not a JSON bool, neither read as
+    # a violation nor as a pass
+    for flag in ({}, {"all_bounds_satisfied": "no"}):
+        (rigged / "summary.json").write_text(json.dumps(flag))
+        assert main(["report", str(rigged)]) == 2
     # 3: verify mismatch after tampering
     config = write_config(tmp_path)
     out = str(tmp_path / "v")
     assert main(["run", "--config", config, "--out", out]) == 0
     summary_path = os.path.join(out, "summary.json")
-    s = json.loads(open(summary_path).read())
-    s["final_ccv"] = s["final_ccv"] + 123.0
-    open(summary_path, "w").write(json.dumps(s))
-    assert main(["report", out, "--verify"]) == 3
+    original = json.loads(open(summary_path).read())
+    for key, tamper in (("final_ccv", lambda v: v + 123.0),
+                        # 3 before 2: with --verify, a flag that is not a
+                        # bool is a mismatch that verify names
+                        ("all_bounds_satisfied", lambda v: "no")):
+        open(summary_path, "w").write(json.dumps({**original, key: tamper(original[key])}))
+        assert main(["report", out, "--verify"]) == 3
     capsys.readouterr()
 
 
@@ -825,7 +864,7 @@ class _OfferingStatic(StaticScenario):
     offered = {}
 
     def comparators(self):
-        return {name: ComparatorSequence.from_points(points(self.horizon), True, name)
+        return {name: ComparatorSequence.from_points(points(self.horizon))
                 for name, points in self.offered.items()}
 
 

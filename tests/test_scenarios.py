@@ -86,15 +86,14 @@ def test_constraint_value_agrees_with_region_membership(name):
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_comparators_are_members_and_feasible_where_claimed(name):
+def test_comparators_are_members_and_feasible_on_every_round(name):
     sc = make_scenario(name, 25, seed=5)
     for comp in sc.comparators().values():
         assert comp.points.shape == (25, sc.dimension)
         assert np.all(membership(comp.points, sc.decision_set.geometry, tol=1e-8))
-        if comp.feasible:
-            for t in range(1, 26):
-                _, constraint = sc.generate(t)
-                assert float(constraint.value(comp.points[t - 1])) <= 1e-9
+        for t in range(1, 26):
+            _, constraint = sc.generate(t)
+            assert float(constraint.value(comp.points[t - 1])) <= 1e-9
 
 
 def test_closed_form_paths_match_grid_oracles_at_truncation():
@@ -189,7 +188,7 @@ def test_a_path_that_names_no_declared_comparator_is_rejected(path):
                                          r"'static' declares \['origin'\]"):
         Scenario(spec, ds, 1.0, {"origin": np.zeros((4, 1))}, **{path: "nope"})
     sc = Scenario(spec, ds, 1.0, {"origin": np.zeros((4, 1))}, **{path: "origin"})
-    assert sc.comparators()["origin"].name == "origin"
+    assert list(sc.comparators()) == ["origin"]
 
 
 def test_comparators_are_built_once_and_handed_out_in_a_new_dict():
