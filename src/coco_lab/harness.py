@@ -8,8 +8,9 @@ Artifacts per run directory:
 * ``config.json``  -- echo of the run configuration (used by verification)
 * ``plotdata.csv`` -- optional long-format ``series,t,value`` trajectories
 
-Files are written atomically (temp file + rename). Reruns of an identical
-configuration produce byte-identical CSVs.
+Files are written atomically (temp file + rename), with the permissions
+``open`` would give them, and the CSVs go out ``ORACLE_BLOCK`` rows at a
+time. Reruns of an identical configuration produce byte-identical CSVs.
 
 A run's record is a set of columns (``RunRecord``), and ``_play`` is the one
 pass that fills it. Each round writes only the learner's play x_t and the
@@ -33,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -408,13 +408,24 @@ def _budget(summary: dict, path: float, t: int, grad_sq_sum: float, ccv: bool = 
 # ---------------------------------------------------------------------------
 # persistence
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, content):
+    """Write a file at ``path`` atomically: into a new temporary file beside
+    it, renamed over it once complete, so that a reader sees the old file or
+    the whole new one. ``content`` is the text, or a function that writes it
+    to the open file it is given, so that a long file is never held whole.
+    The temporary file is made as ``open`` makes a file, with mode 0o666
+    less the umask. If anything fails, the target is left as it was and the
+    temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            if callable(content):
+                content(f)
+            else:
+                f.write(content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -428,42 +439,71 @@ def _fmt_column(values) -> list:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
+def _blocks(n: int):
+    """Each block of ``ORACLE_BLOCK`` of the first ``n`` rows: its ``slice``
+    of the record's columns, and its rounds t."""
+    for start in range(0, n, ORACLE_BLOCK):
+        stop = min(start + ORACLE_BLOCK, n)
+        yield slice(start, stop), range(start + 1, stop + 1)
+
+
+def _write_blocks(blocks, out):
+    """The text of ``blocks`` joined, or, given an open file ``out``, each
+    block written to it in turn (and ``None``)."""
+    if out is None:
+        return "".join(blocks)
+    for block in blocks:
+        out.write(block)
+    return None
+
+
 def _rounds_columns(d: int) -> list:
     return ["t", *(f"x_{i}" for i in range(d)), "f", "g", "gplus", "Q", "grad_norm_surrogate"]
 
 
-def rounds_csv_text(record: RunRecord) -> str:
-    header = ",".join(_rounds_columns(record.dimension))
-    n = record.horizon
-    if not n:
-        return header + "\n"
-    # formatted column by column, then joined by row
-    columns = [list(map(str, range(1, n + 1))), *map(_fmt_column, record.x[:n].T),
-               *(_fmt_column(c[:n]) for c in (record.f, record.g, record.gplus, record.Q,
-                                              record.grad_norm))]
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+def rounds_csv_text(record: RunRecord, out=None) -> str | None:
+    """The text of ``rounds.csv``: its header, then one row per round. Rows
+    are formatted ``ORACLE_BLOCK`` at a time; given an open file ``out``,
+    each block is written to it as it is formatted, and nothing is
+    returned."""
+    def blocks():
+        yield ",".join(_rounds_columns(record.dimension)) + "\n"
+        for b, ts in _blocks(record.horizon):
+            # formatted column by column, then joined by row
+            columns = [list(map(str, ts)), *map(_fmt_column, record.x[b].T),
+                       *(_fmt_column(c[b]) for c in (record.f, record.g, record.gplus,
+                                                     record.Q, record.grad_norm))]
+            yield "\n".join(map(",".join, zip(*columns))) + "\n"
+    return _write_blocks(blocks(), out)
 
 
-def _series(name: str, ts: list, values) -> list:
-    return [f"{name},{t},{v}" for t, v in zip(ts, _fmt_column(values))]
-
-
-def plotdata_csv_text(record: RunRecord) -> str:
+def plotdata_csv_text(record: RunRecord, out=None) -> str | None:
     """Long-format trajectories of the record's running sums: CCV, regret
     per comparator, and the matching budget RHS evaluated on each prefix.
-    Each series ends on its value in the summary, bit for bit."""
-    n = record.horizon
-    ts = list(map(str, range(1, n + 1)))
-    lines = ["series,t,value", *_series("ccv", ts, record.Q[:n])]
-    for name, comp in record.comparators.items():
-        regret = _series(f"regret__{name}", ts, record.regret(name))
-        if f"bound_rhs__{name}" not in record.summary:
-            lines += regret
-            continue
-        rhs = _series(f"bound_rhs__{name}", ts, _budget(
-            record.summary, comp.path[:n], np.arange(1, n + 1), record.S[:n]))
-        lines += [line for pair in zip(regret, rhs) for line in pair]
-    return "\n".join(lines) + "\n"
+    Each series ends on its value in the summary, bit for bit. A series
+    group (``ccv``, then each comparator's ``regret__`` lines interleaved
+    with its ``bound_rhs__`` lines, if it has a budget) is formatted
+    ``ORACLE_BLOCK`` rounds at a time; given an open file ``out``, each
+    block is written to it as it is formatted, and nothing is returned.
+    A block's regret and budget are the elementwise formulas on the block's
+    slices, so they have the bits of the whole columns'."""
+    def blocks():
+        yield "series,t,value\n"
+        for b, ts in _blocks(record.horizon):
+            yield "\n".join([f"ccv,{t},{v}" for t, v in zip(ts, _fmt_column(record.Q[b]))]) + "\n"
+        for name, comp in record.comparators.items():
+            budgeted = f"bound_rhs__{name}" in record.summary
+            for b, ts in _blocks(record.horizon):
+                regret = _fmt_column(record.cost_sum[b] - record.comparator_cost_sum[name][b])
+                if budgeted:
+                    rhs = _fmt_column(_budget(record.summary, comp.path[b],
+                                              np.arange(ts.start, ts.stop), record.S[b]))
+                    lines = [f"regret__{name},{t},{v}\nbound_rhs__{name},{t},{w}"
+                             for t, v, w in zip(ts, regret, rhs)]
+                else:
+                    lines = [f"regret__{name},{t},{v}" for t, v in zip(ts, regret)]
+                yield "\n".join(lines) + "\n"
+    return _write_blocks(blocks(), out)
 
 
 def persist(record: RunRecord, config: RunConfig, out_dir: str):
@@ -471,9 +511,12 @@ def persist(record: RunRecord, config: RunConfig, out_dir: str):
     ``plotdata.csv`` if the config asks for it, and ``config.json``, which
     holds every field of ``config`` but the two that only say how it was
     invoked (``horizons`` and ``out_dir``). ``RunConfig.from_json`` reads it
-    back to the same config less those two."""
+    back to the same config less those two. Each file is written atomically
+    (``_atomic_write``); the two CSVs go into it one block of
+    ``ORACLE_BLOCK`` rows at a time, so the memory they take does not grow
+    with the horizon."""
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "rounds.csv"), rounds_csv_text(record))
+    _atomic_write(os.path.join(out_dir, "rounds.csv"), lambda f: rounds_csv_text(record, f))
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   json.dumps(record.summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
     cfg = asdict(config)
@@ -482,7 +525,7 @@ def persist(record: RunRecord, config: RunConfig, out_dir: str):
                   json.dumps(cfg, sort_keys=True, indent=2) + "\n")
     if config.emit_plotdata:
         _atomic_write(os.path.join(out_dir, "plotdata.csv"),
-                      plotdata_csv_text(record))
+                      lambda f: plotdata_csv_text(record, f))
 
 
 # ---------------------------------------------------------------------------

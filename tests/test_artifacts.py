@@ -4,10 +4,12 @@
 writers as they were before they became column-wise: one row, one
 formatted line, and the running costs and path length added up in a
 Python loop. They read the record one round at a time (``_rows``). The
-shipped writers must give the same text, byte for byte.
+shipped writers must give the same text, byte for byte, and so must the
+files ``persist`` writes block by block.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from coco_lab import budgets
 from coco_lab.core import RunRecord
 from coco_lab.harness import (
     ALGORITHMS,
+    ORACLE_BLOCK,
     RunConfig,
     _budget,
     load_run,
+    persist,
     plotdata_csv_text,
     rounds_csv_text,
     run,
@@ -100,6 +104,45 @@ def test_writers_match_reference_on_a_record_with_no_rows():
     assert_same_text(record)
     assert rounds_csv_text(record) == "t,x_0,x_1,f,g,gplus,Q,grad_norm_surrogate\n"
     assert plotdata_csv_text(record) == "series,t,value\n"
+
+
+@pytest.mark.parametrize("horizon", [ORACLE_BLOCK - 1, ORACLE_BLOCK, ORACLE_BLOCK + 1,
+                                     2 * ORACLE_BLOCK + 1])
+@pytest.mark.parametrize("scenario,algorithm,extra", [
+    ("oco-mix", "adagrad", {"path_estimate": 0.5}),  # a regret series with no bound_rhs
+    ("tracking-ball", "coco1", {}),
+    ("oco-mix", "coco1", {}),
+    ("tracking-ball", "coco2", {}),
+    ("oco-mix", "coco2", {}),
+])
+def test_persisted_files_match_reference_at_block_edges(tmp_path, scenario, algorithm, extra,
+                                                         horizon):
+    out = tmp_path / "run"
+    record = run(RunConfig(ScenarioSpec(scenario, horizon, seed=4), algorithm, out_dir=str(out),
+                           emit_plotdata=True, **extra))
+    if extra:
+        assert any(k.startswith("regret__") and f"bound_rhs__{k[8:]}" not in record.summary
+                   for k in record.summary)
+    assert (out / "rounds.csv").read_text() == reference_rounds_csv_text(record)
+    assert (out / "plotdata.csv").read_text() == reference_plotdata_csv_text(record)
+
+
+def _persist_peak(tmp_path, horizon):
+    config = RunConfig(ScenarioSpec("oco-mix", horizon, seed=0), "adagrad", emit_plotdata=True)
+    record = run(config)
+    tracemalloc.start()
+    try:
+        persist(record, config, str(tmp_path / f"T{horizon}"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_persist_memory_does_not_grow_with_the_horizon(tmp_path):
+    # the CSVs are formatted and written one block of rows at a time: the
+    # peak at ten times the horizon stays that of the shorter run
+    short, long = (_persist_peak(tmp_path, T) for T in (2000, 20000))
+    assert long <= 1.25 * short, (short, long)
 
 
 @pytest.mark.parametrize("horizon", [1, 40])

@@ -984,6 +984,45 @@ def test_atomic_write_that_fails_keeps_the_target_and_leaves_no_temporary_file(m
     assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
+def test_atomic_write_of_a_writer_that_fails_after_a_block_keeps_the_target(tmp_path):
+    target = tmp_path / "rounds.csv"
+    target.write_text("old\n")
+    record = run(cfg("tracking-ball", T=3 * harness.ORACLE_BLOCK, seed=1, algorithm="coco1"))
+
+    class Full(Exception):
+        pass
+
+    class FailsAfterOneBlock:
+        def __init__(self, f):
+            self.f, self.blocks = f, 0
+
+        def write(self, text):
+            if self.blocks == 2:  # the header, then the first block of rows
+                raise Full
+            self.blocks += 1
+            self.f.write(text)
+
+    with pytest.raises(Full):
+        harness._atomic_write(str(target),
+                              lambda f: harness.rounds_csv_text(record, FailsAfterOneBlock(f)))
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rounds.csv"]
+
+
+def test_written_files_take_the_umask_as_open_does(tmp_path):
+    old = os.umask(0o022)
+    try:
+        out = tmp_path / "run"
+        run(cfg("static", T=20, out_dir=str(out), emit_plotdata=True))
+        config = write_config(tmp_path, horizons=[20, 40, 80])
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "sw")]) == 0
+    finally:
+        os.umask(old)
+    written = [out / name for name in ("rounds.csv", "summary.json", "config.json",
+                                       "plotdata.csv")] + [tmp_path / "sw" / "sweep.json"]
+    assert [oct(p.stat().st_mode & 0o777) for p in written] == [oct(0o644)] * len(written)
+
+
 def test_cli_non_finite_gradient_is_numerical_failure(tmp_path, monkeypatch, capsys):
     # plain descent must not freeze on a NaN gradient and report a budget verdict
     monkeypatch.setattr(_BrokenStatic, "bad_grad", [float("nan")])
