@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -53,6 +52,31 @@ def test_trivial_scenario_everything_inert():
     rec = run(cfg("trivial", T=40, algorithm="coco2"))
     assert rec.summary["final_ccv"] == 0.0
     assert rec.summary["all_bounds_satisfied"]
+
+
+# the pairs that play x = 0 on every round: trivial has nothing to learn;
+# the cost of alternating, and of disjoint-alternating, has subgradient 0 at
+# the origin, where every learner starts; alternating's regions all hold the
+# origin, and on disjoint-alternating only a learner that reads the
+# constraint leaves it
+INERT = ({(algorithm, "trivial") for algorithm in ALGORITHMS}
+         | {(algorithm, "alternating") for algorithm in ALGORITHMS}
+         | {("adagrad", "disjoint-alternating"), ("ahag", "disjoint-alternating")})
+
+
+def test_only_the_declared_pairs_are_inert():
+    # every other pair moves, and steps on a nonzero gradient, on every seed:
+    # a change that stills a pair, or moves a declared one, names the pair
+    still, moving = set(), set()
+    for algorithm in ALGORITHMS:
+        for name in SCENARIOS:
+            records = [run(cfg(name, T=300, seed=seed, algorithm=algorithm)) for seed in range(3)]
+            if not any(r.x.any() for r in records):
+                still.add((algorithm, name))
+            if all(r.x.any() and r.summary["surrogate_grad_sq_sum"] > 0 for r in records):
+                moving.add((algorithm, name))
+    assert sorted(still) == sorted(INERT)
+    assert sorted(moving) == sorted({(a, n) for a in ALGORITHMS for n in SCENARIOS} - INERT)
 
 
 def test_rounds_csv_structure(tmp_path):
@@ -780,7 +804,9 @@ def test_every_budget_holds_at_every_prefix(T):
 
 
 # ---------------------------------------------------------------------------
-# CLI
+# CLI and config: every case of the command line is a row of
+# tests/cli_cases.py; these tests need a monkeypatched scenario, the
+# library's own calls or the process's umask
 
 def write_config(tmp_path, **kw):
     payload = {
@@ -791,70 +817,6 @@ def write_config(tmp_path, **kw):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def test_cli_run_report_verify_roundtrip(tmp_path, capsys):
-    config = write_config(tmp_path)
-    out = str(tmp_path / "run")
-    assert main(["run", "--config", config, "--out", out]) == 0
-    assert main(["report", out]) == 0
-    assert main(["report", out, "--verify"]) == 0
-    captured = capsys.readouterr()
-    assert "verify OK" in captured.out
-
-
-def test_cli_exit_codes(tmp_path, capsys):
-    # 2: configuration error
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["run", "--config", str(bad)]) == 2
-    config = write_config(tmp_path, algorithm="nope")
-    assert main(["run", "--config", config]) == 2
-    # 2: missing run dir for report
-    assert main(["report", str(tmp_path / "missing")]) == 2
-    # 1: bound violation reported in a summary
-    rigged = tmp_path / "rigged"
-    rigged.mkdir()
-    (rigged / "summary.json").write_text(json.dumps({"all_bounds_satisfied": False}))
-    assert main(["report", str(rigged)]) == 1
-    # 2: a summary whose flag is missing or not a JSON bool, neither read as
-    # a violation nor as a pass
-    for flag in ({}, {"all_bounds_satisfied": "no"}):
-        (rigged / "summary.json").write_text(json.dumps(flag))
-        assert main(["report", str(rigged)]) == 2
-    # 3: verify mismatch after tampering
-    config = write_config(tmp_path)
-    out = str(tmp_path / "v")
-    assert main(["run", "--config", config, "--out", out]) == 0
-    summary_path = os.path.join(out, "summary.json")
-    original = json.loads(open(summary_path).read())
-    for key, tamper in (("final_ccv", lambda v: v + 123.0),
-                        # 3 before 2: with --verify, a flag that is not a
-                        # bool is a mismatch that verify names
-                        ("all_bounds_satisfied", lambda v: "no")):
-        open(summary_path, "w").write(json.dumps({**original, key: tamper(original[key])}))
-        assert main(["report", out, "--verify"]) == 3
-    capsys.readouterr()
-
-
-def test_cli_sweep(tmp_path, capsys):
-    config = write_config(tmp_path, horizons=[20, 40, 80])
-    out = str(tmp_path / "sw")
-    assert main(["sweep", "--config", config, "--out", out, "--metric", "ccv"]) == 0
-    payload = json.loads((tmp_path / "sw" / "sweep.json").read_text())
-    assert payload["horizons"] == [20, 40, 80]
-    assert "slope" in payload
-    # regret with no --comparator is each horizon's regret against the
-    # scenario's first comparator by name: static's interior-static, whose
-    # regrets are negative and so fit no slope
-    out = tmp_path / "rg"
-    with pytest.warns(UserWarning, match="degenerate"):
-        assert main(["sweep", "--config", config, "--out", str(out), "--metric", "regret"]) == 0
-    payload = json.loads((out / "sweep.json").read_text())
-    summaries = [json.loads((out / f"T{h}" / "summary.json").read_text()) for h in (20, 40, 80)]
-    assert payload["values"] == [s["regret__interior-static"] for s in summaries]
-    assert payload["values"] != [s["regret__minimizer-path"] for s in summaries]
-    capsys.readouterr()
 
 
 class _OfferingStatic(StaticScenario):
@@ -903,41 +865,6 @@ def test_a_ccv_path_that_names_no_comparator_is_config_error(monkeypatch):
         run(cfg("misnamed", T=5))
 
 
-# each config fails on an input no learner or budget can take: the exit code
-# names the failure, and no traceback or numpy warning reaches the output
-@pytest.mark.parametrize("config,code,message", [
-    ({"scenario": {"name": "trivial", "horizon": 1, "params": {"g_lip": 1e154}},
-      "algorithm": "coco2"}, 3, "summary value bound_rhs__static-center is not finite: inf"),
-    ({"scenario": {"name": "disjoint-alternating", "horizon": 7, "seed": 3},
-      "algorithm": "adagrad", "path_estimate": 1e308}, 3,
-     "summary value bound_rhs__min-feasible-path is not finite: nan"),
-    ({"scenario": {"name": "trivial", "horizon": 20, "params": {"g_lip": 1e308}},
-      "algorithm": "coco2"}, 2, "cannot build the coco2 learner with g_lip 1e+308: V must be"),
-    ({"scenario": {"name": "alternating", "horizon": 50, "params": {"radius": 1e300}},
-      "algorithm": "coco1"}, 2, "step numerator (D+1) sqrt(1+P) overflows"),
-    ({"scenario": {"name": "oco-mix", "horizon": 50, "params": {"set_radius": 1e300}},
-      "algorithm": "coco1"}, 2, "step numerator (D+1) sqrt(1+P) overflows"),
-    ({"scenario": {"name": "tracking-ball", "horizon": 50, "params": {"ring_loops": 1e308}},
-      "algorithm": "coco1"}, 2, "param ring_loops makes angles that overflow"),
-    ({"scenario": {"name": "tracking-ball", "horizon": 20,
-                   "params": {"set_radius": 1e300, "ring_radius": 1e299}},
-      "algorithm": "adagrad"}, 2,
-     "param set_radius makes a decision set whose squared diameter overflows, got 1e+300"),
-], ids=["coco2-budget-overflows", "adagrad-budget-nan", "coco2-v-inf", "coco1-step-overflows",
-        "coco1-oco-mix-step-overflows", "tracking-ball-angle-inf", "tracking-ball-extent-inf"])
-def test_cli_input_no_learner_or_budget_can_take_has_its_exit_code(tmp_path, capsys, config,
-                                                                  code, message):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "run"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["run", "--config", str(path), "--out", str(out)]) == code
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert message in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
-
-
 def test_persist_writes_summary_json_as_strict_json(tmp_path):
     record = run(cfg("static", T=5))
     record.summary["final_ccv"] = math.nan
@@ -958,15 +885,6 @@ def _edit_config(out, **changes):
     path = os.path.join(out, "config.json")
     config = json.loads(open(path).read())
     open(path, "w").write(json.dumps({**config, **changes}))
-
-
-def test_cli_sweep_unknown_comparator_is_config_error(tmp_path, capsys):
-    config = write_config(tmp_path, horizons=[20, 40, 80])
-    out = tmp_path / "sw"
-    assert main(["sweep", "--config", config, "--out", str(out), "--metric", "regret",
-                 "--comparator", "nope"]) == 2
-    assert "unknown comparator" in capsys.readouterr().err
-    assert not out.exists()  # rejected before any run started
 
 
 def test_atomic_write_that_fails_keeps_the_target_and_leaves_no_temporary_file(monkeypatch,
@@ -1033,17 +951,6 @@ def test_cli_non_finite_gradient_is_numerical_failure(tmp_path, monkeypatch, cap
     assert "round 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("algorithm,round_", [("coco1", 2), ("coco2", 1)])
-def test_overflowing_gradient_fails_its_round_without_a_numpy_warning(algorithm, round_):
-    # g_lip 1e200 overflows the squared gradient norm; the finiteness check
-    # reports it, and numpy's overflow warning stays out of the output
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(HarnessError, match=f"^oracle failure at round {round_}:"):
-            run(cfg(algorithm=algorithm, g_lip=1e200))
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-
 def test_adagrad_integer_path_estimate_is_recorded_as_a_float(tmp_path):
     out = tmp_path / "run"
     run(cfg(algorithm="adagrad", path_estimate=3, out_dir=str(out)))
@@ -1066,161 +973,48 @@ def test_package_imports_and_runs_without_scipy():
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_list_scenarios(capsys):
-    assert main(["list-scenarios"]) == 0
-    out = capsys.readouterr().out
-    for name in ("static", "tracking-ball", "disjoint-alternating"):
-        assert name in out
-
-
-def test_cli_seed_override(tmp_path):
-    config = write_config(tmp_path, scenario={"name": "tracking-ball", "horizon": 30,
-                                              "seed": 0, "params": {}})
-    out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
-    assert main(["run", "--config", config, "--out", out1, "--seed", "5"]) == 0
-    assert main(["run", "--config", config, "--out", out2, "--seed", "6"]) == 0
-    b1 = open(os.path.join(out1, "rounds.csv")).read()
-    b2 = open(os.path.join(out2, "rounds.csv")).read()
-    assert b1 != b2
-
-
-def _keep_header_only(path):
-    with open(path) as f:
-        header = f.readline()
-    with open(path, "w") as f:
-        f.write(header)
-
-
-def _spoil_one_cell(path):
-    lines = open(path).read().splitlines()
-    lines[3] = lines[3].replace(",", ",oops", 1)
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _unknown_scenario(path):
-    config = json.loads(open(path).read())
-    config["scenario"]["name"] = "nope"
-    with open(path, "w") as f:
-        f.write(json.dumps(config))
-
-
-def _drop_dimension(path):
-    summary = json.loads(open(path).read())
-    del summary["dimension"]
-    with open(path, "w") as f:
-        f.write(json.dumps(summary))
-
-
-def _empty_list(path):
-    with open(path, "w") as f:
-        f.write("[]")
-
-
-def _drop_algorithm(path):
-    config = json.loads(open(path).read())
-    del config["algorithm"]
-    with open(path, "w") as f:
-        f.write(json.dumps(config))
-
-
-def _negative_v(path):
-    config = json.loads(open(path).read())
-    config["v"] = -1
-    with open(path, "w") as f:
-        f.write(json.dumps(config))
-
-
-def _rename_a_column(path):
-    text = open(path).read()
-    with open(path, "w") as f:
-        f.write(text.replace(",gplus,", ",g_plus,", 1))
-
-
-@pytest.mark.parametrize("name,damage,code,message", [
-    ("rounds.csv", _keep_header_only, 3, "VERIFY FAIL: row count 0 != horizon 20"),
-    ("rounds.csv", _spoil_one_cell, 3, "VERIFY FAIL: rounds.csv does not parse"),
-    ("rounds.csv", _rename_a_column, 3, "VERIFY FAIL: rounds.csv columns"),
-    ("rounds.csv", os.remove, 2, "config error: cannot read"),
-    ("config.json", os.remove, 2, "config error: cannot read"),
-    ("config.json", _unknown_scenario, 2, "config error: bad scenario"),
-    ("summary.json", _drop_dimension, 3, "VERIFY FAIL: dimension missing from summary.json"),
-    ("summary.json", _empty_list, 2, "does not hold a JSON object"),
-    ("config.json", _empty_list, 2, "does not hold a JSON object"),
-    ("config.json", _drop_algorithm, 2, "config error: bad config"),
-    ("config.json", _negative_v, 2, "config error: v must be a finite number > 0"),
-], ids=["header-only", "unparsable", "renamed-column", "missing-rounds", "missing-config",
-        "unknown-scenario", "summary-without-key", "summary-list", "config-list",
-        "config-without-algorithm", "config-negative-v"])
-def test_cli_verify_damaged_run_directory(tmp_path, capsys, name, damage, code, message):
-    out = str(tmp_path / "d")
-    run(cfg("static", T=20, out_dir=out))
-    capsys.readouterr()
-    damage(os.path.join(out, name))
-    assert main(["report", out, "--verify"]) == code
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("g_lip", [0, -1, 0.001, 0.999])
-def test_g_lip_below_the_oracles_bound_is_config_error(tmp_path, capsys, g_lip):
-    assert main(["run", "--config", write_config(tmp_path, g_lip=g_lip)]) == 2
-    assert "g_lip" in capsys.readouterr().err
-    for bad in (g_lip, math.inf, math.nan):
+def test_g_lip_below_the_oracles_bound_is_rejected():
+    for bad in (0, -1, 0.001, 0.999, math.inf, math.nan):
         with pytest.raises(ValueError, match="g_lip"):
             StaticScenario(ScenarioSpec("static", horizon=5, params={"g_lip": bad}))
     assert StaticScenario(ScenarioSpec("static", horizon=5, params={"g_lip": 1.0})).g_lip == 1.0
-    # a value that is not a number at all is a configuration error too
-    assert main(["run", "--config", write_config(tmp_path, g_lip=[1])]) == 2
 
 
-def test_g_lip_that_disagrees_with_the_scenarios_is_config_error(tmp_path, capsys):
-    scenario = {"name": "static", "horizon": 20, "seed": 0, "params": {"g_lip": 3.0}}
-    out = str(tmp_path / "out")
-    assert main(["run", "--config", write_config(tmp_path, g_lip=2.0, scenario=scenario),
-                 "--out", out]) == 2
-    assert "g_lip 2.0 disagrees with the scenario's params g_lip 3.0" in capsys.readouterr().err
-    assert not os.path.exists(out)
+def test_g_lip_must_agree_with_the_scenarios():
     with pytest.raises(ConfigError, match="disagrees"):
         RunConfig(ScenarioSpec("static", 20, params={"g_lip": 3.0}), "coco2", g_lip=2.0)
     # equal values, as every config.json holds them, load
-    assert main(["run", "--config", write_config(tmp_path, g_lip=3.0, scenario=scenario)]) == 0
+    scenario = {"name": "static", "horizon": 20, "seed": 0, "params": {"g_lip": 3.0}}
     assert RunConfig.from_json({"scenario": scenario, "algorithm": "coco2", "g_lip": 3.0}) == \
         RunConfig(ScenarioSpec(**scenario), "coco2", g_lip=3.0)
 
 
-def test_run_rejects_a_config_with_horizons(monkeypatch, tmp_path, capsys):
-    config = write_config(tmp_path, horizons=[20, 40, 80])
-    played = []
-    with monkeypatch.context() as m:
-        m.setattr(harness, "_play", lambda *args: played.append(args))
-        assert main(["run", "--config", config]) == 2
-    assert "only sweep reads horizons" in capsys.readouterr().err
-    assert not played  # rejected before any round is played
-    # sweep reads them, and the library's run takes such a config
-    assert main(["sweep", "--config", config]) == 0
-    assert run(RunConfig.from_json(json.loads(open(config).read()))).summary["horizon"] == 40
+def test_library_run_takes_a_config_with_horizons():
+    # the command line's run refuses one; only its sweep reads horizons
+    config = {"scenario": {"name": "static", "horizon": 40}, "algorithm": "coco2",
+              "horizons": [20, 40, 80]}
+    assert run(RunConfig.from_json(config)).summary["horizon"] == 40
 
 
-@pytest.mark.parametrize("config", [{"g_lip": True}, {"g_lip": "2.0"},
-                                    {"scenario": {"name": "static", "horizon": 20,
-                                                  "params": {"g_lip": True}}},
-                                    {"scenario": {"name": "static", "horizon": 20,
-                                                  "params": {"g_lip": "2.0"}}}],
-                         ids=["top-bool", "top-string", "param-bool", "param-string"])
-def test_g_lip_that_is_not_a_real_number_is_config_error(tmp_path, capsys, config):
-    out = str(tmp_path / "out")
-    assert main(["run", "--config", write_config(tmp_path, **config), "--out", out]) == 2
-    assert "g_lip must be a finite Lipschitz bound" in capsys.readouterr().err
-    assert not os.path.exists(out)
-
-
-@pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
-def test_emit_plotdata_that_is_not_a_bool_is_config_error(tmp_path, capsys, value):
-    out = str(tmp_path / "out")
-    config = write_config(tmp_path, emit_plotdata=value)
-    assert main(["run", "--config", config, "--out", out]) == 2
-    assert "emit_plotdata must be true or false" in capsys.readouterr().err
-    assert not os.path.exists(out)
+# a library caller gets the command line's checks (tests/cli_cases.py), not
+# a TypeError from inside run
+@pytest.mark.parametrize("fields,message", [
+    ({"horizon": 20.7, "seed": 1.9}, "horizon must be an integer"),
+    ({"horizon": 20.0}, "horizon must be an integer"),
+    ({"horizon": True}, "horizon must be an integer"),
+    ({"horizon": "20"}, "horizon must be an integer"),
+    ({"seed": 1.9}, "seed must be an integer"),
+    ({"seed": False}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"name": "tracking-ball", "seed": -1}, "seed must be non-negative, got -1"),
+    ({"horizon": 0}, "horizon must be at least 1"),
+    ({"name": "tracking-ball", "horizon": 0}, "horizon must be at least 1"),
+    ({"params": None}, "params must be a JSON object, got None"),
+    ({"params": [["radius", 2.0]]}, "params must be a JSON object, got [['radius', 2.0]]"),
+])
+def test_scenario_spec_rejects_a_field_it_cannot_take(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScenarioSpec(**{"name": "static", "horizon": 20, "seed": 0, **fields})
 
 
 @pytest.mark.parametrize("config,message", [
@@ -1231,162 +1025,22 @@ def test_emit_plotdata_that_is_not_a_bool_is_config_error(tmp_path, capsys, valu
      "comparators must be a list of names, got str 'interior-static'"),
     ({"comparators": {"interior-static": 1}}, "comparators must be a list of names, got dict"),
     ({"comparators": ["interior-static", 3]}, "comparators must be a list of names, got list"),
-], ids=["out-dir-int", "out-dir-list", "out-dir-empty", "comparators-str", "comparators-dict",
-        "comparators-not-names"])
-def test_out_dir_or_comparators_of_the_wrong_type_is_config_error(monkeypatch, tmp_path, capsys,
-                                                                  config, message):
-    played = []
-    monkeypatch.setattr(harness, "_play", lambda *args: played.append(args))
-    assert main(["run", "--config", write_config(tmp_path, **config)]) == 2
-    assert message in capsys.readouterr().err
-    assert not played  # rejected before any round is played
+    ({"V": 3.0}, "unknown config keys ['V']; config reads scenario, algorithm, comparators, v,"),
+    ({"scenario": {"name": "static", "horizn": 20}},
+     "unknown scenario keys ['horizn']; scenario reads name, horizon, seed, params"),
+    ({"scenario": "static"}, "scenario must be a JSON object, got 'static'"),
+])
+def test_run_config_from_json_rejects_a_field_it_cannot_take(config, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         RunConfig.from_json({"scenario": {"name": "static"}, "algorithm": "coco2", **config})
-
-
-@pytest.mark.parametrize("algorithm,knob,value,message", [
-    ("coco2", "v", -1, "v must be a finite number > 0"),
-    ("coco2", "v", 0, "v must be a finite number > 0"),
-    ("coco2", "v", "x", "v must be a finite number > 0"),
-    ("coco2", "v", math.nan, "v must be a finite number > 0"),
-    ("coco2", "v", True, "v must be a finite number > 0"),
-    ("adagrad", "path_estimate", -1, "path_estimate must be a finite number >= 0"),
-    ("adagrad", "path_estimate", "x", "path_estimate must be a finite number >= 0"),
-    ("adagrad", "path_estimate", math.inf, "path_estimate must be a finite number >= 0"),
-    ("coco1", "v", 2.0, "v applies only to coco2, not coco1"),
-    ("ahag", "path_estimate", 3.0, "path_estimate applies only to adagrad, not ahag"),
-])
-def test_learner_knob_that_crashes_or_does_nothing_is_config_error(tmp_path, capsys, algorithm,
-                                                                   knob, value, message):
-    config = write_config(tmp_path, algorithm=algorithm, **{knob: value})
-    assert main(["run", "--config", config]) == 2
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("algorithm,knob,value", [
-    ("coco2", "v", 2.0), ("adagrad", "path_estimate", 0), ("adagrad", "path_estimate", 3.0)])
-def test_learner_knob_in_range_runs(tmp_path, capsys, algorithm, knob, value):
-    config = write_config(tmp_path, algorithm=algorithm, **{knob: value})
-    assert main(["run", "--config", config]) in (0, 1)
-    summary = json.loads(capsys.readouterr().out)
-    assert summary[knob] == value
-
-
-@pytest.mark.parametrize("horizons", [[10.5, 20, 40], [10, "20", 40], [True, 20, 40]])
-def test_horizons_that_are_not_integers_are_config_errors(tmp_path, capsys, horizons):
-    assert main(["sweep", "--config", write_config(tmp_path, horizons=horizons)]) == 2
-    assert "horizons must be integers" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("scenario,message", [
-    ({"horizon": 20.7, "seed": 1.9}, "horizon must be an integer"),
-    ({"horizon": 20.0}, "horizon must be an integer"),
-    ({"horizon": True}, "horizon must be an integer"),
-    ({"horizon": "20"}, "horizon must be an integer"),
-    ({"seed": 1.9}, "seed must be an integer"),
-    ({"seed": False}, "seed must be an integer")])
-def test_horizon_or_seed_that_is_not_an_integer_is_config_error(tmp_path, capsys, scenario,
-                                                                 message):
-    config = write_config(tmp_path, scenario={"name": "static", "horizon": 20, "seed": 0,
-                                              **scenario})
-    assert main(["run", "--config", config]) == 2
-    assert message in capsys.readouterr().err
-    # a library caller gets the same check, not a TypeError from inside run
-    with pytest.raises(ValueError, match=message):
-        ScenarioSpec(**{"name": "static", "horizon": 20, "seed": 0, **scenario})
-
-
-@pytest.mark.parametrize("name", ["static", "tracking-ball"])
-@pytest.mark.parametrize("scenario,message", [
-    ({"seed": -1}, "seed must be non-negative, got -1"),
-    ({"horizon": 0}, "horizon must be at least 1")], ids=["negative-seed", "zero-horizon"])
-def test_horizon_or_seed_out_of_range_is_config_error(monkeypatch, tmp_path, capsys, name,
-                                                      scenario, message):
-    # a negative seed ran static, and failed tracking-ball with numpy's
-    # message, which named no field
-    played = []
-    monkeypatch.setattr(harness, "_play", lambda *args: played.append(args))
-    config = write_config(tmp_path, scenario={"name": name, "horizon": 20, "seed": 0,
-                                              **scenario})
-    assert main(["run", "--config", config]) == 2
-    assert message in capsys.readouterr().err
-    assert not played  # rejected before any round is played
-    with pytest.raises(ValueError, match=message):
-        ScenarioSpec(**{"name": name, "horizon": 20, "seed": 0, **scenario})
-
-
-@pytest.mark.parametrize("horizons", [[0, 20, 40], [-5, 20, 40]], ids=["zero", "negative"])
-def test_horizons_below_one_are_config_errors(monkeypatch, tmp_path, capsys, horizons):
-    played = []
-    monkeypatch.setattr(harness, "_play", lambda *args: played.append(args))
-    assert main(["sweep", "--config", write_config(tmp_path, horizons=horizons)]) == 2
-    assert "horizons must be positive" in capsys.readouterr().err
-    assert not played  # rejected before any round is played
-
-
-def test_cli_horizons_flag_that_is_not_integers_is_config_error(tmp_path, capsys):
-    assert main(["sweep", "--config", write_config(tmp_path), "--horizons", "10,x,40"]) == 2
-    assert "--horizons" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,params", [
     ("static", {"bogus": 1}), ("tracking-ball", {"ring_radiuss": 1.0}),
     ("trivial", {"radius": 2.0})])
-def test_unknown_scenario_param_is_config_error(tmp_path, capsys, name, params):
-    config = write_config(tmp_path, scenario={"name": name, "horizon": 20, "params": params})
-    assert main(["run", "--config", config]) == 2
-    assert f"unknown params {sorted(params)}" in capsys.readouterr().err
-    with pytest.raises(ValueError, match="unknown params"):
+def test_build_scenario_rejects_an_unknown_param(name, params):
+    with pytest.raises(ValueError, match=re.escape(f"unknown params {sorted(params)}")):
         build_scenario(ScenarioSpec(name, horizon=20, params=params))
-
-
-@pytest.mark.parametrize("params", [None, [["radius", 2.0]]], ids=["null", "pairs"])
-def test_scenario_params_that_are_not_an_object_are_config_error(tmp_path, capsys, params):
-    config = write_config(tmp_path, scenario={"name": "static", "horizon": 20, "params": params})
-    assert main(["run", "--config", config]) == 2
-    assert f"params must be a JSON object, got {params!r}" in capsys.readouterr().err
-    with pytest.raises(ValueError, match="params must be a JSON object"):
-        ScenarioSpec("static", horizon=20, params=params)
-
-
-@pytest.mark.parametrize("name,params,message", [
-    ("static", {"radius": math.inf}, "param radius must be a finite number, got inf"),
-    ("oco-mix", {"set_radius": math.inf}, "param set_radius must be a finite number, got inf"),
-    ("tracking-ball", {"set_radius": math.inf},
-     "param set_radius must be a finite number, got inf"),
-    ("static", {"radius": True}, "param radius must be a finite number, got True"),
-    ("tracking-ball", {"ball_radius": 0}, "param ball_radius must be positive, got 0"),
-    ("tracking-ball", {"ball_radius": -1}, "param ball_radius must be positive, got -1"),
-    ("tracking-ball", {"ring_radius": 2.5}, "feasible balls must stay inside the decision set"),
-], ids=["static-inf-radius", "oco-mix-inf-set-radius", "tracking-ball-inf-set-radius",
-        "static-bool-radius", "tracking-ball-zero-ball-radius",
-        "tracking-ball-negative-ball-radius", "tracking-ball-ball-outside-the-set"])
-def test_scenario_param_that_is_not_a_finite_positive_radius_is_config_error(
-        monkeypatch, tmp_path, capsys, name, params, message):
-    played = []
-    monkeypatch.setattr(harness, "_play", lambda *args: played.append(args))
-    # json writes inf as Infinity, which it reads back as inf (so does 1e400)
-    config = write_config(tmp_path, scenario={"name": name, "horizon": 20, "params": params})
-    assert main(["run", "--config", config]) == 2
-    assert message in capsys.readouterr().err
-    assert not played  # rejected before any round is played
-
-
-@pytest.mark.parametrize("config,message", [
-    ({"V": 3.0}, "unknown config keys ['V']; config reads scenario, algorithm, comparators, v,"),
-    ({"scenario": {"name": "static", "horizn": 20}},
-     "unknown scenario keys ['horizn']; scenario reads name, horizon, seed, params"),
-], ids=["top-level", "scenario"])
-def test_config_key_that_nothing_reads_is_config_error(monkeypatch, tmp_path, capsys, config,
-                                                       message):
-    # a misspelt key would otherwise run with the default it meant to replace
-    played = []
-    monkeypatch.setattr(harness, "_play", lambda *args: played.append(args))
-    assert main(["run", "--config", write_config(tmp_path, **config)]) == 2
-    assert message in capsys.readouterr().err
-    assert not played  # rejected before any round is played
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        RunConfig.from_json({"scenario": {"name": "static"}, "algorithm": "coco2", **config})
 
 
 @dataclass
@@ -1412,19 +1066,3 @@ def test_config_json_reads_back_to_the_config_less_how_it_was_invoked(tmp_path, 
         saved = json.load(f)
     assert set(saved) == {f.name for f in fields(config)} - {"horizons", "out_dir"}
     assert type(config).from_json(saved) == replace(config, horizons=None, out_dir=None)
-
-
-def test_scenario_that_is_not_a_json_object_is_config_error(tmp_path, capsys):
-    message = "scenario must be a JSON object, got 'static'"
-    assert main(["run", "--config", write_config(tmp_path, scenario="static")]) == 2
-    assert message in capsys.readouterr().err
-    out = str(tmp_path / "run")
-    assert main(["run", "--config", write_config(tmp_path), "--out", out]) == 0
-    config = json.loads(open(os.path.join(out, "config.json")).read())
-    config["scenario"] = "static"
-    with open(os.path.join(out, "config.json"), "w") as f:
-        json.dump(config, f)
-    assert main(["report", out, "--verify"]) == 2
-    assert message in capsys.readouterr().err
-    with pytest.raises(ConfigError, match=message):
-        RunConfig.from_json({"scenario": "static", "algorithm": "coco2"})
