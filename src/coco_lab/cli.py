@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 from .harness import (
     ConfigError,
@@ -59,9 +60,14 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config, args)
     records, values = _sweep_values(config, args.metric, args.comparator)
     ok = all(r.summary["all_bounds_satisfied"] for r in records)
+    # a degenerate metric's warning, as a line of the program's own
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        slope = loglog_slope(config.horizons, values)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     text = json.dumps({"metric": args.metric, "horizons": config.horizons, "values": values,
-                       "slope": loglog_slope(config.horizons, values),
-                       "all_bounds_satisfied": ok}, sort_keys=True, indent=2)
+                       "slope": slope, "all_bounds_satisfied": ok}, sort_keys=True, indent=2)
     print(text)
     if config.out_dir is not None:
         _atomic_write(os.path.join(config.out_dir, "sweep.json"), text + "\n")

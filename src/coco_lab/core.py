@@ -77,7 +77,8 @@ class ConstraintOracle:
     ``feasible_region`` is the sublevel set within the decision set,
     ``{x in decision set : value(x) <= 0}``, kept as an explicit geometric
     object so distances and projections onto it stay closed form (a
-    built-in constraint family gives a ``geometry.ClosedForm`` where one
+    built-in constraint family gives a ``geometry.Intersection`` of the
+    decision set and its own fields, projected in closed form where a rule
     applies). coco1 reads it, and projects onto it, only on rounds whose
     play has ``value(x_t) > 0``: a play in the decision set that reads
     ``<= 0`` is taken to lie in it.

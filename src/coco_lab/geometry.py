@@ -4,14 +4,14 @@ Supported sets are axis-aligned boxes, Euclidean balls, halfspaces, and
 finite intersections of those. Each primitive kind is one row of
 ``_KERNELS``: the check of its two fields beside its projection and
 membership kernels. Every route to a kind's numbers runs that check: the
-set's constructor, the kind's constraint factory and a constraint's region
-(``scenarios``). Projections onto two primitives are closed form by one of
-two rules: two boxes, where a 1-d ball or halfspace counts as the box it
-is, meet in a box; two balls meet in the inner ball or a lens. The rules
-read each set's kind and two fields, so their region, a ``ClosedForm``,
-needs no set object. Every other intersection uses Dykstra's alternating
-projection scheme, which converges to the exact Euclidean projection for
-closed convex sets.
+set's constructor, the kind's constraint factory and an ``Intersection``
+given the kind's fields ``(kind, p, q)``, as a constraint's region is.
+Two primitives intersect in closed form by one of two rules: two boxes,
+where a 1-d ball or halfspace counts as the box it is, meet in a box; two
+balls meet in the inner ball or a lens. The rules read each primitive's
+kind and two fields, so an ``Intersection`` of fields builds no set. Every
+other intersection uses Dykstra's alternating projection scheme, which
+converges to the exact Euclidean projection for closed convex sets.
 
 Every operation accepts a single point of shape ``(d,)`` or a batch of
 shape ``(n, d)`` and returns a result of matching shape; a region's
@@ -164,6 +164,11 @@ class GeometricSet:
     def anchor(self) -> np.ndarray:
         """A point guaranteed to lie in the set (projection of the origin)."""
         return self.project(np.zeros(self.dim))
+
+    def _point(self, a):
+        """The projection of the point ``a`` in Python floats, where the set
+        has such a path (``Intersection._point``); None here."""
+        return None
 
 
 class _Primitive(GeometricSet):
@@ -327,37 +332,47 @@ def _point_or_batch(x):
     return a
 
 
-@dataclass(frozen=True)
 class Intersection(GeometricSet):
     """Finite intersection of convex sets.
 
-    Two Box, Ball or Halfspace components whose intersection has a closed
-    form (``closed_form``) keep it as ``_exact`` and are projected by it.
-    Every other intersection is projected by Dykstra's scheme, and
+    A component is a set or, for a primitive, its fields ``(kind, p, q)``,
+    checked here. Two primitives whose intersection has a closed form
+    (``_closed_form``) keep it as ``target`` beside their fields,
+    ``parts``, and build no set: ``project`` puts a point or batch on the
+    target and checks it (``_checked``), a short point onto a ball in
+    Python floats (``_point``). Every other intersection makes its fields
+    sets (its ``components``) and is projected by Dykstra's scheme, and
     construction probes it for non-emptiness: if no component anchor lies
     in all components, Dykstra is run from a few deterministic starts and
     the intersection is rejected when the residual distance to the
     components stays above 1e-6.
     """
 
-    components: tuple
+    __slots__ = ("components", "target", "parts")
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components):
+        comps = tuple(components)
         if not comps:
             raise ValueError("intersection needs at least one component")
-        if any(c.dim != comps[0].dim for c in comps):
-            raise ValueError(_DIM_MISMATCH)
-        object.__setattr__(self, "components", comps)
-        # the region's closed form; None means Dykstra
-        object.__setattr__(self, "_exact", closed_form(*(c.fields for c in comps))
-                           if len(comps) == 2 else None)
-        if self._exact is None:
+        # each component's fields; None for a set that is no primitive
+        self.parts = [(c[0], *_KERNELS[c[0]].check(c[1], c[2])) if type(c) is tuple else c.fields
+                      for c in comps]
+        self.components, self.target = comps, None
+        if len(comps) == 2 and None not in self.parts:
+            (_, p1, _), (_, p2, _) = self.parts
+            if p1.shape != p2.shape:
+                raise ValueError(_DIM_MISMATCH)
+            self.target = _closed_form(*self.parts)
+        if self.target is None:
+            self.components = tuple(f[0](f[1], f[2]) if type(c) is tuple else c
+                                    for c, f in zip(comps, self.parts))
+            if any(c.dim != self.components[0].dim for c in self.components):
+                raise ValueError(_DIM_MISMATCH)
             self._probe_nonempty()
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.components[0].dim if self.target is None else self.parts[0][1].shape[0]
 
     def _probe_nonempty(self):
         anchors = [c.anchor() for c in self.components]
@@ -377,9 +392,12 @@ class Intersection(GeometricSet):
         raise ValueError(f"empty intersection (Dykstra residual {best:.3e})")
 
     def project(self, x):
-        if self._exact is not None:
-            return self._exact.project(x)
         a = _point_or_batch(x)
+        if self.target is not None:
+            out = self._point(a)
+            if out is None:
+                return _checked(_project_onto(self.target, a), self.parts)
+            return np.array(out)
         # Dykstra works on a batch
         out, converged, moved = _dykstra(np.atleast_2d(a), self.components)
         residual = _residual(out, self.components)
@@ -389,10 +407,30 @@ class Intersection(GeometricSet):
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         a = np.asarray(x, dtype=float)
+        if self.target is not None:
+            (k1, p1, q1), (k2, p2, q2) = self.parts
+            return _KERNELS[k1].contains(a, p1, q1, tol) & _KERNELS[k2].contains(a, p2, q2, tol)
         result = self.components[0].contains(a, tol)
         for c in self.components[1:]:
             result = result & c.contains(a, tol)
         return result
+
+    def _point(self, a):
+        """The checked projection of ``a`` as Python floats, when ``a`` is a
+        point that ``_floats`` takes and the target is a ball (the ball
+        rule's inner ball: both parts are balls); None otherwise. The bits
+        are ``_ball_project``'s, and the check is ``_checked``'s, which
+        raises for a projection that fails it."""
+        kind, center, radius = self.target or (None, None, None)
+        delta = _floats(a, center) if kind is Ball else None
+        if delta is None:
+            return None
+        out = _ball_floats(center.tolist(), delta, radius)
+        for _, c, r in self.parts:
+            # ``_in_ball``'s test, on the floats ``_distance`` takes
+            if not _norm_floats([p - q for p, q in zip(out, c.tolist())]) <= r + _RESIDUAL_TOL:
+                _checked(np.array(out), self.parts)
+        return out
 
 
 def _closed_form(first, second):
@@ -455,65 +493,6 @@ def _checked(out, parts):
             residual = max(float(np.max(_norm(out - _project_onto(f, out)))) for f in parts)
             raise ProjectionError("closed-form projection left the set", residual)
     return out
-
-
-class ClosedForm(GeometricSet):
-    """The intersection of two primitive sets given by their fields
-    (``parts``), built from those arrays alone. ``project`` puts a point or
-    batch on ``target``, the common box, inner ball or lens that
-    ``_closed_form`` gives, and checks it (``_checked``); a short point onto
-    a ball target is worked in Python floats (``_point``)."""
-
-    __slots__ = ("target", "parts")
-
-    def __init__(self, target, parts):
-        self.target, self.parts = target, parts
-
-    @property
-    def dim(self) -> int:
-        return self.parts[0][1].shape[0]
-
-    def project(self, x):
-        a = _point_or_batch(x)
-        out = self._point(a)
-        if out is None:
-            return _checked(_project_onto(self.target, a), self.parts)
-        return np.array(out)
-
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        a = np.asarray(x, dtype=float)
-        (k1, p1, q1), (k2, p2, q2) = self.parts
-        return _KERNELS[k1].contains(a, p1, q1, tol) & _KERNELS[k2].contains(a, p2, q2, tol)
-
-    def _point(self, a):
-        """The checked projection of ``a`` as Python floats, when ``a`` is a
-        point that ``_floats`` takes and the target is a ball (the ball
-        rule's inner ball: both parts are balls); None otherwise. The bits
-        are ``_ball_project``'s, and the check is ``_checked``'s, which
-        raises for a projection that fails it."""
-        kind, center, radius = self.target
-        delta = _floats(a, center) if kind is Ball else None
-        if delta is None:
-            return None
-        out = _ball_floats(center.tolist(), delta, radius)
-        for _, c, r in self.parts:
-            # ``_in_ball``'s test, on the floats ``_distance`` takes
-            if not _norm_floats([p - q for p, q in zip(out, c.tolist())]) <= r + _RESIDUAL_TOL:
-                _checked(np.array(out), self.parts)
-        return out
-
-
-def closed_form(first, second):
-    """The ``ClosedForm`` of the intersection of two sets given by their
-    fields; None where either is None (a set that is no primitive) or
-    neither rule applies. Raises ``ValueError`` when the two differ in
-    dimension or such an intersection is empty."""
-    if first is None or second is None:
-        return None
-    if first[1].shape != second[1].shape:
-        raise ValueError(_DIM_MISMATCH)
-    target = _closed_form(first, second)
-    return None if target is None else ClosedForm(target, (first, second))
 
 
 class _Lens:
@@ -638,12 +617,12 @@ def dist_subgradient(x, s: GeometricSet):
     ``x`` back to ``x``; within ``ZERO_DIST_TOL`` of the set the zero vector
     is returned, which is a valid subgradient on and inside the set. A
     point that ``_floats`` takes stays in Python floats from the finiteness
-    check to the unit vector when ``s`` is a closed form onto a ball
-    (``ClosedForm._point``): no array is made between them.
+    check to the unit vector when ``s`` is an intersection whose closed
+    form is a ball (``Intersection._point``): no array is made between them.
     """
     a = np.asarray(x, dtype=float)
     v = _finite(a)
-    out = s._point(a) if isinstance(s, ClosedForm) else None
+    out = s._point(a)
     if out is None:
         return _unit_offset(a, s.project(a), ZERO_DIST_TOL)
     return _unit_floats([p - q for p, q in zip(v, out)], ZERO_DIST_TOL)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ComparatorSequence, DecisionSet, is_finite_real, is_integer
 from .geometry import (_KERNELS, Ball, Box, GeometricSet, Halfspace, Intersection, _distance,
-                       _finite, _norm, _rows_dot, _unit_offset, closed_form)
+                       _finite, _norm, _rows_dot, _unit_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -78,26 +78,19 @@ class _Radial:
 
 
 class _Constraint:
-    """Mixin: ``feasible_region``, the region of ``decision_geometry`` and
-    the sublevel set, whose fields (a ``geometry`` set's ``fields``) the
-    family gives from its own numbers (``_fields``), derived when first
-    read. The fields pass their kind's check first, so a constraint built
-    with its class is refused there, with its factory's message."""
+    """Mixin: ``feasible_region``, the ``Intersection`` of
+    ``decision_geometry`` and the sublevel set given as the fields that the
+    family takes from its own numbers (``_fields``), built when first read.
+    The intersection runs the fields' kind check, so a constraint built with
+    its class is refused there, with its factory's message."""
 
     __slots__ = ()
 
     @property
     def feasible_region(self) -> GeometricSet:
         if self._region is None:
-            self._region = self._derive_region()
+            self._region = Intersection((self.decision_geometry, self._fields()))
         return self._region
-
-    def _derive_region(self):
-        """The region's ``ClosedForm`` of the checked fields, else their ``Intersection``."""
-        kind, p, q = self._fields()
-        p, q = _KERNELS[kind].check(p, q)
-        return (closed_form(self.decision_geometry.fields, (kind, p, q))
-                or Intersection((self.decision_geometry, kind(p, q))))
 
 
 class AffineCost(_Linear):

@@ -5,8 +5,9 @@ in order. A ``Cli`` step runs the command with an argv and checks its exit
 code, the fragments its stdout and stderr must hold, and the paths that
 must not exist after it. A ``Call`` step calls a named function of the
 case's files: an edit of a run directory, or a check that compares files.
-Every ``Cli`` step also checks that stderr holds no ``Traceback`` and no
-``RuntimeWarning``.
+Every ``Cli`` step also checks that stderr holds no ``Traceback``, no
+``RuntimeWarning`` and no other line of a Python warning (``UserWarning: ``
+and the like).
 
 Exit codes: 0 success, 1 budget violation, 2 configuration error,
 3 numerical failure.
@@ -31,6 +32,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -317,7 +319,8 @@ CASES = [
     Case("sweep-ccv-and-regret", {"c.json": config(horizon=40, horizons=[20, 40, 80])}, (
         Cli(SWEEP + ("--out", "sw", "--metric", "ccv"), 0, out=('"slope":',)),
         call(sweep_reads, "sw", "final_ccv"),
-        Cli(SWEEP + ("--out", "rg", "--metric", "regret"), 0, err=("degenerate",)),
+        Cli(SWEEP + ("--out", "rg", "--metric", "regret"), 0,
+            err=("warning: metric degenerate: fewer than two horizons exceed 1",), err_lines=1),
         call(sweep_reads, "rg", "regret__interior-static"))),
     Case("seed-override", {"c.json": config("tracking-ball", 30)}, (
         Cli(RUN + ("--out", "s5", "--seed", "5"), 0, out=(SUMMARY,)),
@@ -541,6 +544,8 @@ def _step_failures(step: Cli, code, out, err, played) -> list:
     failures += [f"stderr lacks {f!r}" for f in step.err if f not in err]
     failures += [f"stderr holds {word}" for word in ("Traceback", "RuntimeWarning")
                  if word in err]
+    failures += [f"stderr holds a Python warning ({w.group()})"
+                 for w in re.finditer(r"\w+Warning: ", err)]
     failures += [f"{p} exists" for p in step.absent if os.path.exists(p)]
     if step.err_lines is not None and len(err.splitlines()) != step.err_lines:
         failures.append(f"stderr has {len(err.splitlines())} lines, expected {step.err_lines}")

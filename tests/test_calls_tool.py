@@ -23,3 +23,8 @@ def test_calls_tool_prints_the_same_counts_twice():
     assert all(float(python) > 0 and float(c) > 0 for _, _, python, c in rows)
     # the counts are exact: a second process prints them to the last digit
     assert calls("--horizon", "20") == first
+
+
+def test_calls_tool_against_its_own_src_reports_no_difference():
+    assert calls("--horizon", "20", "--against", os.path.join(ROOT, "src")) == (
+        "0 of 24 pairs differ in calls per round\n")

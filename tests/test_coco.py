@@ -23,7 +23,7 @@ from coco_lab.coco import (
     coco2_surrogate_subgradient,
 )
 from coco_lab.core import ConstraintOracle, DecisionSet, RunRecord, g_plus, running_sum
-from coco_lab.geometry import (Ball, Box, ClosedForm, Halfspace, Intersection, ProjectionError,
+from coco_lab.geometry import (Ball, Box, Halfspace, Intersection, ProjectionError,
                                dist, dist_subgradient, membership)
 from coco_lab.harness import RunConfig, run
 from coco_lab.scenarios import (
@@ -430,15 +430,22 @@ def test_coco1_projects_once_per_violating_round_only(monkeypatch, name):
 
 
 def test_coco1_round_builds_no_set_object(monkeypatch):
-    # a violating round projects onto its region's closed form, derived from
-    # the constraint's own numbers: no Ball or Intersection is built on a round
-    built = {Ball: 0, Intersection: 0}
+    # a violating round builds its region, one Intersection, from the
+    # constraint's own numbers and projects onto its closed form: no Ball is
+    # built on a round, and neither Dykstra nor its emptiness probe runs
+    counts = dict.fromkeys(["Ball", "Intersection", "_dykstra", "_probe_nonempty"], 0)
     in_round = []
-    for cls in built:
-        def counting(self, cls=cls, init=cls.__post_init__):
-            built[cls] += bool(in_round)
-            init(self)
-        monkeypatch.setattr(cls, "__post_init__", counting)
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            counts[name] += bool(in_round)
+            return f(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(Ball, "__post_init__", counting("Ball", Ball.__post_init__))
+    monkeypatch.setattr(Intersection, "__init__", counting("Intersection", Intersection.__init__))
+    monkeypatch.setattr(Intersection, "_probe_nonempty",
+                        counting("_probe_nonempty", Intersection._probe_nonempty))
+    monkeypatch.setattr(geometry, "_dykstra", counting("_dykstra", geometry._dykstra))
     original = harness.coco1_round
 
     def counted_round(*args):
@@ -449,8 +456,9 @@ def test_coco1_round_builds_no_set_object(monkeypatch):
             in_round.pop()
     monkeypatch.setattr(harness, "coco1_round", counted_round)
     record = run(RunConfig(ScenarioSpec("tracking-ball", 500, seed=0), "coco1"))
-    assert np.count_nonzero(record.g[:record.horizon] > 0.0) > 100
-    assert built == {Ball: 0, Intersection: 0}
+    violating = np.count_nonzero(record.g[:record.horizon] > 0.0)
+    assert violating > 100
+    assert counts == {"Ball": 0, "Intersection": violating, "_dykstra": 0, "_probe_nonempty": 0}
 
 
 EQUIVALENCE_GEOMETRIES = (Box([-2.0], [3.0]), Box([-2.0, -1.0], [1.5, 2.0]),
@@ -549,8 +557,8 @@ def test_coco1_closed_form_is_the_feasible_region_path_bitwise(make, cost_vector
             constraint.feasible_region
         return
     region, ref_region = constraint.feasible_region, reference.feasible_region
-    exact = ref_region._exact is not None
-    assert isinstance(region, ClosedForm) == exact
+    exact = ref_region.target is not None
+    assert (region.target is not None) == exact
     rng = np.random.default_rng(seed)
     # Dykstra pairs project onto an Intersection on both paths, by a slow
     # scheme: a few points check the sum

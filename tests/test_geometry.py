@@ -303,21 +303,35 @@ def test_intersection_projects_only_a_point_or_a_batch(components):
     ((Ball, np.zeros(2), 3.0), (Ball, np.array([0.5, 0.0]), 1.0)),
     ((Ball, np.zeros(2), 1.0), (Ball, np.array([1.0, 0.0]), 1.0)),
     ((Box, np.array([-1.0]), np.array([1.0])), (Halfspace, np.array([1.0]), 0.5)),
-], ids=["nested-balls", "lens", "box"])
+    ((Box, -np.ones(2), np.ones(2)), (Halfspace, np.array([1.0, 1.0]), 0.5)),
+], ids=["nested-balls", "lens", "box", "dykstra"])
 def test_closed_form_is_a_set_that_projects_only_a_point_or_a_batch(first, second):
-    # a region's closed form has its Intersection's dimension and membership,
-    # and refuses what the Intersection refuses rather than broadcasting a
-    # scalar or a (2, 2, 2) array
-    form = geometry.closed_form(first, second)
+    # an Intersection given its primitives' fields is the one given their
+    # sets: a closed form or Dykstra's alike, of the same dimension,
+    # membership and projections, and it refuses what that one refuses
+    # rather than broadcasting a scalar or a (2, 2, 2) array
+    form = Intersection((first, second))
     region = Intersection((first[0](*first[1:]), second[0](*second[1:])))
     xs = np.random.default_rng(0).uniform(-3.0, 3.0, size=(50, region.dim))
     assert form.dim == region.dim
+    closed = not (first[0] is Box and region.dim == 2)  # a 2-d box ∩ halfspace is Dykstra's
+    assert (form.target is not None) == (region.target is not None) == closed
     assert np.array_equal(form.contains(xs), region.contains(xs))
     assert [bool(form.contains(x)) for x in xs] == [bool(region.contains(x)) for x in xs]
+    assert np.array_equal(bits(form.project(xs)), bits(region.project(xs)))
     for x in (np.zeros((2, 2, 2)), 2.0):
         with pytest.raises(ValueError, match=r"^expected point of shape \(d,\) or batch "
                                              r"\(n, d\), got "):
             form.project(x)
+    # the pair moved apart is refused on both paths, with the same message
+    kind, p, q = second
+    apart = (kind, p + 10.0, q) if kind is Ball else (kind, p, q - 10.0)
+    messages = []
+    for components in ((first, apart), (first[0](*first[1:]), kind(*apart[1:]))):
+        with pytest.raises(ValueError, match="^empty intersection") as error:
+            Intersection(components)
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
 
 
 def test_non_finite_point_rejected():
@@ -476,7 +490,7 @@ def test_nearly_concentric_balls_project_onto_one_ball(balls, seed):
     b1, b2 = balls
     region = Intersection(balls)
     # the closed form's target is one ball's own fields, not a lens
-    target, parts = region._exact.target, region._exact.parts
+    target, parts = region.target, region.parts
     if b1.radius == b2.radius:
         assert target is parts[0] or target is parts[1]
     else:
@@ -536,7 +550,13 @@ def test_box_pair_is_projected_as_one_box():
     (Ball([0.0, 0.0], 3.0), Ball([1.5, 0.0], 1.0)),  # nested balls
     (Box([-1.0], [1.0]), Halfspace([1.0], 0.5)),  # interval
     (Box([-1.0, -1.0], [1.0, 1.0]), Halfspace([1.0, 1.0], 0.5)),  # Dykstra
-], ids=["lens", "nested", "interval", "dykstra"])
+    # the same regions given their primitives' fields
+    ((Ball, np.zeros(2), 1.0), (Ball, np.array([1.5, 0.0]), 1.0)),
+    ((Ball, np.zeros(2), 3.0), (Ball, np.array([1.5, 0.0]), 1.0)),
+    ((Box, [-1.0], [1.0]), (Halfspace, [1.0], 0.5)),
+    ((Box, [-1.0, -1.0], [1.0, 1.0]), (Halfspace, [1.0, 1.0], 0.5)),
+], ids=["lens", "nested", "interval", "dykstra",
+        "lens-fields", "nested-fields", "interval-fields", "dykstra-fields"])
 def test_intersection_pickles(components):
     region = Intersection(components)
     copy = pickle.loads(pickle.dumps(region))
@@ -670,13 +690,13 @@ def test_single_point_is_its_batch_row_bitwise(instance, seed):
         # ``ball``'s own fields (in one dimension, the interval ``ball`` as a box)
         outer = Ball(np.zeros_like(center), np.linalg.norm(center) + 2.0 * radius)
         nested = Intersection((outer, ball))
-        assert nested._exact.target is nested._exact.parts[1] or ball.dim == 1
+        assert nested.target is nested.parts[1] or ball.dim == 1
         regions = [(nested, [x, *ball_edge_points(ball, rng)])]
         if ball.dim >= 2:
             # overlapping, neither inside the other: the closed form is a lens
             other = Ball(ball.center + radius * np.eye(ball.dim)[0], radius)
             lens = Intersection((ball, other))
-            kind, shape, _ = lens._exact.target
+            kind, shape, _ = lens.target
             assert kind is geometry._Lens
             regions.append((lens, [x, *ball_edge_points(ball, rng),
                                    *ball_edge_points(other, rng),

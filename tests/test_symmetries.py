@@ -15,6 +15,12 @@ The learner starts at 0 and moves by sums of gradients, which negate
 exactly; a box's projection clips at ends that negate and swap; the hedge
 sees the same losses. So every play is the negation of the original's,
 and every summary value, none of which has a sign in x, is equal.
+
+coco2 with a power-of-two V on a constraint that never binds is ahag. Its
+violation total stays 0, so its surrogate gradient is V times the cost's,
+exactly, and the scale-free ensemble plays as it does on the cost's own
+gradient. A V that is no power of two rounds the products and moves the
+plays.
 """
 
 from dataclasses import replace
@@ -142,3 +148,21 @@ def test_reflecting_a_1d_instance_negates_the_plays_exactly(
         if key not in ("scenario", "wall_clock_sec"):
             assert reflected.summary[key] == value, key
     assert verify_run(str(out)) == []
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_coco2_with_a_power_of_two_v_on_an_inert_constraint_is_ahag(seed):
+    spec = ScenarioSpec("oco-mix", 300, seed=seed)
+    ahag = run(RunConfig(spec, "ahag"))
+    for v in (0.25, 1.0, 8.0, 1024.0):
+        coco2 = run(RunConfig(spec, "coco2", v=v))
+        assert coco2.summary["final_ccv"] == 0.0
+        for column in ("x", "f"):
+            assert np.array_equal(getattr(coco2, column).view(np.uint64),
+                                  getattr(ahag, column).view(np.uint64)), column
+        assert np.array_equal(coco2.grad_norm.view(np.uint64),
+                              (v * ahag.grad_norm).view(np.uint64))
+        regret = coco2.summary["regret__slow-circle"]
+        assert np.float64(regret).view(np.uint64) == np.float64(
+            ahag.summary["regret__slow-circle"]).view(np.uint64)
+    assert not np.array_equal(run(RunConfig(spec, "coco2", v=3.0)).x, ahag.x)
