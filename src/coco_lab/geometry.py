@@ -15,9 +15,13 @@ converges to the exact Euclidean projection for closed convex sets.
 
 Every operation accepts a single point of shape ``(d,)`` or a batch of
 shape ``(n, d)`` and returns a result of matching shape; a region's
-projection refuses any other shape. A ball's operations and the distance
-subgradient work a single point of fewer than 8 coordinates in Python
-floats, with the bits of the array path (``_floats``).
+projection refuses any other shape. A single point of fewer than 8
+coordinates is worked in Python floats, with the bits of the array path
+(``_floats``): its projection onto a box or a ball, by the kind's float
+kernel (the ``floats`` entry of its ``_KERNELS`` row), also as the target
+of an ``Intersection`` (``_point``), a ball's membership test and the
+distance subgradient. A batch, a longer point, a halfspace, a lens and
+Dykstra's scheme stay on arrays.
 """
 
 from __future__ import annotations
@@ -165,10 +169,17 @@ class GeometricSet:
         """A point guaranteed to lie in the set (projection of the origin)."""
         return self.project(np.zeros(self.dim))
 
-    def _point(self, a):
-        """The projection of the point ``a`` in Python floats, where the set
-        has such a path (``Intersection._point``); None here."""
+    def _point(self, v):
+        """The projection, as Python floats, of the point whose coordinates
+        are the floats ``v`` (as ``_floats`` gives them), where the set has
+        such a path: a box's or a ball's (``_point_onto``) or a closed form's
+        onto one (``Intersection._point``). None here."""
         return None
+
+    def _arrays(self, a):
+        """The projection of the float array ``a`` with no float path tried
+        first (``Intersection._arrays``); ``project`` here."""
+        return self.project(a)
 
 
 class _Primitive(GeometricSet):
@@ -191,6 +202,9 @@ class _Primitive(GeometricSet):
         kind, p, q = self.fields
         return _KERNELS[kind].contains(np.asarray(x, dtype=float), p, q, tol)
 
+    def _point(self, v):
+        return _point_onto(self.fields, v)
+
 
 @dataclass(frozen=True)
 class Box(_Primitive):
@@ -201,6 +215,10 @@ class Box(_Primitive):
     upper: np.ndarray
 
     def project(self, x):
+        """The projection of ``x`` by numpy's two ufuncs, a single point's
+        too: converting it to Python floats and back for ``_box_floats``
+        would cost more than they do. A caller that holds a point's floats
+        projects them with ``_point``."""
         return _box_project(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
@@ -229,8 +247,10 @@ class Halfspace(_Primitive):
 
 # Each primitive kind's row of ``_KERNELS``: the check that converts its two
 # fields and refuses, naming the field, one that is malformed or would
-# project a point to NaN; and its projection and membership test on a point
-# or batch ``a`` (a float array) and the checked fields.
+# project a point to NaN; its projection and membership test on a point or
+# batch ``a`` (a float array) and the checked fields; and its float kernel,
+# the projection of a point given as the list of its Python floats, with
+# the bits of the array projection (None for a kind that has none).
 
 def _box_fields(lower, upper):
     lo = np.atleast_1d(np.asarray(lower, dtype=float))
@@ -248,6 +268,18 @@ def _box_project(a, lower, upper):
     # np.clip's values, without its wrapper; a signed zero tied with a
     # bound comes out as np.clip gives it for one point, also in a batch
     return np.minimum(np.maximum(a, lower), upper)
+
+
+def _box_floats(v, lower, upper):
+    """``np.minimum(np.maximum(v, lower), upper)`` of the floats ``v`` (one
+    per end), as Python floats. On a tie, such as -0.0 against +0.0, both
+    ufuncs return their second operand, the end, where Python's ``max`` and
+    ``min`` return their first; a NaN coordinate stays NaN."""
+    out = []
+    for c, lo, hi in zip(v, lower.tolist(), upper.tolist()):
+        c = lo if c <= lo else c
+        out.append(hi if c >= hi else c)
+    return out
 
 
 def _in_box(a, lower, upper, tol):
@@ -269,9 +301,9 @@ def _ball_fields(center, radius):
 
 
 def _ball_project(a, center, radius):
-    delta = _floats(a, center)
-    if delta is not None:
-        return np.array(_ball_floats(center.tolist(), delta, radius))
+    v = _floats(a) if a.shape == center.shape else None
+    if v is not None:
+        return np.array(_ball_floats(v, center, radius))
     delta = a - center
     n = _norm(delta, keepdims=True)
     # 1.0 when n <= r or n is NaN, else r / n: the bits of
@@ -279,12 +311,18 @@ def _ball_project(a, center, radius):
     return center + delta * (radius / np.fmax(n, radius))
 
 
-def _ball_floats(center, delta, radius):
-    """``_ball_project`` of a point whose offset from the center ``_floats``
-    gives, as Python floats; ``center`` is the center's coordinates."""
-    n = _norm_floats(delta)
+def _ball_floats(v, center, radius):
+    """``_ball_project`` of the floats ``v`` (one per coordinate of the
+    center), as Python floats."""
+    c = center.tolist()
+    delta, squares = [], 0.0
+    for p, q in zip(v, c):
+        d = p - q
+        delta.append(d)
+        squares += d * d  # ``_norm_floats(delta)``'s sum, as the offset is formed
+    n = math.sqrt(squares)
     scale = radius / (n if n > radius else radius)  # np.fmax's radius for a NaN n
-    return [c + d * scale for c, d in zip(center, delta)]
+    return [p + d * scale for p, d in zip(c, delta)]
 
 
 def _in_ball(a, center, radius, tol):
@@ -316,10 +354,42 @@ def _in_halfspace(a, normal, offset, tol):
     return (_rows_dot(a, normal) - offset) / math.sqrt(normal @ normal) <= tol
 
 
-_Kind = namedtuple("_Kind", "check project contains")
-_KERNELS = {Box: _Kind(_box_fields, _box_project, _in_box),
-            Ball: _Kind(_ball_fields, _ball_project, _in_ball),
-            Halfspace: _Kind(_halfspace_fields, _halfspace_project, _in_halfspace)}
+_Kind = namedtuple("_Kind", "check project contains floats")
+_KERNELS = {Box: _Kind(_box_fields, _box_project, _in_box, _box_floats),
+            Ball: _Kind(_ball_fields, _ball_project, _in_ball, _ball_floats),
+            Halfspace: _Kind(_halfspace_fields, _halfspace_project, _in_halfspace, None)}
+
+
+def _point_onto(fields, v):
+    """The projection of the floats ``v`` onto the set of ``fields`` by its
+    kind's float kernel, as Python floats; None for a kind with no such
+    kernel (a halfspace, a lens) or a ``v`` not of the set's dimension."""
+    kind, p, q = fields
+    row = _KERNELS.get(kind)
+    if row is None or row.floats is None or len(v) != len(p):
+        return None
+    return row.floats(v, p, q)
+
+
+def _in_floats(v, kind, p, q) -> bool:
+    """``_checked``'s test of the floats ``v`` against one part's fields, on
+    the same bits: a box's or a ball's test, or a 1-d halfspace's (the
+    parts of a target with a float kernel); False for any other part, which
+    ``_checked`` then tests on arrays."""
+    tol = _RESIDUAL_TOL
+    if kind is Box:
+        for c, lo, hi in zip(v, p.tolist(), q.tolist()):
+            if not lo - tol <= c <= hi + tol:
+                return False
+        return True
+    if kind is Ball:
+        return _norm_floats([c - o for c, o in zip(v, p.tolist())]) <= q + tol
+    if kind is Halfspace and len(v) == 1:
+        # ``_in_halfspace``: the 1-d dot product is one correctly rounded product
+        n = p.item()
+        return (v[0] * n - q) / math.sqrt(n * n) <= tol
+    return False
+
 
 _DIM_MISMATCH = "intersection components must share a dimension"
 
@@ -339,8 +409,8 @@ class Intersection(GeometricSet):
     checked here. Two primitives whose intersection has a closed form
     (``_closed_form``) keep it as ``target`` beside their fields,
     ``parts``, and build no set: ``project`` puts a point or batch on the
-    target and checks it (``_checked``), a short point onto a ball in
-    Python floats (``_point``). Every other intersection makes its fields
+    target and checks it (``_checked``), a short point onto a box or a ball
+    in Python floats (``_point``). Every other intersection makes its fields
     sets (its ``components``) and is projected by Dykstra's scheme, and
     construction probes it for non-emptiness: if no component anchor lies
     in all components, Dykstra is run from a few deterministic starts and
@@ -393,11 +463,15 @@ class Intersection(GeometricSet):
 
     def project(self, x):
         a = _point_or_batch(x)
+        v = _floats(a)
+        out = None if v is None else self._point(v)
+        return self._arrays(a) if out is None else np.array(out)
+
+    def _arrays(self, a):
+        """``project`` of the point or batch ``a`` on arrays: the target's
+        projection, checked, or Dykstra's."""
         if self.target is not None:
-            out = self._point(a)
-            if out is None:
-                return _checked(_project_onto(self.target, a), self.parts)
-            return np.array(out)
+            return _checked(_project_onto(self.target, a), self.parts)
         # Dykstra works on a batch
         out, converged, moved = _dykstra(np.atleast_2d(a), self.components)
         residual = _residual(out, self.components)
@@ -415,21 +489,20 @@ class Intersection(GeometricSet):
             result = result & c.contains(a, tol)
         return result
 
-    def _point(self, a):
-        """The checked projection of ``a`` as Python floats, when ``a`` is a
-        point that ``_floats`` takes and the target is a ball (the ball
-        rule's inner ball: both parts are balls); None otherwise. The bits
-        are ``_ball_project``'s, and the check is ``_checked``'s, which
-        raises for a projection that fails it."""
-        kind, center, radius = self.target or (None, None, None)
-        delta = _floats(a, center) if kind is Ball else None
-        if delta is None:
-            return None
-        out = _ball_floats(center.tolist(), delta, radius)
-        for _, c, r in self.parts:
-            # ``_in_ball``'s test, on the floats ``_distance`` takes
-            if not _norm_floats([p - q for p, q in zip(out, c.tolist())]) <= r + _RESIDUAL_TOL:
-                _checked(np.array(out), self.parts)
+    def _point(self, v):
+        """The checked projection of the floats ``v`` as Python floats, when
+        the target is a box (two boxes, a 1-d ball or halfspace counted as
+        one) or a ball (the inner one of two nested balls); None for a lens,
+        Dykstra or a ``v`` of another dimension. The bits are the target's
+        array projection's. Each part is tested in floats (``_in_floats``);
+        a part that fails it is left to ``_checked``, which raises the
+        array path's ``ProjectionError`` for a projection outside it."""
+        out = None if self.target is None else _point_onto(self.target, v)
+        if out is not None:
+            for kind, p, q in self.parts:
+                if not _in_floats(out, kind, p, q):
+                    _checked(np.array(out), self.parts)
+                    break
         return out
 
 
@@ -617,12 +690,14 @@ def dist_subgradient(x, s: GeometricSet):
     ``x`` back to ``x``; within ``ZERO_DIST_TOL`` of the set the zero vector
     is returned, which is a valid subgradient on and inside the set. A
     point that ``_floats`` takes stays in Python floats from the finiteness
-    check to the unit vector when ``s`` is an intersection whose closed
-    form is a ball (``Intersection._point``): no array is made between them.
+    check to the unit vector when ``s`` has a float path (``_point``): a box
+    or a ball, or an intersection whose closed form is one. ``_point`` is
+    called once at most; where it gives None the projection is the array
+    path's (``_arrays``), with no second float attempt.
     """
     a = np.asarray(x, dtype=float)
     v = _finite(a)
-    out = s._point(a)
+    out = None if v is None else s._point(v)
     if out is None:
-        return _unit_offset(a, s.project(a), ZERO_DIST_TOL)
+        return _unit_offset(a, s._arrays(a), ZERO_DIST_TOL)
     return _unit_floats([p - q for p, q in zip(v, out)], ZERO_DIST_TOL)

@@ -42,7 +42,7 @@ class _Linear:
         return np.asarray(x, dtype=float) @ self.a + self.shift
 
     def subgradient(self, x):
-        g = np.empty(np.shape(x))
+        g = np.empty(np.asarray(x).shape)
         g[...] = self.a
         return g
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .budgets import num_experts
 from .core import DecisionSet, is_finite_real
-from .geometry import _sum
+from .geometry import _SHORT, _sum
 
 KNOWN_PATH = "known_path"
 PATH_FREE = "path_free"
@@ -40,8 +40,9 @@ class AdaGradState:
     the iterate stays put (the step size is undefined at ``S_t = 0`` and no
     movement is needed). ``point`` may be a batch ``(N, d)`` of iterates
     stepping on one gradient, with a ``path_estimate`` column ``(N, 1)``.
-    The numerator ``(D+1) * sqrt(1 + P)`` is fixed when the state is made,
-    and one that overflows is a ``ValueError``.
+    The numerator ``(D+1) * sqrt(1 + P)`` is fixed when the state is made
+    (a Python float for a single point's scalar P), and one that overflows
+    is a ``ValueError``.
     """
 
     decision_set: DecisionSet
@@ -66,6 +67,8 @@ class AdaGradState:
         if not np.isfinite(self.numerator).all():
             raise ValueError(f"step numerator (D+1) sqrt(1+P) overflows for diameter "
                              f"{self.diameter!r}")
+        if type(self.numerator) is np.float64:  # a scalar P's: the float step needs a float
+            self.numerator = float(self.numerator)
 
     @property
     def mode(self) -> str:
@@ -83,7 +86,15 @@ class AdaGradState:
 def adagrad_step(state: AdaGradState, gradient) -> tuple[AdaGradState, np.ndarray]:
     """Advance one round: accumulate the squared gradient norm, take the
     projected step, and return the state together with the next iterate.
-    A NaN, infinite or overflowing gradient raises before the state changes."""
+    A NaN, infinite or overflowing gradient raises before the state changes.
+
+    A single point of fewer than 8 coordinates steps in Python floats, with
+    the bits of the array step: ``x - step * g`` is formed as floats and
+    projected by the decision set's float path (``GeometricSet._point``: a
+    box, a ball or a closed form onto one), and one array is made at the
+    end. A set with no float path projects that step as an array. A batch
+    and a longer point step on arrays. ``g @ g`` is numpy's dot either way.
+    """
     g = np.asarray(gradient, dtype=float)
     if g.shape != state.point.shape[-1:]:
         raise ValueError(f"gradient dimension {g.shape} != point dimension {state.point.shape}")
@@ -94,7 +105,13 @@ def adagrad_step(state: AdaGradState, gradient) -> tuple[AdaGradState, np.ndarra
     state.grad_sq_sum, state.last_grad_sq = s, g_sq
     if s > 0.0:
         step = state.numerator / math.sqrt(2.0 * s)
-        state.point = state.decision_set.project(state.point - step * g)
+        x = state.point
+        if type(step) is float and x.ndim == 1 and x.shape[0] < _SHORT:
+            y = [p - step * q for p, q in zip(x.tolist(), g.tolist())]
+            out = state.decision_set.geometry._point(y)
+            state.point = state.decision_set.project(np.array(y)) if out is None else np.array(out)
+        else:
+            state.point = state.decision_set.project(x - step * g)
     return state, state.point
 
 

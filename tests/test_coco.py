@@ -429,6 +429,36 @@ def test_coco1_projects_once_per_violating_round_only(monkeypatch, name):
     assert np.array_equal(np.array(points).view(np.uint64), violating.view(np.uint64))
 
 
+@pytest.mark.parametrize("name", ["static", "disjoint-alternating", "tracking-ball"])
+def test_coco1_tries_the_float_projection_once_per_violating_round(monkeypatch, name):
+    # the distance subgradient tries a violating play's float projection
+    # once (``_point``: a box target on the 1-d scenarios, a ball or a lens
+    # on tracking-ball) and, where that gives None, takes the array path
+    # without ``project``, which would try it again
+    counts = {"_point": 0, "project": 0}
+    inside = []
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            counts[name] += bool(inside)
+            return f(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(Intersection, "_point", counting("_point", Intersection._point))
+    monkeypatch.setattr(Intersection, "project", counting("project", Intersection.project))
+
+    def counted_subgradient(x, s):
+        inside.append(True)
+        try:
+            return dist_subgradient(x, s)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(coco, "dist_subgradient", counted_subgradient)
+    record = run(RunConfig(ScenarioSpec(name, 500, seed=0), "coco1"))
+    violating = np.count_nonzero(record.g[:record.horizon] > 0.0)
+    assert violating > 50
+    assert counts == {"_point": violating, "project": 0}
+
+
 def test_coco1_round_builds_no_set_object(monkeypatch):
     # a violating round builds its region, one Intersection, from the
     # constraint's own numbers and projects onto its closed form: no Ball is

@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -806,3 +807,151 @@ def test_box_halfspace_projection_is_exact(angle, depth, x):
     inside = np.all(np.abs(x) <= 1.0) and x @ normal <= offset
     ref = x if inside else nearest_on_polygon(clip_square(normal, offset), x)
     np.testing.assert_allclose(p, ref, rtol=0, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# a short point's box projection in Python floats
+
+# box ends where the float kernel could part from numpy: signed zeros, which
+# tie with a zero coordinate, and the infinite ends of a 1-d halfspace's box
+BOX_ENDS = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 1.0, -math.inf, math.inf]),
+                     st.floats(-3.0, 3.0))
+# coordinates: the same, plus NaN and values tied with a finite end
+BOX_COORDS = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 1.0, math.nan, -math.inf, math.inf]),
+                       st.floats(-3.0, 3.0))
+
+
+def box_ends(d):
+    """``(lower, upper)`` of a box in ``d`` dimensions, drawn from ``BOX_ENDS``
+    (either end may be -0.0 against the other's +0.0)."""
+    pair = st.tuples(hnp.arrays(float, d, elements=BOX_ENDS),
+                     hnp.arrays(float, d, elements=BOX_ENDS))
+    return pair.map(lambda ab: (np.minimum(*ab), np.maximum(*ab)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda d: st.tuples(
+    box_ends(d), hnp.arrays(float, d, elements=BOX_COORDS))))
+@example(((np.array([0.0]), np.array([-0.0])), np.array([0.0])))
+@example(((np.array([-0.0]), np.array([1.0])), np.array([0.0])))
+@example(((np.array([-1.0]), np.array([-0.0])), np.array([0.0])))
+@example(((np.array([-math.inf]), np.array([1.0])), np.array([math.nan])))
+def test_box_float_kernel_is_maximum_then_minimum_bitwise(instance):
+    # np.maximum and np.minimum return their second operand, the end, on a
+    # tie of -0.0 with +0.0, and keep a NaN coordinate; the kernel does both
+    (lo, hi), x = instance
+    expected = np.minimum(np.maximum(x, lo), hi)
+    assert same_bits(np.array(geometry._box_floats(x.tolist(), lo, hi)), expected)
+    box = Box(lo, hi)
+    assert same_bits(np.array(box._point(x.tolist())), expected)
+    assert same_bits(box.project(x), expected)
+    # as the target of an intersection of two boxes, which holds it twice
+    region = Intersection((box, (Box, lo, hi)))
+    assert region.target[0] is Box
+    with np.errstate(invalid="ignore"):  # the residual of a NaN coordinate
+        assert raised(region.project, x) == raised(checked_target_projection(region), x)
+
+
+def raised(f, x):
+    """The bits of ``f(x)``, or the type, message and residual bits of the
+    ``ProjectionError`` it raises."""
+    try:
+        return bits(f(x)).tolist()
+    except ProjectionError as exc:
+        return type(exc), str(exc), bits(exc.residual).tolist()
+
+
+def checked_target_projection(region):
+    """An intersection's closed form projection as its array path takes it:
+    the target's array projection, post-checked on arrays."""
+    return lambda a: geometry._checked(geometry._project_onto(region.target, a), region.parts)
+
+
+@st.composite
+def box_target_regions(draw):
+    """An intersection of two primitives' fields whose closed form is a box:
+    a 1-d box with a 1-d halfspace (either sign of normal, its end at a
+    point of the box or 1e-9 past it) or a 1-d ball (of radius down to
+    1e-9), as the 1-d scenarios' regions are, or two boxes in 1 to 7
+    dimensions."""
+    kind = draw(st.sampled_from([Halfspace, Ball, Box]))
+    d = 1 if kind is not Box else draw(st.integers(1, 7))
+    lo, hi = draw(box_ends(d).filter(lambda e: np.isfinite(e).all()))
+    first = (Box, lo, hi + 1.0)
+    if kind is Halfspace:
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        scale = draw(st.sampled_from([1.0, 0.5, 3.0]))
+        # the end sits at a point of the box, or 1e-9 past it
+        end = draw(st.sampled_from([lo[0], hi[0], (lo[0] + hi[0]) / 2.0])) + draw(
+            st.sampled_from([0.0, 1e-9, -1e-9]))
+        second = (Halfspace, np.array([sign * scale]), sign * scale * end)
+    elif kind is Ball:
+        center = draw(st.floats(lo[0], hi[0] + 1.0))
+        second = (Ball, np.array([center]), draw(st.sampled_from([0.5, 1e-9, 2.0])))
+    else:
+        lo2, hi2 = draw(box_ends(d).filter(lambda e: np.isfinite(e).all()))
+        second = (Box, np.minimum(lo2, hi + 1.0), np.maximum(hi2, lo))
+    try:
+        region = Intersection((first, second))
+    except ValueError:
+        reject()  # the two sets miss each other
+    assert region.target[0] is Box
+    return region
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_target_regions(), st.data())
+def test_box_target_point_is_the_checked_array_projection_bitwise(region, data):
+    # a short point onto a box target is projected and post-checked in
+    # floats, and a point that fails the floats' check is checked on arrays:
+    # the bits, or the ProjectionError with its residual, of the array path
+    d = region.dim
+    x = data.draw(hnp.arrays(float, d, elements=BOX_COORDS | st.floats(-1e3, 1e3)))
+    reference = checked_target_projection(region)
+    with np.errstate(invalid="ignore"):
+        expected = raised(reference, x)
+        assert raised(lambda a: np.array(region._point(a.tolist())), x) == expected
+        assert raised(region.project, x) == expected
+    # the closed form moved 1e-6 outside its region: a point far outside
+    # projects onto the moved box, which fails the check on both paths
+    with mock.patch.object(geometry, "_closed_form", moved_box(geometry._closed_form)):
+        moved = Intersection(region.parts)
+    far = 1e4 * data.draw(hnp.arrays(float, d, elements=st.sampled_from([-1.0, 1.0])))
+    expected = raised(checked_target_projection(moved), far)
+    assert expected[0] is ProjectionError
+    assert raised(moved.project, far) == expected
+    assert raised(lambda a: np.array(moved._point(a.tolist())), far) == expected
+
+
+def moved_box(closed_form):
+    """``geometry._closed_form`` with a box target's ends moved 1e-6 out."""
+    def form(first, second):
+        kind, p, q = closed_form(first, second)
+        return kind, p - 1e-6, q + 1e-6
+    return form
+
+
+def test_a_long_point_or_a_batch_stays_on_arrays_bitwise(monkeypatch):
+    # a point of 8 coordinates and a batch never reach a float kernel, which
+    # a point of 7 reaches on every set here (by ``dist_subgradient``)
+    seen = []
+    for kind in (Box, Ball):
+        row = geometry._KERNELS[kind]
+        monkeypatch.setitem(geometry._KERNELS, kind, row._replace(
+            floats=lambda v, p, q, f=row.floats: seen.append(len(v)) or f(v, p, q)))
+    for d in (7, 8):
+        box = Box(-np.ones(d), np.ones(d))
+        ball = Ball(np.zeros(d), 1.0)
+        sets = [box, ball, Intersection((box, (Box, -2.0 * np.ones(d), 0.5 * np.ones(d)))),
+                Intersection((ball, (Ball, np.zeros(d), 2.0)))]
+        x = np.linspace(-3.0, 3.0, d)
+        for s in sets:
+            for pts in (x, np.vstack([x, -x])):
+                expected = np.array([s._arrays(p) for p in np.atleast_2d(pts)])
+                seen.clear()
+                assert same_bits(np.atleast_2d(s.project(pts)), expected)
+                if pts.ndim == 1:
+                    assert same_bits(dist_subgradient(pts, s), geometry._unit_offset(
+                        pts, expected[0], geometry.ZERO_DIST_TOL))
+                assert bool(seen) == (d < 8 and pts.ndim == 1)
+                assert set(seen) <= {7}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from coco_lab import harness
 from coco_lab.budgets import (
@@ -14,7 +15,8 @@ from coco_lab.budgets import (
     ensemble_rhs,
 )
 from coco_lab.core import DecisionSet
-from coco_lab.geometry import Ball, Box, _sum, dist_subgradient, membership
+from coco_lab.geometry import (Ball, Box, Halfspace, Intersection, _sum, dist_subgradient,
+                               membership)
 from coco_lab.harness import ALGORITHMS, RunConfig, run
 from coco_lab.scenarios import SCENARIOS, ScenarioSpec, affine_cost, build_scenario, make_scenario
 from coco_lab.subroutines import (
@@ -36,6 +38,84 @@ def unit_interval_set():
 
 # ---------------------------------------------------------------------------
 # adaptive gradient descent
+
+def array_adagrad_step(state, gradient):
+    """``adagrad_step`` as every point took it before a short point stepped
+    in Python floats: the step formed and projected on arrays."""
+    g = np.asarray(gradient, dtype=float)
+    s = state.grad_sq_sum + float(g @ g)
+    state.grad_sq_sum = s
+    if s > 0.0:
+        step = state.numerator / math.sqrt(2.0 * s)
+        state.point = state.decision_set.project(state.point - step * g)
+    return state.point
+
+
+SIGNED = hst.sampled_from([-0.0, 0.0, -1.0, 1.0]) | hst.floats(-3.0, 3.0)
+
+
+@hst.composite
+def short_decision_sets(draw):
+    """A decision set of 1 to 7 dimensions that holds the origin: a box
+    (either end may be a zero of either sign), a ball, or the intersection
+    of a box with a 1-d halfspace or with another box (closed forms onto a
+    box), of two nested balls (onto a ball) or of two overlapping balls (a
+    lens, which has no float path)."""
+    d = draw(hst.integers(1, 7))
+    ends = hnp.arrays(float, d, elements=SIGNED)
+    zeros = hnp.arrays(float, d, elements=hst.sampled_from([-0.0, 0.0]))
+    lo, hi = -np.abs(draw(ends)), np.abs(draw(ends))
+    lo, hi = np.where(lo == 0.0, draw(zeros), lo), np.where(hi == 0.0, draw(zeros), hi)
+    center = draw(hnp.arrays(float, d, elements=hst.floats(-0.5, 0.5)))
+    radius = float(np.linalg.norm(center)) + draw(hst.floats(0.1, 3.0))
+    box, ball = Box(lo, hi), Ball(center, radius)
+    kind = draw(hst.sampled_from(["box", "ball", "box-box", "ball-ball", "box-halfspace"]))
+    if kind == "box-halfspace":
+        box, d = Box(lo[:1], hi[:1]), 1
+        sign = draw(hst.sampled_from([-1.0, 1.0]))
+        geometry = Intersection((box, (Halfspace, np.array([sign]), draw(hst.floats(0.0, 2.0)))))
+    elif kind == "box-box":
+        geometry = Intersection((box, (Box, lo / 2.0 - 0.1, hi + 1.0)))
+    elif kind == "ball-ball":
+        # nested when the second is larger than the first's reach, else a lens
+        geometry = Intersection((ball, (Ball, np.zeros(d), draw(hst.floats(0.1, 6.0)))))
+    else:
+        geometry = box if kind == "box" else ball
+    return DecisionSet(geometry, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_decision_sets(), hst.none() | hst.floats(0.0, 50.0), hst.data())
+def test_short_point_adagrad_step_is_the_array_step_bitwise(ds, path_estimate, data):
+    # a point of fewer than 8 coordinates steps and projects in Python
+    # floats, path-free or with a known path; each iterate has the bits of
+    # the array step's, signed zeros included
+    gradients = data.draw(hst.lists(hnp.arrays(float, ds.dim, elements=SIGNED | hst.floats(
+        -1e3, 1e3)), min_size=1, max_size=6))
+    state = AdaGradState(ds, path_estimate=path_estimate)
+    reference = AdaGradState(ds, path_estimate=path_estimate)
+    for g in gradients:
+        _, x = adagrad_step(state, g)
+        expected = array_adagrad_step(reference, g)
+        assert x.shape == expected.shape
+        assert np.array_equal(x.view(np.uint64), expected.view(np.uint64))
+        assert state.grad_sq_sum == reference.grad_sq_sum
+
+
+def test_a_short_step_onto_a_negative_zero_end_lands_on_it_bitwise():
+    # the first coordinate steps to +0.0, which ties with the upper end -0.0:
+    # np.minimum, and so the step, returns the end, where Python's min
+    # returns the step's +0.0
+    for geometry in (Box([-1.0, -1.0], [-0.0, 1.0]),
+                     Intersection((Box([-1.0, -1.0], [-0.0, 1.0]), (Box, [-2.0, -2.0], [2.0, 2.0])))):
+        ds = DecisionSet(geometry, 3.0)
+        state, reference = AdaGradState(ds), AdaGradState(ds)
+        g = np.array([-0.0, 1.0])
+        _, x = adagrad_step(state, g)
+        expected = array_adagrad_step(reference, g)
+        assert np.signbit(x[0]) and np.signbit(expected[0])
+        assert np.array_equal(x.view(np.uint64), expected.view(np.uint64))
+
 
 def test_adagrad_zero_gradient_guard():
     st = AdaGradState(decision_set=unit_interval_set(), path_estimate=0.0)
