@@ -23,14 +23,8 @@ import numpy as np
 
 from .budgets import coco2_gamma, num_experts
 from .core import ConstraintOracle, CostOracle, DecisionSet, ccv_update, is_finite_real
-from .geometry import GeometricSet, dist, dist_subgradient
+from .geometry import dist_subgradient
 from .subroutines import AhagState, ahag_round, ahag_step  # noqa: F401  ahag_round re-exported
-
-
-def auxiliary_value(cost: CostOracle, feasible_set: GeometricSet, g_lip: float, x) -> float:
-    """Cost plus twice-Lipschitz distance penalty; its unconstrained minimum
-    over the decision set lands inside ``feasible_set``."""
-    return float(cost.value(x)) + 2.0 * g_lip * dist(x, feasible_set)
 
 
 def coco1_surrogate_subgradient(state: Coco1State, cost: CostOracle,

@@ -62,8 +62,8 @@ class CostOracle:
     bound is the run's one G, the scenario's ``g_lip``, which bounds every
     cost and constraint of the run.
 
-    Callables must accept a point of shape ``(d,)``; batch support of shape
-    ``(n, d)`` is expected by the grid oracles.
+    Callables must accept a point of shape ``(d,)``. The tests' grid search
+    (``tests/reference.py``) calls them on a batch of shape ``(n, d)`` too.
     """
 
     value: Callable

@@ -569,12 +569,6 @@ def _sweep_values(config: RunConfig, metric: str, comparator: str | None = None)
     return records, [_metric_value(r, metric, comparator) for r in records]
 
 
-def sweep_slope(config: RunConfig, metric: str, comparator: str | None = None) -> float:
-    """Run every configured horizon and fit the sublinearity slope of the metric."""
-    _, values = _sweep_values(config, metric, comparator)
-    return loglog_slope(config.horizons, values)
-
-
 def sweep(config: RunConfig) -> list:
     """Run all configured horizons in turn and return their records."""
     if not config.horizons:

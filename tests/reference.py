@@ -1,10 +1,14 @@
-"""Brute-force ground truth at desk scale.
+"""Reference computations the tests compare runs against; no run calls them.
 
 Grid search supplies argmins of arbitrary convex functions over low
 dimensional regions, per-round constrained minimizers (and their path
 length), and a dynamic program for the minimum-movement sequence that is
 feasible on every round. These are deliberately exhaustive: they exist to
 check the closed-form values and budget inequalities, not to scale.
+
+``auxiliary_value`` is coco1's distance-penalized cost as a value, and
+``sweep_slope`` fits a sweep's sublinearity slope in one call, as
+``coco-lab sweep`` does.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import path_length
-from .geometry import GeometricSet
+from coco_lab.core import CostOracle, path_length
+from coco_lab.geometry import GeometricSet, dist
+from coco_lab.harness import RunConfig, _sweep_values, loglog_slope
 
 MAX_GRID_POINTS = 10_000_000
 MAX_DP_HORIZON = 200
@@ -139,3 +144,15 @@ def min_feasible_path(constraints, grid: GridSpec):
         rev.append(stages[t][idx])
     points = np.array(rev[::-1])
     return points, p_min
+
+
+def auxiliary_value(cost: CostOracle, feasible_set: GeometricSet, g_lip: float, x) -> float:
+    """Cost plus twice-Lipschitz distance penalty; its unconstrained minimum
+    over the decision set lands inside ``feasible_set``."""
+    return float(cost.value(x)) + 2.0 * g_lip * dist(x, feasible_set)
+
+
+def sweep_slope(config: RunConfig, metric: str, comparator: str | None = None) -> float:
+    """Run every configured horizon and fit the sublinearity slope of the metric."""
+    _, values = _sweep_values(config, metric, comparator)
+    return loglog_slope(config.horizons, values)

@@ -16,7 +16,6 @@ import pytest
 from coco_lab.coco import (
     Coco1State,
     Coco2State,
-    auxiliary_value,
     coco1_round,
     coco2_round,
 )
@@ -30,8 +29,7 @@ from coco_lab.geometry import (
     dist_subgradient,
     project,
 )
-from coco_lab.harness import RunConfig, run, sweep_slope, verify_run
-from coco_lab.oracles import GridSpec, constrained_minimizer_path, grid_argmin, min_feasible_path
+from coco_lab.harness import RunConfig, run, verify_run
 from coco_lab.scenarios import (
     ScenarioSpec,
     affine_cost,
@@ -44,6 +42,8 @@ from coco_lab.scenarios import (
 from coco_lab.budgets import ensemble_rhs
 from coco_lab.subroutines import AhagState, adahedge_step, ahag_round
 from coco_lab.subroutines import HedgeState
+from reference import (GridSpec, auxiliary_value, constrained_minimizer_path, grid_argmin,
+                       min_feasible_path, sweep_slope)
 
 
 def _report(n, text):

@@ -14,7 +14,6 @@ from coco_lab.budgets import coco2_ccv_rhs, coco2_regret_rhs, ensemble_rhs
 from coco_lab.coco import (
     Coco1State,
     Coco2State,
-    auxiliary_value,
     coco1_round,
     coco1_surrogate_subgradient,
     coco2_default_v,
@@ -40,6 +39,7 @@ from coco_lab.scenarios import (
     norm_cost,
 )
 from coco_lab.subroutines import AhagState, ahag_round, num_experts
+from reference import auxiliary_value
 
 
 def interval_instance():

@@ -24,7 +24,6 @@ from coco_lab.harness import (
     persist,
     run,
     sweep,
-    sweep_slope,
     verify_run,
 )
 from coco_lab.scenarios import (
@@ -36,6 +35,7 @@ from coco_lab.scenarios import (
     TrackingBallScenario,
     build_scenario,
 )
+from reference import sweep_slope
 
 
 def cfg(name="static", T=50, seed=0, algorithm="coco2", **kw):

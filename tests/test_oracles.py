@@ -5,7 +5,7 @@ import pytest
 
 from coco_lab.core import path_length
 from coco_lab.geometry import Ball, Box, dist
-from coco_lab.oracles import (
+from reference import (
     GridSpec,
     constrained_minimizer_path,
     grid_argmin,

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from coco_lab.core import CostOracle, DecisionSet
 from coco_lab.geometry import Box, membership
-from coco_lab.oracles import GridSpec, constrained_minimizer_path, min_feasible_path
 from coco_lab.scenarios import (
     SCENARIOS,
     AffineCost,
@@ -27,6 +26,7 @@ from coco_lab.scenarios import (
     constant_constraint,
     make_scenario,
 )
+from reference import GridSpec, constrained_minimizer_path, min_feasible_path
 
 
 ALL_NAMES = sorted(SCENARIOS)
