@@ -6,12 +6,12 @@ finite intersections of those. Each primitive kind is one row of
 membership kernels. Every route to a kind's numbers runs that check: the
 set's constructor, the kind's constraint factory and an ``Intersection``
 given the kind's fields ``(kind, p, q)``, as a constraint's region is.
-Two primitives intersect in closed form by one of two rules: two boxes,
-where a 1-d ball or halfspace counts as the box it is, meet in a box; two
-balls meet in the inner ball or a lens. The rules read each primitive's
-kind and two fields, so an ``Intersection`` of fields builds no set. Every
-other intersection uses Dykstra's alternating projection scheme, which
-converges to the exact Euclidean projection for closed convex sets.
+An intersection reads each part's kind and two fields and builds no set.
+Two closed forms cover the regions a run builds: box-like parts (a 1-d
+ball or halfspace counts as the box it is) meet in their common box, and
+two nested balls in the inner one. Every other region is projected by one
+exact rule: each ball or halfspace is peeled off the region before it by
+a search over its one KKT multiplier (``_peel``).
 
 Every operation accepts a single point of shape ``(d,)`` or a batch of
 shape ``(n, d)`` and returns a result of matching shape; a region's
@@ -20,8 +20,8 @@ coordinates is worked in Python floats, with the bits of the array path
 (``_floats``): its projection onto a box or a ball, by the kind's float
 kernel (the ``floats`` entry of its ``_KERNELS`` row), also as the target
 of an ``Intersection`` (``_point``), a ball's membership test and the
-distance subgradient. A batch, a longer point, a halfspace, a lens and
-Dykstra's scheme stay on arrays.
+distance subgradient. A batch, a longer point, a halfspace and a peeled
+region stay on arrays.
 """
 
 from __future__ import annotations
@@ -34,14 +34,17 @@ import numpy as np
 
 MEMBERSHIP_TOL = 1e-9
 ZERO_DIST_TOL = 1e-8
-DYKSTRA_MOVE_TOL = 1e-10
-DYKSTRA_MAX_SWEEPS = 10_000
 _RESIDUAL_TOL = 1e-8
-_EMPTY_PROBE_TOL = 1e-6
+_EMPTY_TOL = 1e-6
+_FAR = 2.0 ** 30  # the reach of a halfspace's search (``_far``)
+_BISECT_EVERY = 24
+_NOISE = 2.0 ** -50  # rounding decides an excess this small (``_search``)
 
 
 class ProjectionError(RuntimeError):
-    """Iterative projection failed to converge; carries the final residual."""
+    """A projection lies more than 1e-8 outside a part of its region, as
+    where the region is empty by less than 1e-6; carries the largest
+    distance to a part."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
@@ -96,13 +99,10 @@ def _pairwise_sum(v) -> float:
 def _floats(a, minus=None):
     """The coordinates of ``a``, less those of the array ``minus`` if given,
     as Python floats when ``a`` is one point of fewer than ``_SHORT``
-    coordinates (of ``minus``'s shape); None otherwise.
-
-    A point's geometry then skips numpy's per-call cost and keeps its bits:
-    add, subtract, multiply, divide and sqrt are correctly rounded in numpy
-    and in Python alike, and ``_norm`` of such a point is the square root
-    of its squares summed in order (``_norm_floats``).
-    """
+    coordinates (of ``minus``'s shape); None otherwise. Its geometry then
+    skips numpy's per-call cost and keeps its bits: add, subtract, multiply,
+    divide and sqrt round correctly in both, and ``_norm`` of such a point
+    is the root of its squares summed in order (``_norm_floats``)."""
     if a.ndim != 1 or a.shape[0] >= _SHORT:
         return None
     if minus is None:
@@ -115,9 +115,8 @@ def _floats(a, minus=None):
 def _rows_dot(a, b):
     """``a[i] @ b[i]`` for every row ``i`` of ``a``, bit for bit, where ``b``
     has a row for each row of ``a`` or is one vector for them all: a stacked
-    matmul takes one BLAS dot product per row, as the 1-d product does; a row
-    sum or a matrix-vector product adds in another order. A single point
-    ``a`` gives a 0-d array."""
+    matmul takes one BLAS dot product per row, as the 1-d product does (a row
+    sum or a matrix-vector product adds in another order); 0-d for a point."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -170,15 +169,13 @@ class GeometricSet:
         return self.project(np.zeros(self.dim))
 
     def _point(self, v):
-        """The projection, as Python floats, of the point whose coordinates
-        are the floats ``v`` (as ``_floats`` gives them), where the set has
-        such a path: a box's or a ball's (``_point_onto``) or a closed form's
-        onto one (``Intersection._point``). None here."""
+        """The projection, as Python floats, of the point of floats ``v``
+        (from ``_floats``), where the set has such a path: a box's or a
+        ball's (``_point_onto``) or a closed form's onto one. None here."""
         return None
 
     def _arrays(self, a):
-        """The projection of the float array ``a`` with no float path tried
-        first (``Intersection._arrays``); ``project`` here."""
+        """The projection of the float array ``a``, no float path tried."""
         return self.project(a)
 
 
@@ -216,9 +213,8 @@ class Box(_Primitive):
 
     def project(self, x):
         """The projection of ``x`` by numpy's two ufuncs, a single point's
-        too: converting it to Python floats and back for ``_box_floats``
-        would cost more than they do. A caller that holds a point's floats
-        projects them with ``_point``."""
+        too (its floats and back would cost more); a caller that holds a
+        point's floats projects them with ``_point``."""
         return _box_project(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
@@ -248,9 +244,8 @@ class Halfspace(_Primitive):
 # Each primitive kind's row of ``_KERNELS``: the check that converts its two
 # fields and refuses, naming the field, one that is malformed or would
 # project a point to NaN; its projection and membership test on a point or
-# batch ``a`` (a float array) and the checked fields; and its float kernel,
-# the projection of a point given as the list of its Python floats, with
-# the bits of the array projection (None for a kind that has none).
+# batch (a float array); and its float kernel, the projection of a point's
+# list of floats with the array projection's bits (None for a halfspace).
 
 def _box_fields(lower, upper):
     lo = np.atleast_1d(np.asarray(lower, dtype=float))
@@ -363,7 +358,7 @@ _KERNELS = {Box: _Kind(_box_fields, _box_project, _in_box, _box_floats),
 def _point_onto(fields, v):
     """The projection of the floats ``v`` onto the set of ``fields`` by its
     kind's float kernel, as Python floats; None for a kind with no such
-    kernel (a halfspace, a lens) or a ``v`` not of the set's dimension."""
+    kernel (a halfspace) or a ``v`` not of the set's dimension."""
     kind, p, q = fields
     row = _KERNELS.get(kind)
     if row is None or row.floats is None or len(v) != len(p):
@@ -373,9 +368,8 @@ def _point_onto(fields, v):
 
 def _in_floats(v, kind, p, q) -> bool:
     """``_checked``'s test of the floats ``v`` against one part's fields, on
-    the same bits: a box's or a ball's test, or a 1-d halfspace's (the
-    parts of a target with a float kernel); False for any other part, which
-    ``_checked`` then tests on arrays."""
+    the same bits: a box's, a ball's or a 1-d halfspace's; False for any
+    other part, which ``_checked`` then tests on arrays."""
     tol = _RESIDUAL_TOL
     if kind is Box:
         for c, lo, hi in zip(v, p.tolist(), q.tolist()):
@@ -391,112 +385,73 @@ def _in_floats(v, kind, p, q) -> bool:
     return False
 
 
-_DIM_MISMATCH = "intersection components must share a dimension"
-
-
-def _point_or_batch(x):
-    """``x`` as a float array, a point ``(d,)`` or a batch ``(n, d)``."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim not in (1, 2):
-        raise ValueError(f"expected point of shape (d,) or batch (n, d), got {a.shape}")
-    return a
-
-
 class Intersection(GeometricSet):
-    """Finite intersection of convex sets.
+    """Finite intersection of boxes, balls and halfspaces.
 
-    A component is a set or, for a primitive, its fields ``(kind, p, q)``,
-    checked here. Two primitives whose intersection has a closed form
-    (``_closed_form``) keep it as ``target`` beside their fields,
-    ``parts``, and build no set: ``project`` puts a point or batch on the
-    target and checks it (``_checked``), a short point onto a box or a ball
-    in Python floats (``_point``). Every other intersection makes its fields
-    sets (its ``components``) and is projected by Dykstra's scheme, and
-    construction probes it for non-emptiness: if no component anchor lies
-    in all components, Dykstra is run from a few deterministic starts and
-    the intersection is rejected when the residual distance to the
-    components stays above 1e-6.
+    A component is a primitive, its fields ``(kind, p, q)`` (checked here)
+    or an ``Intersection``, which adds its parts; anything else is refused.
+    The fields are kept in order as ``parts``, beside the region's closed
+    form as ``target`` (``_closed_form``) or else its ``peel`` plan
+    (``_peel_plan``). A projection is checked (``_checked``); a short point
+    goes onto a box or ball target in Python floats (``_point``).
     """
 
-    __slots__ = ("components", "target", "parts")
+    __slots__ = ("parts", "target", "peel")
 
     def __init__(self, components):
-        comps = tuple(components)
-        if not comps:
+        parts = []
+        for c in components:
+            if type(c) is tuple:
+                parts += [(c[0], *_KERNELS[c[0]].check(c[1], c[2]))]
+            elif type(c) is Intersection:
+                parts += c.parts
+            elif type(c) in _KERNELS:
+                parts += [c.fields]
+            else:
+                raise TypeError("an intersection component must be a Box, Ball or Halfspace, "
+                                "the fields (kind, p, q) of one, or an Intersection of them")
+        if not parts:
             raise ValueError("intersection needs at least one component")
-        # each component's fields; None for a set that is no primitive
-        self.parts = [(c[0], *_KERNELS[c[0]].check(c[1], c[2])) if type(c) is tuple else c.fields
-                      for c in comps]
-        self.components, self.target = comps, None
-        if len(comps) == 2 and None not in self.parts:
-            (_, p1, _), (_, p2, _) = self.parts
-            if p1.shape != p2.shape:
-                raise ValueError(_DIM_MISMATCH)
-            self.target = _closed_form(*self.parts)
+        shape = parts[0][1].shape
+        for _, p, _ in parts:
+            if p.shape != shape:
+                raise ValueError("intersection components must share a dimension")
+        self.parts, self.target, self.peel = parts, _closed_form(parts), None
         if self.target is None:
-            self.components = tuple(f[0](f[1], f[2]) if type(c) is tuple else c
-                                    for c, f in zip(comps, self.parts))
-            if any(c.dim != self.components[0].dim for c in self.components):
-                raise ValueError(_DIM_MISMATCH)
-            self._probe_nonempty()
+            self.peel = _peel_plan(parts)
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim if self.target is None else self.parts[0][1].shape[0]
-
-    def _probe_nonempty(self):
-        anchors = [c.anchor() for c in self.components]
-        for a in anchors:
-            if all(bool(c.contains(a, tol=_EMPTY_PROBE_TOL)) for c in self.components):
-                return
-        rng = np.random.default_rng(7)
-        mean = np.mean(anchors, axis=0)
-        spread = max(1.0, float(np.max([np.linalg.norm(a - mean) for a in anchors])))
-        starts = [mean] + [mean + rng.normal(scale=spread, size=self.dim) for _ in range(2)]
-        best = np.inf
-        for s in starts:
-            x, _, _ = _dykstra(s[None, :], self.components)
-            best = min(best, _residual(x, self.components))
-            if best <= _EMPTY_PROBE_TOL:
-                return
-        raise ValueError(f"empty intersection (Dykstra residual {best:.3e})")
+        return self.parts[0][1].shape[0]
 
     def project(self, x):
-        a = _point_or_batch(x)
+        a = np.asarray(x, dtype=float)
+        if a.ndim not in (1, 2):
+            raise ValueError(f"expected point of shape (d,) or batch (n, d), got {a.shape}")
         v = _floats(a)
         out = None if v is None else self._point(v)
         return self._arrays(a) if out is None else np.array(out)
 
     def _arrays(self, a):
         """``project`` of the point or batch ``a`` on arrays: the target's
-        projection, checked, or Dykstra's."""
+        projection or the peel's, checked."""
         if self.target is not None:
             return _checked(_project_onto(self.target, a), self.parts)
-        # Dykstra works on a batch
-        out, converged, moved = _dykstra(np.atleast_2d(a), self.components)
-        residual = _residual(out, self.components)
-        if not converged or residual > _RESIDUAL_TOL:
-            raise ProjectionError("projection did not converge", max(residual, moved))
-        return out[0] if a.ndim == 1 else out
+        out = _peel(np.atleast_2d(a), *self.peel)
+        return _checked(out[0] if a.ndim == 1 else out, self.parts)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        a = np.asarray(x, dtype=float)
-        if self.target is not None:
-            (k1, p1, q1), (k2, p2, q2) = self.parts
-            return _KERNELS[k1].contains(a, p1, q1, tol) & _KERNELS[k2].contains(a, p2, q2, tol)
-        result = self.components[0].contains(a, tol)
-        for c in self.components[1:]:
-            result = result & c.contains(a, tol)
+        a, result = np.asarray(x, dtype=float), True
+        for kind, p, q in self.parts:
+            result = result & _KERNELS[kind].contains(a, p, q, tol)
         return result
 
     def _point(self, v):
-        """The checked projection of the floats ``v`` as Python floats, when
-        the target is a box (two boxes, a 1-d ball or halfspace counted as
-        one) or a ball (the inner one of two nested balls); None for a lens,
-        Dykstra or a ``v`` of another dimension. The bits are the target's
-        array projection's. Each part is tested in floats (``_in_floats``);
-        a part that fails it is left to ``_checked``, which raises the
-        array path's ``ProjectionError`` for a projection outside it."""
+        """The checked projection of the floats ``v`` as Python floats, with
+        the bits of the array path, where the target is a box or a ball; else
+        None. Each part is tested in floats (``_in_floats``); a part that
+        fails it is left to ``_checked``, which raises the array path's
+        ``ProjectionError`` for a projection outside it."""
         out = None if self.target is None else _point_onto(self.target, v)
         if out is not None:
             for kind, p, q in self.parts:
@@ -506,32 +461,29 @@ class Intersection(GeometricSet):
         return out
 
 
-def _closed_form(first, second):
-    """The closed form of the intersection of two sets given by their fields,
-    by one of two rules: two boxes, a 1-d ball or halfspace counted as the
-    box it is (``_bounds``), give their common box's fields
-    ``(Box, lower, upper)``; two balls give the inner one's own fields when
-    nested, else ``(_Lens, lens, None)``. None for any other pair. Raises
-    ``ValueError`` when such an intersection is empty."""
-    e1, e2 = _bounds(first), _bounds(second)
-    if e1 is not None and e2 is not None:
-        lo, hi = np.maximum(e1[0], e2[0]), np.minimum(e1[1], e2[1])
-        if np.any(lo > hi + _EMPTY_PROBE_TOL):
+def _closed_form(parts):
+    """The closed form of the region of ``parts`` (fields): box-like parts
+    (``_bounds``) give their common box ``(Box, lower, upper)``, two nested
+    balls the inner one's own fields; else None. Raises ``ValueError`` when
+    the common box is empty."""
+    ends = list(map(_bounds, parts))
+    if None not in ends:
+        (lo, hi), *others = ends
+        for lower, upper in others:
+            lo, hi = np.maximum(lo, lower), np.minimum(hi, upper)
+        if np.any(lo > hi + _EMPTY_TOL):
             raise ValueError(f"empty intersection (lower end {np.max(lo - hi):.3e} "
                              "above upper end)")
         return Box, lo, np.maximum(lo, hi)
-    if not (first[0] is Ball and second[0] is Ball):
-        return None
-    (_, c1, r1), (_, c2, r2) = first, second
-    v = c2 - c1
-    gap = math.sqrt(v @ v)
-    if gap > r1 + r2 + _EMPTY_PROBE_TOL:
-        raise ValueError(f"empty intersection (balls {gap - r1 - r2:.3e} apart)")
-    if gap + r1 <= r2:
-        return first
-    if gap + r2 <= r1:
-        return second
-    return _Lens, _Lens(c1, r1, c2, r2, gap), None
+    if len(parts) == 2 and parts[0][0] is parts[1][0] is Ball:
+        (_, c1, r1), (_, c2, r2) = parts
+        v = c2 - c1
+        gap = math.sqrt(v @ v)
+        if gap + r1 <= r2:
+            return parts[0]
+        if gap + r2 <= r1:
+            return parts[1]
+    return None
 
 
 def _bounds(fields):
@@ -548,109 +500,158 @@ def _bounds(fields):
     return (np.full(1, -np.inf), end) if p[0] > 0 else (end, np.full(1, np.inf))
 
 
+def _peel_plan(parts):
+    """``(base, rest, scale)``: the common box of the box-like parts, or else
+    the first part; the balls and halfspaces to peel off it in order; the
+    ``_extent``. Refuses a part 1e-6 outside the region before it at its
+    search's far end, where the two come closest."""
+    boxes = [f for f in parts if _bounds(f) is not None]
+    rest = [f for f in parts if _bounds(f) is None]
+    base = _closed_form(boxes) if boxes else rest.pop(0)
+    scale = _extent(parts)
+    origin = np.zeros((1, base[1].shape[0]))
+    for k, part in enumerate(rest):
+        far = _peel(_path(part, _far(part, origin, scale), origin), base, rest[:k], scale)
+        gap = _excess(part, far)[0]
+        if not gap <= _EMPTY_TOL:
+            raise ValueError(f"empty intersection (a part {gap:.3e} outside those before it)")
+    return base, tuple(rest), scale
+
+
+def _extent(parts) -> float:
+    """The largest finite magnitude among the parts' box ends, ball centres
+    and radii, and halfspaces' distances from the origin."""
+    v = np.abs(np.concatenate([[q / math.sqrt(p @ p)] if kind is Halfspace else np.r_[p, q]
+                               for kind, p, q in parts]))
+    return float(np.max(v[np.isfinite(v)], initial=0.0))
+
+
 def _project_onto(fields, a):
     """The projection of the point or batch ``a`` onto the set of ``fields``
-    (a lens's included)."""
+    by its kind's kernel."""
     kind, p, q = fields
-    return p.project(a) if kind is _Lens else _KERNELS[kind].project(a, p, q)
+    return _KERNELS[kind].project(a, p, q)
 
 
 def _checked(out, parts):
-    """``out``, a closed form's projection, when it lies in the set of each
-    of ``parts``'s fields at 1e-8 (for a box in d >= 2, each coordinate
-    within 1e-8); else ``ProjectionError`` with its largest distance to
-    one. A ball's single point answers a Python bool, with no numpy call."""
+    """``out``, a projection onto the region of ``parts``, when it lies in
+    each part at 1e-8 (a box in d >= 2: each coordinate within 1e-8); else
+    ``ProjectionError`` with its largest distance to one. A ball's single
+    point answers a Python bool, with no numpy call."""
     for kind, p, q in parts:
         ok = _KERNELS[kind].contains(out, p, q, _RESIDUAL_TOL)
         if not (ok if out.ndim == 1 else ok.all()):
             residual = max(float(np.max(_norm(out - _project_onto(f, out)))) for f in parts)
-            raise ProjectionError("closed-form projection left the set", residual)
+            raise ProjectionError("projection left the set", residual)
     return out
 
 
-class _Lens:
-    """The intersection of the balls ``(c1, r1)`` and ``(c2, r2)``, whose
-    centres lie ``gap`` apart, neither inside the other.
+def _peel(a, base, rest, scale):
+    """The projection of the batch ``a`` onto the region of the fields
+    ``base`` and ``rest``: onto the base, then off each part in turn. A row
+    keeps a projection that the part holds, to rounding (``_NOISE``)."""
+    if not rest:
+        return _project_onto(base, a)
+    *before, part = rest
+    out = _peel(a, base, before, scale)
+    g = _excess(part, out)
+    rows = np.flatnonzero(g > _NOISE * (1.0 + scale))
+    if rows.size:
+        out[rows] = _search(a[rows], g[rows], part, lambda z: _peel(z, base, before, scale), scale)
+    return out
 
-    A point, or each row of a batch, goes to its projection onto one ball
-    when that lies in the other ball; otherwise both constraints are active and it goes to the
-    nearest point of the rim, the sphere of radius ``h`` around ``mid`` in
-    the hyperplane orthogonal to the axis ``u``.
-    """
 
-    def __init__(self, c1, r1, c2, r2, gap: float):
-        a = (gap * gap + r1 * r1 - r2 * r2) / (2.0 * gap)
-        self.c1, self.r1, self.c2, self.r2 = c1, r1, c2, r2
-        self.u = (c2 - c1) / gap
-        self.h = math.sqrt(max(r1 * r1 - a * a, 0.0))
-        self.mid = c1 + a * self.u
+def _excess(part, y):
+    """How far each row of ``y`` lies outside the ball or halfspace
+    ``part``, as its membership test measures it: negative inside."""
+    kind, p, q = part
+    return _norm(y - p) - q if kind is Ball else (_rows_dot(y, p) - q) / math.sqrt(p @ p)
 
-    def project(self, x):
-        out = _ball_project(x, self.c1, self.r1)
-        done = np.asarray(_in_ball(out, self.c2, self.r2, 0.0))
-        if done.all():
+
+def _path(part, t, x):
+    """The rows ``x`` moved to multipliers ``t`` of ``part``: ``x - t a`` or
+    ``c + (x - c) / (1 + t)`` (c at t = inf). By the KKT conditions, ``x``
+    projects onto a region cut by the part as its point at the least ``t``
+    that puts it in the part does."""
+    kind, p, _ = part
+    t = t[:, None]
+    return x - t * p if kind is Halfspace else p + (x - p) / (1.0 + t)
+
+
+def _far(part, x, scale):
+    """The far end of each row's ``_path``: inf for a ball; for a halfspace,
+    where it has moved ``_FAR`` times 1 + ``scale`` + the row's extent."""
+    if part[0] is Ball:
+        return np.full(len(x), np.inf)
+    return _FAR * (1.0 + scale + np.max(np.abs(x), axis=1)) / math.sqrt(part[1] @ part[1])
+
+
+def _search(x, g0, part, onto, scale):
+    """The projections of the rows ``x``, each ``g0 > 0`` outside ``part``
+    once projected onto a region by ``onto``, onto that region cut by the
+    part: ``onto`` of the ``_path`` point at the least multiplier that puts
+    it in the part, along which the excess (``_excess``) falls.
+
+    A row keeps its point at a lower bound on the multiplier if it lies in
+    the part. Else the multiplier grows by 2, 4, 16, 256, ... until the
+    point lies in the part by more than rounding decides (``_NOISE``), or
+    to the far end (``_far``), whose point is then taken: a part that only
+    touches the region meets it there. Secant steps with the Illinois fix,
+    or halvings on the bits, then narrow the bracket to adjacent floats or
+    a point on the boundary. A row's steps read that row alone."""
+    kind, p, _ = part
+    out = np.empty_like(x)
+    end, slack = _far(part, x, scale), -_NOISE * (1.0 + scale)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the path moves a point at most |a| t, or |x - c| t / (1 + t), and the
+        # excess is 1-Lipschitz: it stays positive below the multiplier where
+        # that reaches g0 (the least float stands in for 0, which cannot grow)
+        first = g0 / (np.maximum(_norm(x - p) - g0, 0.0) if kind is Ball else math.sqrt(p @ p))
+        rows, t = np.arange(len(x)), np.minimum(np.maximum(first, 5e-324), end)
+        lo, glo, grow, found = np.zeros(len(x)), g0, 1.0, []
+        while rows.size:
+            y = onto(_path(part, t, x[rows]))
+            g = _excess(part, y)
+            inside = g < slack if grow > 1.0 else g <= 0
+            done = inside | ~(t < end[rows])
+            out[rows[done]] = y[done]
+            if grow > 1.0:
+                found.append((rows[inside], lo[inside], glo[inside], t[inside], g[inside]))
+            # the bracket's outer end: the last point outside the part
+            lo, glo = np.where(g > 0, t, lo)[~done], np.where(g > 0, g, glo)[~done]
+            rows, t = rows[~done], t[~done]
+            grow = 2.0 if grow == 1.0 else grow * grow
+            t = np.minimum(grow * t, end[rows])
+        if not found:
             return out
-        other = _ball_project(x, self.c2, self.r2)
-        out = np.where(done[..., None], out, other)
-        done |= _in_ball(other, self.c1, self.r1, 0.0)
-        if done.all():
-            return out
-        w = x - self.c1
-        # a row sum, not ``@``: BLAS orders the sum differently for a batch
-        w -= np.sum(w * self.u, axis=-1, keepdims=True) * self.u
-        n = _norm(w, keepdims=True)
-        # a point on the axis gets here only when the rim is the single
-        # point ``mid`` (tangent balls) or by rounding, and goes to ``mid``
-        direction = np.divide(w, n, out=np.zeros_like(w), where=n > 0)
-        return np.where(done[..., None], out, self.mid + self.h * direction)
-
-
-def _dykstra(pts, components):
-    """Cyclic Dykstra iteration over a batch of points.
-
-    Returns ``(points, converged, last_move)``. Convergence requires a
-    full sweep that moves every point less than ``DYKSTRA_MOVE_TOL`` and the
-    iterate lying within the residual tolerance of every component. The
-    iterate can stand still at a member of the set that is not the
-    projection while the correction terms keep changing, so the sweep must
-    also change each point's corrections by less than that tolerance, or
-    leave the point that close to its start's projection onto one
-    component (a member of the set nearest to the start within a larger set
-    is the projection, whatever the corrections still do).
-    """
-    start = np.array(pts, dtype=float)
-    x = start
-    corrections = [np.zeros_like(x) for _ in components]
-    moved = np.inf
-    for _ in range(DYKSTRA_MAX_SWEEPS):
-        prev, before = x, list(corrections)
-        for i, comp in enumerate(components):
-            z = x + corrections[i]
-            y = comp.project(z)
-            corrections[i] = z - y
-            x = y
-        moved = float(np.max(_norm(x - prev)))
-        if moved < DYKSTRA_MOVE_TOL:
-            if _residual(x, components) <= _RESIDUAL_TOL and _settled(
-                    start, x, components, before, corrections, DYKSTRA_MOVE_TOL):
-                return x, True, moved
-    return x, False, moved
-
-
-def _residual(x, components) -> float:
-    """The largest distance from a point, or from any row of a batch, to a
-    component."""
-    return max(float(np.max(_norm(x - c.project(x)))) for c in components)
-
-
-def _settled(start, x, components, before, after, tol) -> bool:
-    """Whether each point's corrections changed by less than ``tol`` in the
-    sweep, or the point lies within ``tol`` of its start projected onto
-    some single component."""
-    ok = np.max([_norm(b - a) for a, b in zip(before, after)], axis=0) < tol
-    for c in components:
-        ok |= _norm(c.project(start) - x) < tol
-    return bool(ok.all())
+        rows, lo, glo, hi, ghi = map(np.concatenate, zip(*found))
+        xs, side, step = x[rows], np.zeros(len(rows)), 0
+        while True:
+            keep = hi.view(np.int64) - lo.view(np.int64) > 1
+            if not keep.all():
+                rows, xs, lo, glo, hi, ghi, side = (
+                    a[keep] for a in (rows, xs, lo, glo, hi, ghi, side))
+            if not rows.size:
+                return out
+            step += 1
+            # the secant's point, or one ulp inside the end it falls on or past;
+            # or halving on the bits, ``lo + ((hi - lo) >> 1)`` (``lo + hi``
+            # overflows int64)
+            t = hi - ghi * (hi - lo) / (ghi - glo)
+            t = np.where(t < hi, np.where(t > lo, t, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+            bits = (hi > 2.0 * lo) | (step % _BISECT_EVERY == 0)
+            lb, hb = lo.view(np.int64), hi.view(np.int64)
+            t = np.where(bits, (lb + ((hb - lb) >> 1)).view(float), t)
+            y = onto(_path(part, t, xs))
+            g = _excess(part, y)
+            inside = g <= 0
+            out[rows[inside]] = y[inside]
+            # Illinois: the end kept for a second step in a row has its value
+            # halved; a point on the boundary closes the bracket
+            glo = np.where(inside, np.where(side < 0, 0.5 * glo, glo), g)
+            ghi = np.where(inside, g, np.where(side > 0, 0.5 * ghi, ghi))
+            lo = np.where(inside, np.where(g == 0, t, lo), t)
+            hi, side = np.where(inside, t, hi), np.where(inside, -1.0, 1.0)
 
 
 def _finite(pts, message="cannot project a non-finite point"):
@@ -690,10 +691,8 @@ def dist_subgradient(x, s: GeometricSet):
     ``x`` back to ``x``; within ``ZERO_DIST_TOL`` of the set the zero vector
     is returned, which is a valid subgradient on and inside the set. A
     point that ``_floats`` takes stays in Python floats from the finiteness
-    check to the unit vector when ``s`` has a float path (``_point``): a box
-    or a ball, or an intersection whose closed form is one. ``_point`` is
-    called once at most; where it gives None the projection is the array
-    path's (``_arrays``), with no second float attempt.
+    check to the unit vector where ``s`` has a float path (``_point``, tried
+    once); elsewhere the projection is the array path's (``_arrays``).
     """
     a = np.asarray(x, dtype=float)
     v = _finite(a)

@@ -9,6 +9,11 @@ check the closed-form values and budget inequalities, not to scale.
 ``auxiliary_value`` is coco1's distance-penalized cost as a value, and
 ``sweep_slope`` fits a sweep's sublinearity slope in one call, as
 ``coco-lab sweep`` does.
+
+``_dykstra`` is Dykstra's alternating projection scheme over any sets with
+a ``project`` method, which converges to the Euclidean projection onto
+their intersection: the cross-check of ``geometry.Intersection``'s exact
+projections.
 """
 
 from __future__ import annotations
@@ -18,12 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from coco_lab.core import CostOracle, path_length
-from coco_lab.geometry import GeometricSet, dist
+from coco_lab.geometry import _RESIDUAL_TOL, GeometricSet, _norm, dist
 from coco_lab.harness import RunConfig, _sweep_values, loglog_slope
 
 MAX_GRID_POINTS = 10_000_000
 MAX_DP_HORIZON = 200
 MAX_DP_POINTS_PER_ROUND = 500
+DYKSTRA_MOVE_TOL = 1e-10
+DYKSTRA_MAX_SWEEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -156,3 +163,51 @@ def sweep_slope(config: RunConfig, metric: str, comparator: str | None = None) -
     """Run every configured horizon and fit the sublinearity slope of the metric."""
     _, values = _sweep_values(config, metric, comparator)
     return loglog_slope(config.horizons, values)
+
+
+def _dykstra(pts, components):
+    """Cyclic Dykstra iteration over a batch of points.
+
+    Returns ``(points, converged, last_move)``. Convergence requires a
+    full sweep that moves every point less than ``DYKSTRA_MOVE_TOL`` and the
+    iterate lying within the residual tolerance of every component. The
+    iterate can stand still at a member of the set that is not the
+    projection while the correction terms keep changing, so the sweep must
+    also change each point's corrections by less than that tolerance, or
+    leave the point that close to its start's projection onto one
+    component (a member of the set nearest to the start within a larger set
+    is the projection, whatever the corrections still do).
+    """
+    start = np.array(pts, dtype=float)
+    x = start
+    corrections = [np.zeros_like(x) for _ in components]
+    moved = np.inf
+    for _ in range(DYKSTRA_MAX_SWEEPS):
+        prev, before = x, list(corrections)
+        for i, comp in enumerate(components):
+            z = x + corrections[i]
+            y = comp.project(z)
+            corrections[i] = z - y
+            x = y
+        moved = float(np.max(_norm(x - prev)))
+        if moved < DYKSTRA_MOVE_TOL:
+            if _residual(x, components) <= _RESIDUAL_TOL and _settled(
+                    start, x, components, before, corrections, DYKSTRA_MOVE_TOL):
+                return x, True, moved
+    return x, False, moved
+
+
+def _residual(x, components) -> float:
+    """The largest distance from a point, or from any row of a batch, to a
+    component."""
+    return max(float(np.max(_norm(x - c.project(x)))) for c in components)
+
+
+def _settled(start, x, components, before, after, tol) -> bool:
+    """Whether each point's corrections changed by less than ``tol`` in the
+    sweep, or the point lies within ``tol`` of its start projected onto
+    some single component."""
+    ok = np.max([_norm(b - a) for a, b in zip(before, after)], axis=0) < tol
+    for c in components:
+        ok |= _norm(c.project(start) - x) < tol
+    return bool(ok.all())

@@ -432,8 +432,8 @@ def test_coco1_projects_once_per_violating_round_only(monkeypatch, name):
 @pytest.mark.parametrize("name", ["static", "disjoint-alternating", "tracking-ball"])
 def test_coco1_tries_the_float_projection_once_per_violating_round(monkeypatch, name):
     # the distance subgradient tries a violating play's float projection
-    # once (``_point``: a box target on the 1-d scenarios, a ball or a lens
-    # on tracking-ball) and, where that gives None, takes the array path
+    # once (``_point``: a box target on the 1-d scenarios, a ball on
+    # tracking-ball) and, where that gives None, takes the array path
     # without ``project``, which would try it again
     counts = {"_point": 0, "project": 0}
     inside = []
@@ -462,8 +462,8 @@ def test_coco1_tries_the_float_projection_once_per_violating_round(monkeypatch, 
 def test_coco1_round_builds_no_set_object(monkeypatch):
     # a violating round builds its region, one Intersection, from the
     # constraint's own numbers and projects onto its closed form: no Ball is
-    # built on a round, and neither Dykstra nor its emptiness probe runs
-    counts = dict.fromkeys(["Ball", "Intersection", "_dykstra", "_probe_nonempty"], 0)
+    # built on a round, and no region is planned or projected by peeling
+    counts = dict.fromkeys(["Ball", "Intersection", "_peel_plan", "_peel"], 0)
     in_round = []
 
     def counting(name, f):
@@ -473,9 +473,8 @@ def test_coco1_round_builds_no_set_object(monkeypatch):
         return counted
     monkeypatch.setattr(Ball, "__post_init__", counting("Ball", Ball.__post_init__))
     monkeypatch.setattr(Intersection, "__init__", counting("Intersection", Intersection.__init__))
-    monkeypatch.setattr(Intersection, "_probe_nonempty",
-                        counting("_probe_nonempty", Intersection._probe_nonempty))
-    monkeypatch.setattr(geometry, "_dykstra", counting("_dykstra", geometry._dykstra))
+    monkeypatch.setattr(geometry, "_peel_plan", counting("_peel_plan", geometry._peel_plan))
+    monkeypatch.setattr(geometry, "_peel", counting("_peel", geometry._peel))
     original = harness.coco1_round
 
     def counted_round(*args):
@@ -488,7 +487,7 @@ def test_coco1_round_builds_no_set_object(monkeypatch):
     record = run(RunConfig(ScenarioSpec("tracking-ball", 500, seed=0), "coco1"))
     violating = np.count_nonzero(record.g[:record.horizon] > 0.0)
     assert violating > 100
-    assert counts == {"Ball": 0, "Intersection": violating, "_dykstra": 0, "_probe_nonempty": 0}
+    assert counts == {"Ball": 0, "Intersection": violating, "_peel_plan": 0, "_peel": 0}
 
 
 EQUIVALENCE_GEOMETRIES = (Box([-2.0], [3.0]), Box([-2.0, -1.0], [1.5, 2.0]),
@@ -504,8 +503,8 @@ def constraint_makers(draw):
     lies just apart. These closed forms may be empty: the constraint is
     built directly, so that an empty region is refused only where it is
     read. The other pairs, a ball or halfspace on a box in 2-d or 3-d, a
-    halfspace on the ball and a box on the ball, go to Dykstra, and hold a
-    point of the decision set (Dykstra's emptiness probe is slow)."""
+    halfspace on the ball and a box on the ball, are peeled, and hold a
+    point of the decision set."""
     geom = draw(st.sampled_from(EQUIVALENCE_GEOMETRIES))
     vectors = hnp.arrays(float, geom.dim, elements=st.floats(-4.0, 4.0))
     reach = hnp.arrays(float, geom.dim, elements=st.floats(0.0, 3.0))
@@ -541,18 +540,15 @@ def constraint_makers(draw):
 
 def widened(closed_form):
     """``geometry._closed_form`` with its result moved 1e-6 outside its
-    region: each box end, ball radius and lens radius 1e-6 further out."""
-    def form(first, second):
-        target = closed_form(first, second)
+    region: each box end and ball radius 1e-6 further out."""
+    def form(parts):
+        target = closed_form(parts)
         if target is None:
             return None
         kind, p, q = target
         if kind is Box:
             return Box, p - 1e-6, q + 1e-6
-        if kind is Ball:
-            return Ball, p, q + 1e-6
-        gap = float(np.linalg.norm(p.c2 - p.c1))
-        return kind, geometry._Lens(p.c1, p.r1 + 1e-6, p.c2, p.r2 + 1e-6, gap), None
+        return Ball, p, q + 1e-6
     return form
 
 
@@ -590,12 +586,11 @@ def test_coco1_closed_form_is_the_feasible_region_path_bitwise(make, cost_vector
     exact = ref_region.target is not None
     assert (region.target is not None) == exact
     rng = np.random.default_rng(seed)
-    # Dykstra pairs project onto an Intersection on both paths, by a slow
-    # scheme: a few points check the sum
-    outside = rng.uniform(-5.0, 5.0, size=(6 if exact else 2, geom.dim))
+    outside = rng.uniform(-5.0, 5.0, size=(6, geom.dim))
     signed_zeros = np.where(rng.random(geom.dim) < 0.5, -0.0, outside[0])
-    # the rim: the outside points projected (Dykstra may fail to converge),
-    # and 1e-7 further out, where the distance subgradient is a unit vector
+    # the rim: the outside points projected (where the projection leaves a
+    # region empty by less than 1e-6, it raises), and 1e-7 further out,
+    # where the distance subgradient is a unit vector
     rim = [(outcome(ref_region.project, x), x) for x in outside]
     rim = [(np.array(p).view(float), x) for p, x in rim if isinstance(p, list)]
     near = [r + 1e-7 * (x - r) / np.linalg.norm(x - r) for r, x in rim if np.any(x != r)]
@@ -606,9 +601,9 @@ def test_coco1_closed_form_is_the_feasible_region_path_bitwise(make, cost_vector
             with pytest.raises(ValueError, match="^cannot project a non-finite point$"):
                 dist_subgradient(np.full(geom.dim, bad), r)
     # a short point onto a closed form takes the float path, a batch the
-    # array path (Dykstra moves every row of a batch until all converge)
-    assert not exact or (outcome(region.project, np.array(points)) == outcome(
-        lambda xs: np.array([region.project(x) for x in xs]), np.array(points)))
+    # array path; a peeled region's batch row is its point's projection
+    assert outcome(region.project, np.array(points)) == outcome(
+        lambda xs: np.array([region.project(x) for x in xs]), np.array(points))
     for x in points:
         # the surrogate reads only the direction to the projection (in 1-d,
         # its sign), so the projections are compared too
@@ -616,8 +611,8 @@ def test_coco1_closed_form_is_the_feasible_region_path_bitwise(make, cost_vector
         # g(x) read by the surrogate itself where x violates, and a NaN g_val
         # at every point, both of which project. (Where g(x) <= 0 the
         # surrogate reads no region; that the distance term is zero there
-        # fails by 1e-8 at the rim of two balls that barely touch, whose
-        # lens the closed form draws too thin)
+        # fails by 1e-8 at the rim of two balls that barely touch, where
+        # rounding decides which points lie in both)
         for g_val in (None, math.nan) if float(constraint.value(x)) > 0.0 else (math.nan,):
             assert (outcome(coco1_surrogate_subgradient, state, cost, constraint, x, g_val)
                     == outcome(always_projecting_surrogate, state, cost, reference, x, g_val))
@@ -627,7 +622,7 @@ def test_coco1_closed_form_is_the_feasible_region_path_bitwise(make, cost_vector
             for x in far:
                 for path, c in ((coco1_surrogate_subgradient, make()),
                                 (always_projecting_surrogate, reference_of(make()))):
-                    with pytest.raises(ProjectionError, match="closed-form projection left"):
+                    with pytest.raises(ProjectionError, match="^projection left the set"):
                         path(state, cost, c, x, None)
 
 

@@ -33,6 +33,7 @@ from coco_lab.scenarios import (
     halfspace_constraint,
     norm_cost,
 )
+from reference import _dykstra
 
 
 def random_sets(rng, d):
@@ -253,7 +254,7 @@ def three_sets(d):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_three_component_intersection_projects_by_dykstra(d):
+def test_three_component_intersection_projects_by_peeling(d):
     region = Intersection(three_sets(d))
     rng = np.random.default_rng(d)
     xs = rng.uniform(-4.0, 4.0, size=(6, d))
@@ -267,23 +268,16 @@ def test_three_component_intersection_projects_by_dykstra(d):
         assert np.max((ys - p) @ (x - p)) <= 1e-9 * (1.0 + np.linalg.norm(x))
 
 
-def test_nested_one_d_intersection_projects_by_dykstra():
-    # an interval inside an intersection is not a primitive: no closed form
+def test_nested_one_d_intersection_projects_onto_its_common_box():
+    # a nested intersection adds its parts: three intervals meet in one
     inner = Intersection((Box([-1.0], [1.0]), Ball([0.5], 1.0)))
     region = Intersection((inner, Halfspace([1.0], 0.8)))
     np.testing.assert_allclose(region.project(np.array([[2.0], [-3.0], [0.1]])),
                                [[0.8], [-0.5], [0.1]], rtol=0, atol=1e-8)
 
 
-def test_dykstra_out_of_sweeps_is_a_projection_error(monkeypatch):
-    region = Intersection(three_sets(2))
-    monkeypatch.setattr(geometry, "DYKSTRA_MAX_SWEEPS", 1)
-    with pytest.raises(ProjectionError, match="projection did not converge"):
-        region.project(np.array([4.0, 3.0]))
-
-
 def test_projection_error_carries_residual():
-    err = ProjectionError("projection did not converge", 0.125)
+    err = ProjectionError("projection left the set", 0.125)
     assert err.residual == 0.125
     assert "1.250e-01" in str(err)
 
@@ -292,7 +286,7 @@ def test_projection_error_carries_residual():
     (Ball(np.zeros(2), 3.0), Ball([1.5, 0.0], 1.0)),
     (Ball(np.zeros(2), 1.0), Ball([1.0, 0.0], 1.0)),
     (Box([-1.0, -1.0], [1.0, 1.0]), Halfspace([1.0, 1.0], 0.5)),
-], ids=["nested-balls", "lens", "dykstra"])
+], ids=["nested-balls", "lens", "box-halfspace"])
 def test_intersection_projects_only_a_point_or_a_batch(components):
     region = Intersection(components)
     for x in (np.zeros((2, 3, 2)), 0.0):
@@ -300,22 +294,21 @@ def test_intersection_projects_only_a_point_or_a_batch(components):
             region.project(x)
 
 
-@pytest.mark.parametrize("first,second", [
-    ((Ball, np.zeros(2), 3.0), (Ball, np.array([0.5, 0.0]), 1.0)),
-    ((Ball, np.zeros(2), 1.0), (Ball, np.array([1.0, 0.0]), 1.0)),
-    ((Box, np.array([-1.0]), np.array([1.0])), (Halfspace, np.array([1.0]), 0.5)),
-    ((Box, -np.ones(2), np.ones(2)), (Halfspace, np.array([1.0, 1.0]), 0.5)),
-], ids=["nested-balls", "lens", "box", "dykstra"])
-def test_closed_form_is_a_set_that_projects_only_a_point_or_a_batch(first, second):
+@pytest.mark.parametrize("first,second,closed", [
+    ((Ball, np.zeros(2), 3.0), (Ball, np.array([0.5, 0.0]), 1.0), True),
+    ((Ball, np.zeros(2), 1.0), (Ball, np.array([1.0, 0.0]), 1.0), False),
+    ((Box, np.array([-1.0]), np.array([1.0])), (Halfspace, np.array([1.0]), 0.5), True),
+    ((Box, -np.ones(2), np.ones(2)), (Halfspace, np.array([1.0, 1.0]), 0.5), False),
+], ids=["nested-balls", "lens", "box", "box-halfspace"])
+def test_closed_form_is_a_set_that_projects_only_a_point_or_a_batch(first, second, closed):
     # an Intersection given its primitives' fields is the one given their
-    # sets: a closed form or Dykstra's alike, of the same dimension,
+    # sets: a closed form or a peeled region alike, of the same dimension,
     # membership and projections, and it refuses what that one refuses
     # rather than broadcasting a scalar or a (2, 2, 2) array
     form = Intersection((first, second))
     region = Intersection((first[0](*first[1:]), second[0](*second[1:])))
     xs = np.random.default_rng(0).uniform(-3.0, 3.0, size=(50, region.dim))
     assert form.dim == region.dim
-    closed = not (first[0] is Box and region.dim == 2)  # a 2-d box ∩ halfspace is Dykstra's
     assert (form.target is not None) == (region.target is not None) == closed
     assert np.array_equal(form.contains(xs), region.contains(xs))
     assert [bool(form.contains(x)) for x in xs] == [bool(region.contains(x)) for x in xs]
@@ -341,7 +334,7 @@ def test_non_finite_point_rejected():
 
 
 def test_near_tangent_balls_intersect():
-    # Dykstra's probe stalls 1.4e-5 away here and would call the lens empty
+    # Dykstra's scheme stalls 1.4e-5 away from this thin lens
     Intersection((Ball([5.0, 5.0], 1.0), Ball([6.999, 5.0], 1.0)))
 
 
@@ -440,7 +433,7 @@ def test_exact_projection_properties(instance, n, seed):
     for x, p in zip(xs, ps):
         assert np.max((ys - p) @ (x - p)) <= 1e-9 * (1.0 + np.linalg.norm(x))
     if depth >= 0.1:
-        ref, converged, _ = geometry._dykstra(xs, region.components)
+        ref, converged, _ = _dykstra(xs, (s1, s2))
         assert converged
         np.testing.assert_allclose(ps, ref, rtol=0, atol=1e-8)
 
@@ -550,14 +543,14 @@ def test_box_pair_is_projected_as_one_box():
     (Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0)),  # lens
     (Ball([0.0, 0.0], 3.0), Ball([1.5, 0.0], 1.0)),  # nested balls
     (Box([-1.0], [1.0]), Halfspace([1.0], 0.5)),  # interval
-    (Box([-1.0, -1.0], [1.0, 1.0]), Halfspace([1.0, 1.0], 0.5)),  # Dykstra
+    (Box([-1.0, -1.0], [1.0, 1.0]), Halfspace([1.0, 1.0], 0.5)),  # box ∩ halfspace
     # the same regions given their primitives' fields
     ((Ball, np.zeros(2), 1.0), (Ball, np.array([1.5, 0.0]), 1.0)),
     ((Ball, np.zeros(2), 3.0), (Ball, np.array([1.5, 0.0]), 1.0)),
     ((Box, [-1.0], [1.0]), (Halfspace, [1.0], 0.5)),
     ((Box, [-1.0, -1.0], [1.0, 1.0]), (Halfspace, [1.0, 1.0], 0.5)),
-], ids=["lens", "nested", "interval", "dykstra",
-        "lens-fields", "nested-fields", "interval-fields", "dykstra-fields"])
+], ids=["lens", "nested", "interval", "box-halfspace",
+        "lens-fields", "nested-fields", "interval-fields", "box-halfspace-fields"])
 def test_intersection_pickles(components):
     region = Intersection(components)
     copy = pickle.loads(pickle.dumps(region))
@@ -694,14 +687,13 @@ def test_single_point_is_its_batch_row_bitwise(instance, seed):
         assert nested.target is nested.parts[1] or ball.dim == 1
         regions = [(nested, [x, *ball_edge_points(ball, rng)])]
         if ball.dim >= 2:
-            # overlapping, neither inside the other: the closed form is a lens
+            # overlapping, neither inside the other: a lens, peeled
             other = Ball(ball.center + radius * np.eye(ball.dim)[0], radius)
             lens = Intersection((ball, other))
-            kind, shape, _ = lens.target
-            assert kind is geometry._Lens
+            assert lens.target is None
             regions.append((lens, [x, *ball_edge_points(ball, rng),
                                    *ball_edge_points(other, rng),
-                                   *lens_rim_points(shape, rng)]))
+                                   *lens_rim_points(ball, other, rng)]))
         for region, pts in regions:
             ops = [ball.project, ball.contains, region.project, region.contains,
                    *(functools.partial(f, s=s) for f in (project, dist_subgradient)
@@ -711,16 +703,22 @@ def test_single_point_is_its_batch_row_bitwise(instance, seed):
                     assert outcome(op, p) == outcome(lambda b: op(b)[0], p[None, :])
 
 
-def lens_rim_points(lens, rng):
-    """The lens's centre ``mid``, a point of its rim, that point with every
-    coordinate one ulp up and one ulp down, and points 3h and 1000h from
-    ``mid`` in the rim's plane, which project onto the rim."""
-    v = rng.normal(size=lens.u.shape[0])
-    v -= (v @ lens.u) * lens.u
+def lens_rim_points(b1, b2, rng):
+    """The centre ``mid`` of the lens of two overlapping balls, a point of
+    its rim (the circle of radius ``h`` around ``mid`` orthogonal to the
+    centres' axis), that point with every coordinate one ulp up and one ulp
+    down, and points 3h and 1000h from ``mid`` in the rim's plane, which
+    project onto the rim."""
+    gap = np.linalg.norm(b2.center - b1.center)
+    u = (b2.center - b1.center) / gap
+    a = (gap * gap + b1.radius ** 2 - b2.radius ** 2) / (2.0 * gap)
+    mid, h = b1.center + a * u, math.sqrt(max(b1.radius ** 2 - a * a, 0.0))
+    v = rng.normal(size=u.shape[0])
+    v -= (v @ u) * u
     v /= np.linalg.norm(v)
-    rim = lens.mid + lens.h * v
-    return [lens.mid, rim, np.nextafter(rim, np.inf), np.nextafter(rim, -np.inf),
-            lens.mid + 3.0 * lens.h * v, lens.mid + 1e3 * lens.h * v]
+    rim = mid + h * v
+    return [mid, rim, np.nextafter(rim, np.inf), np.nextafter(rim, -np.inf),
+            mid + 3.0 * h * v, mid + 1e3 * h * v]
 
 
 @st.composite
@@ -750,9 +748,10 @@ def test_dykstra_waits_for_its_corrections_to_settle():
     # the iterate stood still at [0.9906, 0.9596] while the corrections kept
     # changing; the projection is the vertex where the halfspace cuts y = 1
     normal, offset = np.array([0.2265042905300834, 0.9740101674887504]), 1.159074751207022
-    region = Intersection((Box([-1.0, -1.0], [1.0, 1.0]), Halfspace(normal, offset)))
-    p = region.project([1.4640170270421287, 5.4799021948254465])
-    np.testing.assert_allclose(p, [(offset - normal[1]) / normal[0], 1.0], rtol=0, atol=1e-8)
+    components = (Box([-1.0, -1.0], [1.0, 1.0]), Halfspace(normal, offset))
+    x, converged, _ = _dykstra(np.array([[1.4640170270421287, 5.4799021948254465]]), components)
+    assert converged
+    np.testing.assert_allclose(x, [[(offset - normal[1]) / normal[0], 1.0]], rtol=0, atol=1e-8)
 
 
 def test_dykstra_stops_at_a_point_nearest_in_one_component():
@@ -760,7 +759,7 @@ def test_dykstra_stops_at_a_point_nearest_in_one_component():
     # 1e-5 a sweep for 1.9e5 sweeps; the iterate is the projection onto the
     # ball from the first sweep on, which settles it
     components = (Box([-1.0], [0.0]), Ball([1e-5], 1.0))
-    x, converged, _ = geometry._dykstra(np.array([[-2.86]]), components)
+    x, converged, _ = _dykstra(np.array([[-2.86]]), components)
     assert converged
     np.testing.assert_allclose(x, [[-0.99999]], rtol=0, atol=1e-12)
 
@@ -798,15 +797,116 @@ def test_box_halfspace_projection_is_exact(angle, depth, x):
     normal = np.array([math.cos(angle), math.sin(angle)])
     offset = float(np.abs(normal).sum()) - depth
     region = Intersection((Box([-1.0, -1.0], [1.0, 1.0]), Halfspace(normal, offset)))
-    try:
-        p = region.project(x)
-    except ProjectionError:
-        # Dykstra may run out of sweeps where the cut passes close to a
-        # corner; it must say so, and must not do so often
-        reject()
+    p = region.project(x)
     inside = np.all(np.abs(x) <= 1.0) and x @ normal <= offset
     ref = x if inside else nearest_on_polygon(clip_square(normal, offset), x)
     np.testing.assert_allclose(p, ref, rtol=0, atol=1e-7)
+
+
+# a cut whose line passes 5e-4 from the corner (1, 1): Dykstra's scheme needs
+# more than 10,000 sweeps to project ``x`` onto the square less that corner
+CORNER_CUT = (np.array([-0.8584020334834557, 0.5129775325601194]), -0.345912256133708,
+              np.array([1.1801586173866276, 5.345095387964924]))
+
+
+def test_corner_cut_projects_onto_its_vertex():
+    normal, offset, x = CORNER_CUT
+    region = Intersection((Box([-1.0, -1.0], [1.0, 1.0]), Halfspace(normal, offset)))
+    np.testing.assert_allclose(region.project(x), [1.0, 0.99904917], rtol=0, atol=1e-8)
+
+
+@st.composite
+def corner_cuts(draw):
+    """A halfspace whose line passes 1e-9 to 1e-2 inside a corner of the
+    square [-1, 1]², at any angle that leaves part of the square, and a
+    point around the square."""
+    corner = np.array(draw(st.sampled_from([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0),
+                                            (-1.0, 1.0)])))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    normal = np.array([math.cos(angle), math.sin(angle)])
+    offset = float(normal @ corner) - draw(st.floats(1e-9, 1e-2))
+    if not offset > 1e-6 - np.abs(normal).sum():
+        reject()  # the cut leaves no part of the square
+    return normal, offset, draw(hnp.arrays(float, 2, elements=st.floats(-6.0, 6.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corner_cuts())
+@example(CORNER_CUT)
+def test_corner_cuts_project_onto_the_cut_square(cut):
+    normal, offset, x = cut
+    region = Intersection((Box([-1.0, -1.0], [1.0, 1.0]), Halfspace(normal, offset)))
+    inside = np.all(np.abs(x) <= 1.0) and x @ normal <= offset
+    ref = x if inside else nearest_on_polygon(clip_square(normal, offset), x)
+    np.testing.assert_allclose(region.project(x), ref, rtol=0, atol=1e-8)
+
+
+def test_a_region_of_one_corner_point_is_built_and_projects_onto_it():
+    # the region is the corner (1.5, 2); Dykstra's scheme stalls 8.1e-4 away
+    box = Box([-2.0, -1.0], [1.5, 2.0])
+    for region in (Intersection((box, Ball([1.5, 3.0], 1.0))),
+                   ball_constraint([1.5, 3.0], 1.0, box).feasible_region):
+        np.testing.assert_allclose(region.project(np.zeros(2)), [1.5, 2.0], rtol=0, atol=1e-8)
+
+
+@st.composite
+def peeled_regions(draw):
+    """Two or three boxes, balls and halfspaces in 2 to 4 dimensions, in any
+    order, each holding a common point 0.1 or more inside it: every pair
+    of kinds that no closed form takes, and three parts."""
+    d = draw(st.integers(2, 4))
+    z = draw(hnp.arrays(float, d, elements=coords))
+    reach = hnp.arrays(float, d, elements=st.floats(0.1, 2.0))
+    kinds = draw(st.sampled_from([
+        ("box", "halfspace"), ("box", "ball"), ("ball", "halfspace"),
+        ("halfspace", "halfspace"), ("ball", "ball"), ("box", "ball", "halfspace"),
+        ("ball", "halfspace", "halfspace"), ("ball", "ball", "halfspace")]).flatmap(
+            st.permutations))
+    sets = []
+    for kind in kinds:
+        if kind == "box":
+            sets.append(Box(z - draw(reach), z + draw(reach)))
+        elif kind == "ball":
+            v = draw(hnp.arrays(float, d, elements=st.floats(-1.0, 1.0)))
+            sets.append(Ball(z + v, np.linalg.norm(v) + draw(st.floats(0.1, 1.5))))
+        else:
+            n = draw(hnp.arrays(float, d, elements=st.floats(-1.0, 1.0)).filter(
+                lambda a: np.linalg.norm(a) > 0.1))
+            sets.append(Halfspace(n, n @ z + np.linalg.norm(n) * draw(st.floats(0.1, 2.0))))
+    return sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(peeled_regions(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_peeled_projection_is_dykstras_and_each_batch_row_bitwise(sets, n, seed):
+    region = Intersection(sets)
+    xs = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(n, region.dim))
+    ps = region.project(xs)
+    assert region.target is None or len(sets) == 2 and region.target[0] is Ball
+    # in every part at 1e-9, and a batch is its rows projected one by one
+    for s in sets:
+        assert np.all(s.contains(ps, tol=1e-9))
+    assert same_bits(ps, np.array([region.project(x) for x in xs]))
+    ref, converged, _ = _dykstra(xs, sets)
+    if converged:
+        np.testing.assert_allclose(ps, ref, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("component", [DecisionSet(Box([-1.0], [1.0]), 2.0), "box",
+                                       geometry.GeometricSet()],
+                         ids=["decision-set", "str", "set"])
+def test_a_component_that_is_no_primitive_is_refused(component):
+    with pytest.raises(TypeError, match="^an intersection component must be a Box, Ball "):
+        Intersection((Box([-1.0], [1.0]), component))
+
+
+def test_a_nested_intersection_adds_its_parts():
+    box, ball, half = three_sets(2)
+    nested = Intersection((Intersection((box, (Ball, ball.center, ball.radius))), half))
+    flat = Intersection((box, ball, half))
+    assert [kind for kind, _, _ in nested.parts] == [Box, Ball, Halfspace]
+    xs = np.random.default_rng(1).uniform(-4.0, 4.0, size=(20, 2))
+    assert same_bits(nested.project(xs), flat.project(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -925,8 +1025,8 @@ def test_box_target_point_is_the_checked_array_projection_bitwise(region, data):
 
 def moved_box(closed_form):
     """``geometry._closed_form`` with a box target's ends moved 1e-6 out."""
-    def form(first, second):
-        kind, p, q = closed_form(first, second)
+    def form(parts):
+        kind, p, q = closed_form(parts)
         return kind, p - 1e-6, q + 1e-6
     return form
 
