@@ -91,7 +91,7 @@ def _round(state: Coco1State | Coco2State, cost: CostOracle, constraint: Constra
     x = state.subroutine.combined_point
     g_val = float(constraint.value(x))
     state.q = ccv_update(state.q, g_val)
-    grad = np.asarray(surrogate_subgradient(state, cost, constraint, x, g_val), dtype=float)
+    grad = surrogate_subgradient(state, cost, constraint, x, g_val)
     _, played = ahag_step(state.subroutine, grad)
     return state, played, math.sqrt(state.subroutine.experts.last_grad_sq)
 

@@ -16,17 +16,17 @@ A run's record is a set of columns (``RunRecord``), and ``_play`` is the one
 pass that fills it. Each round writes only the learner's play x_t and the
 norm of the gradient it stepped on. ``_play`` takes a block of
 ``ORACLE_BLOCK`` rounds, then its costs and constraints from the scenario
-as one ``OracleStack`` each (``Scenario.oracle_block``, which a built-in
-scenario reads off its own arrays): the stacks give f and g at the plays,
-from which the record derives gplus and Q, and every comparator's cost and
-feasibility. A block that raises, or shows a non-finite value or an
-infeasible comparator, is replayed round by round with ``generate(t)``'s
-own oracles, which names the first failure. The record carries its
-running sums on block by block, which the summary and ``plotdata.csv``
-read. ``run`` has its learner play each block first; ``verify_run`` loads
-``rounds.csv``'s plays and gradient norms into a record and makes the same
-pass, so a play that is not finite fails it as it fails a run, and
-rebuilds the summary from that record.
+as ``(rows, family, params)`` groups (``Scenario.oracle_block``, which a
+built-in scenario reads off its own arrays): ``oracle_values`` gives f and
+g at the plays, from which the record derives gplus and Q, and every
+comparator's cost and feasibility. A block that raises, or shows a
+non-finite value or an infeasible comparator, is replayed round by round
+with ``generate(t)``'s own oracles, which names the first failure. The
+record carries its running sums on block by block, which the summary and
+``plotdata.csv`` read. ``run`` has its learner play each block first;
+``verify_run`` loads ``rounds.csv``'s plays and gradient norms into a
+record and makes the same pass, so a play that is not finite fails it as
+it fails a run, and rebuilds the summary from that record.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from . import budgets
 from .coco import Coco1State, Coco2State, coco1_round, coco2_round
 from .core import FEASIBILITY_TOL, RunRecord, is_finite_real, is_integer
 from .geometry import membership
-from .scenarios import Scenario, ScenarioSpec, build_scenario
+from .scenarios import Scenario, ScenarioSpec, build_scenario, oracle_values
 from .subroutines import KNOWN_PATH, AdaGradState, AhagState, adagrad_step, ahag_round
 
 ALGORITHMS = ("adagrad", "ahag", "coco1", "coco2")
@@ -214,15 +214,15 @@ def _play(scenario: Scenario, record: RunRecord, algorithm: str | None = None, s
         rows = slice(start - 1, stop - 1)
         try:
             costs, constraints = scenario.oracle_block(start, stop)
-            f, g = costs.values(xs[rows]), constraints.values(xs[rows])
-            comparator_costs = {name: costs.values(comp.points[rows])
+            f, g = oracle_values(costs, xs[rows]), oracle_values(constraints, xs[rows])
+            comparator_costs = {name: oracle_values(costs, comp.points[rows])
                                 for name, comp in record.comparators.items()}
             # the conditions the replay raises on; a NaN constraint value at
             # a comparator is not a violation in either
             clean = played is None and np.isfinite(
                 np.concatenate((f, g, *comparator_costs.values()))).all()
             clean = clean and not any(
-                (constraints.values(comp.points[rows]) > FEASIBILITY_TOL).any()
+                (oracle_values(constraints, comp.points[rows]) > FEASIBILITY_TOL).any()
                 for comp in record.comparators.values())
         except Exception as exc:
             clean, cause = False, exc
@@ -287,7 +287,7 @@ def _round_step(algorithm: str):
 
     def step(state, cost, constraint):
         x = state.point
-        adagrad_step(state, np.asarray(cost.subgradient(x), dtype=float))
+        adagrad_step(state, cost.subgradient(x))
         return x, math.sqrt(state.last_grad_sq)
     return step
 
@@ -447,63 +447,48 @@ def _blocks(n: int):
         yield slice(start, stop), range(start + 1, stop + 1)
 
 
-def _write_blocks(blocks, out):
-    """The text of ``blocks`` joined, or, given an open file ``out``, each
-    block written to it in turn (and ``None``)."""
-    if out is None:
-        return "".join(blocks)
-    for block in blocks:
-        out.write(block)
-    return None
-
-
 def _rounds_columns(d: int) -> list:
     return ["t", *(f"x_{i}" for i in range(d)), "f", "g", "gplus", "Q", "grad_norm_surrogate"]
 
 
-def rounds_csv_text(record: RunRecord, out=None) -> str | None:
-    """The text of ``rounds.csv``: its header, then one row per round. Rows
-    are formatted ``ORACLE_BLOCK`` at a time; given an open file ``out``,
-    each block is written to it as it is formatted, and nothing is
-    returned."""
-    def blocks():
-        yield ",".join(_rounds_columns(record.dimension)) + "\n"
-        for b, ts in _blocks(record.horizon):
-            # formatted column by column, then joined by row
-            columns = [list(map(str, ts)), *map(_fmt_column, record.x[b].T),
-                       *(_fmt_column(c[b]) for c in (record.f, record.g, record.gplus,
-                                                     record.Q, record.grad_norm))]
-            yield "\n".join(map(",".join, zip(*columns))) + "\n"
-    return _write_blocks(blocks(), out)
+def rounds_csv_text(record: RunRecord, out):
+    """Write the text of ``rounds.csv`` to the open file ``out``: its
+    header, then one row per round. Rows are formatted ``ORACLE_BLOCK`` at
+    a time, and each block is written as it is formatted."""
+    out.write(",".join(_rounds_columns(record.dimension)) + "\n")
+    for b, ts in _blocks(record.horizon):
+        # formatted column by column, then joined by row
+        columns = [list(map(str, ts)), *map(_fmt_column, record.x[b].T),
+                   *(_fmt_column(c[b]) for c in (record.f, record.g, record.gplus,
+                                                 record.Q, record.grad_norm))]
+        out.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def plotdata_csv_text(record: RunRecord, out=None) -> str | None:
-    """Long-format trajectories of the record's running sums: CCV, regret
-    per comparator, and the matching budget RHS evaluated on each prefix.
-    Each series ends on its value in the summary, bit for bit. A series
-    group (``ccv``, then each comparator's ``regret__`` lines interleaved
-    with its ``bound_rhs__`` lines, if it has a budget) is formatted
-    ``ORACLE_BLOCK`` rounds at a time; given an open file ``out``, each
-    block is written to it as it is formatted, and nothing is returned.
-    A block's regret and budget are the elementwise formulas on the block's
-    slices, so they have the bits of the whole columns'."""
-    def blocks():
-        yield "series,t,value\n"
+def plotdata_csv_text(record: RunRecord, out):
+    """Write to the open file ``out`` the long-format trajectories of the
+    record's running sums: CCV, regret per comparator, and the matching
+    budget RHS evaluated on each prefix. Each series ends on its value in
+    the summary, bit for bit. A series group (``ccv``, then each
+    comparator's ``regret__`` lines interleaved with its ``bound_rhs__``
+    lines, if it has a budget) is formatted ``ORACLE_BLOCK`` rounds at a
+    time, and each block is written as it is formatted. A block's regret
+    and budget are the elementwise formulas on the block's slices, so they
+    have the bits of the whole columns'."""
+    out.write("series,t,value\n")
+    for b, ts in _blocks(record.horizon):
+        out.write("\n".join([f"ccv,{t},{v}" for t, v in zip(ts, _fmt_column(record.Q[b]))]) + "\n")
+    for name, comp in record.comparators.items():
+        budgeted = f"bound_rhs__{name}" in record.summary
         for b, ts in _blocks(record.horizon):
-            yield "\n".join([f"ccv,{t},{v}" for t, v in zip(ts, _fmt_column(record.Q[b]))]) + "\n"
-        for name, comp in record.comparators.items():
-            budgeted = f"bound_rhs__{name}" in record.summary
-            for b, ts in _blocks(record.horizon):
-                regret = _fmt_column(record.cost_sum[b] - record.comparator_cost_sum[name][b])
-                if budgeted:
-                    rhs = _fmt_column(_budget(record.summary, comp.path[b],
-                                              np.arange(ts.start, ts.stop), record.S[b]))
-                    lines = [f"regret__{name},{t},{v}\nbound_rhs__{name},{t},{w}"
-                             for t, v, w in zip(ts, regret, rhs)]
-                else:
-                    lines = [f"regret__{name},{t},{v}" for t, v in zip(ts, regret)]
-                yield "\n".join(lines) + "\n"
-    return _write_blocks(blocks(), out)
+            regret = _fmt_column(record.cost_sum[b] - record.comparator_cost_sum[name][b])
+            if budgeted:
+                rhs = _fmt_column(_budget(record.summary, comp.path[b],
+                                          np.arange(ts.start, ts.stop), record.S[b]))
+                lines = [f"regret__{name},{t},{v}\nbound_rhs__{name},{t},{w}"
+                         for t, v, w in zip(ts, regret, rhs)]
+            else:
+                lines = [f"regret__{name},{t},{v}" for t, v in zip(ts, regret)]
+            out.write("\n".join(lines) + "\n")
 
 
 def persist(record: RunRecord, config: RunConfig, out_dir: str):

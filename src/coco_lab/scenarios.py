@@ -25,11 +25,11 @@ from .geometry import (_KERNELS, Ball, Box, GeometricSet, Halfspace, Intersectio
 # families whose sublevel sets project in closed form)
 #
 # Each family is a small class holding its parameters, so a round's oracles
-# pickle. Besides ``value`` and ``subgradient`` each family has a cross-round
-# kernel in two steps: ``stack(oracles)`` gathers the oracles' parameters
-# into arrays, and ``evaluate(params, points)`` gives oracle ``i`` at row
-# ``i``, with the bits of ``float(oracles[i].value(points[i]))``; one stack
-# serves any number of point sets. Two shapes carry four families:
+# pickle. Besides ``value`` and ``subgradient`` each family has ``params``,
+# the tuple of one oracle's numbers, and a cross-round kernel
+# ``evaluate(params, points)``: given params stacked over rows (``_stack``),
+# it gives row ``i``'s oracle at ``points[i]``, with the bits of
+# ``float(oracle.value(points[i]))``. Two shapes carry four families:
 # ``x @ a - b`` is computed as ``x @ a + (-b)`` and ``||x - c||`` as
 # ``||x - c|| - 0.0``, which in IEEE arithmetic give the same bits.
 
@@ -38,6 +38,8 @@ class _Linear:
 
     __slots__ = ("a", "shift")
 
+    params = property(lambda self: (self.a, self.shift))
+
     def value(self, x):
         return np.asarray(x, dtype=float) @ self.a + self.shift
 
@@ -45,10 +47,6 @@ class _Linear:
         g = np.empty(np.asarray(x).shape)
         g[...] = self.a
         return g
-
-    @staticmethod
-    def stack(oracles):
-        return np.array([o.a for o in oracles]), np.array([o.shift for o in oracles])
 
     @staticmethod
     def evaluate(params, points):
@@ -61,15 +59,13 @@ class _Radial:
 
     __slots__ = ("center", "radius")
 
+    params = property(lambda self: (self.center, self.radius))
+
     def value(self, x):
         return _distance(np.asarray(x, dtype=float), self.center) - self.radius
 
     def subgradient(self, x):
         return _unit_offset(np.asarray(x, dtype=float), self.center, 1e-12)
-
-    @staticmethod
-    def stack(oracles):
-        return np.array([o.center for o in oracles]), np.array([o.radius for o in oracles])
 
     @staticmethod
     def evaluate(params, points):
@@ -150,11 +146,13 @@ class BoxConstraint(_Constraint):
         self.lower, self.upper = lower, upper
         self.decision_geometry, self._region = decision_geometry, None
 
+    params = property(lambda self: (self.lower, self.upper))
+
     def _fields(self):
         return Box, self.lower, self.upper
 
     def value(self, x):
-        return self.evaluate((self.lower, self.upper), np.asarray(x, dtype=float))
+        return self.evaluate(self.params, np.asarray(x, dtype=float))
 
     def subgradient(self, x):
         a = np.asarray(x, dtype=float)
@@ -164,10 +162,6 @@ class BoxConstraint(_Constraint):
         g = np.zeros_like(a)
         g[i] = -1.0 if (lo[i] - a[i]) >= (a[i] - hi[i]) else 1.0
         return g
-
-    @staticmethod
-    def stack(oracles):
-        return np.array([o.lower for o in oracles]), np.array([o.upper for o in oracles])
 
     @staticmethod
     def evaluate(params, points):
@@ -185,6 +179,8 @@ class ConstantConstraint(_Constraint):
         self.level = level
         self.decision_geometry = self._region = decision_geometry
 
+    params = property(lambda self: (self.level,))
+
     def value(self, x):
         a = np.asarray(x, dtype=float)
         return self.level if a.ndim == 1 else np.full(a.shape[0], self.level)
@@ -193,59 +189,51 @@ class ConstantConstraint(_Constraint):
         return np.zeros(np.shape(x))
 
     @staticmethod
-    def stack(oracles):
-        return np.array([o.level for o in oracles], dtype=float)
+    def evaluate(params, points):
+        return params[0]
+
+
+def _stack(oracles) -> tuple:
+    """One family's params over rows: column ``k`` is ``np.array`` of the
+    oracles' ``params[k]``."""
+    return tuple(np.array(column) for column in zip(*(o.params for o in oracles)))
+
+
+class _EachOracle:
+    """The family of an oracle with no kernel (a plain ``CostOracle`` or
+    ``ConstraintOracle``): its params are the oracles, each called at its
+    row."""
 
     @staticmethod
-    def evaluate(params, points):
-        return params
+    def evaluate(oracles, points):
+        return [float(o.value(p)) for o, p in zip(oracles, points)]
 
 
-class OracleStack:
-    """One block of rounds' oracles, grouped by family and stacked once:
-    ``values(points)`` gives ``float(oracles[i].value(points[i]))`` for
-    every row ``i``, bit for bit, with one kernel call per family, at as
-    many point sets as needed. Any other oracle (a plain ``CostOracle`` or
-    ``ConstraintOracle``) is called one row at a time. Whatever a kernel or
-    an oracle raises, ``values`` raises: the stack does not say which row
-    failed (``run`` finds it by replaying the block round by round)."""
-
-    def __init__(self, oracles):
-        groups = {}
-        for i, o in enumerate(oracles):
-            groups.setdefault(type(o), []).append(i)
-        self._n = len(oracles)
-        self._groups = []  # (row index, evaluate, stacked parameters)
-        for cls, rows in groups.items():
-            group = [oracles[i] for i in rows]
-            # one family in the block takes the points as they are
-            index = slice(None) if len(rows) == len(oracles) else np.array(rows)
-            self._groups.append((index, cls.evaluate, cls.stack(group)) if hasattr(cls, "evaluate")
-                                else (index, _each_value, group))
-
-    @classmethod
-    def from_groups(cls, n: int, groups) -> OracleStack:
-        """The stack of ``n`` rows given as ``(rows, family, params)``
-        groups: ``rows`` is ``slice(None)`` or an index array, and
-        ``params`` holds what ``family.stack`` gives for those rows' oracles."""
-        stack = cls.__new__(cls)
-        stack._n = n
-        stack._groups = [(rows, family.evaluate, params) for rows, family, params in groups]
-        return stack
-
-    def __len__(self) -> int:
-        return self._n
-
-    def values(self, points) -> np.ndarray:
-        values = np.empty(self._n)
-        for index, evaluate, params in self._groups:
-            values[index] = evaluate(params, points[index])
-        return values
+def oracle_groups(oracles) -> list:
+    """A list of rounds' oracles as ``(rows, family, params)`` groups, one
+    per family: ``rows`` is ``slice(None)`` if one family has them all, and
+    an index array otherwise."""
+    by_family = {}
+    for i, o in enumerate(oracles):
+        by_family.setdefault(type(o) if hasattr(o, "evaluate") else _EachOracle, []).append(i)
+    groups = []
+    for family, rows in by_family.items():
+        group = [oracles[i] for i in rows]
+        groups.append((slice(None) if len(rows) == len(oracles) else np.array(rows), family,
+                       group if family is _EachOracle else _stack(group)))
+    return groups
 
 
-def _each_value(oracles, points) -> list:
-    """Each oracle's value at its row of ``points``, called in turn."""
-    return [float(o.value(p)) for o, p in zip(oracles, points)]
+def oracle_values(groups, points) -> np.ndarray:
+    """The value of each row's oracle at its row of ``points``, the rows
+    given as ``(rows, family, params)`` groups, with one kernel call per
+    group. Whatever a kernel or an oracle raises, this raises: it does not
+    say which row failed (``run`` finds it by replaying the block round by
+    round)."""
+    values = np.empty(len(points))
+    for rows, family, params in groups:
+        values[rows] = family.evaluate(params, points[rows])
+    return values
 
 
 # The factories convert their numbers and refuse a malformed one, naming its
@@ -371,13 +359,13 @@ class Scenario:
         raise NotImplementedError
 
     def oracle_block(self, start: int, stop: int):
-        """``(costs, constraints)``: the ``OracleStack`` of each for rounds
-        ``start <= t < stop``, whose row ``i`` has the values of
-        ``generate(start + i)``'s oracle. Here, those oracles stacked; a
-        scenario whose oracles are rows of its own arrays reads the stacks'
-        parameters off those arrays (``_block``)."""
+        """``(costs, constraints)``: each the ``(rows, family, params)``
+        groups of rounds ``start <= t < stop``, whose row ``i`` has the
+        values of ``generate(start + i)``'s oracle (``oracle_values``).
+        Here, those oracles grouped; a built-in scenario gives the groups
+        of its own arrays."""
         pairs = [self.generate(t) for t in self._rounds(start, stop).tolist()]
-        return OracleStack([c for c, _ in pairs]), OracleStack([k for _, k in pairs])
+        return oracle_groups([c for c, _ in pairs]), oracle_groups([k for _, k in pairs])
 
     def _rounds(self, start: int, stop: int) -> np.ndarray:
         """The rounds ``start <= t < stop`` of a block, within the horizon."""
@@ -421,19 +409,10 @@ def _params(spec: ScenarioSpec, **defaults) -> dict:
     return p
 
 
-def _block(n: int, costs: list, constraints: list):
-    """``oracle_block``'s stacks of ``n`` rows from ``(rows, family, params)``
-    groups of each kind."""
-    return tuple(OracleStack.from_groups(n, groups) for groups in (costs, constraints))
-
-
 def _fixed(oracles, which) -> list:
     """The one group of a block whose row ``i`` holds ``oracles[which[i]]``,
-    all of one family: their parameters, stacked once and taken by row."""
-    family = type(oracles[0])
-    params = family.stack(oracles)
-    rows = params[which] if isinstance(params, np.ndarray) else tuple(p[which] for p in params)
-    return [(slice(None), family, rows)]
+    all of one family: their params, stacked once and taken by row."""
+    return [(slice(None), type(oracles[0]), tuple(p[which] for p in _stack(oracles)))]
 
 
 class AlternatingScenario(Scenario):
@@ -461,8 +440,7 @@ class AlternatingScenario(Scenario):
 
     def oracle_block(self, start, stop):
         t = self._rounds(start, stop)
-        return _block(len(t), _fixed([self._cost], np.zeros_like(t)),
-                      _fixed([self._even, self._odd], t % 2))
+        return _fixed([self._cost], np.zeros_like(t)), _fixed([self._even, self._odd], t % 2)
 
 
 class DisjointAlternatingScenario(Scenario):
@@ -517,8 +495,7 @@ class StaticScenario(Scenario):
 
     def oracle_block(self, start, stop):
         first = np.zeros_like(self._rounds(start, stop))
-        return _block(len(first), _fixed([self._cost], first),
-                      _fixed([self._constraint], first))
+        return _fixed([self._cost], first), _fixed([self._constraint], first)
 
 
 class TrackingBallScenario(Scenario):
@@ -566,9 +543,9 @@ class TrackingBallScenario(Scenario):
 
     def oracle_block(self, start, stop):
         n, rows = len(self._rounds(start, stop)), slice(start - 1, stop - 1)
-        return _block(
-            n, [(slice(None), AffineCost, (self._directions[rows], np.zeros(n)))],
-            [(slice(None), BallConstraint, (self._centers[rows], np.full(n, self._ball_radius)))])
+        radii = np.full(n, self._ball_radius)
+        return ([(slice(None), AffineCost, (self._directions[rows], np.zeros(n)))],
+                [(slice(None), BallConstraint, (self._centers[rows], radii))])
 
 
 class OcoMixScenario(Scenario):
@@ -606,7 +583,7 @@ class OcoMixScenario(Scenario):
         odd, even = np.flatnonzero(t % 2), np.flatnonzero(t % 2 == 0)
         costs = [(odd, AffineCost, (self._directions[start - 1 + odd], np.zeros(len(odd)))),
                  (even, NormCost, (self._anchors[start - 1 + even], np.zeros(len(even))))]
-        return _block(len(t), costs, _fixed([self._constraint], np.zeros_like(t)))
+        return costs, _fixed([self._constraint], np.zeros_like(t))
 
 
 class TrivialScenario(Scenario):

@@ -17,7 +17,6 @@ from coco_lab.scenarios import (
     ConstantConstraint,
     HalfspaceConstraint,
     NormCost,
-    OracleStack,
     Scenario,
     ScenarioSpec,
     StaticScenario,
@@ -25,6 +24,8 @@ from coco_lab.scenarios import (
     build_scenario,
     constant_constraint,
     make_scenario,
+    oracle_groups,
+    oracle_values,
 )
 from reference import GridSpec, constrained_minimizer_path, min_feasible_path
 
@@ -291,8 +292,14 @@ def test_family_kernel_is_each_rounds_value_bitwise(family, d, data):
     oracles = [data.draw(family_oracle(family, d)) for _ in range(n)]
     points = data.draw(hnp.arrays(float, (n, d), elements=NUMBERS))
     expect = [float(o.value(p)) for o, p in zip(oracles, points)]
-    assert same_bits(family.evaluate(family.stack(oracles), points), expect)
-    assert same_bits(OracleStack(oracles).values(points), expect)
+    (rows, kind, params), = oracle_groups(oracles)
+    assert rows == slice(None) and kind is family
+    assert same_bits(family.evaluate(params, points), expect)
+    assert same_bits(oracle_values([(rows, kind, params)], points), expect)
+    # ``params`` is what ``evaluate`` takes, for one oracle
+    for o, p in zip(oracles, points):
+        assert same_bits(oracle_values([(slice(None), family, o.params)], p[None, :]),
+                         [float(o.value(p))])
 
 
 # coordinates where a float path could part from the array path: NaN,
@@ -332,7 +339,7 @@ def test_oracle_values_mixes_families_and_plain_oracles():
                BallConstraint(rng.normal(size=2), 1.0, geom),
                AffineCost(rng.normal(size=2), -1.0)]
     points = rng.normal(size=(len(oracles), 2))
-    values = OracleStack(oracles).values(points)
+    values = oracle_values(oracle_groups(oracles), points)
     assert same_bits(values, [float(o.value(p)) for o, p in zip(oracles, points)])
 
 
@@ -350,24 +357,16 @@ def _plain(oracle):
 
 
 @pytest.mark.parametrize("block", ["oco-mix-costs", "oco-mix-constraints", "plain-rows"])
-def test_one_oracle_stack_serves_several_point_sets(monkeypatch, block):
+def test_one_oracle_stack_serves_several_point_sets(block):
     costs, constraints = _mixed_block()
     oracles = {"oco-mix-costs": costs, "oco-mix-constraints": constraints,
                "plain-rows": [_plain(o) if i % 3 else o for i, o in enumerate(costs)]}[block]
-    stacked = []
-    for family in {type(o) for o in oracles}:
-        if hasattr(family, "stack"):
-            original = family.stack
-            monkeypatch.setattr(family, "stack", staticmethod(
-                lambda group, _original=original: stacked.append(len(group))
-                or _original(group)))
-    stack = OracleStack(oracles)
-    assert sum(stacked) == sum(hasattr(type(o), "stack") for o in oracles)
+    groups = oracle_groups(oracles)
+    assert len(groups) == len({type(o) for o in oracles})  # one group a family
     rng = np.random.default_rng(8)
     for points in (rng.normal(size=(40, 2)), np.zeros((40, 2)), rng.uniform(-9, 9, (40, 2))):
-        values = stack.values(points)
+        values = oracle_values(groups, points)
         assert same_bits(values, [float(o.value(p)) for o, p in zip(oracles, points)])
-    assert len(stacked) == len({type(o) for o in oracles} - {CostOracle})  # stacked once
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -397,13 +396,16 @@ def test_oracle_block_is_the_generated_stack_bitwise(name, block):
     start, stop = block
     pairs = [sc.generate(t) for t in range(start, stop)]
     rng = np.random.default_rng(start)
-    for k, stack in enumerate(sc.oracle_block(start, stop)):
-        assert len(stack) == stop - start
-        reference = OracleStack([pair[k] for pair in pairs])
+    for k, groups in enumerate(sc.oracle_block(start, stop)):
+        covered = np.zeros(stop - start, dtype=int)
+        for rows, _, _ in groups:
+            covered[rows] += 1
+        assert (covered == 1).all()  # each row in one group
+        reference = oracle_groups([pair[k] for pair in pairs])
         for points in (rng.uniform(-4, 4, (stop - start, sc.dimension)),
                        np.zeros((stop - start, sc.dimension))):
-            values = stack.values(points)
-            assert same_bits(values, reference.values(points))
+            values = oracle_values(groups, points)
+            assert same_bits(values, oracle_values(reference, points))
             assert same_bits(values, [float(p[k].value(x)) for p, x in zip(pairs, points)])
 
 
@@ -427,8 +429,8 @@ def test_scenario_that_overrides_only_generate_gets_blocks_of_its_own_oracles():
     sc = _Shifted(ScenarioSpec("static", horizon=9))
     points = np.linspace(-3.0, 3.0, 9)[:, None]
     costs, constraints = sc.oracle_block(1, 10)
-    values = costs.values(points)
+    values = oracle_values(costs, points)
     assert same_bits(values, [float(sc.generate(t)[0].value(x))
                               for t, x in zip(range(1, 10), points)])
     assert values[1] == 1.0 - 2.0 * points[1, 0]  # not static's -x
-    assert same_bits(constraints.values(points), points[:, 0] - 1.0)
+    assert same_bits(oracle_values(constraints, points), points[:, 0] - 1.0)
