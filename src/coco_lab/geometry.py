@@ -15,13 +15,15 @@ a search over its one KKT multiplier (``_peel``).
 
 Every operation accepts a single point of shape ``(d,)`` or a batch of
 shape ``(n, d)`` and returns a result of matching shape; a region's
-projection refuses any other shape. A single point of fewer than 8
-coordinates is worked in Python floats, with the bits of the array path
-(``_floats``): its projection onto a box or a ball, by the kind's float
+projection refuses any other shape. ``project`` is every set's array
+path. A caller that holds a single point of fewer than 8 coordinates as
+Python floats (``_floats``) projects them with the set's ``_point``, with
+the bits of the array path: onto a box or a ball by the kind's float
 kernel (the ``floats`` entry of its ``_KERNELS`` row), also as the target
-of an ``Intersection`` (``_point``), a ball's membership test and the
-distance subgradient. A batch, a longer point, a halfspace and a peeled
-region stay on arrays.
+of an ``Intersection``. AdaGrad's single-point step and
+``dist_subgradient`` are those callers. A ball's membership test and the
+distance and unit offset of such a point are worked in floats too; a
+halfspace and a peeled region have no float path.
 """
 
 from __future__ import annotations
@@ -170,13 +172,10 @@ class GeometricSet:
 
     def _point(self, v):
         """The projection, as Python floats, of the point of floats ``v``
-        (from ``_floats``), where the set has such a path: a box's or a
-        ball's (``_point_onto``) or a closed form's onto one. None here."""
+        (from ``_floats``), with the bits of ``project``, where the set has
+        such a path: a box's or a ball's (``_point_onto``) or a closed
+        form's onto one. None here; ``project`` takes arrays."""
         return None
-
-    def _arrays(self, a):
-        """The projection of the float array ``a``, no float path tried."""
-        return self.project(a)
 
 
 class _Primitive(GeometricSet):
@@ -213,8 +212,8 @@ class Box(_Primitive):
 
     def project(self, x):
         """The projection of ``x`` by numpy's two ufuncs, a single point's
-        too (its floats and back would cost more); a caller that holds a
-        point's floats projects them with ``_point``."""
+        too; a caller that holds a point's floats projects them with
+        ``_point``."""
         return _box_project(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
@@ -296,9 +295,6 @@ def _ball_fields(center, radius):
 
 
 def _ball_project(a, center, radius):
-    v = _floats(a) if a.shape == center.shape else None
-    if v is not None:
-        return np.array(_ball_floats(v, center, radius))
     delta = a - center
     n = _norm(delta, keepdims=True)
     # 1.0 when n <= r or n is NaN, else r / n: the bits of
@@ -392,8 +388,8 @@ class Intersection(GeometricSet):
     or an ``Intersection``, which adds its parts; anything else is refused.
     The fields are kept in order as ``parts``, beside the region's closed
     form as ``target`` (``_closed_form``) or else its ``peel`` plan
-    (``_peel_plan``). A projection is checked (``_checked``); a short point
-    goes onto a box or ball target in Python floats (``_point``).
+    (``_peel_plan``). A projection is checked (``_checked``); a short
+    point's floats go onto a box or ball target by ``_point``.
     """
 
     __slots__ = ("parts", "target", "peel")
@@ -425,16 +421,11 @@ class Intersection(GeometricSet):
         return self.parts[0][1].shape[0]
 
     def project(self, x):
+        """The target's projection of the point or batch ``x``, or the
+        peel's, checked."""
         a = np.asarray(x, dtype=float)
         if a.ndim not in (1, 2):
             raise ValueError(f"expected point of shape (d,) or batch (n, d), got {a.shape}")
-        v = _floats(a)
-        out = None if v is None else self._point(v)
-        return self._arrays(a) if out is None else np.array(out)
-
-    def _arrays(self, a):
-        """``project`` of the point or batch ``a`` on arrays: the target's
-        projection or the peel's, checked."""
         if self.target is not None:
             return _checked(_project_onto(self.target, a), self.parts)
         out = _peel(np.atleast_2d(a), *self.peel)
@@ -692,11 +683,11 @@ def dist_subgradient(x, s: GeometricSet):
     is returned, which is a valid subgradient on and inside the set. A
     point that ``_floats`` takes stays in Python floats from the finiteness
     check to the unit vector where ``s`` has a float path (``_point``, tried
-    once); elsewhere the projection is the array path's (``_arrays``).
+    once); elsewhere the projection is ``project``'s, on arrays.
     """
     a = np.asarray(x, dtype=float)
     v = _finite(a)
     out = None if v is None else s._point(v)
     if out is None:
-        return _unit_offset(a, s._arrays(a), ZERO_DIST_TOL)
+        return _unit_offset(a, s.project(a), ZERO_DIST_TOL)
     return _unit_floats([p - q for p, q in zip(v, out)], ZERO_DIST_TOL)

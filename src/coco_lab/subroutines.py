@@ -271,4 +271,4 @@ def ahag_step(state: AhagState, grad: np.ndarray) -> tuple[AhagState, np.ndarray
 def ahag_round(state: AhagState, cost) -> tuple[AhagState, np.ndarray]:
     """``ahag_step`` on ``cost``'s subgradient at the combined play; ``cost``
     only needs a ``subgradient`` callable."""
-    return ahag_step(state, np.asarray(cost.subgradient(state.combined_point), dtype=float))
+    return ahag_step(state, cost.subgradient(state.combined_point))

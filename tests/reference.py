@@ -13,7 +13,9 @@ check the closed-form values and budget inequalities, not to scale.
 ``_dykstra`` is Dykstra's alternating projection scheme over any sets with
 a ``project`` method, which converges to the Euclidean projection onto
 their intersection: the cross-check of ``geometry.Intersection``'s exact
-projections.
+projections. ``reference_ball_project`` is ``Ball.project`` with its
+scale taken by ``np.where``, and ``same_bits`` compares two results bit
+for bit.
 """
 
 from __future__ import annotations
@@ -163,6 +165,20 @@ def sweep_slope(config: RunConfig, metric: str, comparator: str | None = None) -
     """Run every configured horizon and fit the sublinearity slope of the metric."""
     _, values = _sweep_values(config, metric, comparator)
     return loglog_slope(config.horizons, values)
+
+
+def same_bits(a, b):
+    """Equal shapes and bit patterns (tells -0.0 from 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def reference_ball_project(ball, x):
+    """``Ball.project`` with the scale taken by ``np.where``."""
+    delta = np.asarray(x, dtype=float) - ball.center
+    n = np.linalg.norm(delta, axis=-1, keepdims=True)
+    scale = np.where(n > ball.radius, ball.radius / np.maximum(n, 1e-300), 1.0)
+    return ball.center + delta * scale
 
 
 def _dykstra(pts, components):

@@ -33,7 +33,7 @@ from coco_lab.scenarios import (
     halfspace_constraint,
     norm_cost,
 )
-from reference import _dykstra
+from reference import _dykstra, reference_ball_project, same_bits
 
 
 def random_sets(rng, d):
@@ -563,10 +563,6 @@ def bits(a):
     return np.asarray(a, dtype=float).reshape(-1).view(np.uint64)
 
 
-def same_bits(a, b):
-    return np.shape(a) == np.shape(b) and np.array_equal(bits(a), bits(b))
-
-
 @st.composite
 def points(draw, d, elements=st.floats(-1e3, 1e3)):
     """A point of shape ``(d,)`` or a batch ``(n, d)``."""
@@ -613,14 +609,6 @@ def test_box_project_is_clip_bitwise(instance):
     rows = np.clip(x, lo, hi) if x.ndim == 1 else np.array([np.clip(r, lo, hi) for r in x])
     assert same_bits(p, rows)
     assert np.array_equal(p, np.clip(x, lo, hi))
-
-
-def reference_ball_project(ball, x):
-    """``Ball.project`` with the scale taken by ``np.where``."""
-    delta = np.asarray(x, dtype=float) - ball.center
-    n = np.linalg.norm(delta, axis=-1, keepdims=True)
-    scale = np.where(n > ball.radius, ball.radius / np.maximum(n, 1e-300), 1.0)
-    return ball.center + delta * scale
 
 
 def ball_edge_points(ball, rng):
@@ -1032,26 +1020,34 @@ def moved_box(closed_form):
 
 
 def test_a_long_point_or_a_batch_stays_on_arrays_bitwise(monkeypatch):
-    # a point of 8 coordinates and a batch never reach a float kernel, which
-    # a point of 7 reaches on every set here (by ``dist_subgradient``)
+    # ``project`` is every set's array path: a point of 7 or 8 coordinates
+    # and a batch reach no float kernel there (a ball's own included) and
+    # get the bits of their one-row batches; ``dist_subgradient`` takes a
+    # point of 7, and never one of 8, into a float kernel (``_point``)
     seen = []
+
+    def counted(f):
+        return lambda v, p, q: seen.append(len(v)) or f(v, p, q)
+
     for kind in (Box, Ball):
         row = geometry._KERNELS[kind]
-        monkeypatch.setitem(geometry._KERNELS, kind, row._replace(
-            floats=lambda v, p, q, f=row.floats: seen.append(len(v)) or f(v, p, q)))
+        monkeypatch.setitem(geometry._KERNELS, kind, row._replace(floats=counted(row.floats)))
+    monkeypatch.setattr(geometry, "_ball_floats", counted(geometry._ball_floats))
     for d in (7, 8):
         box = Box(-np.ones(d), np.ones(d))
         ball = Ball(np.zeros(d), 1.0)
         sets = [box, ball, Intersection((box, (Box, -2.0 * np.ones(d), 0.5 * np.ones(d)))),
                 Intersection((ball, (Ball, np.zeros(d), 2.0)))]
+        assert [s.target[0] for s in sets[2:]] == [Box, Ball]
         x = np.linspace(-3.0, 3.0, d)
         for s in sets:
             for pts in (x, np.vstack([x, -x])):
-                expected = np.array([s._arrays(p) for p in np.atleast_2d(pts)])
                 seen.clear()
-                assert same_bits(np.atleast_2d(s.project(pts)), expected)
+                out = s.project(pts)
+                expected = np.array([s.project(p[None, :])[0] for p in np.atleast_2d(pts)])
+                assert not seen
+                assert same_bits(np.atleast_2d(out), expected)
                 if pts.ndim == 1:
                     assert same_bits(dist_subgradient(pts, s), geometry._unit_offset(
                         pts, expected[0], geometry.ZERO_DIST_TOL))
-                assert bool(seen) == (d < 8 and pts.ndim == 1)
-                assert set(seen) <= {7}
+                    assert seen == ([d] if d < 8 else [])

@@ -27,7 +27,7 @@ from coco_lab.scenarios import (
     oracle_groups,
     oracle_values,
 )
-from reference import GridSpec, constrained_minimizer_path, min_feasible_path
+from reference import GridSpec, constrained_minimizer_path, min_feasible_path, same_bits
 
 
 ALL_NAMES = sorted(SCENARIOS)
@@ -251,12 +251,6 @@ def test_oco_mix_comparator_paths_span_orders():
     assert comps["static-center"].path_length == 0.0
     assert 0.5 * np.sqrt(T) <= comps["slow-circle"].path_length <= 2.0 * np.sqrt(T)
     assert comps["fast-circle"].path_length >= 0.25 * T
-
-
-def same_bits(a, b):
-    """Equal shapes and bit patterns (tells -0.0 from 0.0)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 FAMILIES = [AffineCost, NormCost, HalfspaceConstraint, BallConstraint, BoxConstraint,

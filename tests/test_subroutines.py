@@ -31,6 +31,8 @@ from coco_lab.subroutines import (
 )
 from coco_lab.subroutines import _log_sum_exp
 
+from reference import reference_ball_project
+
 
 def unit_interval_set():
     return DecisionSet(Box([-0.5], [0.5]), 1.0)
@@ -738,14 +740,6 @@ def reference_ahag_step(state, grad):
     reference_adagrad_step(state.experts, grad)
     reference_adahedge_step(state.hedge, losses)
     state.combined_point = state.hedge.weights @ state.experts.point
-
-
-def reference_ball_project(ball, x):
-    """``Ball.project`` with the scale taken by ``np.where``."""
-    delta = np.asarray(x, dtype=float) - ball.center
-    n = np.linalg.norm(delta, axis=-1, keepdims=True)
-    scale = np.where(n > ball.radius, ball.radius / np.maximum(n, 1e-300), 1.0)
-    return ball.center + delta * scale
 
 
 def reference_surrogate(algorithm, state, cost, constraint, x):

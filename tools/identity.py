@@ -17,7 +17,8 @@ In 1-d, coco1 reads only the sign of the offset to a feasible region's
 projection, so the run files cannot show a change to a 1-d closed form's
 values. So the tool also prints one line ``<sha256>  regions/<scenario>``
 per built-in scenario: the digest of the ``repr`` of a fixed grid of
-points projected onto the feasible region of each of its first rounds.
+points projected onto the feasible region of each of its first rounds, as
+coco1's distance subgradient projects a point (``projected``).
 
 numpy's CPU dispatch (its SIMD loops for exp, log and the like) can change
 the last bit of a result, so compare only outputs made on one machine.
@@ -66,8 +67,16 @@ def regions(max_horizon: int):
         grid = np.stack(np.meshgrid(*[axis] * scenario.dimension), axis=-1)
         points = grid.reshape(-1, scenario.dimension)
         yield name, "\n".join(
-            repr(scenario.generate(t)[1].feasible_region.project(point).tolist())
+            repr(projected(scenario.generate(t)[1].feasible_region, point))
             for t in range(1, min(16, scenario.horizon) + 1) for point in points)
+
+
+def projected(region, point):
+    """The projection of ``point`` onto ``region`` as a list of floats, taken
+    as coco1's distance subgradient takes it: the region's float path for
+    the point's floats (``_point``), or else ``project``."""
+    out = region._point(point.tolist())
+    return region.project(point).tolist() if out is None else out
 
 
 def digest(path: str) -> str:
