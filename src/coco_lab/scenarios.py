@@ -41,7 +41,10 @@ class _Linear:
     params = property(lambda self: (self.a, self.shift))
 
     def value(self, x):
-        return np.asarray(x, dtype=float) @ self.a + self.shift
+        # ``x @ a`` by ndarray.dot, the same BLAS routine with less dispatch;
+        # with one term (d = 1) it is the bare product, which ``@`` adds to
+        # +0.0, so a -0.0 would keep its sign without the 0.0 added here
+        return 0.0 + np.asarray(x, dtype=float).dot(self.a) + self.shift
 
     def subgradient(self, x):
         g = np.empty(np.asarray(x).shape)

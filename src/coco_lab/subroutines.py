@@ -23,7 +23,7 @@ import numpy as np
 
 from .budgets import num_experts
 from .core import DecisionSet, is_finite_real
-from .geometry import _SHORT, _sum
+from .geometry import _SHORT, _pairwise_sum
 
 KNOWN_PATH = "known_path"
 PATH_FREE = "path_free"
@@ -93,12 +93,16 @@ def adagrad_step(state: AdaGradState, gradient) -> tuple[AdaGradState, np.ndarra
     projected by the decision set's float path (``GeometricSet._point``: a
     box, a ball or a closed form onto one), and one array is made at the
     end. A set with no float path projects that step as an array. A batch
-    and a longer point step on arrays. ``g @ g`` is numpy's dot either way.
+    and a longer point step on arrays. ``g.dot(g)`` is numpy's dot either
+    way: the ``ndarray.dot`` method calls the BLAS routine that ``g @ g``
+    calls, with less dispatch, and gives its bits. At one coordinate it is
+    the bare product ``g * g``, where ``@`` adds that to ``+0.0``; a square
+    is never ``-0.0``, so the two agree there too.
     """
     g = np.asarray(gradient, dtype=float)
     if g.shape != state.point.shape[-1:]:
         raise ValueError(f"gradient dimension {g.shape} != point dimension {state.point.shape}")
-    g_sq = float(g @ g)
+    g_sq = float(g.dot(g))
     s = state.grad_sq_sum + g_sq
     if not math.isfinite(s):
         raise ValueError(f"non-finite gradient {g}: squared-norm sum {s}")
@@ -147,23 +151,28 @@ def _hedge_weights(cum_losses: list, cum_mix_gap: float) -> np.ndarray:
         k = cum_losses.count(low)
         return np.array([1.0 / k if c == low else 0.0 for c in cum_losses])
     u = np.exp([-eta * (c - low) for c in cum_losses]).tolist()
-    total = _sum(u)
+    total = 0.0 + _pairwise_sum(u)  # geometry._sum, one call fewer
     return np.array([x / total for x in u])
 
 
 def _log_sum_exp(a) -> float:
     """``log(sum(exp(a)))`` with the largest entries split out of the sum,
-    for a list or 1-d array ``a`` with at least one finite entry.
-    Reproduces ``scipy.special.logsumexp`` bit for bit (the numpy ``exp``,
-    ``log`` and ``log1p``, not ``math``'s, are needed for that)."""
+    for a list or 1-d array ``a`` with at least one finite entry, as a
+    Python float. Reproduces ``scipy.special.logsumexp`` bit for bit (the
+    numpy ``exp``, ``log`` and ``log1p``, not ``math``'s, are needed for
+    that). The count of the largest entries is a float before ``np.log``
+    takes it, since numpy's log of a Python int costs several times more,
+    and ``log1p``'s result is taken as a Python float, so that the caller's
+    arithmetic on the result stays in Python floats."""
     a_max = max(a)
-    m = list(a).count(a_max)
-    s = _sum(np.exp([(-math.inf if x == a_max else x) - a_max for x in a]).tolist())
+    m = operator.countOf(a, a_max)
+    s = 0.0 + _pairwise_sum(np.exp([(-math.inf if x == a_max else x) - a_max
+                                    for x in a]).tolist())
     if m == 1:
         # dividing by 1 and adding log(1) = 0 to log1p(s) >= +0.0 change no bit
-        return np.log1p(s) + a_max
+        return float(np.log1p(s)) + a_max
     s = s / m if s != 0.0 else s
-    return np.log1p(s) + np.log(m) + a_max
+    return float(np.log1p(s)) + float(np.log(float(m))) + a_max
 
 
 def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
@@ -176,10 +185,21 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
     ``ValueError`` and leaves the state as it was.
 
     The step works in Python floats, with the bits of numpy's array code.
-    It keeps numpy for the dot product ``w @ losses`` (BLAS may fuse its
-    multiply-adds), for ``exp``, ``log`` and ``log1p`` (``math``'s differ
-    in the last bit), each on a whole list, and for the state's arrays.
-    The sums are ``geometry._sum``.
+    It keeps numpy for the dot product of the weights and the losses (BLAS
+    may fuse its multiply-adds), for ``exp``, ``log`` and ``log1p``
+    (``math``'s differ in the last bit), each on a whole list, and for the
+    state's arrays. The dot product is ``0.0 + w.dot(losses)``: the
+    ``ndarray.dot`` method calls the BLAS routine that ``w @ losses`` calls,
+    with less dispatch, and gives its bits, except that for one expert it is
+    the bare product where ``@`` adds that to ``+0.0``, so the ``+0.0`` is
+    added here. The sums are ``geometry._sum``'s.
+
+    A loss of ``-0.0`` gives the bits that ``+0.0`` gives, so ``ahag_step``
+    may pass bare products: the step adds a loss to the dot product, which
+    starts at ``+0.0``, and to a cumulative loss, which is never ``-0.0``
+    (from ``HedgeState.uniform`` on), and subtracts it, times the learning
+    rate or as the mix loss, from a log-weight or from the dot product,
+    neither of which is ever ``-0.0``.
     """
     losses = np.asarray(loss_vector, dtype=float)
     if losses.shape != state.cum_losses.shape:
@@ -188,20 +208,21 @@ def adahedge_step(state: HedgeState, loss_vector) -> HedgeState:
     if not all(map(math.isfinite, loss)):
         raise ValueError(f"NaN or infinite loss in {losses}")
     w = state.weights
-    expected = float(w @ losses)
+    expected = 0.0 + float(w.dot(losses))
     weights = w.tolist()
+    everyone = min(weights) > 0.0  # no zero weight to mask
     n = state.num_experts
     eta = math.log(n) / state.cum_mix_gap if state.cum_mix_gap > 0.0 else math.inf
     if not math.isfinite(eta) or eta <= 0.0:
-        mix = min(x for x, p in zip(loss, weights) if p > 0.0)
+        mix = min(loss) if everyone else min(x for x, p in zip(loss, weights) if p > 0.0)
+    elif everyone:  # every log finite
+        a = [lw - eta * x for lw, x in zip(np.log(w).tolist(), loss)]
+        mix = -_log_sum_exp(a) / eta
     else:
-        if min(weights) > 0.0:  # every log finite, nothing to mask
-            log_w = np.log(w).tolist()
-        else:
-            log_w = np.log(w, out=np.full(n, -np.inf), where=w > 0.0).tolist()
+        log_w = np.log(w, out=np.full(n, -np.inf), where=w > 0.0).tolist()
         # zero-weight experts contribute nothing
         a = [lw - eta * x if p > 0.0 else -math.inf for lw, x, p in zip(log_w, loss, weights)]
-        mix = float(-_log_sum_exp(a) / eta)
+        mix = -_log_sum_exp(a) / eta
     # Jensen guarantees expected >= mix; clamp float dust so the gap stays monotone.
     cum_mix_gap = state.cum_mix_gap + max(0.0, expected - mix)
     # Python floats overflow to inf with no numpy warning, for the check below
@@ -259,12 +280,23 @@ def ahag_step(state: AhagState, grad: np.ndarray) -> tuple[AhagState, np.ndarray
 
     The expert losses are formed from the pre-update expert points,
     matching the regret decomposition the ensemble is built on.
+
+    Both products are ``ndarray.dot``, which calls the BLAS routines that
+    ``@`` calls, with less dispatch, and gives ``@``'s bits, except where a
+    product has one term: there ``.dot`` returns the bare product, where
+    ``@`` adds it to ``+0.0``, so a ``-0.0`` keeps its sign. With one
+    expert the combined point is such a product, and the ``+0.0`` is added
+    to it. In 1-d every loss is one, and is left bare: the hedge step gives
+    the same bits for a ``-0.0`` loss as for ``+0.0`` (see
+    ``adahedge_step``).
     """
     x = state.combined_point
-    losses = state.experts.point @ grad
+    losses = state.experts.point.dot(grad)
     adagrad_step(state.experts, grad)
     adahedge_step(state.hedge, losses)
-    state.combined_point = state.hedge.weights @ state.experts.point
+    state.combined_point = state.hedge.weights.dot(state.experts.point)
+    if len(losses) == 1:  # one expert
+        state.combined_point += 0.0
     return state, x
 
 

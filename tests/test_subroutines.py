@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import math
 import warnings
 
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
-from coco_lab import harness
+from coco_lab import harness, subroutines
 from coco_lab.budgets import (
     adagrad_known_path_rhs,
     adagrad_path_free_rhs,
@@ -18,7 +20,8 @@ from coco_lab.core import DecisionSet
 from coco_lab.geometry import (Ball, Box, Halfspace, Intersection, _sum, dist_subgradient,
                                membership)
 from coco_lab.harness import ALGORITHMS, RunConfig, run
-from coco_lab.scenarios import SCENARIOS, ScenarioSpec, affine_cost, build_scenario, make_scenario
+from coco_lab.scenarios import (SCENARIOS, AffineCost, HalfspaceConstraint, ScenarioSpec,
+                                affine_cost, build_scenario, make_scenario)
 from coco_lab.subroutines import (
     KNOWN_PATH,
     AdaGradState,
@@ -27,11 +30,12 @@ from coco_lab.subroutines import (
     adagrad_step,
     adahedge_step,
     ahag_round,
+    ahag_step,
     num_experts,
 )
 from coco_lab.subroutines import _log_sum_exp
 
-from reference import reference_ball_project
+from reference import reference_ball_project, same_bits
 
 
 def unit_interval_set():
@@ -193,7 +197,10 @@ def test_adagrad_rejects_non_finite_gradient_without_moving(bad):
     adagrad_step(st, g)
     point, s = st.point.copy(), st.grad_sq_sum
     assert st.last_grad_sq == float(g @ g) == s  # the norm the harness records
-    with pytest.raises(ValueError, match="non-finite"):
+    # outside a run's errstate, numpy warns of the overflow in g.dot(g)
+    overflow = (pytest.warns(RuntimeWarning, match="overflow") if bad[0] == 1e200
+                else contextlib.nullcontext())
+    with overflow, pytest.raises(ValueError, match="non-finite"):
         adagrad_step(st, np.array(bad))
     assert np.array_equal(st.point, point)
     assert st.grad_sq_sum == st.last_grad_sq == s
@@ -474,6 +481,22 @@ def test_adahedge_step_matches_reference_bitwise(n, spread, gap, rounds, scale, 
         assert same_hedge_state(new, old)
 
 
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(1, 11), hst.sampled_from([0.0, 1.0, 1e3, 1e6]),
+       hst.sampled_from([0.0, 1e-3, 1.0, 1e3]), hst.integers(1, 40),
+       hst.sampled_from([1e-3, 1.0, 1e3]), hst.integers(0, 2 ** 32 - 1))
+def test_adahedge_step_reads_no_sign_of_a_zero_loss_bitwise(n, spread, gap, rounds, scale, seed):
+    # the ensemble's 1-d losses are .dot's bare products, where @ gave a -0.0
+    # product as +0.0: the step must give both zeros the same bits
+    plus, minus = hedge_states(n, spread, gap, seed)
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(rounds):
+        losses = rng.uniform(-scale, scale, n) * rng.integers(0, 2, n)
+        adahedge_step(plus, losses + 0.0)
+        adahedge_step(minus, np.where(losses == 0.0, -0.0, losses))
+        assert same_hedge_state(plus, minus)
+
+
 def test_adahedge_step_matches_reference_with_underflowed_weights():
     new, old = hedge_states(9, 1e3, 1.0, seed=4)
     rng = np.random.default_rng(5)
@@ -566,6 +589,100 @@ def test_adahedge_static_regret_bound_on_streams():
             adahedge_step(st, losses)
         regret = hedge_loss - float(cum.min())
         assert regret <= 2.0 * math.sqrt((4.0 + math.log(n)) * linf_sq)
+
+
+# ---------------------------------------------------------------------------
+# the learner's dot products: ndarray.dot in place of @
+
+# Entries for the draws below: signed zeros, subnormals and 1e+-300 beside
+# ordinary values, so that products underflow, overflow and cancel.
+DOT_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300,
+                      1e300, -1e300])
+
+
+def dot_draw(rng, shape):
+    """An array of ``shape``: each entry is one of ``DOT_EDGES`` or a
+    normal draw scaled by 10**k, k from -3 to 3, with equal odds."""
+    ordinary = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    return np.where(rng.random(shape) < 0.5, rng.choice(DOT_EDGES, size=shape), ordinary)
+
+
+def test_dot_method_is_matmul_bitwise():
+    # every .dot form the learner and the affine oracles use, against the @
+    # it replaces, on n from 1 to 12 rows, d from 1 to 3 and vectors up to 16.
+    # A one-term product is bare under .dot and added to +0.0 under @; the
+    # 1-d losses stay bare, which the hedge cannot tell
+    # (test_adahedge_step_reads_no_sign_of_a_zero_loss_bitwise)
+    rng = np.random.default_rng(40)
+    bare_differs = 0
+    with np.errstate(all="ignore"):
+        for length in range(1, 17):
+            for _ in range(60):
+                g, w = dot_draw(rng, length), dot_draw(rng, length)
+                assert same_bits(float(g.dot(g)), float(g @ g))  # adagrad_step
+                assert same_bits(0.0 + float(w.dot(g)), float(w @ g))  # adahedge_step
+                bare_differs += not same_bits(w.dot(g), w @ g)
+        for n in range(1, 13):
+            for d in range(1, 4):
+                for _ in range(30):
+                    points, grad = dot_draw(rng, (n, d)), dot_draw(rng, d)
+                    weights, shift = dot_draw(rng, n), float(dot_draw(rng, ()))
+                    # ahag_step's: the losses bare, the combined point with the rule
+                    assert same_bits(points.dot(grad) + 0.0, points @ grad)
+                    if d > 1:
+                        assert same_bits(points.dot(grad), points @ grad)
+                    combined = weights.dot(points)
+                    if n == 1:
+                        combined += 0.0
+                    assert same_bits(combined, weights @ points)
+                    # _Linear.value, of a point and of a batch
+                    for oracle in (AffineCost(grad, shift),
+                                   HalfspaceConstraint(grad, -shift, None)):
+                        assert same_bits(oracle.value(points), points @ grad + shift)
+                        assert same_bits(oracle.value(points[0]), points[0] @ grad + shift)
+                    bare_differs += not same_bits(points.dot(grad), points @ grad)
+                    bare_differs += not same_bits(weights.dot(points), weights @ points)
+    # the length-1 rule is needed: there .dot alone gives -0.0 where @ gives +0.0
+    assert bare_differs > 0
+
+
+def test_one_expert_ensemble_is_the_matmul_composition_bitwise(monkeypatch):
+    # D*T so small that log2(1 + D*T) rounds to 0: one expert in 1-d, where
+    # .dot returns a bare product and @ adds it to +0.0. The box's lower end
+    # -0.0 makes a -0.0 play, and an expert at +0.0 a -0.0 loss.
+    ds = DecisionSet(Box([-0.0], [1e-17]), 1e-17)
+    st = AhagState.create(ds, horizon=1)
+    assert st.num_experts == 1
+    ref = copy.deepcopy(st)
+    seen = []  # the losses ahag_step passes to the hedge
+
+    def recorded_hedge_step(hedge, losses):
+        seen.append(losses.copy())
+        return adahedge_step(hedge, losses)
+    monkeypatch.setattr(subroutines, "adahedge_step", recorded_hedge_step)
+    loss_zeros = play_zeros = 0
+    for g in (-1.0, 1.0, 1.0, -0.5, 2.0):
+        grad = np.array([g])
+        _, played = ahag_step(st, grad)
+        # the @ composition ahag_step had
+        ref_played = ref.combined_point
+        losses = ref.experts.point @ grad
+        adagrad_step(ref.experts, grad)
+        adahedge_step(ref.hedge, losses)
+        ref.combined_point = ref.hedge.weights @ ref.experts.point
+        # the loss is left bare: @'s but for a zero's sign, which the hedge
+        # does not read
+        assert same_bits(seen[-1] + 0.0, losses)
+        loss_zeros += np.signbit(seen[-1]).sum()
+        assert same_bits(played, ref_played)
+        assert same_bits(st.combined_point, ref.combined_point)
+        play_zeros += np.signbit(st.hedge.weights.dot(st.experts.point)).sum()
+        assert same_bits(st.hedge.cum_losses, ref.hedge.cum_losses)
+        assert same_bits(st.hedge.weights, ref.hedge.weights)
+        assert same_bits(st.hedge.cum_mix_gap, ref.hedge.cum_mix_gap)
+        assert same_bits(st.experts.point, ref.experts.point)
+    # the gradients made a -0.0 loss and, by .dot alone, a -0.0 play
+    assert loss_zeros > 0 and play_zeros > 0
 
 
 # ---------------------------------------------------------------------------
